@@ -18,12 +18,12 @@ from math import gcd, isqrt
 
 import numpy as np
 
-from .cyclotomic import CycloNum, cyclotomic_poly
-from .localring import get_ring
+from .cyclotomic import CycloNum, IntegralityError, integer_values
+from .localring import get_ring, is_prime
 from .linalg import Mat, mat_mul, min_poly
 from .groups import (CapExceeded, GroupTable, SubgroupHandle,
                      congruence_subgroup, unipotent_subgroup)
-from .whittaker_verify import IntegralityError, NonDegenChar, predictions_supported
+from .whittaker_verify import NonDegenChar, predictions_supported
 from .regular import TypeMatrix, type_of, iota
 
 CHARTAB_CAP = 100_000
@@ -60,14 +60,11 @@ class ClassData:
     def power_classes(self, i: int) -> list[int]:
         """Classes of rep_i^s for s = 0 .. ord-1."""
         table = self.table
-        ring = table.ring
-        out = [0]
-        cur = np.eye(table.n, dtype=np.int64)
         x = table.elems[self.reps[i]]
+        pows = [np.eye(table.n, dtype=np.int64)]
         for _ in range(int(self.orders[i]) - 1):
-            cur = mat_mul(ring, cur, x)
-            out.append(int(self.class_of[table.id_of(cur)]))
-        return out
+            pows.append(mat_mul(table.ring, pows[-1], x))
+        return self.class_of[table.ids_of(np.stack(pows))].tolist()
 
 
 def conjugacy_classes(table: GroupTable, cap: int = CLASS_SWEEP_CAP) -> ClassData:
@@ -95,9 +92,7 @@ def conjugacy_classes(table: GroupTable, cap: int = CLASS_SWEEP_CAP) -> ClassDat
     if sizes.sum() != N:
         raise AssertionError("class sizes do not partition the group")
     # inversion permutation and element orders per class
-    inv_perm = np.array(
-        [class_of[table.id_of(invs[r])] for r in reps], dtype=np.int64
-    )
+    inv_perm = class_of[table.ids_of(invs[reps])]
     orders = []
     eye = np.eye(table.n, dtype=np.int64)
     for r in reps:
@@ -114,23 +109,12 @@ def conjugacy_classes(table: GroupTable, cap: int = CLASS_SWEEP_CAP) -> ClassDat
 # arithmetic mod the Dixon prime r
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
-
-
 def dixon_prime(exponent: int, order: int, bound: int = PRIME_SEARCH_BOUND) -> int:
     """Smallest prime r = 1 mod exponent with r > 2 sqrt(order)."""
     floor = 2 * isqrt(order)
     r = exponent + 1
     while r <= bound:
-        if r > floor and _is_prime(r):
+        if r > floor and is_prime(r):
             return r
         r += exponent
     raise CapExceeded(f"no Dixon prime below {bound} for exponent {exponent}")
@@ -292,9 +276,6 @@ class CharTable:
     def value(self, t: int, i: int) -> CycloNum:
         return CycloNum(self.e, self.rows[t, i].tolist())
 
-    def reduction_matrix(self) -> np.ndarray:
-        return _phi_reduction_matrix(self.e)
-
     def verify(self) -> None:
         """Exact completeness and both orthogonality relations; raises on failure."""
         order = len(self.table)
@@ -302,56 +283,24 @@ class CharTable:
             raise AssertionError("sum of squared degrees differs from |G|")
         if any(order % int(d) for d in self.degrees):
             raise AssertionError("a degree does not divide |G|")
-        red = self.reduction_matrix()
-        phi_e = red.shape[1]
         k, e = self.k, self.e
         h = self.cd.sizes
         # row orthogonality: sum_i h_i chi_s(i) conj(chi_t(i)) = delta |G|
         weighted = self.rows * h[None, :, None]
         flat_w = weighted.reshape(k, -1)
-        prods = np.empty((e, k, k), dtype=np.int64)
+        prods = np.empty((k, k, e), dtype=np.int64)
         for w in range(e):
             rolled = np.roll(self.rows, w, axis=2).reshape(k, -1)
-            prods[w] = flat_w @ rolled.T
-        reduced = red.T @ prods.reshape(e, -1)
-        reduced = reduced.reshape(phi_e, k, k)
-        expect = np.zeros((phi_e, k, k), dtype=np.int64)
-        expect[0] = order * np.eye(k, dtype=np.int64)
-        if not np.array_equal(reduced, expect):
+            prods[:, :, w] = flat_w @ rolled.T
+        if not np.array_equal(integer_values(prods, e), order * np.eye(k, dtype=np.int64)):
             raise AssertionError("row orthogonality fails")
         # column orthogonality: sum_t chi_t(i) conj(chi_t(j)) = delta |C(g_i)|
-        flat = self.rows
-        prods2 = np.empty((e, k, k), dtype=np.int64)
+        prods2 = np.empty((k, k, e), dtype=np.int64)
         for w in range(e):
-            rolled = np.roll(flat, w, axis=2)
-            prods2[w] = np.einsum("tiu,tju->ij", flat, rolled)
-        reduced2 = (red.T @ prods2.reshape(e, -1)).reshape(phi_e, k, k)
-        expect2 = np.zeros((phi_e, k, k), dtype=np.int64)
-        expect2[0] = np.diag(order // h)
-        if not np.array_equal(reduced2, expect2):
+            rolled = np.roll(self.rows, w, axis=2)
+            prods2[:, :, w] = np.einsum("tiu,tju->ij", self.rows, rolled)
+        if not np.array_equal(integer_values(prods2, e), np.diag(order // h)):
             raise AssertionError("column orthogonality fails")
-
-
-def _phi_reduction_matrix(e: int) -> np.ndarray:
-    """Matrix sending a length-e exponent vector to its canonical residue
-    mod Phi_e, in the basis 1, zeta, ..., zeta^(phi(e)-1)."""
-    phi = list(cyclotomic_poly(e))
-    deg = len(phi) - 1
-    out = np.zeros((e, deg), dtype=np.int64)
-    cur = [0] * deg
-    for j in range(e):
-        if j < deg:
-            out[j, j] = 1
-            continue
-        # x^j mod Phi_e = x * (x^{j-1} mod Phi_e) mod Phi_e
-        prev = out[j - 1]
-        shifted = [0] + [int(c) for c in prev]
-        lead = shifted.pop()
-        red = [shifted[i] - lead * phi[i] for i in range(deg)]
-        out[j] = red
-    if np.abs(out).max() > 1 << 31:
-        raise OverflowError("reduction matrix entries too large")
-    return out
 
 
 def class_matrix(cd: ClassData, j: int, r: int) -> np.ndarray:
@@ -495,25 +444,12 @@ def decompose_induced(ct: CharTable, theta: NonDegenChar,
     acc = np.zeros((k, e), dtype=np.int64)
     for cls, s in zip(u_classes, u_expos):
         acc += np.roll(ct.rows[:, cls, :], int(-s * scale) % e, axis=1)
-    mults = _extract_integers(acc, ct, len(u_sub))
+    mults = integer_values(acc, e, len(u_sub))
     if np.any(mults < 0):
         raise IntegralityError("negative multiplicity")
     if int(np.sum(mults * ct.degrees)) != len(table) // len(u_sub):
         raise AssertionError("multiplicities do not sum to the induced dimension")
     return mults
-
-
-def _extract_integers(acc: np.ndarray, ct: CharTable, divisor: int) -> np.ndarray:
-    """Exact integer values of a stack of exponent vectors divided by divisor."""
-    red = ct.reduction_matrix()
-    flat = acc.reshape(-1, ct.e)
-    reduced = flat @ red
-    if np.any(reduced[:, 1:]):
-        raise IntegralityError("character sum is not rational")
-    vals, rem = np.divmod(reduced[:, 0], divisor)
-    if np.any(rem):
-        raise IntegralityError("character sum is not divisible by the index")
-    return vals.reshape(acc.shape[:-1])
 
 
 @dataclass
@@ -570,7 +506,7 @@ def classify_regular(ct: CharTable, cap_pairs: int = 1 << 22) -> list[RegularFla
         for s in np.unique(rolled_by):
             sel = np.flatnonzero(rolled_by == s)
             acc[sel] += np.roll(block, int(-s * scale) % e, axis=1)[None, :, :]
-    mults = _extract_integers(acc.reshape(-1, e), ct, len(ksub)).reshape(len(xs), k)
+    mults = integer_values(acc, e, len(ksub))
     if np.any(mults < 0):
         raise IntegralityError("negative restriction multiplicity")
 
@@ -638,17 +574,13 @@ def restriction_norm(ct_gl: CharTable, t: int, sl_table: GroupTable,
     weighted = row * sl_class_counts[:, None]
     for w in range(e):
         acc[w] = int(np.sum(weighted * np.roll(row, w, axis=1)))
-    val = _extract_integers(acc[None, :], ct_gl, len(sl_table))[0]
-    return int(val)
+    return int(integer_values(acc, e, len(sl_table)))
 
 
 def sl_class_profile(ct_gl: CharTable, sl_table: GroupTable) -> np.ndarray:
     """How many SL elements land in each GL conjugacy class."""
-    gl_table = ct_gl.table
-    counts = np.zeros(ct_gl.k, dtype=np.int64)
-    for m in sl_table.elems:
-        counts[ct_gl.cd.class_of[gl_table.id_of(m)]] += 1
-    return counts
+    classes = ct_gl.cd.class_of[ct_gl.table.ids_of(sl_table.elems)]
+    return np.bincount(classes, minlength=ct_gl.k)
 
 
 @dataclass

@@ -27,8 +27,9 @@ import numpy as np
 from . import __version__
 from .localring import CONWAY_POLYS, get_ring, parse_ring
 from .groups import CapExceeded, GroupSpec, TABLE_CAP, unipotent_order
-from .whittaker_verify import (IntegralityError, predictions_supported,
-                               sl2_printed_index, verify_multiplicity_one)
+from .cyclotomic import IntegralityError
+from .whittaker_verify import (predictions_supported, sl2_printed_index,
+                               verify_multiplicity_one)
 from .chartab import (CHARTAB_CAP, classify_regular, restriction_norm,
                       sl_class_profile)
 from .regular import iota

@@ -8,22 +8,26 @@ exact.  Two vectors represent the same algebraic number iff their
 difference is divisible by the m-th cyclotomic polynomial Phi_m, which is
 an exact integer polynomial division.
 
-Rational (Galois-invariant) values are extracted through the trace map:
-Tr(zeta_m^j) = mu(t) * phi(m) / phi(t) with t = m / gcd(j, m).  For prime
-powers m = p^k this reduces to phi(m) for j = 0, -p^(k-1) when zeta^j has
-order p, and 0 otherwise.
+reduction_matrix(m) is the one map from exponent vectors to canonical
+coordinates in the power basis 1, zeta, ..., zeta^(phi(m)-1).  A value is
+rational iff all its coordinates but the first vanish, so every exact sum
+is turned into an integer here: one CycloNum by is_zero/rational_value,
+a stack of exponent vectors at once by integer_values.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
 
 import numpy as np
 
 
-class NonRationalError(ValueError):
+class IntegralityError(ArithmeticError):
+    """An exact character sum failed to be integral: internal arithmetic fault."""
+
+
+class NonRationalError(IntegralityError, ValueError):
     """Raised when a rational value is requested from a non-rational number."""
 
 
@@ -39,29 +43,6 @@ def euler_phi(m: int) -> int:
     if m > 1:
         result -= result // m
     return result
-
-
-def moebius(m: int) -> int:
-    if m == 1:
-        return 1
-    sign = 1
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
-            m //= d
-            if m % d == 0:
-                return 0
-            sign = -sign
-        d += 1
-    if m > 1:
-        sign = -sign
-    return sign
-
-
-def _poly_trim(c: list[int]) -> list[int]:
-    while c and c[-1] == 0:
-        c.pop()
-    return c
 
 
 def _poly_divexact(num: list[int], den: list[int]) -> list[int]:
@@ -97,14 +78,47 @@ def cyclotomic_poly(m: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def _trace_table(m: int) -> tuple[int, ...]:
-    """Tr(zeta_m^j) for j = 0..m-1."""
-    phim = euler_phi(m)
-    out = []
+def reduction_matrix(m: int) -> np.ndarray:
+    """Read-only (m, phi(m)) matrix sending a length-m exponent vector to its
+    canonical residue mod Phi_m, in the basis 1, zeta, ..., zeta^(phi(m)-1)."""
+    phi = cyclotomic_poly(m)
+    deg = len(phi) - 1
+    out = np.zeros((m, deg), dtype=np.int64)
     for j in range(m):
-        t = m // gcd(j, m)
-        out.append(moebius(t) * phim // euler_phi(t))
-    return tuple(out)
+        if j < deg:
+            out[j, j] = 1
+            continue
+        # x^j mod Phi_m = x * (x^(j-1) mod Phi_m) mod Phi_m
+        lead = int(out[j - 1, deg - 1])
+        out[j, 1:] = out[j - 1, :-1]
+        out[j] -= lead * np.array(phi[:deg], dtype=np.int64)
+    if np.abs(out).max() > 1 << 31:
+        raise OverflowError("reduction matrix entries too large")
+    out.flags.writeable = False
+    return out
+
+
+def integer_values(acc: np.ndarray, m: int, divisor: int = 1) -> np.ndarray:
+    """Exact integers acc / divisor for a stack (..., m) of exponent vectors.
+
+    Raises NonRationalError when a vector is not rational, IntegralityError
+    when it is not divisible by divisor or when the int64 reduction could
+    overflow: every partial sum of the product is bounded by the row L1
+    norm, at most m * max |entry|, times max |reduction entry|, and that
+    bound must stay below 2^63.
+    """
+    red = reduction_matrix(m)
+    flat = np.asarray(acc, dtype=np.int64).reshape(-1, m)
+    bound = m * int(np.abs(flat).max(initial=0)) * int(np.abs(red).max())
+    if bound >= 1 << 63:
+        raise IntegralityError(f"reducing sums bounded by {bound} could overflow int64")
+    reduced = flat @ red
+    if np.any(reduced[:, 1:]):
+        raise NonRationalError("character sum is not rational")
+    vals, rem = np.divmod(reduced[:, 0], divisor)
+    if np.any(rem):
+        raise IntegralityError(f"character sum is not divisible by {divisor}")
+    return vals.reshape(np.shape(acc)[:-1])
 
 
 class CycloNum:
@@ -192,19 +206,13 @@ class CycloNum:
 
     # -- identity tests ----------------------------------------------------
 
+    def coordinates(self) -> np.ndarray:
+        """Exact power-basis coordinates (Python ints) of the residue mod Phi_m."""
+        return np.array(self.coeffs, dtype=object) @ reduction_matrix(self.m)
+
     def is_zero(self) -> bool:
         """True iff the represented algebraic number is 0 (reduction mod Phi_m)."""
-        if not any(self.coeffs):
-            return True
-        phi = list(cyclotomic_poly(self.m))
-        rem = list(self.coeffs)
-        dn = len(phi) - 1
-        for i in range(len(rem) - 1, dn - 1, -1):
-            q = rem[i]  # Phi_m is monic
-            if q:
-                for j, c in enumerate(phi):
-                    rem[i - dn + j] -= q * c
-        return not any(rem)
+        return not any(self.coordinates())
 
     def __eq__(self, other) -> bool:
         if isinstance(other, int):
@@ -222,26 +230,12 @@ class CycloNum:
 
     # -- rational extraction ------------------------------------------------
 
-    def trace(self) -> int:
-        tr = _trace_table(self.m)
-        return sum(c * t for c, t in zip(self.coeffs, tr))
-
     def rational_value(self) -> Fraction:
         """Exact rational value; raises NonRationalError for non-rational input."""
-        phim = euler_phi(self.m)
-        cand = Fraction(self.trace(), phim)
-        # z is rational iff phi(m)*z - Tr(z) vanishes in Z[zeta_m]
-        scaled = [phim * c for c in self.coeffs]
-        scaled[0] -= self.trace()
-        if not CycloNum(self.m, scaled).is_zero():
+        coords = self.coordinates()
+        if any(coords[1:]):
             raise NonRationalError("value is not Galois-invariant")
-        return cand
-
-    def integer_value(self) -> int:
-        val = self.rational_value()
-        if val.denominator != 1:
-            raise NonRationalError(f"value {val} is not an integer")
-        return val.numerator
+        return Fraction(coords[0])
 
     def complex_value(self) -> complex:
         """Floating approximation, for diagnostics only."""
@@ -254,12 +248,3 @@ def root_of_unity(m: int, j: int) -> CycloNum:
     c = [0] * m
     c[j % m] = 1
     return CycloNum(m, c)
-
-
-def rational_value(z: CycloNum) -> Fraction:
-    return z.rational_value()
-
-
-def counter_rational(m: int, counter) -> Fraction:
-    """rational_value of an exponent-counter without materialising a CycloNum."""
-    return CycloNum.from_counter(m, counter).rational_value()

@@ -2,9 +2,10 @@
 
 A full GroupTable holds every element as a code matrix in a canonical
 order (identity first, the rest ascending by row-major code tuple) plus a
-byte-key index and precomputed inverses.  Groups above the table cap can
-still be traversed through iter_group_chunks, which streams the same
-elements without building an index.
+sorted int64 key index (the code tuple read in base |o_l|, searched in
+O(log |G|) per element of a batch) and precomputed inverses.  Groups
+above the table cap can still be traversed through iter_group_chunks,
+which streams the same elements without building an index.
 
 Enumeration exploits the fiber structure over the residue field: the
 invertible matrices over F_q are found by filtering, and every element of
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .localring import Ring, RingDesc, get_ring
-from .linalg import Mat, mat_mul, mat_det_batch, mat_inv_batch, pack_key
+from .linalg import Mat, mat_mul, mat_det_batch, mat_inv_batch
 
 TABLE_CAP = 200_000
 RESIDUE_ENUM_CAP = 20_000_000
@@ -144,7 +145,7 @@ def iter_group_chunks(spec: GroupSpec, chunk_size: int = 1 << 15):
 
 
 class GroupTable:
-    """Fully enumerated group with canonical ids and O(1) element lookup."""
+    """Fully enumerated group with canonical ids and batched element lookup."""
 
     def __init__(self, spec: GroupSpec, elems: np.ndarray):
         self.spec = spec
@@ -152,28 +153,32 @@ class GroupTable:
         self.n = spec.n
         self.elems = elems
         self.size = len(elems)
-        self._index = {
-            pack_key(elems[i], self.ring.size): i for i in range(self.size)
-        }
+        width = self.n * self.n
+        if self.ring.size**width >= 1 << 63:
+            raise CapExceeded(f"element keys of {spec.key()} do not fit in int64")
+        # key = row-major code tuple read in base |o_l|, first entry most significant
+        self._radix = self.ring.size ** np.arange(width - 1, -1, -1, dtype=np.int64)
+        keys = self._keys(elems)
+        self._key_order = np.argsort(keys)
+        self._sorted_keys = keys[self._key_order]
         self._invs = None
 
     def __len__(self):
         return self.size
 
+    def _keys(self, batch: np.ndarray) -> np.ndarray:
+        return batch.reshape(len(batch), -1) @ self._radix
+
     def id_of(self, codes) -> int:
-        key = pack_key(np.asarray(codes, dtype=np.int64), self.ring.size)
-        got = self._index.get(key)
-        if got is None:
-            raise KeyError("matrix is not a group element")
-        return got
+        return int(self.ids_of(np.asarray(codes, dtype=np.int64)[None])[0])
 
     def ids_of(self, batch: np.ndarray) -> np.ndarray:
-        size = self.ring.size
-        return np.fromiter(
-            (self._index[pack_key(m, size)] for m in batch),
-            dtype=np.int64,
-            count=len(batch),
-        )
+        """Ids of a stack of code matrices; KeyError if any is not an element."""
+        keys = self._keys(batch)
+        pos = np.minimum(np.searchsorted(self._sorted_keys, keys), self.size - 1)
+        if not np.array_equal(self._sorted_keys[pos], keys):
+            raise KeyError("matrix is not a group element")
+        return self._key_order[pos]
 
     def inverses(self) -> np.ndarray:
         if self._invs is None:
@@ -182,9 +187,6 @@ class GroupTable:
 
     def element(self, i: int) -> Mat:
         return Mat(self.spec.ring, self.elems[i])
-
-    def mul_ids(self, i: int, j: int) -> int:
-        return self.id_of(mat_mul(self.ring, self.elems[i], self.elems[j]))
 
 
 def enumerate_group(spec: GroupSpec, cap: int = TABLE_CAP) -> GroupTable:

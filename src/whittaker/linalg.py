@@ -13,7 +13,6 @@ are the workhorses of group enumeration and character sums.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -75,27 +74,6 @@ class Fq:
 @lru_cache(maxsize=None)
 def GF(q: int) -> Fq:
     return Fq(q)
-
-
-@dataclass(frozen=True)
-class FqElem:
-    """An element of F_q in canonical code representation."""
-
-    q: int
-    code: int
-
-    @property
-    def field(self) -> Fq:
-        return GF(self.q)
-
-    def __add__(self, o):
-        return FqElem(self.q, self.field.add(self.code, o.code))
-
-    def __mul__(self, o):
-        return FqElem(self.q, self.field.mul(self.code, o.code))
-
-    def __neg__(self):
-        return FqElem(self.q, self.field.neg(self.code))
 
 
 # ---------------------------------------------------------------------------
@@ -402,15 +380,6 @@ class Mat:
         ring = self.ring
         sub = ring.subring(i)
         return Mat(sub.desc, self.a % ring.q**i)
-
-    def key(self) -> bytes:
-        """Canonical byte key: row-major entry codes."""
-        return pack_key(self.a, self.ring.size)
-
-
-def pack_key(arr: np.ndarray, size: int) -> bytes:
-    dtype = np.uint8 if size <= 256 else np.uint16
-    return np.ascontiguousarray(arr, dtype=dtype).tobytes()
 
 
 def det(M: Mat) -> int:

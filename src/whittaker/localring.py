@@ -338,11 +338,6 @@ class Ring:
             raise ValueError(f"projection level {i} out of range [1, {self.ell}]")
         return a % self.q**i
 
-    def lift_code(self, a: int, sub: "Ring") -> int:
-        """Canonical lift of a code from o_i (identity on codes)."""
-        assert sub.q == self.q and sub.ell <= self.ell
-        return a
-
     def mul_varpi_pow(self, a: int, k: int) -> int:
         """a * pi^k; in code terms (a mod q^(l-k)) * q^k for both families."""
         if k >= self.ell:

@@ -5,51 +5,28 @@ configuration, a flat list of check records (each naming the claim it
 verifies, the predicted and computed values, and a pass flag), optional
 timings, and cache/ring provenance.  Envelopes serialize to stable JSON
 (sorted keys) so repeat runs with a warm cache are byte-identical; wall
-times are only filled in when explicitly requested.
+times are only filled in when explicitly requested.  The JSON schema of
+an envelope is the packaged file report-v1.schema.json.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from pathlib import Path
 
 REPORT_SCHEMA_ID = "report/v1"
 
-REPORT_SCHEMA = {
-    "$schema": "http://json-schema.org/draft-07/schema#",
-    "$id": "report/v1",
-    "type": "object",
-    "required": ["schema", "tool", "config", "checks", "timings", "provenance", "pass"],
-    "properties": {
-        "schema": {"const": "report/v1"},
-        "tool": {
-            "type": "object",
-            "required": ["name", "version"],
-            "properties": {
-                "name": {"type": "string"},
-                "version": {"type": "string"},
-            },
-        },
-        "config": {"type": "object"},
-        "checks": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "required": ["name", "claim", "predicted", "computed", "pass",
-                             "informational"],
-                "properties": {
-                    "name": {"type": "string"},
-                    "claim": {"type": "string"},
-                    "pass": {"type": "boolean"},
-                    "informational": {"type": "boolean"},
-                },
-            },
-        },
-        "timings": {"type": "object"},
-        "provenance": {"type": "object"},
-        "pass": {"type": "boolean"},
-    },
-}
+SCHEMA_PATH = Path(__file__).with_name("report-v1.schema.json")
+
+
+def __getattr__(name: str):
+    # REPORT_SCHEMA is read from the packaged file on access, so importing
+    # this module opens no file
+    if name == "REPORT_SCHEMA":
+        return json.loads(SCHEMA_PATH.read_text())
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 EXIT_PASS = 0
 EXIT_MISMATCH = 1

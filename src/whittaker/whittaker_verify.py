@@ -10,7 +10,7 @@ is analyzed through two independent routes:
 * computed: dim Ind = [G : U] and the self-intertwining norm
   <Ind theta_a, Ind theta_a> by the exact Frobenius double sum over
   (u, g) with g u g^-1 unipotent, accumulated as a root-of-unity exponent
-  counter and finalized in Z[zeta_m];
+  counter and finalized in Z[zeta_m] by cyclotomic.integer_values;
 
 * predicted: the count of a-regular constituents (sum of centralizer
   orders over a-regular classes of g(o_m), m = floor(l/2), with an extra
@@ -27,7 +27,8 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .cyclotomic import CycloNum
+from .cyclotomic import CycloNum, integer_values
+from .cyclotomic import IntegralityError  # noqa: F401  re-exported under its old home
 from .localring import Ring, RingElem, get_ring, primitive_char
 from .linalg import Mat, mat_mul, mat_inv_batch
 from .groups import (
@@ -39,10 +40,6 @@ from .groups import (
     centralizer_order_by_units,
 )
 from .regular import a_regular, a_regular_coeff_tuples, _check_sl_char
-
-
-class IntegralityError(ArithmeticError):
-    """An exact character sum failed to be integral: internal arithmetic fault."""
 
 
 # ---------------------------------------------------------------------------
@@ -76,20 +73,9 @@ class NonDegenChar:
         return int(self.exponents_on(np.asarray(u_codes, dtype=np.int64)[None])[0])
 
 
-def _is_unipotent_upper(ring: Ring, a: np.ndarray) -> bool:
-    n = a.shape[0]
-    for i in range(n):
-        if a[i, i] != 1:
-            return False
-        for j in range(i):
-            if a[i, j] != 0:
-                return False
-    return True
-
-
 def theta_value(theta: NonDegenChar, u: Mat) -> CycloNum:
     """Value of theta_a at u in U(o_l), as an exact root of unity."""
-    if u.desc != theta.spec.ring or not _is_unipotent_upper(theta.ring, u.a):
+    if u.desc != theta.spec.ring or not unipotent_mask(u.a, u.n):
         raise ValueError("theta is defined on unipotent upper-triangular matrices")
     c = [0] * theta.m
     c[theta.exponent(u.a)] = 1
@@ -228,12 +214,7 @@ def induced_norm(
     if seen != spec.order():
         raise AssertionError("streamed element count disagrees with closed form")
 
-    total = CycloNum.from_counter(m, counter).rational_value()
-    u_order = len(u_mats)
-    norm = total / (u_order * u_order)
-    if norm.denominator != 1:
-        raise IntegralityError(f"induced norm {norm} is not an integer")
-    return int(norm)
+    return int(integer_values(counter, m, len(u_mats) ** 2))
 
 
 # ---------------------------------------------------------------------------

@@ -3,10 +3,11 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from whittaker.cyclotomic import IntegralityError
 from whittaker.localring import get_ring, ring_make
 from whittaker.groups import CapExceeded, GroupSpec, enumerate_group, unipotent_subgroup
 from whittaker.whittaker_verify import NonDegenChar, induced_norm
-from whittaker.chartab import (charpoly_mod, character_table,
+from whittaker.chartab import (CharTable, charpoly_mod, character_table,
                                classify_regular, conjugacy_classes,
                                decompose_induced, dixon_prime, poly_roots_mod,
                                primitive_root, restriction_norm,
@@ -192,6 +193,15 @@ def test_decompose_gl2z4(gl2z4_ct):
         m = decompose_induced(gl2z4_ct, NonDegenChar(GroupSpec("GL", 2, Z4), a))
         assert m.max() == 1 and m.sum() == 8
         assert int(np.sum(m * gl2z4_ct.degrees)) == 24
+
+
+def test_non_rational_table_value_fails_decomposition(gl2z4_ct):
+    ct = gl2z4_ct
+    rows = ct.rows.copy()
+    rows[-1, 0, 1] += 1  # chi(1) + zeta_e is not rational (e = 12 here)
+    bad = CharTable(ct.cd, ct.e, ct.r, ct.degrees, rows)
+    with pytest.raises(IntegralityError):
+        decompose_induced(bad, NonDegenChar(GroupSpec("GL", 2, Z4), 1))
 
 
 def test_decompose_sl2z9(sl2z9_ct):

@@ -1,11 +1,13 @@
 import json
 
 import jsonschema
+import numpy as np
 import pytest
 
 from whittaker.cli import (JobConfig, build_parser, config_from_args,
                            gl2_formula_row, main, parse_group, sl2_formula_row)
-from whittaker.reporting import EXIT_CAP, REPORT_SCHEMA, ReportEnvelope
+from whittaker.reporting import EXIT_CAP, EXIT_INTERNAL, REPORT_SCHEMA, ReportEnvelope
+from whittaker.whittaker_verify import NonDegenChar
 
 
 def run_cli(args, capsys):
@@ -158,6 +160,46 @@ def test_cap_exceeded_exit_code(capsys):
     assert code == EXIT_CAP
 
 
+def test_off_by_one_theta_exponent_in_the_norm_exits_internal(monkeypatch, capsys):
+    # theta_a on the identity of U shifted from zeta^0 to zeta^1: the
+    # Frobenius double sum is no longer rational
+    original = NonDegenChar.exponents_on
+    shifted = []
+
+    def off_by_one(self, batch):
+        out = original(self, batch)
+        if not shifted:  # the first call evaluates theta on U itself
+            shifted.append(True)
+            out = out.copy()
+            out[0] += 1
+        return out
+
+    monkeypatch.setattr(NonDegenChar, "exponents_on", off_by_one)
+    code = main(["verify", "--group", "GL2", "--ring", "mixed:3^2", "--no-cache"])
+    assert shifted and code == EXIT_INTERNAL
+    assert "internal arithmetic fault" in capsys.readouterr().err
+
+
+def test_corrupt_cached_character_value_exits_internal(capsys, tmp_path):
+    # zeta_e added to one cached identity-class value: the classification
+    # sum over the congruence kernel is no longer rational
+    args = ["branching", "--group", "GL2", "--ring", "mixed:2^2",
+            "--cache-dir", str(tmp_path)]
+    assert main(args) == 0
+    (path,) = (tmp_path / "chartab").glob("*.ct")
+    raw = path.read_bytes()
+    nl = raw.index(b"\n")
+    header = json.loads(raw[:nl])
+    k, e = header["k"], header["e"]
+    blob = np.frombuffer(raw[nl + 1:], dtype=np.int64).copy()
+    rows = blob[len(blob) - k * k * e:].reshape(k, k, e)
+    rows[-1, 0, 1] += 1
+    path.write_bytes(raw[:nl + 1] + blob.tobytes())
+    capsys.readouterr()
+    assert main(args) == EXIT_INTERNAL
+    assert "not rational" in capsys.readouterr().err
+
+
 def test_mismatch_gives_exit_one():
     env = ReportEnvelope(tool_version="x", config={})
     env.add("demo", "demo-claim", 1, 2)
@@ -182,14 +224,6 @@ def test_all_units_alias(capsys, tmp_path):
          "--cache-dir", str(tmp_path)], capsys)
     assert code == 0
     assert out.count("whittaker-norm-equals-regular-count") == 2
-
-
-def test_published_schema_file_matches_embedded():
-    from pathlib import Path
-
-    published = json.loads(
-        (Path(__file__).parent.parent / "schema" / "report-v1.schema.json").read_text())
-    assert published == REPORT_SCHEMA
 
 
 def test_cache_dir_env_default(monkeypatch, tmp_path):

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from whittaker.cyclotomic import (CycloNum, NonRationalError, cyclotomic_poly,
-                                  euler_phi, moebius, root_of_unity)
+from whittaker.cyclotomic import (CycloNum, IntegralityError, NonRationalError,
+                                  cyclotomic_poly, euler_phi, integer_values,
+                                  root_of_unity)
 
 
 def test_root_arithmetic_exponent_addition():
@@ -117,17 +118,22 @@ def test_cyclotomic_polynomial_degrees_and_values():
     assert cyclotomic_poly(12) == (1, 0, -1, 0, 1)
 
 
-def test_moebius_small_values():
-    assert [moebius(n) for n in range(1, 11)] == [1, -1, -1, 0, -1, 1, -1, 0, 0, 1]
+def test_integer_values_of_a_stack():
+    # sum of all 9th roots is 0; 1 + zeta_9^3 + zeta_9^6 = 0; 6 * 1 = 6
+    acc = np.array([[[1] * 9, [1, 0, 0, 1, 0, 0, 1, 0, 0], [6, 0, 0, 0, 0, 0, 0, 0, 0]]])
+    assert integer_values(acc, 9).tolist() == [[0, 0, 6]]
+    assert integer_values(acc, 9, 3).tolist() == [[0, 0, 2]]
+    with pytest.raises(IntegralityError):
+        integer_values(acc, 9, 4)  # 6 is not divisible by 4
+    with pytest.raises(NonRationalError):
+        integer_values(np.array([0, 1, 0, 0, 0, 0, 0, 0, 0]), 9)
 
 
-def test_prime_power_trace_identity():
-    # Tr(zeta^j) over Q(zeta_{p^k}): phi(m) at j = 0, -p^(k-1) at order p, else 0
-    m = 27
-    assert CycloNum.integer(m, 1).trace() == euler_phi(m)
-    z9 = root_of_unity(m, 9)  # order 3
-    assert z9.trace() == -9
-    assert root_of_unity(m, 1).trace() == 0
+def test_integer_values_refuses_sums_that_could_overflow():
+    # 9 entries of 2^61: the reduction's partial sums could reach 9 * 2^61 > 2^63
+    with pytest.raises(IntegralityError, match="overflow"):
+        integer_values(np.full((1, 9), 1 << 61, dtype=np.int64), 9)
+    assert integer_values(np.full((1, 9), 1 << 58, dtype=np.int64), 9).tolist() == [0]
 
 
 def test_counter_construction():

@@ -42,6 +42,11 @@ def test_identity_has_id_zero_and_index_lookup():
         assert table.id_of(table.elems[i]) == i
     with pytest.raises(KeyError):
         table.id_of(np.zeros((2, 2), dtype=np.int64))
+    assert table.ids_of(table.elems[[95, 0, 17]]).tolist() == [95, 0, 17]
+    batch = table.elems[[0, 1, 17]].copy()
+    batch[1] = [[2, 0], [0, 2]]  # singular mod 2: not in GL2(Z/4)
+    with pytest.raises(KeyError):
+        table.ids_of(batch)
 
 
 def test_closure_under_product_and_inverse():
