@@ -167,7 +167,9 @@ def load_char_table(table: GroupTable, cache_dir: Path):
         np.array(header["inverse_perm"], dtype=np.int64),
         np.array(header["orders"], dtype=np.int64),
     )
-    return CharTable(cd, e, header["r"], np.array(header["degrees"], dtype=np.int64), rows)
+    ct = CharTable(cd, e, header["r"], np.array(header["degrees"], dtype=np.int64), rows)
+    ct.loaded = True
+    return ct
 
 
 def cached_char_table(table: GroupTable, cache_dir: Path | None, cap: int):

@@ -264,6 +264,7 @@ class CharTable:
         self.r = r
         self.degrees = degrees
         self.rows = rows  # (k, k, e) int64: coeff vectors of chi_t(class_i)
+        self.loaded = False  # True when read from the disk cache
 
     @property
     def k(self) -> int:

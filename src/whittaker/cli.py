@@ -9,8 +9,9 @@ chartab         build, cache and summarize an exact character table
 classes         build and summarize the conjugacy classes
 
 Exit codes: 0 all checks pass, 1 a predicted/computed mismatch, 2 a size
-cap was exceeded, 3 an internal exactness fault.  A mismatch is a result
-(the tool exists to falsify), not a crash.
+cap was exceeded, 3 an internal exactness fault, 4 a usage error (a bad
+flag, group, ring or unit, rejected before any work).  A mismatch is a
+result (the tool exists to falsify), not a crash.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from .chartab import (CHARTAB_CAP, classify_regular, restriction_norm,
 from .regular import iota
 from .cache import (cached_char_table, cached_group_table, cached_irreducibles,
                     chartab_cache_key, default_cache_dir, group_cache_key)
-from .reporting import (EXIT_CAP, EXIT_INTERNAL, ReportEnvelope)
+from .reporting import EXIT_CAP, EXIT_INTERNAL, EXIT_USAGE, ReportEnvelope
 
 
 @dataclass
@@ -47,7 +48,6 @@ class JobConfig:
     a_select: str = "1"
     table_cap: int = TABLE_CAP
     chartab_cap: int = CHARTAB_CAP
-    threads: int = 1
     cache_dir: str = ""
     no_cache: bool = False
     out: str = ""
@@ -55,8 +55,8 @@ class JobConfig:
     timings: bool = False
 
     def __post_init__(self):
-        if min(self.table_cap, self.chartab_cap, self.threads) < 1:
-            raise ValueError("caps and thread count must be positive")
+        if min(self.table_cap, self.chartab_cap) < 1:
+            raise ValueError("caps must be positive")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -77,7 +77,7 @@ class JobConfig:
         if self.a_select == "all":
             return ring.unit_codes()
         code = int(self.a_select)
-        if not ring.is_unit(code):
+        if not (0 <= code < ring.size and ring.is_unit(code)):
             raise ValueError(f"--a {code} is not a unit of {ring.desc.key()}")
         return [code]
 
@@ -122,7 +122,7 @@ def cmd_verify(cfg: JobConfig) -> ReportEnvelope:
     t0 = time.perf_counter()
     table = _maybe_table(spec, cfg, env)
     for a in cfg.selected_units(ring):
-        rep = verify_multiplicity_one(spec, a, table=table, threads=cfg.threads)
+        rep = verify_multiplicity_one(spec, a, table=table)
         for chk in rep.checks:
             env.add(f"{chk.claim}[a={a}]", chk.claim, chk.predicted, chk.computed,
                     chk.passed, chk.informational)
@@ -280,7 +280,8 @@ def cmd_chartab(cfg: JobConfig) -> ReportEnvelope:
     spec = cfg.group_spec()
     t0 = time.perf_counter()
     ct = _chartab(spec, cfg, env)
-    ct.verify()
+    if ct.loaded:  # a table built in this run was verified as it was built
+        ct.verify()
     env.add("class-count", "conjugacy-class-count", ct.k, ct.k)
     env.add("sum-degree-squares", "character-completeness",
             len(ct.table), int(np.sum(ct.degrees**2)))
@@ -322,8 +323,13 @@ COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    def exit(self, status=0, message=None):  # a usage error, not argparse's 2 (the cap code)
+        super().exit(status and EXIT_USAGE, message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="whittaker",
         description="Exact verification of Whittaker-model multiplicity, "
                     "counting and branching identities over finite local rings.",
@@ -339,7 +345,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="unit twist code, or 'all'")
         p.add_argument("--all-units", dest="a_select", action="store_const",
                        const="all", help="shorthand for --a all")
-        p.add_argument("--threads", type=int, default=1)
+        p.add_argument("--threads", type=int, default=1,
+                       help="ignored: kept so that existing command lines still parse")
         p.add_argument("--table-cap", type=int, default=TABLE_CAP)
         p.add_argument("--chartab-cap", type=int, default=CHARTAB_CAP)
         p.add_argument("--cache-dir", default="")
@@ -360,8 +367,11 @@ def parse_group(text: str) -> tuple[str, int]:
 
 
 def config_from_args(args: argparse.Namespace) -> JobConfig:
+    """ValueError on a bad group, ring, unit or count, before any work."""
     family, n = parse_group(args.group)
-    return JobConfig(
+    if args.threads < 1:
+        raise ValueError("--threads must be positive")
+    cfg = JobConfig(
         subcommand=args.subcommand,
         ring=args.ring,
         family=family,
@@ -369,13 +379,14 @@ def config_from_args(args: argparse.Namespace) -> JobConfig:
         a_select=args.a_select,
         table_cap=args.table_cap,
         chartab_cap=args.chartab_cap,
-        threads=args.threads,
         cache_dir=args.cache_dir,
         no_cache=args.no_cache,
         out=args.out,
         fmt=args.fmt,
         timings=args.timings,
     )
+    cfg.selected_units(get_ring(cfg.group_spec().ring))
+    return cfg
 
 
 def run(cfg: JobConfig) -> ReportEnvelope:
@@ -386,6 +397,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = config_from_args(args)
+    except ValueError as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    try:
         env = run(cfg)
     except CapExceeded as exc:
         print(f"cap exceeded: {exc}", file=sys.stderr)

@@ -3,9 +3,9 @@
 A full GroupTable holds every element as a code matrix in a canonical
 order (identity first, the rest ascending by row-major code tuple) plus a
 sorted int64 key index (the code tuple read in base |o_l|, searched in
-O(log |G|) per element of a batch) and precomputed inverses.  Groups
-above the table cap can still be traversed through iter_group_chunks,
-which streams the same elements without building an index.
+O(log |G|) per element of a batch) and precomputed inverses.  Nothing
+enumerates a group beyond the table cap: the induced norm runs over
+coset_representatives, a transversal of G/U built without listing G.
 
 Enumeration exploits the fiber structure over the residue field: the
 invertible matrices over F_q are found by filtering, and every element of
@@ -15,6 +15,7 @@ is invertible).  SL is cut out of GL by det = 1.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +24,7 @@ from .localring import Ring, RingDesc, get_ring
 from .linalg import Mat, mat_mul, mat_det_batch, mat_inv_batch
 
 TABLE_CAP = 200_000
+COSET_CAP = 2_000_000
 RESIDUE_ENUM_CAP = 20_000_000
 
 
@@ -117,31 +119,17 @@ def _lift_offsets(n: int, ring: Ring) -> np.ndarray:
     return out.reshape(total, n, n)
 
 
-def iter_group_chunks(spec: GroupSpec, chunk_size: int = 1 << 15):
-    """Stream the elements of G(o_l) as (N, n, n) code arrays.
-
-    Deterministic generation order (residue-major, then lift index); no
-    index is built, so this works beyond the table cap.
-    """
+def iter_group_chunks(spec: GroupSpec):
+    """Yield the elements of G(o_l) as (N, n, n) code arrays, one block per
+    invertible residue matrix (residue-major, then lift index)."""
     ring = get_ring(spec.ring)
     n = spec.n
-    residues = _residue_invertibles(n, ring)
     lifts = _lift_offsets(n, ring) if ring.ell > 1 else np.zeros((1, n, n), dtype=np.int64)
-    per = len(lifts)
-    buf = []
-    buffered = 0
-    for r in residues:
+    for r in _residue_invertibles(n, ring):
         block = r[None, :, :] + ring.q * lifts
         if spec.family == "SL":
             block = block[mat_det_batch(ring, block) == 1]
-        if len(block):
-            buf.append(block)
-            buffered += len(block)
-        if buffered >= chunk_size:
-            yield np.concatenate(buf)
-            buf, buffered = [], 0
-    if buf:
-        yield np.concatenate(buf)
+        yield block
 
 
 class GroupTable:
@@ -194,10 +182,9 @@ def enumerate_group(spec: GroupSpec, cap: int = TABLE_CAP) -> GroupTable:
     order = spec.order()
     if order > cap:
         raise CapExceeded(
-            f"|{spec.key()}| = {order} exceeds table cap {cap}; use streaming"
+            f"|{spec.key()}| = {order} exceeds table cap {cap}"
         )
-    chunks = list(iter_group_chunks(spec))
-    elems = np.concatenate(chunks) if chunks else np.zeros((0, spec.n, spec.n), np.int64)
+    elems = np.concatenate(list(iter_group_chunks(spec)))
     if len(elems) != order:
         raise AssertionError(
             f"enumerated {len(elems)} elements of {spec.key()}, closed form {order}"
@@ -260,6 +247,43 @@ def unipotent_subgroup(table: GroupTable, k: int = 0) -> SubgroupHandle:
     h = SubgroupHandle(table, ids, f"U(pi^{k})")
     assert len(h) == unipotent_order(table.n, table.spec.ring, k)
     return h
+
+
+def coset_representatives(spec: GroupSpec) -> np.ndarray:
+    """A transversal of G/U: every element of G(o_l) is r u for one returned
+    r and one u in U(o_l).  CapExceeded, before allocating, if [G:U] > COSET_CAP.
+
+    Right multiplication by U adds multiples of earlier columns to later
+    ones, so each coset has one member whose column j is zero in the pivot
+    rows of the earlier columns; the pivot of column j is its first other
+    row holding a unit, so the free rows above it hold non-units.  For SL the
+    last column, whose only free row is its pivot, is scaled to det = 1.
+    """
+    ring = get_ring(spec.ring)
+    n = spec.n
+    u_order = unipotent_order(n, spec.ring)
+    index = spec.order() // u_order
+    if index > COSET_CAP:
+        raise CapExceeded(f"[G : U] = {index} for {spec.key()} exceeds coset cap {COSET_CAP}")
+    codes = np.arange(ring.size, dtype=np.int64)
+    unit = ring.v_is_unit(codes)
+    units, nonunits = codes[unit], codes[~unit]
+    last_pivot = [1] if spec.family == "SL" else units
+    blocks = []
+    for piv in itertools.permutations(range(n)):  # piv[j]: pivot row of column j
+        entry_sets = [[0] if i in piv[:j] else
+                      (units if j < n - 1 else last_pivot) if i == piv[j] else
+                      nonunits if i < piv[j] else codes
+                      for i in range(n) for j in range(n)]
+        grid = np.meshgrid(*entry_sets, indexing="ij")
+        blocks.append(np.stack([g.ravel() for g in grid], axis=1).reshape(-1, n, n))
+    reps = np.concatenate(blocks)
+    if spec.family == "SL":
+        dinv = ring.v_inv()[mat_det_batch(ring, reps)]
+        reps[:, :, -1] = ring.v_mul(reps[:, :, -1], dinv[:, None])
+    if len(reps) * u_order != spec.order():
+        raise AssertionError(f"{len(reps)} coset representatives, closed-form index {index}")
+    return reps
 
 
 def congruence_subgroup(table: GroupTable, i: int) -> SubgroupHandle:

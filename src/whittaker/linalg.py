@@ -111,10 +111,6 @@ class Poly:
     def x(q: int) -> "Poly":
         return Poly(q, (0, 1))
 
-    @staticmethod
-    def const(q: int, c: int) -> "Poly":
-        return Poly(q, (c,))
-
     def __eq__(self, other):
         return isinstance(other, Poly) and self.q == other.q and self.coeffs == other.coeffs
 
@@ -172,9 +168,6 @@ class Poly:
     def __mod__(self, den: "Poly") -> "Poly":
         return self.divmod(den)[1]
 
-    def __floordiv__(self, den: "Poly") -> "Poly":
-        return self.divmod(den)[0]
-
     def monic(self) -> "Poly":
         if self.is_zero():
             return self
@@ -185,11 +178,6 @@ class Poly:
         while not b.is_zero():
             a, b = b, a % b
         return a.monic() if not a.is_zero() else a
-
-    def lcm(self, other: "Poly") -> "Poly":
-        if self.is_zero() or other.is_zero():
-            return Poly(self.q, ())
-        return ((self * other) // self.gcd(other)).monic()
 
     def evaluate(self, x: int) -> int:
         F = self.field
@@ -335,10 +323,6 @@ class Mat:
     @staticmethod
     def identity(desc: RingDesc, n: int) -> "Mat":
         return Mat(desc, np.eye(n, dtype=np.int64))
-
-    @staticmethod
-    def from_rows(desc: RingDesc, rows) -> "Mat":
-        return Mat(desc, np.array(rows, dtype=np.int64))
 
     def __mul__(self, other: "Mat") -> "Mat":
         return Mat(self.desc, mat_mul(self.ring, self.a, other.a))

@@ -32,6 +32,7 @@ EXIT_PASS = 0
 EXIT_MISMATCH = 1
 EXIT_CAP = 2
 EXIT_INTERNAL = 3
+EXIT_USAGE = 4
 
 
 @dataclass

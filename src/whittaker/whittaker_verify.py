@@ -8,9 +8,10 @@ Ind_U^G(theta_a) of the non-degenerate character
 is analyzed through two independent routes:
 
 * computed: dim Ind = [G : U] and the self-intertwining norm
-  <Ind theta_a, Ind theta_a> by the exact Frobenius double sum over
-  (u, g) with g u g^-1 unipotent, accumulated as a root-of-unity exponent
-  counter and finalized in Z[zeta_m] by cyclotomic.integer_values;
+  <Ind theta_a, Ind theta_a> by the exact Frobenius sum over a G/U
+  transversal g and u in U with g u g^-1 unipotent, accumulated as a
+  root-of-unity exponent counter and finalized in Z[zeta_m] by
+  cyclotomic.integer_values;
 
 * predicted: the count of a-regular constituents (sum of centralizer
   orders over a-regular classes of g(o_m), m = floor(l/2), with an extra
@@ -23,7 +24,6 @@ Ind theta_a is multiplicity free with the predicted constituent set.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -34,8 +34,9 @@ from .linalg import Mat, mat_mul, mat_inv_batch
 from .groups import (
     GroupSpec,
     GroupTable,
-    iter_group_chunks,
+    coset_representatives,
     unipotent_matrices,
+    unipotent_subgroup,
     unipotent_order,
     centralizer_order_by_units,
 )
@@ -154,67 +155,35 @@ def induced_dim(spec: GroupSpec, table: GroupTable | None = None) -> int:
     if rem:
         raise AssertionError("group order not divisible by |U|")
     if table is not None:
-        from .groups import unipotent_subgroup
-
         by_table = len(table) // len(unipotent_subgroup(table, 0))
         if by_table != dim:
             raise AssertionError("closed-form index disagrees with table division")
     return dim
 
 
-def induced_norm(
-    spec: GroupSpec,
-    a,
-    table: GroupTable | None = None,
-    chunk_size: int = 1 << 15,
-    threads: int = 1,
-) -> int:
-    """<Ind_U^G theta_a, Ind_U^G theta_a> by the exact double sum.
+def induced_norm(spec: GroupSpec, a) -> int:
+    """<Ind_U^G theta_a, Ind_U^G theta_a> by the exact Frobenius sum over a
+    G/U transversal.
 
-    (1/|U|^2) sum_{u in U} sum_{g : g u g^-1 in U} theta_a(g u g^-1)
-    conj(theta_a(u)), accumulated as an exponent counter and finalized in
-    Z[zeta_m]; the result must be a positive integer.
+    S(g) = sum over u in U with g u g^-1 in U of theta_a(g u g^-1)
+    conj(theta_a(u)) is constant on each coset gU (theta_a is a linear
+    character of U), so the norm (1/|U|^2) sum_{g in G} S(g) equals
+    (1/|U|) sum_{r in G/U} S(r).  The sum is accumulated as an exponent
+    counter and finalized in Z[zeta_m]; the result must be an integer.
     """
     theta = NonDegenChar(spec, a)
     ring = theta.ring
-    n = spec.n
     m = theta.m
+    reps = coset_representatives(spec)
+    invs = mat_inv_batch(ring, reps)
     u_mats = unipotent_matrices(spec, 0)
-    u_expos = theta.exponents_on(u_mats)
-
-    def chunk_counter(chunk: np.ndarray) -> tuple[np.ndarray, int]:
-        counter = np.zeros(m, dtype=np.int64)
-        invs = mat_inv_batch(ring, chunk)
-        for u, eu in zip(u_mats, u_expos):
-            w = mat_mul(ring, chunk, u)
-            v = mat_mul(ring, w, invs)
-            mask = unipotent_mask(v, n)
-            if mask.any():
-                ev = theta.exponents_on(v[mask])
-                counter += np.bincount((ev - int(eu)) % m, minlength=m)
-        return counter, len(chunk)
-
-    if table is not None:
-        chunks = [table.elems[i:i + chunk_size] for i in range(0, len(table), chunk_size)]
-    else:
-        chunks = iter_group_chunks(spec, chunk_size)
-
     counter = np.zeros(m, dtype=np.int64)
-    seen = 0
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for part, cnt in pool.map(chunk_counter, chunks):
-                counter += part
-                seen += cnt
-    else:
-        for ch in chunks:
-            part, cnt = chunk_counter(ch)
-            counter += part
-            seen += cnt
-    if seen != spec.order():
-        raise AssertionError("streamed element count disagrees with closed form")
-
-    return int(integer_values(counter, m, len(u_mats) ** 2))
+    for u, eu in zip(u_mats, theta.exponents_on(u_mats)):
+        v = mat_mul(ring, mat_mul(ring, reps, u), invs)
+        mask = unipotent_mask(v, spec.n)
+        if mask.any():
+            counter += np.bincount((theta.exponents_on(v[mask]) - int(eu)) % m, minlength=m)
+    return int(integer_values(counter, m, len(u_mats)))
 
 
 # ---------------------------------------------------------------------------
@@ -335,7 +304,6 @@ def verify_multiplicity_one(
     spec: GroupSpec,
     a,
     table: GroupTable | None = None,
-    threads: int = 1,
     force_predictions: bool = False,
 ) -> VerificationReport:
     """Full verdict at one (group, a): norm = regular count and
@@ -347,7 +315,7 @@ def verify_multiplicity_one(
     a_code = a.code if isinstance(a, RingElem) else int(a)
     ring = get_ring(spec.ring)
     dim = induced_dim(spec, table)
-    norm = induced_norm(spec, a_code, table=table, threads=threads)
+    norm = induced_norm(spec, a_code)
     checks = [
         CheckRecord("induced-norm-positive-and-bounded", f"1..{dim}", norm,
                     1 <= norm <= dim),

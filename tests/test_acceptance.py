@@ -221,7 +221,7 @@ def test_criterion_11_equal_characteristic_replication():
     _report(11, "equal characteristic: 8/24 over F2[t]/t^2, 12/72 over F3[t]/t^2")
 
 
-def test_note_n3_property_based_streaming():
+def test_note_n3_property_based_transversal():
     t0 = time.perf_counter()
     gl = GroupSpec("GL", 3, Z4)
     assert induced_dim(gl) == 1344 == predicted_dim_sum(gl)
@@ -229,7 +229,10 @@ def test_note_n3_property_based_streaming():
     sl = GroupSpec("SL", 3, Z4)
     assert induced_dim(sl) == 672 == predicted_dim_sum(sl, strict=False)
     assert induced_norm(sl, 1) == 16 == predicted_regular_count(sl, 1, strict=False)
+    gl_eq = GroupSpec("GL", 3, F2T2)
+    assert induced_dim(gl_eq) == 1344 == predicted_dim_sum(gl_eq)
+    assert induced_norm(gl_eq, 1) == 32 == predicted_regular_count(gl_eq, 1)
     elapsed = time.perf_counter() - t0
     assert elapsed < 1800.0
-    _report("n3", f"GL3/SL3(Z/4) streaming: 32=32 @ 1344, 16=16 @ 672 "
-                  f"({elapsed:.1f}s)")
+    _report("n3", f"GL3/SL3(Z/4), GL3(F2[t]/t^2): 32=32 @ 1344, 16=16 @ 672, "
+                  f"32=32 @ 1344 ({elapsed:.1f}s)")

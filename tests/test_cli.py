@@ -6,7 +6,8 @@ import pytest
 
 from whittaker.cli import (JobConfig, build_parser, config_from_args,
                            gl2_formula_row, main, parse_group, sl2_formula_row)
-from whittaker.reporting import EXIT_CAP, EXIT_INTERNAL, REPORT_SCHEMA, ReportEnvelope
+from whittaker.reporting import (EXIT_CAP, EXIT_INTERNAL, EXIT_USAGE, REPORT_SCHEMA,
+                                 ReportEnvelope)
 from whittaker.whittaker_verify import NonDegenChar
 
 
@@ -249,5 +250,42 @@ def test_sieve_disk_cache_round_trip(tmp_path):
 def test_config_rejects_nonpositive_caps():
     with pytest.raises(ValueError):
         JobConfig(subcommand="verify", table_cap=0)
-    with pytest.raises(ValueError):
-        JobConfig(subcommand="verify", threads=0)
+
+
+@pytest.mark.parametrize("args", [
+    ["--ring", "mixed:4^2"],
+    ["--ring", "mixed:3^2", "--a", "3"],
+    ["--ring", "mixed:3^2", "--a", "10"],
+    ["--group", "Sp4"],
+    ["--threads", "0"],
+    ["--threads", "two"],
+])
+def test_bad_input_exits_usage(args, capsys):
+    try:
+        code = main(["verify", "--no-cache", *args])
+    except SystemExit as exc:  # argparse rejects the command line itself
+        code = exc.code
+    assert code == EXIT_USAGE
+    assert "error" in capsys.readouterr().err
+
+
+def test_coset_cap_exceeded_exits_cap(capsys):
+    # [GL3(Z/27) : U] = 221,079,456: refused before the transversal is built
+    assert main(["verify", "--group", "GL3", "--ring", "mixed:3^3", "--no-cache"]) == EXIT_CAP
+    assert "coset cap" in capsys.readouterr().err
+
+
+def test_chartab_verifies_once_cold_and_once_warm(monkeypatch, capsys, tmp_path):
+    from whittaker.chartab import CharTable
+
+    calls = []
+    original = CharTable.verify
+
+    def counted(self):
+        calls.append(self.loaded)
+        return original(self)
+
+    monkeypatch.setattr(CharTable, "verify", counted)
+    args = ["chartab", "--group", "SL2", "--ring", "mixed:3^1", "--cache-dir", str(tmp_path)]
+    assert main(args) == 0 and calls == [False]
+    assert main(args) == 0 and calls == [False, True]

@@ -5,7 +5,8 @@ from whittaker.localring import get_ring, ring_make
 from whittaker.linalg import Mat, mat_mul
 from whittaker.groups import (CapExceeded, GroupSpec, centralizer,
                               centralizer_order_by_units, congruence_subgroup,
-                              enumerate_group, group_order, iter_group_chunks,
+                              coset_representatives, enumerate_group,
+                              group_order, iter_group_chunks,
                               lie_centralizer_count, unipotent_matrices,
                               unipotent_subgroup)
 from whittaker.regular import a_regular, is_regular
@@ -65,10 +66,21 @@ def test_streaming_matches_table():
     assert spec.order() == 1536
     total = 0
     keys = set()
-    for chunk in iter_group_chunks(spec, 100):
+    for chunk in iter_group_chunks(spec):
         total += len(chunk)
         keys.update(m.tobytes() for m in chunk.astype(np.uint8))
     assert total == 1536 and len(keys) == 1536
+
+
+@pytest.mark.parametrize("spec", [GroupSpec("GL", 2, Z4), GroupSpec("SL", 2, Z9),
+                                  GroupSpec("GL", 2, F2T2), GroupSpec("GL", 3, Z4)],
+                         ids=str)
+def test_coset_representatives_times_u_is_the_group(spec):
+    table = enumerate_group(spec)
+    reps = coset_representatives(spec)
+    prods = mat_mul(table.ring, reps[:, None], unipotent_matrices(spec)[None])
+    ids = table.ids_of(prods.reshape(-1, spec.n, spec.n))
+    assert np.array_equal(np.sort(ids), np.arange(len(table)))
 
 
 def test_table_cap():

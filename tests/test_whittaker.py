@@ -188,13 +188,6 @@ def test_induced_norm_odd_level():
     assert predicted_dim_sum(spec) == 192 == induced_dim(spec)
 
 
-def test_norm_with_table_and_threads_matches_streaming():
-    spec = GroupSpec("SL", 2, Z9)
-    table = enumerate_group(spec)
-    assert induced_norm(spec, 1) == induced_norm(spec, 1, table=table) \
-        == induced_norm(spec, 1, table=table, threads=2) == 12
-
-
 def test_norm_constant_on_torus_twist_classes():
     # GL: all units give the same norm; SL: constant on cosets mod squares
     for spec, expected in ((GroupSpec("GL", 2, Z4), 8),
@@ -262,9 +255,3 @@ def test_equal_characteristic_replication():
     assert induced_dim(GroupSpec("GL", 2, F2T2)) == 24
     assert induced_norm(GroupSpec("SL", 2, F3T2), 1) == 12
     assert induced_dim(GroupSpec("SL", 2, F3T2)) == 72
-
-
-def test_norm_independent_of_chunk_size():
-    spec = GroupSpec("GL", 2, Z8)
-    assert induced_norm(spec, 1, chunk_size=97) == \
-        induced_norm(spec, 1, chunk_size=1 << 15) == 32
