@@ -1,10 +1,20 @@
-"""Disk caching with atomic writes and version-stamped keys.
+"""Disk caching of group tables and character tables, with one integrity rule.
 
-Artifacts are stored as a one-line JSON header followed by packed binary
-payload blocks described by the header.  A cached file is used only when
-its header key and format version match exactly; anything else is
-silently rebuilt.  Writes go through a temp file and rename, so readers
-never observe partial files.
+Every cache file has one layout:
+
+    {"key": ..., "length": L, "sha256": D}\\n      one-line JSON header
+    <metadata JSON>\\n<packed arrays>             the body: L bytes, digest D
+
+The metadata line lists each packed array as [name, dtype, shape], in the
+order the arrays follow it.  The digest covers every byte after the header
+line, metadata included.
+
+The rule: a file is used only when its key, its length and its digest all
+match and its body decodes.  Anything else (a truncated, bit-flipped, foreign,
+empty or pre-digest file) is rebuilt and overwritten, with one
+`cache: rebuilding <file>: <reason>` line on stderr; a missing file is
+rebuilt silently.  Writes go through a temp file and rename, so readers never
+observe partial files.
 """
 
 from __future__ import annotations
@@ -12,6 +22,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import sys
 import tempfile
 from pathlib import Path
 
@@ -20,9 +31,8 @@ import numpy as np
 from .groups import GroupSpec, GroupTable
 
 CACHE_ENV = "WHITTAKER_CACHE_DIR"
-GROUP_FORMAT_VERSION = 1
-CHARTAB_FORMAT_VERSION = 1
-SIEVE_FORMAT_VERSION = 1
+FORMAT_VERSION = 1
+_FILES = {"group": "tables/{}.grp", "chartab": "chartab/{}.ct"}
 
 
 def default_cache_dir() -> Path:
@@ -45,12 +55,58 @@ def atomic_write_bytes(path: Path, data: bytes) -> None:
         raise
 
 
-def _key_hash(key: str) -> str:
-    return hashlib.sha256(key.encode()).hexdigest()[:16]
+def _path(key: str, cache_dir: Path) -> Path:
+    """`<kind dir>/<slug of the spec>_<hash of the key>.<kind suffix>`."""
+    kind, _, spec_key = key.split("/", 2)
+    slug = "".join(c if c.isalnum() else "_" for c in spec_key)
+    name = f"{slug}_{hashlib.sha256(key.encode()).hexdigest()[:16]}"
+    return Path(cache_dir) / _FILES[kind].format(name)
 
 
-def _slug(key: str) -> str:
-    return "".join(c if c.isalnum() else "_" for c in key)
+def _write(key: str, cache_dir: Path, meta: dict, arrays: dict[str, np.ndarray]) -> Path:
+    meta = {**meta, "arrays": [[name, a.dtype.str, list(a.shape)] for name, a in arrays.items()]}
+    body = b"".join([json.dumps(meta, sort_keys=True).encode(), b"\n",
+                     *(a.tobytes() for a in arrays.values())])
+    header = {"key": key, "length": len(body), "sha256": hashlib.sha256(body).hexdigest()}
+    path = _path(key, cache_dir)
+    atomic_write_bytes(path, json.dumps(header, sort_keys=True).encode() + b"\n" + body)
+    return path
+
+
+def _read(key: str, cache_dir: Path) -> tuple[dict, dict[str, np.ndarray]] | None:
+    """(metadata, writable arrays) of the file for `key`, or None when the
+    file is missing or breaks the integrity rule."""
+    path = _path(key, cache_dir)
+    if not path.exists():
+        return None
+    raw = path.read_bytes()
+    start = raw.find(b"\n") + 1
+    body = memoryview(raw)[start:]
+    try:
+        header = json.loads(raw[:start])
+        if header.get("key") != key:
+            reason = f"foreign key {header.get('key')!r}"
+        elif "sha256" not in header:
+            reason = "no sha256 in header"
+        elif header.get("length") != len(body):
+            reason = f"body is {len(body)} bytes, header says {header.get('length')}"
+        elif header["sha256"] != hashlib.sha256(body).hexdigest():
+            reason = "sha256 mismatch"
+        else:
+            split = raw.index(b"\n", start) + 1
+            meta = json.loads(raw[start:split])
+            arrays, offset = {}, split
+            for name, dtype, shape in meta["arrays"]:
+                count = int(np.prod(shape))
+                arrays[name] = np.frombuffer(raw, dtype, count, offset).reshape(shape).copy()
+                offset += arrays[name].nbytes
+            if offset != len(raw):
+                raise ValueError(f"{len(raw) - offset} bytes after the arrays")
+            return meta, arrays
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        reason = f"undecodable: {exc}"
+    print(f"cache: rebuilding {path}: {reason}", file=sys.stderr)
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -58,41 +114,20 @@ def _slug(key: str) -> str:
 
 
 def group_cache_key(spec: GroupSpec) -> str:
-    return f"group/v{GROUP_FORMAT_VERSION}/{spec.key()}"
-
-
-def group_cache_path(spec: GroupSpec, cache_dir: Path) -> Path:
-    key = group_cache_key(spec)
-    return Path(cache_dir) / "tables" / f"{_slug(spec.key())}_{_key_hash(key)}.grp"
+    return f"group/v{FORMAT_VERSION}/{spec.key()}"
 
 
 def save_group_table(table: GroupTable, cache_dir: Path) -> Path:
-    spec = table.spec
-    dtype = "uint8" if table.ring.size <= 256 else "uint16"
-    header = {
-        "key": group_cache_key(spec),
-        "count": len(table),
-        "n": table.n,
-        "dtype": dtype,
-    }
-    payload = np.ascontiguousarray(table.elems, dtype=dtype).tobytes()
-    path = group_cache_path(spec, cache_dir)
-    atomic_write_bytes(path, json.dumps(header, sort_keys=True).encode() + b"\n" + payload)
-    return path
+    dtype = np.uint8 if table.ring.size <= 256 else np.uint16
+    return _write(group_cache_key(table.spec), cache_dir, {},
+                  {"elems": table.elems.astype(dtype)})
 
 
 def load_group_table(spec: GroupSpec, cache_dir: Path) -> GroupTable | None:
-    path = group_cache_path(spec, cache_dir)
-    if not path.exists():
+    got = _read(group_cache_key(spec), cache_dir)
+    if got is None:
         return None
-    raw = path.read_bytes()
-    nl = raw.index(b"\n")
-    header = json.loads(raw[:nl])
-    if header.get("key") != group_cache_key(spec):
-        return None
-    elems = np.frombuffer(raw[nl + 1:], dtype=header["dtype"]).astype(np.int64)
-    elems = elems.reshape(header["count"], header["n"], header["n"])
-    return GroupTable(spec, elems)
+    return GroupTable(spec, got[1]["elems"].astype(np.int64))
 
 
 def cached_group_table(spec: GroupSpec, cache_dir: Path | None, cap: int) -> GroupTable:
@@ -113,12 +148,7 @@ def cached_group_table(spec: GroupSpec, cache_dir: Path | None, cap: int) -> Gro
 
 
 def chartab_cache_key(spec: GroupSpec) -> str:
-    return f"chartab/v{CHARTAB_FORMAT_VERSION}/{spec.key()}"
-
-
-def chartab_cache_path(spec: GroupSpec, cache_dir: Path) -> Path:
-    key = chartab_cache_key(spec)
-    return Path(cache_dir) / "chartab" / f"{_slug(spec.key())}_{_key_hash(key)}.ct"
+    return f"chartab/v{FORMAT_VERSION}/{spec.key()}"
 
 
 def save_char_table(ct, cache_dir: Path) -> Path:
@@ -126,9 +156,7 @@ def save_char_table(ct, cache_dir: Path) -> Path:
 
     assert isinstance(ct, CharTable)
     cd = ct.cd
-    header = {
-        "key": chartab_cache_key(ct.table.spec),
-        "k": cd.k,
+    meta = {
         "e": ct.e,
         "r": ct.r,
         "reps": cd.reps.tolist(),
@@ -137,37 +165,23 @@ def save_char_table(ct, cache_dir: Path) -> Path:
         "orders": cd.orders.tolist(),
         "degrees": ct.degrees.tolist(),
     }
-    payload = cd.class_of.astype("int64").tobytes() + ct.rows.astype("int64").tobytes()
-    path = chartab_cache_path(ct.table.spec, cache_dir)
-    atomic_write_bytes(path, json.dumps(header, sort_keys=True).encode() + b"\n" + payload)
-    return path
+    return _write(chartab_cache_key(ct.table.spec), cache_dir, meta,
+                  {"class_of": cd.class_of.astype(np.int64),
+                   "rows": ct.rows.astype(np.int64)})
 
 
 def load_char_table(table: GroupTable, cache_dir: Path):
     from .chartab import CharTable, ClassData
 
-    path = chartab_cache_path(table.spec, cache_dir)
-    if not path.exists():
+    got = _read(chartab_cache_key(table.spec), cache_dir)
+    if got is None:
         return None
-    raw = path.read_bytes()
-    nl = raw.index(b"\n")
-    header = json.loads(raw[:nl])
-    if header.get("key") != chartab_cache_key(table.spec):
-        return None
-    k, e = header["k"], header["e"]
-    n_elems = len(table)
-    blob = raw[nl + 1:]
-    class_of = np.frombuffer(blob[: 8 * n_elems], dtype=np.int64).copy()
-    rows = np.frombuffer(blob[8 * n_elems:], dtype=np.int64).reshape(k, k, e).copy()
-    cd = ClassData(
-        table,
-        class_of,
-        np.array(header["reps"], dtype=np.int64),
-        np.array(header["sizes"], dtype=np.int64),
-        np.array(header["inverse_perm"], dtype=np.int64),
-        np.array(header["orders"], dtype=np.int64),
-    )
-    ct = CharTable(cd, e, header["r"], np.array(header["degrees"], dtype=np.int64), rows)
+    meta, arrays = got
+    vector = {f: np.array(meta[f], dtype=np.int64)
+              for f in ("reps", "sizes", "inverse_perm", "orders", "degrees")}
+    cd = ClassData(table, arrays["class_of"], vector["reps"], vector["sizes"],
+                   vector["inverse_perm"], vector["orders"])
+    ct = CharTable(cd, meta["e"], meta["r"], vector["degrees"], arrays["rows"])
     ct.loaded = True
     return ct
 
@@ -185,36 +199,12 @@ def cached_char_table(table: GroupTable, cache_dir: Path | None, cap: int):
     return ct
 
 
-# ---------------------------------------------------------------------------
-# irreducible sieve
+def cached_irreducibles(q: int, cap: int):
+    """The monic irreducible sieve; no longer cached on disk.
 
-
-def sieve_cache_path(q: int, cap: int, cache_dir: Path) -> Path:
-    key = f"sieve/v{SIEVE_FORMAT_VERSION}/q{q}/cap{cap}"
-    return Path(cache_dir) / "sieve" / f"irr_q{q}_cap{cap}_{_key_hash(key)}.json"
-
-
-def cached_irreducibles(q: int, cap: int, cache_dir: Path | None):
-    """Disk read-through for the monic irreducible sieve, keyed by (q, cap).
-
-    A disk hit is installed into the in-process sieve memo so downstream
-    factorization reuses it.
+    Kept only because the benchmark's layer tracer binds this name: the next
+    benchmark change should delete it together with its call in `cli._chartab`.
     """
-    from .linalg import _SIEVE_MEMO, Poly, monic_irreducibles
+    from .linalg import monic_irreducibles
 
-    if cache_dir is not None:
-        path = sieve_cache_path(q, cap, cache_dir)
-        if path.exists() and (q, cap) not in _SIEVE_MEMO:
-            data = json.loads(path.read_text())
-            sieve = tuple(
-                tuple(Poly(q, coeffs) for coeffs in level) for level in data
-            )
-            _SIEVE_MEMO[(q, cap)] = sieve
-            return sieve
-    sieve = monic_irreducibles(q, cap)
-    if cache_dir is not None:
-        data = [[list(p.coeffs) for p in level] for level in sieve]
-        path = sieve_cache_path(q, cap, cache_dir)
-        if not path.exists():
-            atomic_write_bytes(path, json.dumps(data).encode())
-    return sieve
+    return monic_irreducibles(q, cap)

@@ -9,9 +9,11 @@ chartab         build, cache and summarize an exact character table
 classes         build and summarize the conjugacy classes
 
 Exit codes: 0 all checks pass, 1 a predicted/computed mismatch, 2 a size
-cap was exceeded, 3 an internal exactness fault, 4 a usage error (a bad
-flag, group, ring or unit, rejected before any work).  A mismatch is a
-result (the tool exists to falsify), not a crash.
+cap was exceeded, 3 an internal fault (an exactness check failed, such as a
+cached table that fails re-verification, or any other unexpected exception;
+one line on stderr), 4 a usage error (a bad flag, group, ring or unit,
+rejected before any work).  A mismatch is a result (the tool exists to
+falsify), not a crash.
 """
 
 from __future__ import annotations
@@ -105,7 +107,7 @@ def _chartab(spec: GroupSpec, cfg: JobConfig, env: ReportEnvelope):
     table = cached_group_table(spec, cfg.cache_path(), cfg.table_cap)
     ct = cached_char_table(table, cfg.cache_path(), cfg.chartab_cap)
     # classification factors characteristic polynomials of degree n
-    cached_irreducibles(spec.ring.q, spec.n, cfg.cache_path())
+    cached_irreducibles(spec.ring.q, spec.n)
     env.provenance["cache_keys"].extend([group_cache_key(spec), chartab_cache_key(spec)])
     env.provenance.setdefault("dixon", {})[spec.key()] = {"e": ct.e, "r": ct.r}
     return ct
@@ -402,16 +404,19 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     try:
         env = run(cfg)
+        rendered = env.to_text() if cfg.fmt == "text" else env.to_json()
+        sys.stdout.write(rendered)
+        if cfg.out:
+            Path(cfg.out).write_text(rendered)
     except CapExceeded as exc:
         print(f"cap exceeded: {exc}", file=sys.stderr)
         return EXIT_CAP
     except IntegralityError as exc:
         print(f"internal arithmetic fault: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    rendered = env.to_text() if cfg.fmt == "text" else env.to_json()
-    sys.stdout.write(rendered)
-    if cfg.out:
-        Path(cfg.out).write_text(rendered)
+    except Exception as exc:  # a crash must not read as a mismatch (exit 1)
+        print(f"internal fault: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     return env.exit_code
 
 

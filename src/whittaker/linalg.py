@@ -215,7 +215,7 @@ def companion(poly: Poly) -> np.ndarray:
 
 FACTOR_DEGREE_CAP = 8
 
-# (q, max_deg) -> sieve; cache.cached_irreducibles installs disk-loaded sieves
+# (q, max_deg) -> sieve, kept for the life of the process
 _SIEVE_MEMO: dict[tuple[int, int], tuple] = {}
 
 

@@ -1,7 +1,6 @@
 import json
 
 import jsonschema
-import numpy as np
 import pytest
 
 from whittaker.cli import (JobConfig, build_parser, config_from_args,
@@ -181,24 +180,116 @@ def test_off_by_one_theta_exponent_in_the_norm_exits_internal(monkeypatch, capsy
     assert "internal arithmetic fault" in capsys.readouterr().err
 
 
+def _inject_character_value(tmp_path, index):
+    # a fault written back through the cache's own writer, so the file
+    # passes the integrity rule and only the checks on the values can see it
+    from whittaker.cache import load_char_table, load_group_table, save_char_table
+    from whittaker.groups import GroupSpec
+    from whittaker.localring import parse_ring
+
+    table = load_group_table(GroupSpec("GL", 2, parse_ring("mixed:2^2")), tmp_path)
+    ct = load_char_table(table, tmp_path)
+    ct.rows[index] += 1
+    save_char_table(ct, tmp_path)
+
+
 def test_corrupt_cached_character_value_exits_internal(capsys, tmp_path):
     # zeta_e added to one cached identity-class value: the classification
     # sum over the congruence kernel is no longer rational
     args = ["branching", "--group", "GL2", "--ring", "mixed:2^2",
             "--cache-dir", str(tmp_path)]
     assert main(args) == 0
-    (path,) = (tmp_path / "chartab").glob("*.ct")
-    raw = path.read_bytes()
-    nl = raw.index(b"\n")
-    header = json.loads(raw[:nl])
-    k, e = header["k"], header["e"]
-    blob = np.frombuffer(raw[nl + 1:], dtype=np.int64).copy()
-    rows = blob[len(blob) - k * k * e:].reshape(k, k, e)
-    rows[-1, 0, 1] += 1
-    path.write_bytes(raw[:nl + 1] + blob.tobytes())
+    _inject_character_value(tmp_path, (-1, 0, 1))
     capsys.readouterr()
     assert main(args) == EXIT_INTERNAL
     assert "not rational" in capsys.readouterr().err
+
+
+def test_cached_table_failing_reverify_exits_internal(capsys, tmp_path):
+    # 1 added to one cached identity-class value: re-verify on load raises
+    # an AssertionError, a fault (exit 3), not a mismatch (exit 1)
+    args = ["chartab", "--group", "GL2", "--ring", "mixed:2^2",
+            "--cache-dir", str(tmp_path)]
+    assert main(args) == 0
+    _inject_character_value(tmp_path, (-1, 0, 0))
+    capsys.readouterr()
+    assert main(args) == EXIT_INTERNAL
+    err = capsys.readouterr().err
+    assert "internal fault: AssertionError: row orthogonality fails" in err
+    assert len(err.splitlines()) == 1
+
+
+def test_unwritable_out_file_exits_internal(capsys, tmp_path):
+    out = tmp_path / "missing-dir" / "report.json"
+    assert main(["verify", "--group", "GL2", "--ring", "mixed:2^2", "--no-cache",
+                 "--out", str(out)]) == EXIT_INTERNAL
+    assert "internal fault: FileNotFoundError" in capsys.readouterr().err
+
+
+def _split(raw):
+    head, _, body = raw.partition(b"\n")
+    meta, _, arrays = body.partition(b"\n")
+    return json.loads(head), json.loads(meta), arrays
+
+
+def _join(header, meta, arrays):
+    return b"\n".join([json.dumps(header, sort_keys=True).encode(),
+                       json.dumps(meta, sort_keys=True).encode(), arrays])
+
+
+def _edit_meta(raw):
+    # same length, so only the digest can catch it: the shape of the group
+    # table reversed, or two distinct character degrees swapped (the sum of
+    # squares is unchanged)
+    header, meta, arrays = _split(raw)
+    if "degrees" in meta:
+        d = meta["degrees"]
+        j = next(j for j, v in enumerate(d) if v != d[0])
+        d[0], d[j] = d[j], d[0]
+    else:
+        meta["arrays"][0][2].reverse()
+    return _join(header, meta, arrays)
+
+
+def _foreign_key(raw):
+    header, meta, arrays = _split(raw)
+    header["key"] = header["key"].replace("mixed:2^2", "mixed:3^2")
+    return _join(header, meta, arrays)
+
+
+def _pre_digest(raw):
+    header, meta, arrays = _split(raw)
+    return _join({"key": header["key"]}, meta, arrays)
+
+
+CACHE_FAULTS = {
+    "truncated": (lambda raw: raw[:len(raw) // 2], "header says"),
+    "byte-flipped": (lambda raw: raw[:-1] + bytes([raw[-1] ^ 1]), "sha256 mismatch"),
+    "metadata-edited": (_edit_meta, "sha256 mismatch"),
+    "foreign-key": (_foreign_key, "foreign key"),
+    "pre-digest": (_pre_digest, "no sha256"),
+    "empty": (lambda raw: b"", "undecodable"),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(CACHE_FAULTS))
+@pytest.mark.parametrize("pattern", ["tables/*.grp", "chartab/*.ct"])
+def test_corrupt_cache_file_is_rebuilt(pattern, fault, capsys, tmp_path):
+    args = ["gl2-sl2-tables", "--ring", "mixed:2^2", "--format", "json",
+            "--cache-dir", str(tmp_path)]
+    assert main(args) == 0
+    cold = capsys.readouterr().out
+    (path,) = tmp_path.glob(pattern)
+    corrupt, reason = CACHE_FAULTS[fault]
+    path.write_bytes(corrupt(path.read_bytes()))
+    assert main(args) == 0
+    out, err = capsys.readouterr()
+    assert out == cold
+    (line,) = [ln for ln in err.splitlines() if ln.startswith("cache: rebuilding")]
+    assert str(path) in line and reason in line
+    assert main(args) == 0
+    out, err = capsys.readouterr()
+    assert out == cold and "cache:" not in err
 
 
 def test_mismatch_gives_exit_one():
@@ -232,19 +323,6 @@ def test_cache_dir_env_default(monkeypatch, tmp_path):
 
     monkeypatch.setenv("WHITTAKER_CACHE_DIR", str(tmp_path / "envcache"))
     assert default_cache_dir() == tmp_path / "envcache"
-
-
-def test_sieve_disk_cache_round_trip(tmp_path):
-    from whittaker.cache import cached_irreducibles, sieve_cache_path
-    from whittaker import linalg
-
-    sieve = cached_irreducibles(3, 3, tmp_path)
-    path = sieve_cache_path(3, 3, tmp_path)
-    assert path.exists()
-    linalg._SIEVE_MEMO.pop((3, 3), None)
-    again = cached_irreducibles(3, 3, tmp_path)
-    assert again == sieve
-    assert len(again[2]) == 3
 
 
 def test_config_rejects_nonpositive_caps():
