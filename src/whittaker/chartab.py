@@ -3,12 +3,13 @@
 Tables are computed by the Dixon-Schneider method: the class-sum matrices
 M_j (structure constants of the class algebra) commute and are split over
 a prime field F_r with r = 1 mod exponent(G) and r > 2 sqrt(|G|); their
-common eigenvectors are the central character vectors, degrees are
-recovered from the second orthogonality relation plus a modular square
-root, and the character values are lifted to exact cyclotomic integers
-through eigenvalue-multiplicity discrete sums.  Everything downstream
-(orthogonality, induced-character multiplicities, restriction norms) is
-verified with exact Z[zeta_e] arithmetic.
+common eigenvectors, normalized at the identity class, are the central
+character vectors, degrees are recovered from the second orthogonality
+relation plus a modular square root, and the character values are lifted to
+exact cyclotomic integers through eigenvalue-multiplicity discrete sums.
+Every character sum downstream (orthogonality, induced multiplicities, the
+regular classification, restriction norms) is one cyclotomic.pairings call
+read by integer_values.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from math import gcd, isqrt
 
 import numpy as np
 
-from .cyclotomic import CycloNum, IntegralityError, integer_values
+from .cyclotomic import CycloNum, IntegralityError, integer_values, pairings
 from .localring import get_ring, is_prime
 from .linalg import Mat, mat_mul, min_poly
 from .groups import (CapExceeded, GroupTable, SubgroupHandle,
@@ -284,24 +285,17 @@ class CharTable:
             raise AssertionError("sum of squared degrees differs from |G|")
         if any(order % int(d) for d in self.degrees):
             raise AssertionError("a degree does not divide |G|")
-        k, e = self.k, self.e
-        h = self.cd.sizes
+        rows, e, h = self.rows, self.e, self.cd.sizes
         # row orthogonality: sum_i h_i chi_s(i) conj(chi_t(i)) = delta |G|
-        weighted = self.rows * h[None, :, None]
-        flat_w = weighted.reshape(k, -1)
-        prods = np.empty((k, k, e), dtype=np.int64)
-        for w in range(e):
-            rolled = np.roll(self.rows, w, axis=2).reshape(k, -1)
-            prods[:, :, w] = flat_w @ rolled.T
-        if not np.array_equal(integer_values(prods, e), order * np.eye(k, dtype=np.int64)):
+        prods = integer_values(pairings(rows * h[None, :, None], rows), e)
+        if not np.array_equal(prods, order * np.eye(self.k, dtype=np.int64)):
             raise AssertionError("row orthogonality fails")
         # column orthogonality: sum_t chi_t(i) conj(chi_t(j)) = delta |C(g_i)|
-        prods2 = np.empty((k, k, e), dtype=np.int64)
-        for w in range(e):
-            rolled = np.roll(self.rows, w, axis=2)
-            prods2[:, :, w] = np.einsum("tiu,tju->ij", self.rows, rolled)
-        if not np.array_equal(integer_values(prods2, e), np.diag(order // h)):
+        cols = rows.transpose(1, 0, 2)
+        if not np.array_equal(integer_values(pairings(cols, cols), e), np.diag(order // h)):
             raise AssertionError("column orthogonality fails")
+        if not (np.array_equal(rows[:, 0, 0], self.degrees) and not np.any(rows[:, 0, 1:])):
+            raise AssertionError("degrees differ from the identity-class values")
 
 
 def class_matrix(cd: ClassData, j: int, r: int) -> np.ndarray:
@@ -332,19 +326,12 @@ def character_table(cd: ClassData, cap: int = CHARTAB_CAP,
     h = cd.sizes % r
     hinv = np.array([pow(int(x), r - 2, r) for x in h], dtype=np.int64)
 
-    mats: dict[int, np.ndarray] = {}
-
-    def M(j: int) -> np.ndarray:
-        if j not in mats:
-            mats[j] = class_matrix(cd, j, r)
-        return mats[j]
-
     # split F_r^k into common eigen-rows of the transposed class matrices
     spaces = [np.eye(k, dtype=np.int64)]
     for j in range(1, k):
         if all(len(s) == 1 for s in spaces):
             break
-        MT = M(j).T % r
+        MT = class_matrix(cd, j, r).T
         roots = poly_roots_mod(charpoly_mod(MT, r), r)
         nxt = []
         for W in spaces:
@@ -369,23 +356,16 @@ def character_table(cd: ClassData, cap: int = CHARTAB_CAP,
     if any(len(s) != 1 for s in spaces):
         raise AssertionError("class matrices did not separate all characters")
 
-    # normalized central character vectors: omega[t, identity-class] = 1
+    # normalized eigen-rows are the central characters: row 0 of M_j is the
+    # indicator of class j, so the eigenvalue (w M_j^T)[0] of w is w[j]
     W = np.array([s[0] % r for s in spaces], dtype=np.int64)
     if np.any(W[:, 0] == 0):
         raise AssertionError("eigenvector has zero identity coordinate")
     norm = np.array([pow(int(x), r - 2, r) for x in W[:, 0]], dtype=np.int64)
-    W = W * norm[:, None] % r
-
-    omega = np.empty((k, k), dtype=np.int64)
-    for j in range(k):
-        P = (W @ M(j).T) % r
-        # eigenvalue read off at the identity-class coordinate (W[:,0] = 1)
-        omega[:, j] = P[:, 0]
+    omega = W * norm[:, None] % r
 
     # degrees from sum_j omega(j) omega(j*) / h_j = |G| / d^2
-    s = np.zeros(k, dtype=np.int64)
-    for j in range(k):
-        s = (s + omega[:, j] * omega[:, cd.inverse_perm[j]] % r * hinv[j]) % r
+    s = (omega * omega[:, cd.inverse_perm] % r * hinv % r).sum(axis=1) % r
     degrees = np.empty(k, dtype=np.int64)
     for t in range(k):
         d2 = order % r * pow(int(s[t]), r - 2, r) % r
@@ -437,15 +417,11 @@ def decompose_induced(ct: CharTable, theta: NonDegenChar,
     e, m = ct.e, theta.m
     if e % m:
         raise AssertionError("character field does not contain the theta values")
-    scale = e // m
-    u_elems = u_sub.elements()
+    # theta summed class by class over U: f[0, class, exponent]
     u_classes = ct.cd.class_of[u_sub.ids]
-    u_expos = theta.exponents_on(u_elems)
-    k = ct.k
-    acc = np.zeros((k, e), dtype=np.int64)
-    for cls, s in zip(u_classes, u_expos):
-        acc += np.roll(ct.rows[:, cls, :], int(-s * scale) % e, axis=1)
-    mults = integer_values(acc, e, len(u_sub))
+    u_expos = theta.exponents_on(u_sub.elements()) * (e // m)
+    f = np.bincount(u_classes * e + u_expos, minlength=ct.k * e).reshape(1, ct.k, e)
+    mults = integer_values(pairings(f, ct.rows), e, len(u_sub))[0]
     if np.any(mults < 0):
         raise IntegralityError("negative multiplicity")
     if int(np.sum(mults * ct.degrees)) != len(table) // len(u_sub):
@@ -487,44 +463,34 @@ def classify_regular(ct: CharTable, cap_pairs: int = 1 << 22) -> list[RegularFla
     xs = _lie_algebra_residue(spec)
     if len(xs) * len(yprimes) > cap_pairs:
         raise CapExceeded("classification pair count beyond cap")
-    # pairing exponents: phi(pi^(l-1) tr(x y')) as exponents of zeta_e
-    phi_expo = ring.phi_exponents()
-    e = ct.e
-    m = ring.char_order
-    scale = e // m
     tr = np.zeros((len(xs), len(yprimes)), dtype=np.int64)
     for a in range(n):
         for b in range(n):
             tr = res.v_add(tr, res.v_mul(xs[:, a, b][:, None], yprimes[:, b, a][None, :]))
-    expo = phi_expo[np.asarray(
-        [[ring.mul_varpi_pow(int(t), ell - 1) for t in row] for row in tr],
-        dtype=np.intp)]
-    k = ct.k
-    acc = np.zeros((len(xs), k, e), dtype=np.int64)
-    for yi in range(len(yprimes)):
-        rolled_by = expo[:, yi]
-        block = ct.rows[:, y_classes[yi], :]
-        for s in np.unique(rolled_by):
-            sel = np.flatnonzero(rolled_by == s)
-            acc[sel] += np.roll(block, int(-s * scale) % e, axis=1)[None, :, :]
+    # pairing exponents phi(pi^(l-1) tr(x y')) of zeta_e; tr is a residue code
+    # below q, so pi^(l-1) tr has the code tr * vpk
+    e, k, X = ct.e, ct.k, len(xs)
+    expo = ring.phi_exponents()[tr * vpk] * (e // ring.char_order)
+    # phi_x summed class by class over K^(l-1), f[x, class, exponent], is
+    # passed inline so that it is freed before integer_values
+    cells = (np.arange(X)[:, None] * k + y_classes[None, :]) * e + expo
+    acc = pairings(np.bincount(cells.ravel(), minlength=X * k * e).reshape(X, k, e), ct.rows)
     mults = integer_values(acc, e, len(ksub))
     if np.any(mults < 0):
         raise IntegralityError("negative restriction multiplicity")
 
+    # regularity and type depend on x only: decide them once per supported x
+    types = {}
+    for xi in np.flatnonzero(mults.any(axis=1)).tolist():
+        xmat = Mat(res.desc, xs[xi])
+        types[xi] = type_of(xmat) if min_poly(xmat).degree == n else None
     flags = []
-    fdesc = res.desc
     for t in range(k):
         support = np.flatnonzero(mults[:, t])
         if len(support) == 0:
             raise AssertionError("restriction to the kernel has empty support")
-        reg = True
-        taus = set()
-        for xi in support:
-            xmat = Mat(fdesc, xs[xi])
-            if min_poly(xmat).degree != n:
-                reg = False
-                break
-            taus.add(type_of(xmat))
+        taus = {types[xi] for xi in support.tolist()}
+        reg = None not in taus
         if reg and len(taus) != 1:
             raise AssertionError("factorization type is not orbit-constant")
         tau = taus.pop() if reg else None
@@ -569,13 +535,9 @@ def restriction_norm(ct_gl: CharTable, t: int, sl_table: GroupTable,
     """<Res chi_t, Res chi_t>_SL = (1/|SL|) sum over SL of |chi_t|^2, exact."""
     if sl_class_counts is None:
         sl_class_counts = sl_class_profile(ct_gl, sl_table)
-    e = ct_gl.e
-    row = ct_gl.rows[t]
-    acc = np.zeros(e, dtype=np.int64)
-    weighted = row * sl_class_counts[:, None]
-    for w in range(e):
-        acc[w] = int(np.sum(weighted * np.roll(row, w, axis=1)))
-    return int(integer_values(acc, e, len(sl_table)))
+    row = ct_gl.rows[t][None]
+    acc = pairings(row * sl_class_counts[None, :, None], row)
+    return int(integer_values(acc, ct_gl.e, len(sl_table))[0, 0])
 
 
 def sl_class_profile(ct_gl: CharTable, sl_table: GroupTable) -> np.ndarray:

@@ -12,7 +12,8 @@ reduction_matrix(m) is the one map from exponent vectors to canonical
 coordinates in the power basis 1, zeta, ..., zeta^(phi(m)-1).  A value is
 rational iff all its coordinates but the first vanish, so every exact sum
 is turned into an integer here: one CycloNum by is_zero/rational_value,
-a stack of exponent vectors at once by integer_values.
+a stack of exponent vectors at once by integer_values.  An inner product of
+class functions (every character sum) is pairings, then integer_values.
 """
 
 from __future__ import annotations
@@ -109,7 +110,7 @@ def integer_values(acc: np.ndarray, m: int, divisor: int = 1) -> np.ndarray:
     """
     red = reduction_matrix(m)
     flat = np.asarray(acc, dtype=np.int64).reshape(-1, m)
-    bound = m * int(np.abs(flat).max(initial=0)) * int(np.abs(red).max())
+    bound = m * _max_abs(flat) * _max_abs(red)
     if bound >= 1 << 63:
         raise IntegralityError(f"reducing sums bounded by {bound} could overflow int64")
     reduced = flat @ red
@@ -119,6 +120,46 @@ def integer_values(acc: np.ndarray, m: int, divisor: int = 1) -> np.ndarray:
     if np.any(rem):
         raise IntegralityError(f"character sum is not divisible by {divisor}")
     return vals.reshape(np.shape(acc)[:-1])
+
+
+def pairings(f: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Exponent vectors (X, T, m) of sum_c f[x, c] * conj(g[t, c]) for stacks
+    f (X, k, m) and g (T, k, m) of class functions with values in Z[zeta_m].
+
+    Classes where f vanishes are skipped; the others are paired in the
+    smallest subring Z[zeta_m^d] holding their values (d = gcd of m and the
+    exponents used), grouped by d.  Only the exponents that f uses enter the
+    contiguous inner axis of the int64 matmuls, one per output exponent.
+    Raises IntegralityError unless k * m * max|f| * max|g|, which bounds
+    every partial sum, is below 2^63.
+    """
+    f = np.asarray(f, dtype=np.int64)
+    g = np.asarray(g, dtype=np.int64)
+    X, k, m = f.shape
+    T = g.shape[0]
+    bound = k * m * _max_abs(f) * _max_abs(g)
+    if bound >= 1 << 63:
+        raise IntegralityError(f"pairing sums bounded by {bound} could overflow int64")
+    out = np.zeros((X, T, m), dtype=np.int64)
+    f_used = f.any(axis=0)
+    steps = np.gcd(np.gcd.reduce(np.where(f_used | g.any(axis=0), np.arange(m), 0), axis=1), m)
+    live = f_used.any(axis=1)
+    for d in np.unique(steps[live]).tolist():
+        cls = np.flatnonzero(live & (steps == d))
+        mm = m // d
+        fd = f[:, cls, ::d]
+        expos = np.flatnonzero(fd.any(axis=(0, 1)))
+        # f over (x; exponent a, class c), and conj(g) as hc[j, c, t] = g[t, c, -j]
+        fa = np.ascontiguousarray(fd[:, :, expos].transpose(0, 2, 1)).reshape(X, -1)
+        hc = np.ascontiguousarray(g[:, cls, ::d][:, :, -np.arange(mm) % mm].transpose(2, 1, 0))
+        for w in range(mm):
+            # zeta^a * conj(zeta^j) lands on zeta^(d w) when j = w - a (mod mm)
+            out[:, :, w * d] += fa @ hc[(w - expos) % mm].reshape(-1, T)
+    return out
+
+
+def _max_abs(a: np.ndarray) -> int:
+    return max(int(a.max(initial=0)), -int(a.min(initial=0)))
 
 
 class CycloNum:
@@ -154,9 +195,6 @@ class CycloNum:
     def from_counter(m: int, counter) -> "CycloNum":
         """Build sum_j counter[j] * zeta^j from an exponent-count vector."""
         return CycloNum(m, list(counter))
-
-    def vector(self) -> np.ndarray:
-        return np.array(self.coeffs, dtype=np.int64)
 
     # -- ring operations ---------------------------------------------------
 

@@ -8,7 +8,7 @@ from whittaker.localring import get_ring, ring_make
 from whittaker.groups import CapExceeded, GroupSpec, enumerate_group, unipotent_subgroup
 from whittaker.whittaker_verify import NonDegenChar, induced_norm
 from whittaker.chartab import (CharTable, charpoly_mod, character_table,
-                               classify_regular, conjugacy_classes,
+                               class_matrix, classify_regular, conjugacy_classes,
                                decompose_induced, dixon_prime, poly_roots_mod,
                                primitive_root, restriction_norm,
                                sl_class_profile, special_regular_scan, sqrt_mod)
@@ -148,6 +148,14 @@ def test_sl2f3_degrees(sl2f3_ct):
 def test_completeness_identities(gl2z4_ct, sl2z9_ct):
     assert int(np.sum(gl2z4_ct.degrees**2)) == 96
     assert int(np.sum(sl2z9_ct.degrees**2)) == 648
+
+
+def test_class_matrix_row_zero_is_the_class_indicator(gl2z4_ct, sl2z9_ct):
+    # M_j[0, l] = #{x in C_j : x^-1 z_l = 1} = delta_jl: the invariant that
+    # makes the central characters omega equal to the normalized eigen-rows W
+    for ct in (gl2z4_ct, sl2z9_ct):
+        for j in range(ct.k):
+            assert class_matrix(ct.cd, j, ct.r)[0].tolist() == np.eye(ct.k, dtype=int)[j].tolist()
 
 
 def test_orthogonality_verification_runs(gl2z4_ct):

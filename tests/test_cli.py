@@ -219,6 +219,30 @@ def test_cached_table_failing_reverify_exits_internal(capsys, tmp_path):
     assert len(err.splitlines()) == 1
 
 
+def test_cached_degrees_swap_exits_internal(capsys, tmp_path):
+    # two distinct degrees swapped and written back through the cache's own
+    # writer: the sum of squares, divisibility and both orthogonality
+    # relations still hold, only the identity-class values differ
+    from whittaker.cache import load_char_table, load_group_table, save_char_table
+    from whittaker.groups import GroupSpec
+    from whittaker.localring import parse_ring
+
+    args = ["chartab", "--group", "GL2", "--ring", "mixed:2^2",
+            "--cache-dir", str(tmp_path)]
+    assert main(args) == 0
+    table = load_group_table(GroupSpec("GL", 2, parse_ring("mixed:2^2")), tmp_path)
+    ct = load_char_table(table, tmp_path)
+    d = ct.degrees
+    j = next(j for j, v in enumerate(d) if v != d[0])
+    d[[0, j]] = d[[j, 0]]
+    save_char_table(ct, tmp_path)
+    capsys.readouterr()
+    assert main(args) == EXIT_INTERNAL
+    err = capsys.readouterr().err
+    assert "internal fault: AssertionError: degrees differ from the identity-class values" in err
+    assert len(err.splitlines()) == 1
+
+
 def test_unwritable_out_file_exits_internal(capsys, tmp_path):
     out = tmp_path / "missing-dir" / "report.json"
     assert main(["verify", "--group", "GL2", "--ring", "mixed:2^2", "--no-cache",

@@ -5,7 +5,7 @@ import pytest
 
 from whittaker.cyclotomic import (CycloNum, IntegralityError, NonRationalError,
                                   cyclotomic_poly, euler_phi, integer_values,
-                                  root_of_unity)
+                                  pairings, root_of_unity)
 
 
 def test_root_arithmetic_exponent_addition():
@@ -134,6 +134,38 @@ def test_integer_values_refuses_sums_that_could_overflow():
     with pytest.raises(IntegralityError, match="overflow"):
         integer_values(np.full((1, 9), 1 << 61, dtype=np.int64), 9)
     assert integer_values(np.full((1, 9), 1 << 58, dtype=np.int64), 9).tolist() == [0]
+
+
+@pytest.mark.parametrize("m", [1, 2, 4, 6, 9, 12])
+def test_pairings_match_cyclonum_reference(m):
+    # random signed stacks; class 0 of f vanishes while g does not, and the
+    # other classes take values in a random subring Z[zeta_m^d]
+    rng = np.random.default_rng(m)
+    X, T, k = 3, 2, 5
+    f = rng.integers(-4, 5, size=(X, k, m))
+    g = rng.integers(-4, 5, size=(T, k, m))
+    f[:, 0] = 0
+    g[:, 0, 0] = 7
+    for c in range(1, k):
+        d = rng.choice([d for d in range(1, m + 1) if m % d == 0])
+        f[:, c, np.arange(m) % d != 0] = 0
+        g[:, c, np.arange(m) % d != 0] = 0
+    out = pairings(f, g)
+    assert out.shape == (X, T, m)
+    for x in range(X):
+        for t in range(T):
+            ref = CycloNum.zero(m)
+            for c in range(k):
+                ref = ref + CycloNum(m, f[x, c]) * CycloNum(m, g[t, c]).conj()
+            assert out[x, t].tolist() == list(ref.coeffs)
+
+
+def test_pairings_refuse_sums_that_could_overflow():
+    # k * m * max|f| * max|g| = 2 * 4 * 2^30 * 2^30 = 2^63
+    f = np.full((1, 2, 4), 1 << 30, dtype=np.int64)
+    with pytest.raises(IntegralityError, match="overflow"):
+        pairings(f, f)
+    assert pairings(f // 2, f).shape == (1, 1, 4)
 
 
 def test_counter_construction():
