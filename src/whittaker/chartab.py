@@ -20,7 +20,7 @@ from math import gcd, isqrt
 import numpy as np
 
 from .cyclotomic import CycloNum, IntegralityError, integer_values, pairings
-from .localring import get_ring, is_prime
+from .localring import all_tuples, get_ring, is_prime
 from .linalg import Mat, mat_mul, min_poly
 from .groups import (CapExceeded, GroupTable, SubgroupHandle,
                      congruence_subgroup, unipotent_subgroup)
@@ -501,32 +501,16 @@ def classify_regular(ct: CharTable, cap_pairs: int = 1 << 22) -> list[RegularFla
 
 def _lie_algebra_residue(spec) -> np.ndarray:
     """All elements of g(F_q): full matrix algebra for gl, trace zero for sl."""
-    ring = get_ring(spec.ring)
-    q = ring.q
-    res = ring.residue_field()
-    n = spec.n
-    if spec.family == "GL":
-        total = q ** (n * n)
-        idx = np.arange(total, dtype=np.int64)
-        out = np.empty((total, n * n), dtype=np.int64)
-        for epos in range(n * n):
-            out[:, epos] = (idx // q**epos) % q
-        return out.reshape(total, n, n)
-    total = q ** (n * n - 1)
-    idx = np.arange(total, dtype=np.int64)
-    out = np.zeros((total, n, n), dtype=np.int64)
-    epos = 0
-    diag_sum = np.zeros(total, dtype=np.int64)
-    for i in range(n):
-        for j in range(n):
-            if i == n - 1 and j == n - 1:
-                continue
-            vals = (idx // q**epos) % q
-            out[:, i, j] = vals
-            if i == j:
-                diag_sum = res.v_add(diag_sum, vals)
-            epos += 1
-    out[:, n - 1, n - 1] = res.v_neg(diag_sum)
+    res = get_ring(spec.ring).residue_field()
+    n, free = spec.n, spec.lie_dim  # sl: the last diagonal entry is -(the others)
+    out = np.zeros((res.size**free, n * n), dtype=np.int64)
+    out[:, :free] = all_tuples(res.size, free)
+    out = out.reshape(-1, n, n)
+    if spec.family == "SL":
+        diag_sum = np.zeros(len(out), dtype=np.int64)
+        for i in range(n - 1):
+            diag_sum = res.v_add(diag_sum, out[:, i, i])
+        out[:, n - 1, n - 1] = res.v_neg(diag_sum)
     return out
 
 

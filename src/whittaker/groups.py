@@ -3,14 +3,16 @@
 A full GroupTable holds every element as a code matrix in a canonical
 order (identity first, the rest ascending by row-major code tuple) plus a
 sorted int64 key index (the code tuple read in base |o_l|, searched in
-O(log |G|) per element of a batch) and precomputed inverses.  Nothing
-enumerates a group beyond the table cap: the induced norm runs over
-coset_representatives, a transversal of G/U built without listing G.
+O(log |G|) per element of a batch) and precomputed inverses.
 
-Enumeration exploits the fiber structure over the residue field: the
-invertible matrices over F_q are found by filtering, and every element of
-G(o_l) is a lift of exactly one of them (a lift of an invertible matrix
-is invertible).  SL is cut out of GL by det = 1.
+G is listed as (G/U transversal) * U: coset_representatives builds a
+transversal of G/U without listing G, and every element of G is r u for
+exactly one representative r and one u in U.  The transversal asserts
+det r is a unit (GL) or 1 (SL), so every product is in G since
+det(r u) = det r; a table is accepted only with |G| rows, the identity
+first and strictly increasing keys after it, so its rows are |G| distinct
+members of G, which is all of G.  The induced norm sums over the
+transversal alone.
 """
 
 from __future__ import annotations
@@ -20,12 +22,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .localring import Ring, RingDesc, get_ring
+from .localring import Ring, RingDesc, all_tuples, get_ring
 from .linalg import Mat, mat_mul, mat_det_batch, mat_inv_batch
 
 TABLE_CAP = 200_000
 COSET_CAP = 2_000_000
-RESIDUE_ENUM_CAP = 20_000_000
 
 
 class CapExceeded(RuntimeError):
@@ -92,48 +93,31 @@ def congruence_order(spec: GroupSpec, i: int) -> int:
 # enumeration
 
 
-def _residue_invertibles(n: int, ring: Ring) -> np.ndarray:
-    """All invertible n x n matrices over the residue field, as lifts-ready codes."""
-    q = ring.q
-    total = q ** (n * n)
-    if total > RESIDUE_ENUM_CAP:
-        raise CapExceeded(f"residue enumeration of size {total} exceeds cap")
-    idx = np.arange(total, dtype=np.int64)
-    entries = np.empty((total, n * n), dtype=np.int64)
-    for e in range(n * n):
-        entries[:, e] = (idx // q**e) % q
-    mats = entries.reshape(total, n, n)
-    dets = mat_det_batch(ring.residue_field(), mats)
-    return mats[dets != 0]
-
-
-def _lift_offsets(n: int, ring: Ring) -> np.ndarray:
-    """All strictly-positive-level lift offsets; element = residue + q * lift."""
-    q, ell = ring.q, ring.ell
-    per = q ** (ell - 1)
-    total = per ** (n * n)
-    idx = np.arange(total, dtype=np.int64)
-    out = np.empty((total, n * n), dtype=np.int64)
-    for e in range(n * n):
-        out[:, e] = (idx // per**e) % per
-    return out.reshape(total, n, n)
-
-
 def iter_group_chunks(spec: GroupSpec):
-    """Yield the elements of G(o_l) as (N, n, n) code arrays, one block per
-    invertible residue matrix (residue-major, then lift index)."""
+    """Yield the elements of G(o_l) as (N, n, n) code arrays: the coset
+    representatives times one u in U(o_l) per block."""
     ring = get_ring(spec.ring)
-    n = spec.n
-    lifts = _lift_offsets(n, ring) if ring.ell > 1 else np.zeros((1, n, n), dtype=np.int64)
-    for r in _residue_invertibles(n, ring):
-        block = r[None, :, :] + ring.q * lifts
-        if spec.family == "SL":
-            block = block[mat_det_batch(ring, block) == 1]
-        yield block
+    reps = coset_representatives(spec)
+    for u in unipotent_matrices(spec):
+        yield mat_mul(ring, reps, u)
+
+
+def element_keys(ring: Ring, batch: np.ndarray) -> np.ndarray:
+    """The int64 key of each code matrix: its row-major code tuple read in
+    base |o_l|, first entry most significant, so keys order as the tuples do."""
+    width = batch.shape[-2] * batch.shape[-1]
+    if ring.size**width >= 1 << 63:
+        raise CapExceeded(f"element keys of {width}-entry matrices over {ring.desc.key()} "
+                          "do not fit in int64")
+    return batch.reshape(len(batch), width) @ ring.size ** np.arange(width - 1, -1, -1)
 
 
 class GroupTable:
-    """Fully enumerated group with canonical ids and batched element lookup."""
+    """Fully enumerated group with canonical ids and batched element lookup.
+
+    The table rule, checked on every table built or loaded: |G| rows, the
+    identity first, then strictly increasing keys.
+    """
 
     def __init__(self, spec: GroupSpec, elems: np.ndarray):
         self.spec = spec
@@ -141,12 +125,15 @@ class GroupTable:
         self.n = spec.n
         self.elems = elems
         self.size = len(elems)
-        width = self.n * self.n
-        if self.ring.size**width >= 1 << 63:
-            raise CapExceeded(f"element keys of {spec.key()} do not fit in int64")
-        # key = row-major code tuple read in base |o_l|, first entry most significant
-        self._radix = self.ring.size ** np.arange(width - 1, -1, -1, dtype=np.int64)
-        keys = self._keys(elems)
+        keys = element_keys(self.ring, elems)
+        if self.size != spec.order():
+            raise AssertionError(f"group table of {spec.key()} has {self.size} rows, "
+                                 f"|G| = {spec.order()}")
+        if not np.array_equal(elems[0], np.eye(self.n, dtype=np.int64)):
+            raise AssertionError(f"group table of {spec.key()} does not start with the identity")
+        if np.any(keys[2:] <= keys[1:-1]) or np.any(keys[1:] == keys[0]):
+            raise AssertionError(f"group table of {spec.key()}: the keys after the identity "
+                                 "are not distinct and strictly increasing")
         self._key_order = np.argsort(keys)
         self._sorted_keys = keys[self._key_order]
         self._invs = None
@@ -154,15 +141,12 @@ class GroupTable:
     def __len__(self):
         return self.size
 
-    def _keys(self, batch: np.ndarray) -> np.ndarray:
-        return batch.reshape(len(batch), -1) @ self._radix
-
     def id_of(self, codes) -> int:
         return int(self.ids_of(np.asarray(codes, dtype=np.int64)[None])[0])
 
     def ids_of(self, batch: np.ndarray) -> np.ndarray:
         """Ids of a stack of code matrices; KeyError if any is not an element."""
-        keys = self._keys(batch)
+        keys = element_keys(self.ring, batch)
         pos = np.minimum(np.searchsorted(self._sorted_keys, keys), self.size - 1)
         if not np.array_equal(self._sorted_keys[pos], keys):
             raise KeyError("matrix is not a group element")
@@ -185,18 +169,10 @@ def enumerate_group(spec: GroupSpec, cap: int = TABLE_CAP) -> GroupTable:
             f"|{spec.key()}| = {order} exceeds table cap {cap}"
         )
     elems = np.concatenate(list(iter_group_chunks(spec)))
-    if len(elems) != order:
-        raise AssertionError(
-            f"enumerated {len(elems)} elements of {spec.key()}, closed form {order}"
-        )
-    flat = elems.reshape(len(elems), -1)
-    sort_idx = np.lexsort(tuple(flat[:, c] for c in range(flat.shape[1] - 1, -1, -1)))
-    elems = elems[sort_idx]
-    ident = np.flatnonzero(
-        (elems.reshape(len(elems), -1) == np.eye(spec.n, dtype=np.int64).reshape(-1)).all(axis=1)
-    )[0]
-    order_ids = np.concatenate(([ident], np.delete(np.arange(len(elems)), ident)))
-    return GroupTable(spec, np.ascontiguousarray(elems[order_ids]))
+    ring = get_ring(spec.ring)
+    keys = element_keys(ring, elems)
+    keys[keys == element_keys(ring, np.eye(spec.n, dtype=np.int64)[None])[0]] = -1
+    return GroupTable(spec, elems[np.argsort(keys)])  # identity first, then ascending keys
 
 
 # ---------------------------------------------------------------------------
@@ -231,13 +207,10 @@ def unipotent_matrices(spec: GroupSpec, k: int = 0) -> np.ndarray:
     n = spec.n
     if not 0 <= k <= ring.ell:
         raise ValueError(f"k = {k} out of range [0, {ring.ell}]")
-    per = ring.q ** (ring.ell - k)
-    positions = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    total = per ** len(positions)
-    out = np.tile(np.eye(n, dtype=np.int64), (total, 1, 1))
-    idx = np.arange(total, dtype=np.int64)
-    for e, (i, j) in enumerate(positions):
-        out[:, i, j] = ((idx // per**e) % per) * ring.q**k
+    rows, cols = np.triu_indices(n, 1)
+    entries = all_tuples(ring.q ** (ring.ell - k), len(rows)) * ring.q**k
+    out = np.tile(np.eye(n, dtype=np.int64), (len(entries), 1, 1))
+    out[:, rows, cols] = entries
     return out
 
 
@@ -283,6 +256,10 @@ def coset_representatives(spec: GroupSpec) -> np.ndarray:
         reps[:, :, -1] = ring.v_mul(reps[:, :, -1], dinv[:, None])
     if len(reps) * u_order != spec.order():
         raise AssertionError(f"{len(reps)} coset representatives, closed-form index {index}")
+    dets = mat_det_batch(ring, reps)
+    if not np.all(dets == 1 if spec.family == "SL" else ring.v_is_unit(dets)):
+        raise AssertionError(f"a coset representative of {spec.key()} has det "
+                             + ("!= 1" if spec.family == "SL" else "a non-unit"))
     return reps
 
 
@@ -328,13 +305,10 @@ def centralizer_order_by_units(spec: GroupSpec, x: np.ndarray) -> int:
     ring = get_ring(spec.ring)
     n = spec.n
     pows = matrix_powers(ring, np.asarray(x, dtype=np.int64), n)
-    R = ring.size
-    total = R**n
-    idx = np.arange(total, dtype=np.int64)
+    coeffs = all_tuples(ring.size, n)
     combo = None
     for i in range(n):
-        ci = (idx // R**i) % R
-        term = ring.v_mul(ci[:, None, None], pows[i][None, :, :])
+        term = ring.v_mul(coeffs[:, i, None, None], pows[i][None, :, :])
         combo = term if combo is None else ring.v_add(combo, term)
     dets = mat_det_batch(ring, combo)
     if spec.family == "GL":

@@ -8,16 +8,23 @@ style reduction over a chain ring).
 
 Matrices are stored as numpy arrays of integer element codes; batched
 variants of multiply / det / inverse operate on stacks of matrices and
-are the workhorses of group enumeration and character sums.
+are the workhorses of group enumeration and character sums.  The batched
+det is the Leibniz sum over permutations and the batched inverse is the
+adjugate (the same sum on each (n-1)-minor) times det^-1, both written on
+the ring's vectorized operations: one formula for every n and both ring
+families.  The scalar `det` (cofactor expansion) is an independent
+reference for them.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+import itertools
+from functools import lru_cache, reduce
 
 import numpy as np
 
-from .localring import Ring, RingDesc, RingKind, _fq_ops, _factor_prime_power, get_ring, ring_make
+from .localring import (Ring, RingDesc, RingKind, _fq_ops, _factor_prime_power, all_tuples,
+                        get_ring, ring_make)
 
 
 # ---------------------------------------------------------------------------
@@ -227,7 +234,7 @@ def monic_irreducibles(q: int, max_deg: int) -> tuple[tuple[Poly, ...], ...]:
     by_degree: list[list[Poly]] = [[]]  # degree 0 slot unused
     for d in range(1, max_deg + 1):
         found = []
-        for tail in _tuples(q, d):
+        for tail in all_tuples(q, d):
             cand = Poly(q, list(tail) + [1])
             if _is_irreducible(cand, by_degree):
                 found.append(cand)
@@ -235,21 +242,6 @@ def monic_irreducibles(q: int, max_deg: int) -> tuple[tuple[Poly, ...], ...]:
     sieve = tuple(tuple(lst) for lst in by_degree)
     _SIEVE_MEMO[(q, max_deg)] = sieve
     return sieve
-
-
-def _tuples(q: int, d: int):
-    idx = [0] * d
-    while True:
-        yield tuple(idx)
-        i = 0
-        while i < d:
-            idx[i] += 1
-            if idx[i] < q:
-                break
-            idx[i] = 0
-            i += 1
-        else:
-            return
 
 
 def _is_irreducible(cand: Poly, by_degree) -> bool:
@@ -391,26 +383,8 @@ def _det_scalar(ring: Ring, a: np.ndarray) -> int:
 
 
 def inverse(M: Mat) -> Mat:
-    """Exact inverse via Gaussian elimination with unit pivots."""
-    ring = M.ring
-    n = M.n
-    work = [[int(c) for c in row] for row in M.a]
-    aug = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    for col in range(n):
-        piv = next((i for i in range(col, n) if ring.is_unit(work[i][col])), None)
-        if piv is None:
-            raise ValueError("matrix is not invertible (no unit pivot)")
-        work[col], work[piv] = work[piv], work[col]
-        aug[col], aug[piv] = aug[piv], aug[col]
-        pinv = ring.inv(work[col][col])
-        work[col] = [ring.mul(pinv, c) for c in work[col]]
-        aug[col] = [ring.mul(pinv, c) for c in aug[col]]
-        for i in range(n):
-            if i != col and work[i][col]:
-                f = work[i][col]
-                work[i] = [ring.sub(c, ring.mul(f, d)) for c, d in zip(work[i], work[col])]
-                aug[i] = [ring.sub(c, ring.mul(f, d)) for c, d in zip(aug[i], aug[col])]
-    return Mat(M.desc, np.array(aug, dtype=np.int64))
+    """Exact inverse; ValueError unless det M is a unit."""
+    return Mat(M.desc, mat_inv_batch(M.ring, M.a))
 
 
 # -- batched kernels ---------------------------------------------------------
@@ -430,72 +404,47 @@ def mat_mul(ring: Ring, A, B) -> np.ndarray:
     return out
 
 
-def mat_det_batch(ring: Ring, A) -> np.ndarray:
-    """Batched determinant for n <= 3."""
+def _leibniz(ring: Ring, E: np.ndarray, rows, cols, negate: bool = False) -> np.ndarray:
+    """Batched det of the minor on `rows` x `cols` (negated if `negate`) by the
+    Leibniz sum over permutations; E[r, c] is the stack of (r, c) entries."""
+    shape = E.shape[2:]
+    terms = ([], [])  # the products of the even and of the odd permutations
+    for perm in itertools.permutations(cols):
+        odd = sum(a > b for a, b in itertools.combinations(perm, 2)) % 2
+        # the 0 x 0 minor (adjugate of a 1 x 1 matrix) has det 1
+        factors = [E[r, c] for r, c in zip(rows, perm)] or [np.ones(shape, dtype=np.int64)]
+        terms[odd ^ negate].append(reduce(ring.v_mul, factors))
+    plus, minus = (reduce(ring.v_add, t) if t else np.zeros(shape, dtype=np.int64)
+                   for t in terms)
+    return ring.v_sub(plus, minus)
+
+
+def _entries(A) -> np.ndarray:
+    """(n, n, ...) contiguous copy of a stack of matrices: one array per entry."""
     A = np.asarray(A, dtype=np.int64)
-    n = A.shape[-1]
-    if ring.kind is RingKind.MIXED:
-        if n == 1:
-            return A[..., 0, 0] % ring.size
-        if n == 2:
-            return (A[..., 0, 0] * A[..., 1, 1] - A[..., 0, 1] * A[..., 1, 0]) % ring.size
-        if n == 3:
-            a, b, c = A[..., 0, 0], A[..., 0, 1], A[..., 0, 2]
-            d, e, f = A[..., 1, 0], A[..., 1, 1], A[..., 1, 2]
-            g, h, i = A[..., 2, 0], A[..., 2, 1], A[..., 2, 2]
-            return (a * e * i + b * f * g + c * d * h
-                    - c * e * g - b * d * i - a * f * h) % ring.size
-    else:
-        mul, add, neg = ring.v_mul, ring.v_add, ring.v_neg
-        if n == 1:
-            return A[..., 0, 0]
-        if n == 2:
-            return add(mul(A[..., 0, 0], A[..., 1, 1]), neg(mul(A[..., 0, 1], A[..., 1, 0])))
-        if n == 3:
-            def m3(x, y, z):
-                return mul(mul(x, y), z)
-            pos = add(add(m3(A[..., 0, 0], A[..., 1, 1], A[..., 2, 2]),
-                          m3(A[..., 0, 1], A[..., 1, 2], A[..., 2, 0])),
-                      m3(A[..., 0, 2], A[..., 1, 0], A[..., 2, 1]))
-            negt = add(add(m3(A[..., 0, 2], A[..., 1, 1], A[..., 2, 0]),
-                           m3(A[..., 0, 1], A[..., 1, 0], A[..., 2, 2])),
-                       m3(A[..., 0, 0], A[..., 1, 2], A[..., 2, 1]))
-            return add(pos, neg(negt))
-    # fallback: scalar loop
-    flat = A.reshape(-1, n, n)
-    return np.array([_det_scalar(ring, m) for m in flat], dtype=np.int64).reshape(A.shape[:-2])
+    return np.ascontiguousarray(A.transpose(A.ndim - 2, A.ndim - 1, *range(A.ndim - 2)))
+
+
+def mat_det_batch(ring: Ring, A) -> np.ndarray:
+    """Batched determinant for any n, exact on every matrix over o_l."""
+    E = _entries(A)
+    return _leibniz(ring, E, range(len(E)), range(len(E)))
 
 
 def mat_inv_batch(ring: Ring, A) -> np.ndarray:
-    """Batched inverse for stacks of invertible n <= 3 matrices."""
-    A = np.asarray(A, dtype=np.int64)
-    n = A.shape[-1]
-    dets = mat_det_batch(ring, A)
+    """Batched inverse for any n: adjugate times det^-1; ValueError unless
+    every det is a unit."""
+    E = _entries(A)
+    n = len(E)
+    dets = _leibniz(ring, E, range(n), range(n))
     if not np.all(ring.v_is_unit(dets)):
         raise ValueError("batch contains a non-invertible matrix")
-    dinv = ring.v_inv()[dets]
-    if n == 1:
-        return dinv[..., None, None]
-    adj = np.empty_like(A)
-    if n == 2:
-        adj[..., 0, 0] = A[..., 1, 1]
-        adj[..., 1, 1] = A[..., 0, 0]
-        adj[..., 0, 1] = ring.v_neg(A[..., 0, 1])
-        adj[..., 1, 0] = ring.v_neg(A[..., 1, 0])
-    elif n == 3:
-        mul, sub = ring.v_mul, ring.v_sub
-        for i in range(3):
-            for j in range(3):
-                r = [k for k in range(3) if k != j]
-                c = [k for k in range(3) if k != i]
-                minor = sub(mul(A[..., r[0], c[0]], A[..., r[1], c[1]]),
-                            mul(A[..., r[0], c[1]], A[..., r[1], c[0]]))
-                adj[..., i, j] = minor if (i + j) % 2 == 0 else ring.v_neg(minor)
-    else:
-        flat = A.reshape(-1, n, n)
-        out = np.stack([inverse(Mat(ring.desc, m)).a for m in flat])
-        return out.reshape(A.shape)
-    return ring.v_mul(dinv[..., None, None], adj)
+    adj = np.empty(E.shape[2:] + (n, n), dtype=np.int64)
+    for i in range(n):
+        for j in range(n):  # adj[j, i] = (-1)^(i+j) det(A without row i, column j)
+            adj[..., j, i] = _leibniz(ring, E, [r for r in range(n) if r != i],
+                                      [c for c in range(n) if c != j], (i + j) % 2 == 1)
+    return ring.v_mul(ring.v_inv()[dets][..., None, None], adj)
 
 
 # ---------------------------------------------------------------------------

@@ -62,6 +62,13 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def all_tuples(base: int, length: int) -> np.ndarray:
+    """Every tuple in [0, base)^length as a (base^length, length) array: row i
+    holds the base-`base` digits of i, coordinate 0 fastest."""
+    idx = np.arange(base**length, dtype=np.int64)
+    return (idx[:, None] // base ** np.arange(length, dtype=np.int64)) % base
+
+
 class RingKind(Enum):
     MIXED = "mixed"
     EQUAL = "equal"

@@ -18,7 +18,7 @@ from math import gcd
 
 import numpy as np
 
-from .localring import Ring, RingDesc, RingElem, get_ring
+from .localring import Ring, RingDesc, RingElem, all_tuples, get_ring
 from .linalg import Mat, Poly, char_poly, factor_poly, mat_det_batch, min_poly
 from .groups import GroupSpec, matrix_powers
 
@@ -42,14 +42,9 @@ def is_cyclic(x: Mat) -> bool:
     ring = x.ring
     n = x.n
     pows = matrix_powers(ring, x.a, n)
-    R = ring.size
-    total = R**n
-    idx = np.arange(total, dtype=np.int64)
-    vecs = np.empty((total, n), dtype=np.int64)
-    for i in range(n):
-        vecs[:, i] = (idx // R**i) % R
+    vecs = all_tuples(ring.size, n)
     # columns of the Krylov matrix: x^j v
-    kry = np.empty((total, n, n), dtype=np.int64)
+    kry = np.empty((len(vecs), n, n), dtype=np.int64)
     for j in range(n):
         col = None
         for k in range(n):
@@ -88,13 +83,9 @@ def a_regular(desc: RingDesc, n: int, a, coeffs) -> Mat:
 def a_regular_coeff_tuples(spec: GroupSpec, ring: Ring):
     """Coefficient tuples (x_1..x_n) indexing a-regular classes: all of o_r^n
     for gl, last coordinate 0 (trace condition) for sl."""
-    n = spec.n
-    R = ring.size
-    free = n if spec.family == "GL" else n - 1
-    idx = np.arange(R**free, dtype=np.int64)
-    out = np.zeros((R**free, n), dtype=np.int64)
-    for i in range(free):
-        out[:, i] = (idx // R**i) % R
+    free = spec.n if spec.family == "GL" else spec.n - 1
+    out = np.zeros((ring.size**free, spec.n), dtype=np.int64)
+    out[:, :free] = all_tuples(ring.size, free)
     return out
 
 

@@ -154,6 +154,37 @@ def test_chartab_subcommand(capsys, tmp_path):
     assert rep["provenance"]["degrees"] == [1, 1, 1, 2, 2, 2, 3]
 
 
+def test_chartab_gl4_f2_has_the_degrees_of_a8(capsys):
+    # GL4(F2) is isomorphic to A8, whose 14 irreducible degrees are known
+    code, out = run_cli(["chartab", "--group", "GL4", "--ring", "mixed:2^1",
+                         "--no-cache", "--format", "json"], capsys)
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["provenance"]["degrees"] == [1, 7, 14, 20, 21, 21, 21, 28, 35, 45, 45,
+                                            56, 64, 70]
+
+
+@pytest.mark.parametrize("command", ["verify", "classes"])
+def test_cached_group_table_breaking_the_table_rule_exits_internal(command, capsys, tmp_path):
+    # a repeated row written back through the cache's own writer: the file
+    # passes the integrity rule, the table rule on load does not
+    from whittaker.cache import load_group_table, save_group_table
+    from whittaker.groups import GroupSpec
+    from whittaker.localring import parse_ring
+
+    args = [command, "--group", "GL2", "--ring", "mixed:2^2", "--cache-dir", str(tmp_path)]
+    assert main(args) == 0
+    table = load_group_table(GroupSpec("GL", 2, parse_ring("mixed:2^2")), tmp_path)
+    table.elems[5] = table.elems[6]
+    save_group_table(table, tmp_path)
+    capsys.readouterr()
+    assert main(args) == EXIT_INTERNAL
+    err = capsys.readouterr().err
+    assert ("internal fault: AssertionError: group table of GL2(mixed:2^2): the keys after "
+            "the identity are not distinct and strictly increasing") in err
+    assert len(err.splitlines()) == 1
+
+
 def test_cap_exceeded_exit_code(capsys):
     code = main(["chartab", "--group", "GL2", "--ring", "mixed:3^2",
                  "--no-cache", "--chartab-cap", "100"])

@@ -1,9 +1,12 @@
+import hashlib
+import re
+
 import numpy as np
 import pytest
 
 from whittaker.localring import get_ring, ring_make
-from whittaker.linalg import Mat, mat_mul
-from whittaker.groups import (CapExceeded, GroupSpec, centralizer,
+from whittaker.linalg import Mat, mat_det_batch, mat_mul
+from whittaker.groups import (CapExceeded, GroupSpec, GroupTable, centralizer,
                               centralizer_order_by_units, congruence_subgroup,
                               coset_representatives, enumerate_group,
                               group_order, iter_group_chunks,
@@ -72,15 +75,64 @@ def test_streaming_matches_table():
     assert total == 1536 and len(keys) == 1536
 
 
-@pytest.mark.parametrize("spec", [GroupSpec("GL", 2, Z4), GroupSpec("SL", 2, Z9),
-                                  GroupSpec("GL", 2, F2T2), GroupSpec("GL", 3, Z4)],
-                         ids=str)
+GROUP_CASES = [GroupSpec("GL", 2, Z4), GroupSpec("SL", 2, Z9),
+               GroupSpec("GL", 2, F2T2), GroupSpec("GL", 3, Z4)]
+
+
+@pytest.mark.parametrize("spec", GROUP_CASES, ids=str)
 def test_coset_representatives_times_u_is_the_group(spec):
-    table = enumerate_group(spec)
+    # oracle: all |o|^(n^2) matrices, kept when det is a unit (GL) or 1 (SL)
+    ring = get_ring(spec.ring)
+    n = spec.n
+    every = np.indices((ring.size,) * (n * n)).reshape(n * n, -1).T.reshape(-1, n, n)
+    dets = mat_det_batch(ring, every)
+    oracle = every[dets == 1] if spec.family == "SL" else every[ring.v_is_unit(dets)]
     reps = coset_representatives(spec)
-    prods = mat_mul(table.ring, reps[:, None], unipotent_matrices(spec)[None])
-    ids = table.ids_of(prods.reshape(-1, spec.n, spec.n))
-    assert np.array_equal(np.sort(ids), np.arange(len(table)))
+    prods = mat_mul(ring, reps[:, None], unipotent_matrices(spec)[None]).reshape(-1, n, n)
+    assert len(prods) == len(oracle) == spec.order()
+    key = ring.size ** np.arange(n * n)
+    assert np.array_equal(np.sort(prods.reshape(-1, n * n) @ key),
+                          np.sort(oracle.reshape(-1, n * n) @ key))
+
+
+# sha256 of enumerate_group(spec).elems as int64 bytes: cached tables, class
+# ids and reports all depend on this order
+CANONICAL_ORDER_SHA256 = {
+    "GL2(mixed:2^2)": "dc907bcf385f4d9fbd43f1c16a2e09a6fec8dbc903ee19d870914fe982fb0042",
+    "SL2(mixed:3^2)": "d56875950552acb5aa44e3786f85e0166c93a3a8f35cb736c87dcaaadb095633",
+    "GL2(equal:2^2)": "dc907bcf385f4d9fbd43f1c16a2e09a6fec8dbc903ee19d870914fe982fb0042",
+    "GL3(mixed:2^2)": "cba83c9091ce84aaa4cb133aa1e3be7ff5f6549bbd2812d05d13553dd6cf1abd",
+}
+
+
+@pytest.mark.parametrize("spec", GROUP_CASES, ids=str)
+def test_canonical_order_is_pinned(spec):
+    elems = np.ascontiguousarray(enumerate_group(spec).elems, dtype=np.int64)
+    assert hashlib.sha256(elems.tobytes()).hexdigest() == CANONICAL_ORDER_SHA256[spec.key()]
+
+
+@pytest.mark.parametrize("fault, message", [
+    (lambda e: e[:-1], "has 95 rows, |G| = 96"),
+    (lambda e: e[::-1], "does not start with the identity"),
+    (lambda e: e[[0, 1, 2, 3, 4, 6, 6, *range(7, 96)]], "not distinct and strictly increasing"),
+    (lambda e: e[[0, 1, 2, 3, 4, 0, *range(6, 96)]], "not distinct and strictly increasing"),
+    (lambda e: e[[0, *range(95, 0, -1)]], "not distinct and strictly increasing"),
+], ids=["short", "identity-not-first", "repeated-row", "repeated-identity", "descending"])
+def test_group_table_rule_fires(fault, message):
+    elems = enumerate_group(GroupSpec("GL", 2, Z4)).elems
+    with pytest.raises(AssertionError, match=re.escape(message)):
+        GroupTable(GroupSpec("GL", 2, Z4), fault(elems))
+
+
+def test_coset_representative_det_check_fires(monkeypatch):
+    # a wrong unit-inverse table scales the SL transversal's last column by
+    # the wrong factor, so some representative has det != 1
+    ring = get_ring(Z9)
+    wrong = ring.v_inv().copy()
+    wrong[[1, 2]] = wrong[[2, 1]]
+    monkeypatch.setattr(ring, "v_inv", lambda: wrong)
+    with pytest.raises(AssertionError, match="det != 1"):
+        coset_representatives(GroupSpec("SL", 2, Z9))
 
 
 def test_table_cap():

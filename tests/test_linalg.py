@@ -207,7 +207,7 @@ def test_batched_kernels_match_scalar_paths():
     rng = np.random.default_rng(23)
     for desc in (Z9, ring_make("equal", 3, 1, 2), ring_make("equal", 2, 2, 2)):
         ring = get_ring(desc)
-        for n in (2, 3):
+        for n in (1, 2, 3, 4):
             A = rng.integers(0, ring.size, size=(40, n, n))
             B = rng.integers(0, ring.size, size=(40, n, n))
             P = mat_mul(ring, A, B)
