@@ -11,9 +11,8 @@ __version__ = "0.1.0"
 from .localring import (AdditiveChar, RingDesc, RingElem, RingKind, get_ring,
                         is_unit, parse_ring, primitive_char, project, ring_make,
                         units, valuation)
-from .linalg import (GF, Mat, Poly, char_poly, companion, det, factor_poly,
-                     inverse, min_poly, monic_irreducibles, solve_count,
-                     span_size)
+from .linalg import (Mat, Poly, char_poly, companion, det, factor_poly, inverse,
+                     min_poly, monic_irreducibles, solve_count, span_size)
 from .cyclotomic import (CycloNum, IntegralityError, NonRationalError,
                          integer_values, root_of_unity)
 from .groups import (CapExceeded, GroupSpec, GroupTable, SubgroupHandle,

@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .groups import GroupSpec, GroupTable
+from .groups import GroupSpec, GroupTable, enumerate_group
 
 CACHE_ENV = "WHITTAKER_CACHE_DIR"
 FORMAT_VERSION = 1
@@ -131,8 +131,6 @@ def load_group_table(spec: GroupSpec, cache_dir: Path) -> GroupTable | None:
 
 
 def cached_group_table(spec: GroupSpec, cache_dir: Path | None, cap: int) -> GroupTable:
-    from .groups import enumerate_group
-
     if cache_dir is not None:
         got = load_group_table(spec, cache_dir)
         if got is not None:

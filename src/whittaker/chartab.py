@@ -314,15 +314,14 @@ def class_matrix(cd: ClassData, j: int, r: int) -> np.ndarray:
     return M % r
 
 
-def character_table(cd: ClassData, cap: int = CHARTAB_CAP,
-                    prime_bound: int = PRIME_SEARCH_BOUND) -> CharTable:
+def character_table(cd: ClassData, cap: int = CHARTAB_CAP) -> CharTable:
     """Dixon-Schneider character table with exact cyclotomic lifting."""
     order = len(cd.table)
     if order > cap:
         raise CapExceeded(f"|G| = {order} beyond character-table cap {cap}")
     k = cd.k
     e = cd.exponent()
-    r = dixon_prime(e, order, prime_bound)
+    r = dixon_prime(e, order)
     h = cd.sizes % r
     hinv = np.array([pow(int(x), r - 2, r) for x in h], dtype=np.int64)
 
@@ -541,8 +540,8 @@ class SpecialRegularRecord:
     predicted_all_units: bool | None  # iota(tau, q-1) == 1, when available
 
 
-def special_regular_scan(ct: CharTable, flags: list[RegularFlag] | None = None,
-                         predict: bool = True) -> list[SpecialRegularRecord]:
+def special_regular_scan(ct: CharTable,
+                         flags: list[RegularFlag] | None = None) -> list[SpecialRegularRecord]:
     """For each regular irreducible of an SL table, which theta_a contain it.
 
     The prediction (has a model for every unit a iff iota(tau, q-1) = 1)
@@ -563,7 +562,7 @@ def special_regular_scan(ct: CharTable, flags: list[RegularFlag] | None = None,
         mult_by_a[a] = decompose_induced(ct, NonDegenChar(spec, a), u_sub)
         if np.any(mult_by_a[a] > 1):
             raise AssertionError("multiplicity above one")
-    predok = predict and predictions_supported(spec)
+    predok = predictions_supported(spec)
     out = []
     for fl in flags:
         if not fl.regular:

@@ -9,11 +9,12 @@ chartab         build, cache and summarize an exact character table
 classes         build and summarize the conjugacy classes
 
 Exit codes: 0 all checks pass, 1 a predicted/computed mismatch, 2 a size
-cap was exceeded, 3 an internal fault (an exactness check failed, such as a
-cached table that fails re-verification, or any other unexpected exception;
-one line on stderr), 4 a usage error (a bad flag, group, ring or unit,
-rejected before any work).  A mismatch is a result (the tool exists to
-falsify), not a crash.
+cap was exceeded (the element-table gate of a ring among them), 3 an
+internal fault (an exactness check failed, such as a cached table that
+fails re-verification, or any other unexpected exception; one line on
+stderr), 4 a usage error (a bad flag, group, ring or unit, or l = 1 for a
+subcommand that needs l >= 2, rejected before any work).  A mismatch is a
+result (the tool exists to falsify), not a crash.
 """
 
 from __future__ import annotations
@@ -33,8 +34,8 @@ from .groups import CapExceeded, GroupSpec, TABLE_CAP, unipotent_order
 from .cyclotomic import IntegralityError
 from .whittaker_verify import (predictions_supported, sl2_printed_index,
                                verify_multiplicity_one)
-from .chartab import (CHARTAB_CAP, classify_regular, restriction_norm,
-                      sl_class_profile)
+from .chartab import (CHARTAB_CAP, classify_regular, conjugacy_classes,
+                      restriction_norm, sl_class_profile)
 from .regular import iota
 from .cache import (cached_char_table, cached_group_table, cached_irreducibles,
                     chartab_cache_key, default_cache_dir, group_cache_key)
@@ -183,8 +184,6 @@ def cmd_tables(cfg: JobConfig) -> ReportEnvelope:
     env = _envelope(cfg)
     desc = parse_ring(cfg.ring)
     q, ell = desc.q, desc.ell
-    if ell < 2:
-        raise CapExceeded("the n = 2 tables require l >= 2")
     t0 = time.perf_counter()
 
     gl_counts, gl_dims = gl2_formula_row(q, ell)
@@ -295,8 +294,6 @@ def cmd_chartab(cfg: JobConfig) -> ReportEnvelope:
 
 
 def cmd_classes(cfg: JobConfig) -> ReportEnvelope:
-    from .chartab import conjugacy_classes
-
     env = _envelope(cfg)
     spec = cfg.group_spec()
     t0 = time.perf_counter()
@@ -387,7 +384,13 @@ def config_from_args(args: argparse.Namespace) -> JobConfig:
         fmt=args.fmt,
         timings=args.timings,
     )
-    cfg.selected_units(get_ring(cfg.group_spec().ring))
+    spec = cfg.group_spec()
+    cfg.selected_units(get_ring(spec.ring))
+    # the regular classification and the verify predictions need l >= 2
+    needs_level_two = cfg.subcommand in ("gl2-sl2-tables", "branching") or (
+        cfg.subcommand == "verify" and predictions_supported(spec))
+    if spec.ring.ell == 1 and needs_level_two:
+        raise ValueError(f"{cfg.subcommand} on {spec.key()} needs l >= 2")
     return cfg
 
 

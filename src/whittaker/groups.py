@@ -22,15 +22,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .localring import Ring, RingDesc, all_tuples, get_ring
-from .linalg import Mat, mat_mul, mat_det_batch, mat_inv_batch
+from .localring import CapExceeded, Ring, RingDesc, all_tuples, get_ring
+from .linalg import (Mat, commutant_matrix, mat_det_batch, mat_inv_batch, mat_mul,
+                     solve_count)
 
 TABLE_CAP = 200_000
 COSET_CAP = 2_000_000
-
-
-class CapExceeded(RuntimeError):
-    """A requested computation exceeds a configured size cap."""
 
 
 @dataclass(frozen=True)
@@ -288,15 +285,17 @@ def centralizer(table: GroupTable, x: Mat) -> SubgroupHandle:
 
 
 def matrix_powers(ring: Ring, x: np.ndarray, n: int) -> np.ndarray:
-    """[I, x, x^2, ..., x^(n-1)] as an (n, n, n) code array."""
-    out = [np.eye(x.shape[0], dtype=np.int64)]
+    """[I, x, x^2, ..., x^(n-1)] stacked on a new first axis, for one matrix
+    or a stack of them."""
+    out = [np.broadcast_to(np.eye(x.shape[-1], dtype=np.int64), x.shape)]
     for _ in range(n - 1):
         out.append(mat_mul(ring, out[-1], x))
     return np.stack(out)
 
 
-def centralizer_order_by_units(spec: GroupSpec, x: np.ndarray) -> int:
-    """|C_{G(o_r)}(x)| for regular x, via the unit group of o_r[x].
+def centralizer_order_by_units(spec: GroupSpec, xs: np.ndarray) -> np.ndarray:
+    """|C_{G(o_r)}(x)| for each regular x of an (N, n, n) stack, via the unit
+    group of o_r[x], with one batched determinant.
 
     For regular x the matrix centralizer is the free module spanned by
     I, x, ..., x^(n-1); the group centralizer is its unit part (det a unit
@@ -304,22 +303,19 @@ def centralizer_order_by_units(spec: GroupSpec, x: np.ndarray) -> int:
     """
     ring = get_ring(spec.ring)
     n = spec.n
-    pows = matrix_powers(ring, np.asarray(x, dtype=np.int64), n)
+    pows = matrix_powers(ring, np.asarray(xs, dtype=np.int64), n)
     coeffs = all_tuples(ring.size, n)
-    combo = None
+    combo = None  # (N, |o_r|^n, n, n): every combination of the powers of each x
     for i in range(n):
-        term = ring.v_mul(coeffs[:, i, None, None], pows[i][None, :, :])
+        term = ring.v_mul(coeffs[None, :, i, None, None], pows[i][:, None])
         combo = term if combo is None else ring.v_add(combo, term)
     dets = mat_det_batch(ring, combo)
-    if spec.family == "GL":
-        return int(np.count_nonzero(ring.v_is_unit(dets)))
-    return int(np.count_nonzero(dets == 1))
+    central = ring.v_is_unit(dets) if spec.family == "GL" else dets == 1
+    return np.count_nonzero(central, axis=1)
 
 
 def lie_centralizer_count(spec: GroupSpec, x: np.ndarray) -> int:
     """|C_{g(o_r)}(x)| by exact kernel counting (gl: all y; sl: tr y = 0)."""
-    from .linalg import commutant_matrix, solve_count
-
     ring = get_ring(spec.ring)
     sys_rows = commutant_matrix(ring, np.asarray(x, dtype=np.int64))
     if spec.family == "SL":

@@ -6,6 +6,10 @@ sieve of monic irreducibles, and exact solution counting for linear
 systems over o_l via valuation-tracking diagonalization (Smith/Howell
 style reduction over a chain ring).
 
+F_q is GF_ring(q), the l = 1 Ring of the equal family: Poly, companion,
+char_poly and min_poly do their scalar arithmetic on it, and min_poly its
+matrix products too.
+
 Matrices are stored as numpy arrays of integer element codes; batched
 variants of multiply / det / inverse operate on stacks of matrices and
 are the workhorses of group enumeration and character sums.  The batched
@@ -23,64 +27,19 @@ from functools import lru_cache, reduce
 
 import numpy as np
 
-from .localring import (Ring, RingDesc, RingKind, _fq_ops, _factor_prime_power, all_tuples,
-                        get_ring, ring_make)
+from .localring import (Ring, RingDesc, RingKind, _factor_prime_power, all_tuples, get_ring,
+                        ring_make)
 
 
 # ---------------------------------------------------------------------------
-# residue field contexts
-
-
-class Fq:
-    """Finite field F_q on integer codes 0..q-1 (base-p digits, fixed modulus)."""
-
-    def __init__(self, q: int):
-        p, f = _factor_prime_power(q)
-        self.q, self.p, self.f = q, p, f
-        self._ops = _fq_ops(p, f)
-        self.zero, self.one = 0, 1
-
-    @property
-    def modulus(self) -> tuple[int, ...] | None:
-        """Modulus polynomial coefficients (ascending), None for prime q."""
-        return self._ops.modulus
-
-    def add(self, a, b):
-        return int(self._ops.add_table[a, b])
-
-    def sub(self, a, b):
-        return int(self._ops.add_table[a, self._ops.neg_table[b]])
-
-    def neg(self, a):
-        return int(self._ops.neg_table[a])
-
-    def mul(self, a, b):
-        return int(self._ops.mul_table[a, b])
-
-    def inv(self, a):
-        if a == 0:
-            raise ZeroDivisionError("inverse of 0 in F_q")
-        return int(self._ops.inv_table[a])
-
-    def pow(self, a, e):
-        r = 1
-        while e:
-            if e & 1:
-                r = self.mul(r, a)
-            a = self.mul(a, a)
-            e >>= 1
-        return r
-
-    def elements(self):
-        return range(self.q)
-
-    def __repr__(self):
-        return f"GF({self.q})"
+# the residue field
 
 
 @lru_cache(maxsize=None)
-def GF(q: int) -> Fq:
-    return Fq(q)
+def GF_ring(q: int) -> Ring:
+    """The field F_q as the r = 1 local ring (equal family)."""
+    p, f = _factor_prime_power(q)
+    return get_ring(ring_make(RingKind.EQUAL, p, f, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -100,8 +59,8 @@ class Poly:
         self.coeffs = tuple(c)
 
     @property
-    def field(self) -> Fq:
-        return GF(self.q)
+    def field(self) -> Ring:
+        return GF_ring(self.q)
 
     @property
     def degree(self) -> int:
@@ -454,7 +413,7 @@ def mat_inv_batch(ring: Ring, A) -> np.ndarray:
 def char_poly(mat, q: int | None = None) -> Poly:
     """Characteristic polynomial det(tI - x) of a matrix over F_q."""
     a, q = _as_field_matrix(mat, q)
-    F = GF(q)
+    F = GF_ring(q)
     n = a.shape[0]
     entries = [[Poly(q, (F.neg(int(a[i, j])),)) if i != j
                 else Poly(q, (F.neg(int(a[i, j])), 1))
@@ -480,7 +439,7 @@ def _poly_det(rows: list[list[Poly]], q: int) -> Poly:
 def min_poly(mat, q: int | None = None) -> Poly:
     """Minimal polynomial: least-degree monic annihilator of the matrix."""
     a, q = _as_field_matrix(mat, q)
-    F = GF(q)
+    F = GF_ring(q)
     n = a.shape[0]
     dim = n * n
     # echelon rows over F_q with their expression in powers of the matrix
@@ -501,15 +460,8 @@ def min_poly(mat, q: int | None = None) -> Poly:
             return Poly(q, combo).monic()
         linv = F.inv(vec[lead])
         pivots[lead] = ([F.mul(linv, c) for c in vec], [F.mul(linv, c) for c in combo])
-        power = mat_mul(GF_ring(q), power, a)
+        power = mat_mul(F, power, a)
     raise AssertionError("no annihilator of degree <= n")  # unreachable
-
-
-@lru_cache(maxsize=None)
-def GF_ring(q: int) -> Ring:
-    """The field F_q as the r = 1 local ring (equal family)."""
-    p, f = _factor_prime_power(q)
-    return get_ring(ring_make(RingKind.EQUAL, p, f, 1))
 
 
 def _as_field_matrix(mat, q):

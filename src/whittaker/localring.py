@@ -19,13 +19,21 @@ q-adic valuation of the code, and pi has code q.
 The canonical enumeration order of o_l is ascending code.  For the equal
 family this is the lexicographic order on coefficient vectors read from
 the t^(l-1) coefficient down to the constant term.
+
+Ring is the one arithmetic object of both families at every level, the
+residue field F_q (l = 1) included.  The mixed family computes mod p^l.
+The equal family reads every scalar and vectorized operation off
+add/mul/neg tables that each ring builds once, by array arithmetic on
+digits: F_q = F_p[x]/(modulus) on base-p digits, and o_l = F_q[t]/(t^l)
+on base-q digits over the residue field's tables.  A ring above
+TABLE_GATE elements raises CapExceeded instead.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterator
 
 import numpy as np
@@ -49,6 +57,10 @@ CONWAY_POLYS: dict[tuple[int, int], tuple[int, ...]] = {
 
 # element-wise code tables are only built for rings up to this size
 TABLE_GATE = 1 << 12
+
+
+class CapExceeded(RuntimeError):
+    """A requested computation exceeds a configured size cap."""
 
 
 def is_prime(n: int) -> bool:
@@ -146,109 +158,27 @@ def _factor_prime_power(q: int) -> tuple[int, int]:
 
 
 # ---------------------------------------------------------------------------
-# residue field code arithmetic (codes 0..q-1, base-p digits)
-
-
-class _FqOps:
-    """Raw F_q arithmetic on integer codes; tables of size q x q."""
-
-    def __init__(self, p: int, f: int):
-        self.p, self.f = p, f
-        self.q = q = p**f
-        if f == 1:
-            self.modulus = None
-            add = (np.arange(q)[:, None] + np.arange(q)[None, :]) % p
-            mul = (np.arange(q)[:, None] * np.arange(q)[None, :]) % p
-        else:
-            self.modulus = CONWAY_POLYS[(p, f)]
-            add = np.zeros((q, q), dtype=np.int64)
-            mul = np.zeros((q, q), dtype=np.int64)
-            for a in range(q):
-                for b in range(q):
-                    add[a, b] = self._poly_add(a, b)
-                    mul[a, b] = self._poly_mul(a, b)
-        self.add_table = add
-        self.mul_table = mul
-        self.neg_table = np.array([self._neg(a) for a in range(q)], dtype=np.int64)
-        inv = np.zeros(q, dtype=np.int64)
-        for a in range(1, q):
-            for b in range(1, q):
-                if mul[a, b] == 1:
-                    inv[a] = b
-                    break
-        self.inv_table = inv
-        # absolute trace F_q -> F_p; codes of F_p elements are 0..p-1
-        tr = []
-        for a in range(q):
-            s, x = 0, a
-            for _ in range(f):
-                s = int(add[s, x])
-                x = self._pow(x, p)
-            tr.append(s)
-        self.trace_table = np.array(tr, dtype=np.int64)
-
-    def _digits(self, a: int) -> list[int]:
-        return [(a // self.p**i) % self.p for i in range(self.f)]
-
-    def _encode(self, digits) -> int:
-        return sum(int(d) % self.p * self.p**i for i, d in enumerate(digits))
-
-    def _poly_add(self, a: int, b: int) -> int:
-        return self._encode(x + y for x, y in zip(self._digits(a), self._digits(b)))
-
-    def _neg(self, a: int) -> int:
-        return self._encode(-x % self.p for x in self._digits(a))
-
-    def _poly_mul(self, a: int, b: int) -> int:
-        p, f = self.p, self.f
-        da, db = self._digits(a), self._digits(b)
-        prod = [0] * (2 * f - 1)
-        for i, x in enumerate(da):
-            for j, y in enumerate(db):
-                prod[i + j] += x * y
-        mod = self.modulus
-        for i in range(len(prod) - 1, f - 1, -1):
-            c = prod[i] % p
-            prod[i] = 0
-            if c:
-                for j in range(f):
-                    prod[i - f + j] -= c * mod[j]
-        return self._encode(prod[:f])
-
-    def _pow(self, a: int, e: int) -> int:
-        r = 1
-        while e:
-            if e & 1:
-                r = int(self.mul_table[r, a])
-            a = int(self.mul_table[a, a])
-            e >>= 1
-        return r
-
-
-@lru_cache(maxsize=None)
-def _fq_ops(p: int, f: int) -> _FqOps:
-    return _FqOps(p, f)
-
-
-# ---------------------------------------------------------------------------
 # ring context
 
 
 class Ring:
-    """Runtime arithmetic context for a RingDesc, on integer codes."""
+    """Runtime arithmetic context for a RingDesc, on integer codes.
+
+    The mixed family computes mod p^l; the equal family reads every
+    operation off its add/mul/neg tables.
+    """
 
     def __init__(self, desc: RingDesc):
         self.desc = desc
         self.kind = desc.kind
+        self._mixed = desc.kind is RingKind.MIXED  # an enum compare costs more than a lookup
         self.p, self.f, self.ell = desc.p, desc.f, desc.ell
         self.q = desc.q
         self.size = desc.size
         self.zero, self.one = 0, 1
         self.varpi = self.q if self.ell > 1 else 0  # pi = 0 in o_1
         # order of the canonical primitive additive character's values
-        self.char_order = self.p**self.ell if self.kind is RingKind.MIXED else self.p
-        self._fq = _fq_ops(self.p, self.f) if self.kind is RingKind.EQUAL else None
-        self._tables = None
+        self.char_order = self.p**self.ell if self._mixed else self.p
         self._inv_vec = None
         self._expo_vec = None
 
@@ -258,45 +188,22 @@ class Ring:
     # -- scalar arithmetic on codes ----------------------------------------
 
     def add(self, a: int, b: int) -> int:
-        if self.kind is RingKind.MIXED:
+        if self._mixed:
             return (a + b) % self.size
-        fq = self._fq
-        return sum(
-            int(fq.add_table[(a // self.q**i) % self.q, (b // self.q**i) % self.q])
-            * self.q**i
-            for i in range(self.ell)
-        )
+        return self.tables[0].item(a, b)
 
     def neg(self, a: int) -> int:
-        if self.kind is RingKind.MIXED:
+        if self._mixed:
             return (-a) % self.size
-        fq = self._fq
-        return sum(
-            int(fq.neg_table[(a // self.q**i) % self.q]) * self.q**i
-            for i in range(self.ell)
-        )
+        return self.tables[2].item(a)
 
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))
 
     def mul(self, a: int, b: int) -> int:
-        if self.kind is RingKind.MIXED:
+        if self._mixed:
             return (a * b) % self.size
-        fq = self._fq
-        q, ell = self.q, self.ell
-        da = [(a // q**i) % q for i in range(ell)]
-        db = [(b // q**i) % q for i in range(ell)]
-        out = 0
-        for i, x in enumerate(da):
-            if x == 0:
-                continue
-            for j, y in enumerate(db):
-                if i + j < ell and y:
-                    k = i + j
-                    cur = (out // q**k) % q
-                    new = int(fq.add_table[cur, int(fq.mul_table[x, y])])
-                    out += (new - cur) * q**k
-        return out
+        return self.tables[1].item(a, b)
 
     def is_unit(self, a: int) -> bool:
         return a % self.q != 0
@@ -304,31 +211,9 @@ class Ring:
     def inv(self, a: int) -> int:
         if not self.is_unit(a):
             raise ValueError(f"{a} is not a unit in {self.desc.key()}")
-        if self.kind is RingKind.MIXED:
+        if self._mixed:
             return pow(a, -1, self.size)
-        # Newton-free: the unit group has exponent dividing (q-1)*p^ceil(log_p ell)
-        e = self.unit_group_exponent() - 1
-        return self.pow(a, e)
-
-    def pow(self, a: int, e: int) -> int:
-        r = 1
-        while e:
-            if e & 1:
-                r = self.mul(r, a)
-            a = self.mul(a, a)
-            e >>= 1
-        return r
-
-    def unit_group_exponent(self) -> int:
-        k = 1
-        while self.p**k < self.ell:
-            k += 1
-        if self.kind is RingKind.MIXED:
-            # exponent of (Z/p^l)^x
-            if self.p == 2 and self.ell >= 3:
-                return 2 ** (self.ell - 2) * 2
-            return (self.p - 1) * self.p ** max(self.ell - 1, 0)
-        return (self.q - 1) * self.p**k if self.ell > 1 else self.q - 1
+        return self.v_inv().item(a)
 
     def valuation(self, a: int) -> int:
         """q-adic valuation of the code; valuation(0) = ell by convention."""
@@ -374,41 +259,73 @@ class Ring:
 
     # -- vectorized arithmetic on numpy code arrays -------------------------
 
-    def _build_tables(self):
+    @cached_property
+    def tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The equal family's (add, mul, neg) code tables, built on first use.
+
+        A ring is K[x]/(modulus) on base-|K| digits over a coefficient field
+        K: F_q = F_p[x]/(Conway polynomial) over F_p (F_p itself is
+        F_p[x]/(x)), and o_l = F_q[t]/(t^l) over the residue field's tables.
+        Digit k of a product a b is the sum over i, j of red[i+j][k] a_i b_j,
+        red[d] being the digits of x^d mod the modulus.  The tables are
+        built one output digit plane at a time.
+        """
         if self.size > TABLE_GATE:
-            raise ValueError(
-                f"ring of size {self.size} exceeds the element-table gate"
-            )
-        R = self.size
-        add = np.zeros((R, R), dtype=np.int64)
-        mul = np.zeros((R, R), dtype=np.int64)
-        for a in range(R):
-            for b in range(R):
-                add[a, b] = self.add(a, b)
-                mul[a, b] = self.mul(a, b)
-        neg = np.array([self.neg(a) for a in range(R)], dtype=np.int64)
-        self._tables = (add, mul, neg)
+            raise CapExceeded(f"ring {self.desc.key()} of size {self.size} exceeds the "
+                              f"element-table gate {TABLE_GATE}")
+        p = self.p
+        if self.ell == 1:
+            x = np.arange(p)
+            f_add, f_mul = (x[:, None] + x) % p, (x[:, None] * x) % p
+            base, modulus = p, CONWAY_POLYS.get((p, self.f), (0, 1))
+        else:
+            f_add, f_mul, _ = self.residue_field().tables
+            base, modulus = self.q, (0,) * self.ell + (1,)
+        f_neg = np.argmax(f_add == 0, axis=1)
+        L = len(modulus) - 1
+        red = [[int(i == d) for i in range(L)] for d in range(L)]
+        for _ in range(L - 1):  # x^d = x x^(d-1), and x^L = -(modulus below x^L)
+            top, low = red[-1][-1], [0] + red[-1][:-1]
+            red.append([int(f_add[c, f_mul[f_neg[top], m]]) for c, m in zip(low, modulus)])
+        # int16 digit planes: a quarter of the size of an int64 table
+        f_add, f_mul = f_add.astype(np.int16), f_mul.astype(np.int16)
+        codes = np.arange(self.size)
+        digits = [(codes // base**i % base).astype(np.int16) for i in range(L)]
+        add = np.zeros((self.size, self.size), dtype=np.int64)
+        mul = np.zeros((self.size, self.size), dtype=np.int64)
+        neg = np.zeros(self.size, dtype=np.int64)
+        for k in reversed(range(L)):  # Horner on the digits, top digit first
+            add *= base
+            add += f_add[digits[k][:, None], digits[k]]
+            neg *= base
+            neg += f_neg[digits[k]]
+            mul *= base
+            plane = None
+            for i in range(L):
+                for j in range(L):
+                    c = red[i + j][k]
+                    if c:
+                        term = f_mul[digits[i][:, None], digits[j]]
+                        term = term if c == 1 else f_mul[c, term]
+                        plane = term if plane is None else f_add[plane, term]
+            if plane is not None:
+                mul += plane
+        return add, mul, neg
 
     def v_add(self, A, B):
-        if self.kind is RingKind.MIXED:
+        if self._mixed:
             return (np.asarray(A, dtype=np.int64) + np.asarray(B, dtype=np.int64)) % self.size
-        if self._tables is None:
-            self._build_tables()
-        return self._tables[0][np.asarray(A, dtype=np.intp), np.asarray(B, dtype=np.intp)]
+        return self.tables[0][np.asarray(A, dtype=np.intp), np.asarray(B, dtype=np.intp)]
 
     def v_mul(self, A, B):
-        if self.kind is RingKind.MIXED:
+        if self._mixed:
             return (np.asarray(A, dtype=np.int64) * np.asarray(B, dtype=np.int64)) % self.size
-        if self._tables is None:
-            self._build_tables()
-        return self._tables[1][np.asarray(A, dtype=np.intp), np.asarray(B, dtype=np.intp)]
+        return self.tables[1][np.asarray(A, dtype=np.intp), np.asarray(B, dtype=np.intp)]
 
     def v_neg(self, A):
-        if self.kind is RingKind.MIXED:
+        if self._mixed:
             return (-np.asarray(A, dtype=np.int64)) % self.size
-        if self._tables is None:
-            self._build_tables()
-        return self._tables[2][np.asarray(A, dtype=np.intp)]
+        return self.tables[2][np.asarray(A, dtype=np.intp)]
 
     def v_sub(self, A, B):
         return self.v_add(A, self.v_neg(B))
@@ -416,10 +333,11 @@ class Ring:
     def v_inv(self) -> np.ndarray:
         """Unit-inverse lookup vector; 0 at non-units."""
         if self._inv_vec is None:
-            self._inv_vec = np.array(
-                [self.inv(a) if self.is_unit(a) else 0 for a in range(self.size)],
-                dtype=np.int64,
-            )
+            if self._mixed:
+                self._inv_vec = np.array([pow(a, -1, self.size) if a % self.q else 0
+                                          for a in range(self.size)], dtype=np.int64)
+            else:  # the first 1 in each row of the mul table; a non-unit row has none
+                self._inv_vec = np.argmax(self.tables[1] == 1, axis=1).astype(np.int64)
         return self._inv_vec
 
     def v_is_unit(self, A) -> np.ndarray:
@@ -433,11 +351,19 @@ class Ring:
         mixed: phi(x) = zeta_{p^l}^x.  equal: phi(x) = zeta_p^Tr(c_{l-1}(x)).
         """
         if self._expo_vec is None:
-            if self.kind is RingKind.MIXED:
+            if self._mixed:
                 self._expo_vec = np.arange(self.size, dtype=np.int64)
-            else:
+            else:  # Tr(c) = c + c^p + ... + c^(p^(f-1)) on F_q's tables
+                add, mul, _ = self.residue_field().tables
+                codes = np.arange(self.q)
+                frobenius = codes  # c -> c^p
+                for _ in range(self.p - 1):
+                    frobenius = mul[frobenius, codes]
+                trace, power = np.zeros(self.q, dtype=np.int64), codes
+                for _ in range(self.f):
+                    trace, power = add[trace, power], frobenius[power]
                 top = np.arange(self.size, dtype=np.int64) // self.q ** (self.ell - 1)
-                self._expo_vec = self._fq.trace_table[top]
+                self._expo_vec = trace[top]
         return self._expo_vec
 
 

@@ -19,7 +19,8 @@ from math import gcd
 import numpy as np
 
 from .localring import Ring, RingDesc, RingElem, all_tuples, get_ring
-from .linalg import Mat, Poly, char_poly, factor_poly, mat_det_batch, min_poly
+from .linalg import (GF_ring, Mat, Poly, char_poly, companion, factor_poly, mat_det_batch,
+                     min_poly, monic_irreducibles)
 from .groups import GroupSpec, matrix_powers
 
 
@@ -204,8 +205,6 @@ def all_n_typical(n: int) -> list[TypeMatrix]:
 def tau_regular_companion(tau: TypeMatrix, q: int) -> Mat | None:
     """A tau-regular companion matrix over F_q, or None when F_q has too few
     irreducibles of some degree to realize tau."""
-    from .linalg import monic_irreducibles, companion
-
     need: dict[int, int] = {}
     for d, _, c in tau.entries:
         need[d] = need.get(d, 0) + c
@@ -222,6 +221,4 @@ def tau_regular_companion(tau: TypeMatrix, q: int) -> Mat | None:
             cursor[d] += 1
             for _ in range(e):
                 poly = poly * f
-    from .linalg import GF_ring
-
     return Mat(GF_ring(q).desc, companion(poly))

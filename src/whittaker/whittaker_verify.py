@@ -215,10 +215,9 @@ def predicted_regular_count(spec: GroupSpec, a, strict: bool = True) -> int:
     spec_m = GroupSpec(spec.family, spec.n, sub.desc)
     a_code = a.code if isinstance(a, RingElem) else int(a)
     a_m = ring.project_code(a_code, m_level)
-    total = 0
-    for coeffs in a_regular_coeff_tuples(spec, sub):
-        x = a_regular(sub.desc, spec.n, a_m, [int(c) for c in coeffs])
-        total += centralizer_order_by_units(spec_m, x.a)
+    xs = np.stack([a_regular(sub.desc, spec.n, a_m, [int(c) for c in coeffs]).a
+                   for coeffs in a_regular_coeff_tuples(spec, sub)])
+    total = int(centralizer_order_by_units(spec_m, xs).sum())
     if ring.ell % 2 == 1:
         total *= ring.q**spec.reg_centralizer_dim
     return total
@@ -304,13 +303,11 @@ def verify_multiplicity_one(
     spec: GroupSpec,
     a,
     table: GroupTable | None = None,
-    force_predictions: bool = False,
 ) -> VerificationReport:
     """Full verdict at one (group, a): norm = regular count and
     dim = dimension sum = index.
 
-    For SL with p | 2n the predictions are skipped (reported as such)
-    unless force_predictions extends the even-l counting formula anyway.
+    For SL with p | 2n the predictions are skipped (reported as such).
     """
     a_code = a.code if isinstance(a, RingElem) else int(a)
     ring = get_ring(spec.ring)
@@ -320,12 +317,10 @@ def verify_multiplicity_one(
         CheckRecord("induced-norm-positive-and-bounded", f"1..{dim}", norm,
                     1 <= norm <= dim),
     ]
-    predict = predictions_supported(spec) or force_predictions
     pcount = pdim = None
-    if predict:
-        strict = predictions_supported(spec)
-        pcount = predicted_regular_count(spec, a_code, strict=strict)
-        pdim = predicted_dim_sum(spec, strict=strict)
+    if predictions_supported(spec):
+        pcount = predicted_regular_count(spec, a_code)
+        pdim = predicted_dim_sum(spec)
         checks.append(CheckRecord("whittaker-norm-equals-regular-count", pcount, norm,
                                   norm == pcount))
         checks.append(CheckRecord("dimension-sum-equals-induced-dim", pdim, dim,

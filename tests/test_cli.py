@@ -422,3 +422,25 @@ def test_chartab_verifies_once_cold_and_once_warm(monkeypatch, capsys, tmp_path)
     args = ["chartab", "--group", "SL2", "--ring", "mixed:3^1", "--cache-dir", str(tmp_path)]
     assert main(args) == 0 and calls == [False]
     assert main(args) == 0 and calls == [False, True]
+
+
+@pytest.mark.parametrize("args", [
+    ["verify", "--group", "GL2", "--ring", "mixed:3^1", "--a", "1"],
+    ["branching", "--group", "GL2", "--ring", "mixed:3^1"],
+    ["gl2-sl2-tables", "--ring", "mixed:3^1"],
+])
+def test_level_one_where_level_two_is_needed_exits_usage(args, capsys):
+    assert main([*args, "--no-cache"]) == EXIT_USAGE
+    assert "needs l >= 2" in capsys.readouterr().err
+
+
+def test_level_one_verify_without_predictions_passes(capsys):
+    # SL2 over F_2 skips the predictions (p = 2), so l = 1 is accepted
+    code, out = run_cli(["verify", "--group", "SL2", "--ring", "mixed:2^1", "--no-cache",
+                         "--format", "json"], capsys)
+    assert code == 0 and json.loads(out)["pass"] is True
+
+
+def test_ring_above_the_table_gate_exits_cap(capsys):
+    assert main(["classes", "--group", "GL1", "--ring", "equal:2^13", "--no-cache"]) == EXIT_CAP
+    assert "element-table gate" in capsys.readouterr().err

@@ -205,11 +205,11 @@ def test_centralizer_two_routes_agree_for_regular_elements():
         table = enumerate_group(spec)
         ring = get_ring(desc)
         for a in ring.unit_codes()[:2]:
-            for c0 in range(ring.size):
-                coeffs = (c0, 0) if family == "SL" else (c0, min(1, c0))
-                x = a_regular(desc, 2, a, coeffs)
-                assert is_regular(x)
-                assert len(centralizer(table, x)) == centralizer_order_by_units(spec, x.a)
+            xs = [a_regular(desc, 2, a, (c0, 0) if family == "SL" else (c0, min(1, c0)))
+                  for c0 in range(ring.size)]
+            assert all(is_regular(x) for x in xs)
+            by_units = centralizer_order_by_units(spec, np.stack([x.a for x in xs]))
+            assert by_units.tolist() == [len(centralizer(table, x)) for x in xs]
 
 
 def test_lie_centralizer_counts():

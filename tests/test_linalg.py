@@ -3,8 +3,8 @@ import itertools
 import numpy as np
 import pytest
 
-from whittaker.localring import get_ring, ring_make
-from whittaker.linalg import (GF, GF_ring, Mat, Poly, char_poly, companion,
+from whittaker.localring import CONWAY_POLYS, get_ring, ring_make
+from whittaker.linalg import (GF_ring, Mat, Poly, char_poly, companion,
                               commutant_matrix, det, factor_poly, inverse,
                               mat_det_batch, mat_inv_batch, mat_mul, min_poly,
                               monic_irreducibles, solve_count, span_size)
@@ -224,6 +224,8 @@ def test_batched_kernels_match_scalar_paths():
 
 
 def test_fq_field_modulus_recorded():
-    assert GF(4).modulus == (1, 1, 1)
-    assert GF(9).modulus == (2, 2, 1)
-    assert GF(3).modulus is None
+    # the generator x of F_p[x]/(modulus) has code p and is a root of the modulus
+    for q, p, modulus in ((4, 2, (1, 1, 1)), (9, 3, (2, 2, 1))):
+        assert CONWAY_POLYS[(p, 2)] == modulus
+        assert Poly(q, modulus).evaluate(p) == 0
+    assert (3, 1) not in CONWAY_POLYS and GF_ring(3).f == 1

@@ -1,10 +1,11 @@
 import itertools
 
+import numpy as np
 import pytest
 
-from whittaker.localring import (RingKind, elem, get_ring, is_unit, parse_ring,
-                                 primitive_char, project, ring_make, units,
-                                 valuation)
+from whittaker.localring import (CONWAY_POLYS, RingKind, elem, get_ring, is_unit,
+                                 parse_ring, primitive_char, project, ring_make,
+                                 units, valuation)
 
 Z4 = ring_make("mixed", 2, 1, 2)
 Z8 = ring_make("mixed", 2, 1, 3)
@@ -168,3 +169,96 @@ def test_enumeration_order_is_fixed():
     # ascending code = lexicographic with the top t-coefficient most significant
     reprs = [elem(F3T2, c).repr_value for c in codes]
     assert reprs == sorted(reprs, key=lambda t: t[::-1])
+
+
+# -- independent oracle for the equal family ---------------------------------
+# F_q = F_p[x]/(modulus) on coefficient lists, o_l = F_q[t]/(t^l) on lists of
+# F_q coefficients; codes are read off the lists as the module documents.
+
+
+def _oracle_ring(p, f, ell):
+    modulus = CONWAY_POLYS[(p, f)] if f > 1 else (0, 1)
+    q = p**f
+
+    def fq_add(x, y):
+        return [(a + b) % p for a, b in zip(x, y)]
+
+    def fq_mul(x, y):
+        prod = [0] * (2 * f - 1)
+        for i, a in enumerate(x):
+            for j, b in enumerate(y):
+                prod[i + j] += a * b
+        for d in range(2 * f - 2, f - 1, -1):  # x^f = -(modulus without its top term)
+            c = prod[d] % p
+            prod[d] = 0
+            for j in range(f):
+                prod[d - f + j] -= c * modulus[j]
+        return [c % p for c in prod[:f]]
+
+    def decode(code):
+        coeffs = [(code // q**i) % q for i in range(ell)]
+        return [[(c // p**j) % p for j in range(f)] for c in coeffs]
+
+    def encode(elem):
+        return sum(sum(d * p**j for j, d in enumerate(c)) * q**i for i, c in enumerate(elem))
+
+    def add(a, b):
+        return encode([fq_add(x, y) for x, y in zip(decode(a), decode(b))])
+
+    def neg(a):
+        return encode([[-d % p for d in c] for c in decode(a)])
+
+    def mul(a, b):
+        x, y = decode(a), decode(b)
+        out = [[0] * f for _ in range(ell)]
+        for i in range(ell):
+            for j in range(ell - i):
+                out[i + j] = fq_add(out[i + j], fq_mul(x[i], y[j]))
+        return encode(out)
+
+    def trace(c):  # Tr_{F_q/F_p}(c) = c + c^p + ... + c^(p^(f-1)), a constant
+        s, power = [0] * f, c
+        for _ in range(f):
+            s = fq_add(s, power)
+            frob = [1] + [0] * (f - 1)
+            for _ in range(p):
+                frob = fq_mul(frob, power)
+            power = frob
+        assert not any(s[1:])
+        return s[0]
+
+    def phi_exponent(a):
+        return trace(decode(a)[ell - 1])
+
+    return add, neg, mul, phi_exponent
+
+
+# every equal ring the tests and the benchmark use, their residue fields, and
+# one ring of each residue degree on record
+@pytest.mark.parametrize("key", [
+    "equal:2^1", "equal:2^2", "equal:2^3", "equal:3^1", "equal:3^2", "equal:3^3",
+    "equal:4^1", "equal:4^2", "equal:4^3", "equal:5^1", "equal:5^2", "equal:7^1",
+    "equal:8^1", "equal:8^2", "equal:9^1", "equal:16^1", "equal:25^1", "equal:27^1",
+    "equal:32^1", "equal:49^1", "equal:64^1",
+])
+def test_equal_family_matches_coefficient_list_oracle(key):
+    desc = parse_ring(key)
+    ring = get_ring(desc)
+    add, neg, mul, phi_exponent = _oracle_ring(desc.p, desc.f, desc.ell)
+    R = ring.size
+    codes = np.arange(R)
+    want_add = np.array([[add(a, b) for b in range(R)] for a in range(R)])
+    want_mul = np.array([[mul(a, b) for b in range(R)] for a in range(R)])
+    want_neg = np.array([neg(a) for a in range(R)])
+    want_inv = np.array([next((b for b in range(R) if want_mul[a, b] == 1), 0)
+                         for a in range(R)])
+    assert [[ring.add(a, b) for b in range(R)] for a in range(R)] == want_add.tolist()
+    assert [[ring.mul(a, b) for b in range(R)] for a in range(R)] == want_mul.tolist()
+    assert [ring.neg(a) for a in range(R)] == want_neg.tolist()
+    assert [ring.inv(a) for a in ring.unit_codes()] == want_inv[ring.unit_codes()].tolist()
+    assert np.array_equal(ring.v_add(codes[:, None], codes[None, :]), want_add)
+    assert np.array_equal(ring.v_mul(codes[:, None], codes[None, :]), want_mul)
+    assert np.array_equal(ring.v_neg(codes), want_neg)
+    assert np.array_equal(ring.v_sub(codes[:, None], codes[None, :]), want_add[:, want_neg])
+    assert np.array_equal(ring.v_inv(), want_inv)
+    assert np.array_equal(ring.phi_exponents(), [phi_exponent(a) for a in range(R)])
