@@ -8,9 +8,7 @@ independent brute-force character computation, all in exact arithmetic.
 
 __version__ = "0.1.0"
 
-from .localring import (AdditiveChar, RingDesc, RingElem, RingKind, get_ring,
-                        is_unit, parse_ring, primitive_char, project, ring_make,
-                        units, valuation)
+from .localring import RingDesc, RingKind, get_ring, parse_ring, ring_make
 from .linalg import (Mat, Poly, char_poly, companion, det, factor_poly, inverse,
                      min_poly, monic_irreducibles, solve_count, span_size)
 from .cyclotomic import (CycloNum, IntegralityError, NonRationalError,
@@ -21,10 +19,9 @@ from .groups import (CapExceeded, GroupSpec, GroupTable, SubgroupHandle,
 from .regular import (TypeMatrix, a_regular, centralizer_order_residue,
                       count_a_regular_classes, iota, is_cyclic, is_regular,
                       type_of)
-from .whittaker_verify import (DualityChar, NonDegenChar, VerificationReport,
-                               induced_dim, induced_norm, phi_x_value,
-                               predicted_dim_sum, predicted_regular_count,
-                               theta_value, verify_multiplicity_one)
+from .whittaker_verify import (NonDegenChar, VerificationReport, induced_dim,
+                               induced_norm, phi_x_exponents, predicted_dim_sum,
+                               predicted_regular_count, verify_multiplicity_one)
 from .chartab import (CharTable, ClassData, character_table, classify_regular,
                       conjugacy_classes, decompose_induced, restriction_norm,
                       special_regular_scan)

@@ -28,7 +28,9 @@ from pathlib import Path
 
 import numpy as np
 
+from .chartab import CharTable, ClassData, character_table
 from .groups import GroupSpec, GroupTable, enumerate_group
+from .linalg import monic_irreducibles
 
 CACHE_ENV = "WHITTAKER_CACHE_DIR"
 FORMAT_VERSION = 1
@@ -149,10 +151,7 @@ def chartab_cache_key(spec: GroupSpec) -> str:
     return f"chartab/v{FORMAT_VERSION}/{spec.key()}"
 
 
-def save_char_table(ct, cache_dir: Path) -> Path:
-    from .chartab import CharTable
-
-    assert isinstance(ct, CharTable)
+def save_char_table(ct: CharTable, cache_dir: Path) -> Path:
     cd = ct.cd
     meta = {
         "e": ct.e,
@@ -168,9 +167,7 @@ def save_char_table(ct, cache_dir: Path) -> Path:
                    "rows": ct.rows.astype(np.int64)})
 
 
-def load_char_table(table: GroupTable, cache_dir: Path):
-    from .chartab import CharTable, ClassData
-
+def load_char_table(table: GroupTable, cache_dir: Path) -> CharTable | None:
     got = _read(chartab_cache_key(table.spec), cache_dir)
     if got is None:
         return None
@@ -184,14 +181,12 @@ def load_char_table(table: GroupTable, cache_dir: Path):
     return ct
 
 
-def cached_char_table(table: GroupTable, cache_dir: Path | None, cap: int):
-    from .chartab import character_table, conjugacy_classes
-
+def cached_char_table(table: GroupTable, cache_dir: Path | None, cap: int) -> CharTable:
     if cache_dir is not None:
         got = load_char_table(table, cache_dir)
         if got is not None:
             return got
-    ct = character_table(conjugacy_classes(table), cap)
+    ct = character_table(table, cap)
     if cache_dir is not None:
         save_char_table(ct, cache_dir)
     return ct
@@ -203,6 +198,4 @@ def cached_irreducibles(q: int, cap: int):
     Kept only because the benchmark's layer tracer binds this name: the next
     benchmark change should delete it together with its call in `cli._chartab`.
     """
-    from .linalg import monic_irreducibles
-
     return monic_irreducibles(q, cap)

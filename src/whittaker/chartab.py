@@ -24,13 +24,14 @@ from .localring import all_tuples, get_ring, is_prime
 from .linalg import Mat, mat_mul, min_poly
 from .groups import (CapExceeded, GroupTable, SubgroupHandle,
                      congruence_subgroup, unipotent_subgroup)
-from .whittaker_verify import NonDegenChar, predictions_supported
+from .whittaker_verify import NonDegenChar, phi_x_exponents, predictions_supported
 from .regular import TypeMatrix, type_of, iota
 
 CHARTAB_CAP = 100_000
 CLASS_SWEEP_CAP = 100_000
 PRIME_SEARCH_BOUND = 10_000_000
 ROOT_SCAN_BOUND = 1_000_000
+CLASSIFY_PAIR_CAP = 1 << 22
 
 
 # ---------------------------------------------------------------------------
@@ -68,11 +69,11 @@ class ClassData:
         return self.class_of[table.ids_of(np.stack(pows))].tolist()
 
 
-def conjugacy_classes(table: GroupTable, cap: int = CLASS_SWEEP_CAP) -> ClassData:
+def conjugacy_classes(table: GroupTable) -> ClassData:
     """Partition by full conjugation sweeps (one batched orbit per class)."""
     N = len(table)
-    if N > cap:
-        raise CapExceeded(f"|G| = {N} beyond the class-sweep cap {cap}")
+    if N > CLASS_SWEEP_CAP:
+        raise CapExceeded(f"|G| = {N} beyond the class-sweep cap {CLASS_SWEEP_CAP}")
     ring = table.ring
     elems = table.elems
     invs = table.inverses()
@@ -110,15 +111,15 @@ def conjugacy_classes(table: GroupTable, cap: int = CLASS_SWEEP_CAP) -> ClassDat
 # arithmetic mod the Dixon prime r
 
 
-def dixon_prime(exponent: int, order: int, bound: int = PRIME_SEARCH_BOUND) -> int:
+def dixon_prime(exponent: int, order: int) -> int:
     """Smallest prime r = 1 mod exponent with r > 2 sqrt(order)."""
     floor = 2 * isqrt(order)
     r = exponent + 1
-    while r <= bound:
+    while r <= PRIME_SEARCH_BOUND:
         if r > floor and is_prime(r):
             return r
         r += exponent
-    raise CapExceeded(f"no Dixon prime below {bound} for exponent {exponent}")
+    raise CapExceeded(f"no Dixon prime below {PRIME_SEARCH_BOUND} for exponent {exponent}")
 
 
 def primitive_root(r: int) -> int:
@@ -279,21 +280,26 @@ class CharTable:
         return CycloNum(self.e, self.rows[t, i].tolist())
 
     def verify(self) -> None:
-        """Exact completeness and both orthogonality relations; raises on failure."""
-        order = len(self.table)
+        """Exact completeness and row orthogonality; raises on failure.
+
+        The column relation follows and is not computed.  The values form a
+        square k x k matrix R over Z[zeta_e], and with H the diagonal of the
+        class sizes the row relation says R H R* = |G| I.  So R is invertible
+        with R^-1 = H R* / |G|, and R* R = |G| H^-1 holds exactly: that is
+        sum_t chi_t(i) conj(chi_t(j)) = delta_ij |C(g_i)|.
+        """
+        k, order = self.k, len(self.table)
+        rows, e, h = self.rows, self.e, self.cd.sizes
+        if rows.shape != (k, k, e) or len(self.degrees) != k:
+            raise AssertionError("the table is not square in its k classes")
         if int(np.sum(self.degrees**2)) != order:
             raise AssertionError("sum of squared degrees differs from |G|")
         if any(order % int(d) for d in self.degrees):
             raise AssertionError("a degree does not divide |G|")
-        rows, e, h = self.rows, self.e, self.cd.sizes
         # row orthogonality: sum_i h_i chi_s(i) conj(chi_t(i)) = delta |G|
         prods = integer_values(pairings(rows * h[None, :, None], rows), e)
-        if not np.array_equal(prods, order * np.eye(self.k, dtype=np.int64)):
+        if not np.array_equal(prods, order * np.eye(k, dtype=np.int64)):
             raise AssertionError("row orthogonality fails")
-        # column orthogonality: sum_t chi_t(i) conj(chi_t(j)) = delta |C(g_i)|
-        cols = rows.transpose(1, 0, 2)
-        if not np.array_equal(integer_values(pairings(cols, cols), e), np.diag(order // h)):
-            raise AssertionError("column orthogonality fails")
         if not (np.array_equal(rows[:, 0, 0], self.degrees) and not np.any(rows[:, 0, 1:])):
             raise AssertionError("degrees differ from the identity-class values")
 
@@ -314,11 +320,16 @@ def class_matrix(cd: ClassData, j: int, r: int) -> np.ndarray:
     return M % r
 
 
-def character_table(cd: ClassData, cap: int = CHARTAB_CAP) -> CharTable:
-    """Dixon-Schneider character table with exact cyclotomic lifting."""
-    order = len(cd.table)
+def character_table(table: GroupTable, cap: int = CHARTAB_CAP) -> CharTable:
+    """Dixon-Schneider character table with exact cyclotomic lifting.
+
+    |G| is compared with the cap before the class sweep, so a refused table
+    costs no sweep.
+    """
+    order = len(table)
     if order > cap:
         raise CapExceeded(f"|G| = {order} beyond character-table cap {cap}")
+    cd = conjugacy_classes(table)
     k = cd.k
     e = cd.exponent()
     r = dixon_prime(e, order)
@@ -437,12 +448,13 @@ class RegularFlag:
     label: str | None
 
 
-def classify_regular(ct: CharTable, cap_pairs: int = 1 << 22) -> list[RegularFlag]:
+def classify_regular(ct: CharTable) -> list[RegularFlag]:
     """Classify irreducibles by their restriction to K^(l-1).
 
     For each chi and each x in g(F_q), computes <chi|_{K^(l-1)}, phi_x>
-    exactly; chi is regular iff every x with nonzero pairing is regular,
-    and the common factorization type of those x gives the label.
+    exactly, with phi_x from whittaker_verify.phi_x_exponents; chi is regular
+    iff every x with nonzero pairing is regular, and the common factorization
+    type of those x gives the label.
     """
     table = ct.table
     spec = table.spec
@@ -458,18 +470,13 @@ def classify_regular(ct: CharTable, cap_pairs: int = 1 << 22) -> list[RegularFla
     vpk = ring.q ** (ell - 1)
     yprimes = (ksub.elements() - np.eye(n, dtype=np.int64)[None]) // vpk % q
     y_classes = ct.cd.class_of[ksub.ids]
-    # all x in g(F_q) (trace 0 for sl)
+    # all x in g(F_q) (trace 0 for sl); a residue code is its own lift to o_l
     xs = _lie_algebra_residue(spec)
-    if len(xs) * len(yprimes) > cap_pairs:
+    if len(xs) * len(yprimes) > CLASSIFY_PAIR_CAP:
         raise CapExceeded("classification pair count beyond cap")
-    tr = np.zeros((len(xs), len(yprimes)), dtype=np.int64)
-    for a in range(n):
-        for b in range(n):
-            tr = res.v_add(tr, res.v_mul(xs[:, a, b][:, None], yprimes[:, b, a][None, :]))
-    # pairing exponents phi(pi^(l-1) tr(x y')) of zeta_e; tr is a residue code
-    # below q, so pi^(l-1) tr has the code tr * vpk
     e, k, X = ct.e, ct.k, len(xs)
-    expo = ring.phi_exponents()[tr * vpk] * (e // ring.char_order)
+    # phi_x(y) as exponents of zeta_e
+    expo = phi_x_exponents(ring, ell - 1, xs, yprimes) * (e // ring.char_order)
     # phi_x summed class by class over K^(l-1), f[x, class, exponent], is
     # passed inline so that it is freed before integer_values
     cells = (np.arange(X)[:, None] * k + y_classes[None, :]) * e + expo

@@ -27,6 +27,12 @@ add/mul/neg tables that each ring builds once, by array arithmetic on
 digits: F_q = F_p[x]/(modulus) on base-p digits, and o_l = F_q[t]/(t^l)
 on base-q digits over the residue field's tables.  A ring above
 TABLE_GATE elements raises CapExceeded instead.
+
+Elements are these int codes, and numpy arrays of them in the vectorized
+operations; there is no element object.  The canonical primitive additive
+character phi is one exponent map, Ring.phi_exponents(): phi(x) is
+zeta_m^phi_exponents()[x] with m = char_order, and its twist phi_a(x) =
+phi(a x) by a unit a is phi_exponents()[a x].
 """
 
 from __future__ import annotations
@@ -34,11 +40,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, lru_cache
-from typing import Iterator
 
 import numpy as np
-
-from .cyclotomic import CycloNum
 
 # ---------------------------------------------------------------------------
 # fixed modulus polynomials for F_{p^f}, f >= 2 (coefficients ascending)
@@ -370,127 +373,3 @@ class Ring:
 @lru_cache(maxsize=None)
 def get_ring(desc: RingDesc) -> Ring:
     return Ring(desc)
-
-
-# ---------------------------------------------------------------------------
-# element and character wrappers
-
-
-@dataclass(frozen=True)
-class RingElem:
-    """An element of o_l in canonical representation."""
-
-    desc: RingDesc
-    code: int
-
-    def __post_init__(self):
-        if not 0 <= self.code < self.desc.size:
-            raise ValueError("code out of range")
-
-    @property
-    def ring(self) -> Ring:
-        return get_ring(self.desc)
-
-    @property
-    def repr_value(self):
-        """Canonical residue: an integer (mixed) or coefficient tuple (equal)."""
-        if self.desc.kind is RingKind.MIXED:
-            return self.code
-        q = self.desc.q
-        return tuple((self.code // q**i) % q for i in range(self.desc.ell))
-
-    def __add__(self, other: "RingElem") -> "RingElem":
-        self._same(other)
-        return RingElem(self.desc, self.ring.add(self.code, other.code))
-
-    def __sub__(self, other: "RingElem") -> "RingElem":
-        self._same(other)
-        return RingElem(self.desc, self.ring.sub(self.code, other.code))
-
-    def __mul__(self, other: "RingElem") -> "RingElem":
-        self._same(other)
-        return RingElem(self.desc, self.ring.mul(self.code, other.code))
-
-    def __neg__(self) -> "RingElem":
-        return RingElem(self.desc, self.ring.neg(self.code))
-
-    def inverse(self) -> "RingElem":
-        return RingElem(self.desc, self.ring.inv(self.code))
-
-    def _same(self, other: "RingElem"):
-        if self.desc != other.desc:
-            raise ValueError("elements of different rings")
-
-    def __repr__(self):
-        return f"RingElem({self.desc.key()}, {self.repr_value})"
-
-
-def elem(desc: RingDesc, code: int) -> RingElem:
-    return RingElem(desc, code % desc.size)
-
-
-def project(x: RingElem, i: int) -> RingElem:
-    """Natural projection o_l -> o_i, a ring homomorphism."""
-    ring = x.ring
-    code = ring.project_code(x.code, i)
-    return RingElem(ring.subring(i).desc, code)
-
-
-def is_unit(x: RingElem) -> bool:
-    return x.ring.is_unit(x.code)
-
-
-def valuation(x: RingElem) -> int:
-    return x.ring.valuation(x.code)
-
-
-def units(desc: RingDesc) -> Iterator[RingElem]:
-    """All units of o_l in canonical enumeration order."""
-    ring = get_ring(desc)
-    for code in ring.unit_codes():
-        yield RingElem(desc, code)
-
-
-class AdditiveChar:
-    """Primitive additive character phi_a(x) = phi(a*x) of o_l, a a unit.
-
-    Values are roots of unity of order m = p^l (mixed) or p (equal); the
-    character is represented by its exponent map into Z/m.
-    """
-
-    def __init__(self, ring: Ring, a_code: int):
-        if not ring.is_unit(a_code):
-            raise ValueError("character twist must be a unit")
-        self.ring = ring
-        self.a_code = a_code
-        self.m = ring.char_order
-        self._base = ring.phi_exponents()
-
-    def exponent(self, x_code: int) -> int:
-        return int(self._base[self.ring.mul(self.a_code, x_code)])
-
-    def exponents(self, codes) -> np.ndarray:
-        prod = self.ring.v_mul(np.full_like(np.asarray(codes), self.a_code), codes)
-        return self._base[np.asarray(prod, dtype=np.intp)]
-
-    def value(self, x) -> CycloNum:
-        code = x.code if isinstance(x, RingElem) else int(x)
-        c = [0] * self.m
-        c[self.exponent(code)] = 1
-        return CycloNum(self.m, c)
-
-    def is_primitive(self) -> bool:
-        """Check nontriviality on pi^(l-1) o_l (exhaustive)."""
-        top = self.ring.q ** (self.ring.ell - 1)
-        return any(self.exponent(c * top) != 0 for c in range(1, self.ring.q))
-
-    def table(self) -> tuple[int, ...]:
-        """Exponent of phi_a on every element, in enumeration order."""
-        return tuple(self.exponent(x) for x in range(self.ring.size))
-
-
-def primitive_char(desc: RingDesc, a: RingElem | int = 1) -> AdditiveChar:
-    """The primitive character phi_a; phi_1 is the canonical base character."""
-    ring = get_ring(desc)
-    a_code = a.code if isinstance(a, RingElem) else int(a)
-    return AdditiveChar(ring, a_code)

@@ -18,7 +18,7 @@ from math import gcd
 
 import numpy as np
 
-from .localring import Ring, RingDesc, RingElem, all_tuples, get_ring
+from .localring import Ring, RingDesc, all_tuples, get_ring
 from .linalg import (GF_ring, Mat, Poly, char_poly, companion, factor_poly, mat_det_batch,
                      min_poly, monic_irreducibles)
 from .groups import GroupSpec, matrix_powers
@@ -60,20 +60,17 @@ def is_cyclic(x: Mat) -> bool:
 # a-regular canonical forms
 
 
-def a_regular(desc: RingDesc, n: int, a, coeffs) -> Mat:
+def a_regular(desc: RingDesc, n: int, a: int, coeffs) -> Mat:
     """The canonical regular matrix with subdiagonal (a, 1, ..., 1) and last
     column (x_1, ..., x_n); distinct coefficient tuples give distinct
     characteristic polynomials for fixed a."""
-    ring = get_ring(desc)
-    a_code = a.code if isinstance(a, RingElem) else int(a)
-    if not ring.is_unit(a_code):
+    if not get_ring(desc).is_unit(a):
         raise ValueError("a must be a unit")
-    coeffs = [c.code if isinstance(c, RingElem) else int(c) for c in coeffs]
     if len(coeffs) != n:
         raise ValueError(f"expected {n} coefficients")
     m = np.zeros((n, n), dtype=np.int64)
     if n > 1:
-        m[1, 0] = a_code
+        m[1, 0] = a
     for i in range(2, n):
         m[i, i - 1] = 1
     for i in range(n):
@@ -90,20 +87,12 @@ def a_regular_coeff_tuples(spec: GroupSpec, ring: Ring):
     return out
 
 
-def count_a_regular_classes(family: str, n: int, desc: RingDesc, strict: bool = True) -> int:
+def count_a_regular_classes(family: str, n: int, desc: RingDesc) -> int:
     """Number of a-regular conjugacy classes of g(o_r) for a fixed unit a:
-    q^(n r) for gl_n, q^((n-1) r) for sl_n."""
-    _check_sl_char(family, n, desc, strict)
+    q^(n r) for gl_n, q^((n-1) r) for sl_n.  For sl_n the count holds where
+    (p,2) = (p,n) = 1 (whittaker_verify.predictions_supported)."""
     d = n if family == "GL" else n - 1
     return desc.q ** (d * desc.ell)
-
-
-def _check_sl_char(family: str, n: int, desc: RingDesc, strict: bool):
-    if strict and family == "SL" and (desc.p == 2 or n % desc.p == 0):
-        raise ValueError(
-            "sl-type counting requires (p,2) = (p,n) = 1; "
-            f"got p = {desc.p}, n = {n}"
-        )
 
 
 # ---------------------------------------------------------------------------

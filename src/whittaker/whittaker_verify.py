@@ -19,6 +19,13 @@ is analyzed through two independent routes:
 
 Norm = count and dim = dimension sum certify, at this (group, a), that
 Ind theta_a is multiplicity free with the predicted constituent set.
+
+Both characters are exponent maps on code arrays, read off the one table
+Ring.phi_exponents() of phi: theta_a is NonDegenChar.exponents_on, on a
+stack of unipotent matrices, and the duality character
+phi_x(I + pi^i y') = phi(pi^i tr(x y')) of the congruence kernel K^i is
+phi_x_exponents, on a stack of x against a stack of y'.  The verdicts and
+the lemma tests call the same two functions.
 """
 
 from __future__ import annotations
@@ -27,10 +34,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cyclotomic import CycloNum, integer_values
+from .cyclotomic import integer_values
 from .cyclotomic import IntegralityError  # noqa: F401  re-exported under its old home
-from .localring import Ring, RingElem, get_ring, primitive_char
-from .linalg import Mat, mat_mul, mat_inv_batch
+from .localring import Ring, get_ring
+from .linalg import mat_mul, mat_inv_batch
 from .groups import (
     GroupSpec,
     GroupTable,
@@ -40,7 +47,7 @@ from .groups import (
     unipotent_order,
     centralizer_order_by_units,
 )
-from .regular import a_regular, a_regular_coeff_tuples, _check_sl_char
+from .regular import a_regular, a_regular_coeff_tuples
 
 
 # ---------------------------------------------------------------------------
@@ -50,14 +57,13 @@ from .regular import a_regular, a_regular_coeff_tuples, _check_sl_char
 class NonDegenChar:
     """theta_a on U(o_l), built from the fixed primitive character phi = phi_1."""
 
-    def __init__(self, spec: GroupSpec, a):
+    def __init__(self, spec: GroupSpec, a: int):
         self.spec = spec
         self.ring = get_ring(spec.ring)
-        self.a_code = a.code if isinstance(a, RingElem) else int(a)
+        self.a_code = int(a)
         if not self.ring.is_unit(self.a_code):
             raise ValueError("theta_a requires a unit twist a")
-        self.phi = primitive_char(spec.ring, 1)
-        self.m = self.phi.m
+        self.m = self.ring.char_order
         self._expo = self.ring.phi_exponents()
 
     def exponents_on(self, batch: np.ndarray) -> np.ndarray:
@@ -70,18 +76,6 @@ class NonDegenChar:
             s = ring.v_add(s, batch[..., i, i + 1])
         return self._expo[np.asarray(s, dtype=np.intp)]
 
-    def exponent(self, u_codes) -> int:
-        return int(self.exponents_on(np.asarray(u_codes, dtype=np.int64)[None])[0])
-
-
-def theta_value(theta: NonDegenChar, u: Mat) -> CycloNum:
-    """Value of theta_a at u in U(o_l), as an exact root of unity."""
-    if u.desc != theta.spec.ring or not unipotent_mask(u.a, u.n):
-        raise ValueError("theta is defined on unipotent upper-triangular matrices")
-    c = [0] * theta.m
-    c[theta.exponent(u.a)] = 1
-    return CycloNum(theta.m, c)
-
 
 def unipotent_mask(batch: np.ndarray, n: int) -> np.ndarray:
     mask = np.ones(batch.shape[:-2], dtype=bool)
@@ -92,55 +86,25 @@ def unipotent_mask(batch: np.ndarray, n: int) -> np.ndarray:
     return mask
 
 
-class DualityChar:
-    """phi_x on the congruence kernel K^i, for x over o_{l-i} and i >= ceil(l/2).
+def phi_x_exponents(ring: Ring, i: int, lifts: np.ndarray, levels: np.ndarray) -> np.ndarray:
+    """Exponents of phi_x(y) = phi(pi^i tr(x_hat y')) of zeta_m, m = ring.char_order,
+    as an (X, Y) array over a stack of lifts x_hat and a stack of levels y'.
 
-    On y = I + pi^i y' the value is phi(pi^i tr(x_hat y')), independent of
-    the chosen lift x_hat of x.
+    x is a matrix over o_(l-i), x_hat any lift of it to o_l (an (X, n, n) code
+    stack), and y = I + pi^i y' runs over the congruence kernel K^i (an
+    (Y, n, n) code stack of y').  For ceil(l/2) <= i <= l the value does not
+    depend on the lift, and x -> phi_x is the duality onto the characters of K^i.
     """
-
-    def __init__(self, group_ring: Ring, i: int, x: Mat, lift: np.ndarray | None = None):
-        ell = group_ring.ell
-        if i < (ell + 1) // 2 or i > ell:
-            raise ValueError(f"duality requires ceil(l/2) <= i <= l; got i = {i}, l = {ell}")
-        sub = group_ring.subring(ell - i) if i < ell else None
-        if i < ell and x.desc != sub.desc:
-            raise ValueError(f"x must live over o_{ell - i}")
-        self.ring = group_ring
-        self.i = i
-        self.x = x
-        self.lift = np.asarray(lift, dtype=np.int64) if lift is not None else x.a.copy()
-        if i < ell and not np.array_equal(self.lift % group_ring.q ** (ell - i), x.a):
-            raise ValueError("lift does not reduce to x")
-        self.m = group_ring.char_order
-        self._expo = group_ring.phi_exponents()
-
-    def exponent_from_level(self, yprime: np.ndarray) -> int:
-        """Exponent at y = I + pi^i y', with y' given as a code matrix."""
-        ring = self.ring
-        t = 0
-        n = yprime.shape[0]
-        prod = mat_mul(ring, self.lift, yprime)
-        for k in range(n):
-            t = ring.add(t, int(prod[k, k]))
-        return int(self._expo[ring.mul_varpi_pow(t, self.i)])
-
-    def exponent(self, y_codes: np.ndarray) -> int:
-        ring = self.ring
-        y = np.asarray(y_codes, dtype=np.int64)
-        diff = ring.v_sub(y, np.eye(y.shape[0], dtype=np.int64))
-        if np.any(diff % ring.q**self.i != 0):
-            raise ValueError(f"element is not in K^{self.i}")
-        yprime = diff // ring.q**self.i
-        return self.exponent_from_level(yprime)
-
-
-def phi_x_value(d: DualityChar, y: Mat) -> CycloNum:
-    """Value of phi_x at y in K^i."""
-    e = d.exponent(y.a)
-    c = [0] * d.m
-    c[e] = 1
-    return CycloNum(d.m, c)
+    ell = ring.ell
+    if i < (ell + 1) // 2 or i > ell:
+        raise ValueError(f"duality requires ceil(l/2) <= i <= l; got i = {i}, l = {ell}")
+    n = lifts.shape[-1]
+    tr = np.zeros((len(lifts), len(levels)), dtype=np.int64)
+    for a in range(n):
+        for b in range(n):
+            tr = ring.v_add(tr, ring.v_mul(lifts[:, a, b][:, None], levels[:, b, a][None, :]))
+    # pi^i t has the code (t mod q^(l-i)) q^i in both families
+    return ring.phi_exponents()[tr % ring.q ** (ell - i) * ring.q**i]
 
 
 # ---------------------------------------------------------------------------
@@ -161,7 +125,7 @@ def induced_dim(spec: GroupSpec, table: GroupTable | None = None) -> int:
     return dim
 
 
-def induced_norm(spec: GroupSpec, a) -> int:
+def induced_norm(spec: GroupSpec, a: int) -> int:
     """<Ind_U^G theta_a, Ind_U^G theta_a> by the exact Frobenius sum over a
     G/U transversal.
 
@@ -191,30 +155,30 @@ def induced_norm(spec: GroupSpec, a) -> int:
 
 
 def predictions_supported(spec: GroupSpec) -> bool:
-    """The regular-count/dimension predictions require (p,2) = (p,n) = 1 for SL."""
+    """The one gate of the regular-count/dimension predictions: for SL they
+    require (p,2) = (p,n) = 1."""
     if spec.family == "GL":
         return True
     p = spec.ring.p
     return p != 2 and spec.n % p != 0
 
 
-def predicted_regular_count(spec: GroupSpec, a, strict: bool = True) -> int:
+def predicted_regular_count(spec: GroupSpec, a: int) -> int:
     """Predicted number of constituents of Ind theta_a: the number of
     a-regular irreducibles.
 
     Even l = 2m: sum over a-regular classes x of g(o_m) of |C_{G(o_m)}(x)|.
     Odd l = 2m+1: the same sum times q^d, d the residue centralizer
-    dimension.  Centralizer orders come from unit groups of o_m[x].
+    dimension.  Centralizer orders come from unit groups of o_m[x].  The
+    formula is asserted only where predictions_supported(spec) holds.
     """
     ring = get_ring(spec.ring)
     if ring.ell < 2:
         raise ValueError("predictions require l >= 2")
-    _check_sl_char(spec.family, spec.n, spec.ring, strict)
     m_level = ring.ell // 2
     sub = ring.subring(m_level)
     spec_m = GroupSpec(spec.family, spec.n, sub.desc)
-    a_code = a.code if isinstance(a, RingElem) else int(a)
-    a_m = ring.project_code(a_code, m_level)
+    a_m = ring.project_code(a, m_level)
     xs = np.stack([a_regular(sub.desc, spec.n, a_m, [int(c) for c in coeffs]).a
                    for coeffs in a_regular_coeff_tuples(spec, sub)])
     total = int(centralizer_order_by_units(spec_m, xs).sum())
@@ -223,17 +187,17 @@ def predicted_regular_count(spec: GroupSpec, a, strict: bool = True) -> int:
     return total
 
 
-def predicted_dim_sum(spec: GroupSpec, strict: bool = True) -> int:
+def predicted_dim_sum(spec: GroupSpec) -> int:
     """Predicted sum of dimensions of the a-regular irreducibles (closed form).
 
     Even l = 2m: q^(d m) |G(o_m)|; odd l = 2m+1: q^(d m) q^((d_g + d)/2)
     |G(o_m)|, with d_g = dim g and d the regular residue centralizer
-    dimension.  The multiplicity-one theorem makes this equal [G : U].
+    dimension.  The multiplicity-one theorem makes this equal [G : U]; it
+    is asserted only where predictions_supported(spec) holds.
     """
     ring = get_ring(spec.ring)
     if ring.ell < 2:
         raise ValueError("predictions require l >= 2")
-    _check_sl_char(spec.family, spec.n, spec.ring, strict)
     m_level = ring.ell // 2
     q = ring.q
     d = spec.reg_centralizer_dim
@@ -301,7 +265,7 @@ class VerificationReport:
 
 def verify_multiplicity_one(
     spec: GroupSpec,
-    a,
+    a: int,
     table: GroupTable | None = None,
 ) -> VerificationReport:
     """Full verdict at one (group, a): norm = regular count and
@@ -309,17 +273,16 @@ def verify_multiplicity_one(
 
     For SL with p | 2n the predictions are skipped (reported as such).
     """
-    a_code = a.code if isinstance(a, RingElem) else int(a)
     ring = get_ring(spec.ring)
     dim = induced_dim(spec, table)
-    norm = induced_norm(spec, a_code)
+    norm = induced_norm(spec, a)
     checks = [
         CheckRecord("induced-norm-positive-and-bounded", f"1..{dim}", norm,
                     1 <= norm <= dim),
     ]
     pcount = pdim = None
     if predictions_supported(spec):
-        pcount = predicted_regular_count(spec, a_code)
+        pcount = predicted_regular_count(spec, a)
         pdim = predicted_dim_sum(spec)
         checks.append(CheckRecord("whittaker-norm-equals-regular-count", pcount, norm,
                                   norm == pcount))
@@ -334,7 +297,7 @@ def verify_multiplicity_one(
                                   printed == dim, informational=True))
     return VerificationReport(
         spec_key=spec.key(),
-        a_code=a_code,
+        a_code=a,
         ind_dim=dim,
         ind_norm=norm,
         predicted_count=pcount,

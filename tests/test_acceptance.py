@@ -17,8 +17,7 @@ from whittaker.whittaker_verify import (induced_dim, induced_norm,
                                         predicted_dim_sum,
                                         predicted_regular_count,
                                         verify_multiplicity_one, NonDegenChar)
-from whittaker.chartab import (character_table, classify_regular,
-                               conjugacy_classes, decompose_induced,
+from whittaker.chartab import (character_table, classify_regular, decompose_induced,
                                restriction_norm, sl_class_profile,
                                special_regular_scan)
 from whittaker.regular import iota
@@ -41,7 +40,7 @@ def _table(spec):
 
 def _ct(spec):
     if spec.key() not in _cts:
-        _cts[spec.key()] = character_table(conjugacy_classes(_table(spec)))
+        _cts[spec.key()] = character_table(_table(spec))
     return _cts[spec.key()]
 
 
@@ -110,7 +109,7 @@ def test_criterion_05_character_table_cross_checks():
     for spec, order, units, constituents in jobs:
         ct = _ct(spec)
         assert len(ct.table) == order
-        ct.verify()  # both orthogonality relations + completeness, exact
+        ct.verify()  # completeness and row orthogonality (column follows), exact
         for a in units:
             m = decompose_induced(ct, NonDegenChar(spec, a))
             assert m.max() <= 1
@@ -227,8 +226,8 @@ def test_note_n3_property_based_transversal():
     assert induced_dim(gl) == 1344 == predicted_dim_sum(gl)
     assert induced_norm(gl, 1) == 32 == predicted_regular_count(gl, 1)
     sl = GroupSpec("SL", 3, Z4)
-    assert induced_dim(sl) == 672 == predicted_dim_sum(sl, strict=False)
-    assert induced_norm(sl, 1) == 16 == predicted_regular_count(sl, 1, strict=False)
+    assert induced_dim(sl) == 672 == predicted_dim_sum(sl)
+    assert induced_norm(sl, 1) == 16 == predicted_regular_count(sl, 1)
     gl_eq = GroupSpec("GL", 3, F2T2)
     assert induced_dim(gl_eq) == 1344 == predicted_dim_sum(gl_eq)
     assert induced_norm(gl_eq, 1) == 32 == predicted_regular_count(gl_eq, 1)

@@ -3,7 +3,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from whittaker.cyclotomic import IntegralityError
+from whittaker.cyclotomic import IntegralityError, integer_values, pairings
 from whittaker.localring import get_ring, ring_make
 from whittaker.groups import CapExceeded, GroupSpec, enumerate_group, unipotent_subgroup
 from whittaker.whittaker_verify import NonDegenChar, induced_norm
@@ -24,17 +24,17 @@ F3 = ring_make("mixed", 3, 1, 1)
 
 @pytest.fixture(scope="module")
 def sl2f3_ct():
-    return character_table(conjugacy_classes(enumerate_group(GroupSpec("SL", 2, F3))))
+    return character_table(enumerate_group(GroupSpec("SL", 2, F3)))
 
 
 @pytest.fixture(scope="module")
 def gl2z4_ct():
-    return character_table(conjugacy_classes(enumerate_group(GroupSpec("GL", 2, Z4))))
+    return character_table(enumerate_group(GroupSpec("GL", 2, Z4)))
 
 
 @pytest.fixture(scope="module")
 def sl2z9_ct():
-    return character_table(conjugacy_classes(enumerate_group(GroupSpec("SL", 2, Z9))))
+    return character_table(enumerate_group(GroupSpec("SL", 2, Z9)))
 
 
 # -- mod-r helpers -------------------------------------------------------------
@@ -162,6 +162,15 @@ def test_orthogonality_verification_runs(gl2z4_ct):
     gl2z4_ct.verify()
 
 
+def test_column_orthogonality(gl2z4_ct, sl2z9_ct):
+    # sum_t chi_t(i) conj(chi_t(j)) = delta_ij |C(g_i)|: verify checks only the
+    # row relation, which implies this one for a square table
+    for ct in (gl2z4_ct, sl2z9_ct):
+        cols = ct.rows.transpose(1, 0, 2)
+        got = integer_values(pairings(cols, cols), ct.e)
+        assert np.array_equal(got, np.diag(len(ct.table) // ct.cd.sizes))
+
+
 def test_degrees_divide_group_order(gl2z4_ct, sl2z9_ct):
     for ct in (gl2z4_ct, sl2z9_ct):
         for d in ct.degrees:
@@ -269,8 +278,7 @@ def test_restriction_norm_bounded_and_matches_iota(sl2z9_ct):
 
 def test_chartab_cap():
     with pytest.raises(CapExceeded):
-        character_table(
-            conjugacy_classes(enumerate_group(GroupSpec("GL", 2, Z4))), cap=10)
+        character_table(enumerate_group(GroupSpec("GL", 2, Z4)), cap=10)
 
 
 def test_cache_round_trip(tmp_path, gl2z4_ct):

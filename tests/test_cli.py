@@ -191,6 +191,21 @@ def test_cap_exceeded_exit_code(capsys):
     assert code == EXIT_CAP
 
 
+@pytest.mark.parametrize("args", [
+    ["chartab", "--group", "SL2", "--ring", "mixed:3^2"],
+    ["branching", "--group", "GL2", "--ring", "mixed:3^2"],
+])
+def test_chartab_cap_refuses_before_the_class_sweep(args, monkeypatch, capsys):
+    from whittaker import chartab
+
+    def no_sweep(table):
+        raise AssertionError("the class sweep ran")
+
+    monkeypatch.setattr(chartab, "conjugacy_classes", no_sweep)
+    assert main([*args, "--no-cache", "--chartab-cap", "100"]) == EXIT_CAP
+    assert "beyond character-table cap 100" in capsys.readouterr().err
+
+
 def test_off_by_one_theta_exponent_in_the_norm_exits_internal(monkeypatch, capsys):
     # theta_a on the identity of U shifted from zeta^0 to zeta^1: the
     # Frobenius double sum is no longer rational
@@ -250,10 +265,24 @@ def test_cached_table_failing_reverify_exits_internal(capsys, tmp_path):
     assert len(err.splitlines()) == 1
 
 
+def test_cached_value_off_the_identity_class_exits_internal(capsys, tmp_path):
+    # 1 added to one cached value at a class other than the identity: the row
+    # relation alone, which re-verify checks, must catch it
+    args = ["chartab", "--group", "GL2", "--ring", "mixed:2^2",
+            "--cache-dir", str(tmp_path)]
+    assert main(args) == 0
+    _inject_character_value(tmp_path, (-1, 1, 0))
+    capsys.readouterr()
+    assert main(args) == EXIT_INTERNAL
+    err = capsys.readouterr().err
+    assert "internal fault: AssertionError: row orthogonality fails" in err
+    assert len(err.splitlines()) == 1
+
+
 def test_cached_degrees_swap_exits_internal(capsys, tmp_path):
     # two distinct degrees swapped and written back through the cache's own
-    # writer: the sum of squares, divisibility and both orthogonality
-    # relations still hold, only the identity-class values differ
+    # writer: the sum of squares, divisibility and row orthogonality still
+    # hold, only the identity-class values differ
     from whittaker.cache import load_char_table, load_group_table, save_char_table
     from whittaker.groups import GroupSpec
     from whittaker.localring import parse_ring

@@ -3,9 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from whittaker.localring import (CONWAY_POLYS, RingKind, elem, get_ring, is_unit,
-                                 parse_ring, primitive_char, project, ring_make,
-                                 units, valuation)
+from whittaker.localring import CONWAY_POLYS, RingKind, get_ring, parse_ring, ring_make
 
 Z4 = ring_make("mixed", 2, 1, 2)
 Z8 = ring_make("mixed", 2, 1, 3)
@@ -32,11 +30,11 @@ def test_ring_key_round_trip():
 
 
 def test_projection_examples():
-    assert project(elem(Z9, 7), 1).code == 1
-    assert project(elem(F3T2, 2 + 3), 1).code == 2  # 2 + t -> 2
-    assert project(elem(Z8, 6), 2).code == 2
+    assert get_ring(Z9).project_code(7, 1) == 1
+    assert get_ring(F3T2).project_code(2 + 3, 1) == 2  # 2 + t -> 2
+    assert get_ring(Z8).project_code(6, 2) == 2
     with pytest.raises(ValueError):
-        project(elem(Z9, 1), 3)
+        get_ring(Z9).project_code(1, 3)
 
 
 def test_projection_is_ring_homomorphism():
@@ -60,13 +58,13 @@ def test_projection_composition_law():
 
 
 def test_units_and_valuation():
-    assert [u.code for u in units(Z4)] == [1, 3]
-    assert valuation(elem(Z9, 6)) == 1
-    assert len(list(units(F2T3))) == 4
+    assert get_ring(Z4).unit_codes() == [1, 3]
+    assert get_ring(Z9).valuation(6) == 1
+    assert len(get_ring(F2T3).unit_codes()) == 4
     for desc in (Z4, Z9, Z8, F3T2, F4T2, F2T3):
         q, ell = desc.q, desc.ell
-        assert len(list(units(desc))) == q ** (ell - 1) * (q - 1)
-        assert valuation(elem(desc, 0)) == ell
+        assert len(get_ring(desc).unit_codes()) == q ** (ell - 1) * (q - 1)
+        assert get_ring(desc).valuation(0) == ell
 
 
 def test_unit_inverses_everywhere():
@@ -78,42 +76,54 @@ def test_unit_inverses_everywhere():
             ring.inv(ring.varpi)
 
 
-def test_elem_arithmetic_wrappers():
-    x, y = elem(Z9, 4), elem(Z9, 7)
-    assert (x * y).code == 1
-    assert (x + y).code == 2
-    assert (-x).code == 5
-    assert x.inverse().code == 7
-    assert is_unit(x) and not is_unit(elem(Z9, 3))
-    assert elem(F3T2, 5).repr_value == (2, 1)
-    assert elem(Z9, 5).repr_value == 5
+def test_scalar_arithmetic_examples():
+    ring = get_ring(Z9)
+    assert ring.mul(4, 7) == 1
+    assert ring.add(4, 7) == 2
+    assert ring.sub(4, 7) == 6
+    assert ring.neg(4) == 5
+    assert ring.inv(4) == 7
+    assert ring.is_unit(4) and not ring.is_unit(3)
+    ring = get_ring(F3T2)  # codes c_0 + 3 c_1 for c_0 + c_1 t
+    assert ring.mul(5, 5) == 1 + 3 * 1  # (2 + t)^2 = 4 + 4t = 1 + t
+    assert ring.add(5, 4) == 0 + 3 * 2  # (2 + t) + (1 + t) = 2t
+    assert ring.inv(5) == 2 + 3 * 2  # (2 + t)(2 + 2t) = 4 + 6t = 1
+
+
+def _twist_table(ring, a):
+    """Exponent of phi_a(x) = phi(a x) on every code x."""
+    return ring.phi_exponents()[ring.v_mul(a, np.arange(ring.size))]
+
+
+def _is_primitive(ring, expo):
+    """phi_a is primitive iff it is nontrivial on pi^(l-1) o_l."""
+    top = ring.q ** (ring.ell - 1)
+    return any(expo[c * top] != 0 for c in range(1, ring.q))
 
 
 def test_primitive_char_mixed_examples():
-    phi = primitive_char(Z9, 1)
-    assert phi.m == 9
-    assert phi.exponent(3) == 3
-    assert [phi.exponent(x) for x in (0, 3, 6)] == [0, 3, 6]
-    assert phi.is_primitive()
+    ring = get_ring(Z9)
+    phi = ring.phi_exponents()
+    assert ring.char_order == 9
+    assert phi[3] == 3
+    assert phi[[0, 3, 6]].tolist() == [0, 3, 6]
+    assert _is_primitive(ring, phi)
 
 
 def test_primitive_char_equal_examples():
-    phi = primitive_char(F3T2, 1)
-    assert phi.m == 3
-    assert phi.exponent(3) == 1  # t
-    assert phi.exponent(1) == 0
-    assert phi.is_primitive()
-
-
-def test_primitive_char_requires_unit():
-    with pytest.raises(ValueError):
-        primitive_char(Z9, 3)
+    ring = get_ring(F3T2)
+    phi = ring.phi_exponents()
+    assert ring.char_order == 3
+    assert phi[3] == 1  # t
+    assert phi[1] == 0
+    assert _is_primitive(ring, phi)
 
 
 def test_every_twist_is_primitive():
     for desc in (Z4, Z9, Z8, F3T2, F4T2, F2T3):
-        for a in get_ring(desc).unit_codes():
-            assert primitive_char(desc, a).is_primitive()
+        ring = get_ring(desc)
+        for a in ring.unit_codes():
+            assert _is_primitive(ring, _twist_table(ring, a))
 
 
 def _all_additive_characters(desc):
@@ -142,7 +152,7 @@ def test_primitive_characters_are_exactly_the_unit_twists():
         ring = get_ring(desc)
         twists = {}
         for a in ring.unit_codes():
-            tab = primitive_char(desc, a).table()
+            tab = tuple(_twist_table(ring, a).tolist())
             assert tab not in twists.values(), "twists must be pairwise distinct"
             twists[a] = tab
         if desc.kind is RingKind.MIXED:
@@ -167,7 +177,7 @@ def test_enumeration_order_is_fixed():
     codes = list(ring.elements())
     assert codes == sorted(codes)
     # ascending code = lexicographic with the top t-coefficient most significant
-    reprs = [elem(F3T2, c).repr_value for c in codes]
+    reprs = [(c % 3, c // 3) for c in codes]  # (c_0, c_1) of c_0 + c_1 t
     assert reprs == sorted(reprs, key=lambda t: t[::-1])
 
 

@@ -3,25 +3,26 @@ import itertools
 import numpy as np
 import pytest
 
-from whittaker.cyclotomic import root_of_unity
 from whittaker.localring import get_ring, ring_make
-from whittaker.linalg import Mat
+from whittaker.linalg import mat_mul
 from whittaker.groups import (GroupSpec, centralizer, enumerate_group,
                               unipotent_matrices)
 from whittaker.regular import a_regular, a_regular_coeff_tuples
-from whittaker.whittaker_verify import (DualityChar, NonDegenChar, induced_dim,
-                                        induced_norm, phi_x_value,
-                                        predicted_dim_sum,
-                                        predicted_regular_count, theta_value,
+from whittaker.whittaker_verify import (NonDegenChar, induced_dim, induced_norm,
+                                        phi_x_exponents, predicted_dim_sum,
+                                        predicted_regular_count, predictions_supported,
                                         verify_multiplicity_one)
 
 Z4 = ring_make("mixed", 2, 1, 2)
 Z8 = ring_make("mixed", 2, 1, 3)
 Z9 = ring_make("mixed", 3, 1, 2)
 F3 = ring_make("mixed", 3, 1, 1)
-F2 = ring_make("mixed", 2, 1, 1)
 F2T2 = ring_make("equal", 2, 1, 2)
 F3T2 = ring_make("equal", 3, 1, 2)
+
+
+def _stack(*mats):
+    return np.array(mats, dtype=np.int64)
 
 
 # -- theta ------------------------------------------------------------------
@@ -29,27 +30,24 @@ F3T2 = ring_make("equal", 3, 1, 2)
 
 def test_theta_identity():
     th = NonDegenChar(GroupSpec("GL", 2, Z9), 1)
-    assert theta_value(th, Mat.identity(Z9, 2)) == root_of_unity(9, 0)
+    assert th.m == 9
+    assert th.exponents_on(_stack(np.eye(2))).tolist() == [0]
 
 
 def test_theta_superdiagonal_example():
     th = NonDegenChar(GroupSpec("GL", 2, Z9), 1)
-    assert theta_value(th, Mat(Z9, [[1, 3], [0, 1]])) == root_of_unity(9, 3)
+    assert th.exponents_on(_stack([[1, 3], [0, 1]])).tolist() == [3]  # zeta_9^3
 
 
 def test_theta_ignores_entries_off_the_superdiagonal():
     th = NonDegenChar(GroupSpec("GL", 3, Z4), 3)
-    for x13 in range(4):
-        u = Mat(Z4, [[1, 1, x13], [0, 1, 2], [0, 0, 1]])
-        assert theta_value(th, u) == root_of_unity(4, 1)  # 3*1 + 2 = 1 mod 4
+    us = _stack(*([[1, 1, x13], [0, 1, 2], [0, 0, 1]] for x13 in range(4)))
+    assert th.exponents_on(us).tolist() == [1] * 4  # 3*1 + 2 = 1 mod 4
 
 
-def test_theta_rejects_non_unipotent():
-    th = NonDegenChar(GroupSpec("GL", 2, Z9), 1)
+def test_theta_rejects_non_unit_twist():
     with pytest.raises(ValueError):
-        theta_value(th, Mat(Z9, [[2, 0], [0, 2]]))
-    with pytest.raises(ValueError):
-        NonDegenChar(GroupSpec("GL", 2, Z9), 3)  # non-unit twist
+        NonDegenChar(GroupSpec("GL", 2, Z9), 3)
 
 
 def test_theta_multiplicative_on_random_pairs():
@@ -59,40 +57,31 @@ def test_theta_multiplicative_on_random_pairs():
         ring = get_ring(spec.ring)
         umats = unipotent_matrices(spec, 0)
         th = NonDegenChar(spec, ring.unit_codes()[-1])
-        pairs = rng.integers(0, len(umats), size=(1000 // 3 + 1, 2))
-        from whittaker.linalg import mat_mul
-
-        for i, j in pairs:
-            u, v = umats[i], umats[j]
-            prod = mat_mul(ring, u, v)
-            assert (th.exponent(prod)
-                    == (th.exponent(u) + th.exponent(v)) % th.m)
+        i, j = rng.integers(0, len(umats), size=(2, 1000 // 3 + 1))
+        prod = mat_mul(ring, umats[i], umats[j])
+        assert np.array_equal(th.exponents_on(prod),
+                              (th.exponents_on(umats[i]) + th.exponents_on(umats[j])) % th.m)
 
 
 # -- phi_x ------------------------------------------------------------------
 
 
 def test_phi_x_zero_is_trivial():
-    d = DualityChar(get_ring(Z9), 1, Mat(F3, [[0, 0], [0, 0]]))
-    for y in (Mat(Z9, [[4, 0], [0, 1]]), Mat(Z9, [[1, 3], [6, 1]])):
-        assert phi_x_value(d, y) == root_of_unity(9, 0)
+    # y = [[4, 0], [0, 1]] and [[1, 3], [6, 1]] in K^1 of GL2(Z/9): y' = (y - I)/3
+    levels = _stack([[1, 0], [0, 0]], [[0, 1], [2, 0]])
+    assert phi_x_exponents(get_ring(Z9), 1, _stack(np.zeros((2, 2))), levels).tolist() == [[0, 0]]
 
 
 def test_phi_x_trace_example():
     # l = 2, i = 1, x = E11 over F3, y = I + 3 E11 -> zeta_9^3
-    d = DualityChar(get_ring(Z9), 1, Mat(F3, [[1, 0], [0, 0]]))
-    assert phi_x_value(d, Mat(Z9, [[4, 0], [0, 1]])) == root_of_unity(9, 3)
+    expo = phi_x_exponents(get_ring(Z9), 1, _stack([[1, 0], [0, 0]]), _stack([[1, 0], [0, 0]]))
+    assert expo.tolist() == [[3]]
 
 
 def test_phi_x_rejects_low_level():
+    zero = _stack(np.zeros((2, 2)))
     with pytest.raises(ValueError):
-        DualityChar(get_ring(Z8), 1, Mat(Z4, [[0, 0], [0, 0]]))
-
-
-def test_phi_x_rejects_elements_outside_kernel():
-    d = DualityChar(get_ring(Z9), 1, Mat(F3, [[1, 0], [0, 0]]))
-    with pytest.raises(ValueError):
-        d.exponent(np.array([[1, 1], [0, 1]]))
+        phi_x_exponents(get_ring(Z8), 1, zero, zero)
 
 
 def test_phi_x_independent_of_lift():
@@ -102,33 +91,21 @@ def test_phi_x_independent_of_lift():
         ell = ring.ell
         i = (ell + 1) // 2
         sub = ring.subring(ell - i)
+        levels = rng.integers(0, ring.size, size=(10, 2, 2))
         for _ in range(10):
-            x = Mat(sub.desc, rng.integers(0, sub.size, size=(2, 2)))
-            # a valid K^i element: I + pi^i * (random level)
-            lvl = rng.integers(0, ring.size, size=(2, 2))
-            y = np.eye(2, dtype=np.int64) + np.vectorize(
-                lambda c: ring.mul_varpi_pow(int(c), i))(lvl)
-            base = DualityChar(ring, i, x).exponent(y)
-            for _ in range(50):
-                bump = rng.integers(0, ring.q**i, size=(2, 2))
-                lift = x.a + bump * ring.q ** (ell - i)
-                lift %= ring.size
-                d2 = DualityChar(ring, i, x, lift=lift)
-                assert d2.exponent(y) == base
+            x = rng.integers(0, sub.size, size=(2, 2))
+            # x itself, then 50 lifts x + pi^(l-i) bump
+            bumps = rng.integers(0, ring.q**i, size=(50, 2, 2))
+            lifts = np.concatenate([x[None], (x + bumps * ring.q ** (ell - i)) % ring.size])
+            expo = phi_x_exponents(ring, i, lifts, levels)
+            assert (expo == expo[0]).all()
 
 
 def test_phi_x_separates_points_gl2():
     # distinct x give distinct characters of K^1 (exhaustive at l = 2, q = 3)
-    ring = get_ring(Z9)
-    tables = set()
-    levels = list(itertools.product(range(3), repeat=4))
-    for xe in levels:
-        x = Mat(F3, np.array(xe).reshape(2, 2))
-        d = DualityChar(ring, 1, x)
-        tab = tuple(d.exponent_from_level(np.array(y).reshape(2, 2))
-                    for y in levels)
-        tables.add(tab)
-    assert len(tables) == 81
+    levels = np.array(list(itertools.product(range(3), repeat=4))).reshape(-1, 2, 2)
+    tables = phi_x_exponents(get_ring(Z9), 1, levels, levels)
+    assert len({tuple(row) for row in tables.tolist()}) == 81
 
 
 # -- induced dimension and norm ----------------------------------------------
@@ -224,13 +201,17 @@ def test_predicted_dim_sums_worked_examples():
 
 
 def test_predictions_refuse_bad_sl_characteristic():
-    with pytest.raises(ValueError):
-        predicted_regular_count(GroupSpec("SL", 2, Z4), 1)
-    with pytest.raises(ValueError):
-        predicted_dim_sum(GroupSpec("SL", 2, Z4))
-    # but the escape hatch computes the even-level formulas anyway
-    assert predicted_dim_sum(GroupSpec("SL", 2, Z4), strict=False) == \
-        2 * GroupSpec("SL", 2, F2).order()
+    # (p, 2) = (p, n) = 1 is the one gate of the predictions for SL
+    assert predictions_supported(GroupSpec("GL", 2, Z4))
+    assert predictions_supported(GroupSpec("SL", 2, Z9))
+    assert not predictions_supported(GroupSpec("SL", 2, Z4))  # p = 2
+    assert not predictions_supported(GroupSpec("SL", 3, F3))  # p = n
+    for spec in (GroupSpec("SL", 2, Z4), GroupSpec("SL", 3, F3)):
+        rep = verify_multiplicity_one(spec, 1)
+        assert rep.passed and rep.predicted_count is None and rep.predicted_dim is None
+        note = [c for c in rep.checks if c.claim == "predictions-skipped-sl-bad-characteristic"]
+        assert len(note) == 1 and note[0].informational
+        assert not any(c.claim == "whittaker-norm-equals-regular-count" for c in rep.checks)
 
 
 def test_verify_reports():
