@@ -2,8 +2,9 @@
 
 Tables are computed by the Dixon-Schneider method: the class-sum matrices
 M_j (structure constants of the class algebra) commute and are split over
-a prime field F_r with r = 1 mod exponent(G) and r > 2 sqrt(|G|); their
-common eigenvectors, normalized at the identity class, are the central
+a prime field F_r with r = 1 mod exponent(G) and r > 2 sqrt(|G|), each
+unsplit eigenspace on its own restricted action of M_j^T; their common
+eigenvectors, normalized at the identity class, are the central
 character vectors, degrees are recovered from the second orthogonality
 relation plus a modular square root, and the character values are lifted to
 exact cyclotomic integers through eigenvalue-multiplicity discrete sums.
@@ -29,7 +30,6 @@ from .regular import TypeMatrix, type_of, iota
 
 CHARTAB_CAP = 100_000
 CLASS_SWEEP_CAP = 100_000
-PRIME_SEARCH_BOUND = 10_000_000
 ROOT_SCAN_BOUND = 1_000_000
 CLASSIFY_PAIR_CAP = 1 << 22
 
@@ -115,11 +115,11 @@ def dixon_prime(exponent: int, order: int) -> int:
     """Smallest prime r = 1 mod exponent with r > 2 sqrt(order)."""
     floor = 2 * isqrt(order)
     r = exponent + 1
-    while r <= PRIME_SEARCH_BOUND:
+    while r <= ROOT_SCAN_BOUND:
         if r > floor and is_prime(r):
             return r
         r += exponent
-    raise CapExceeded(f"no Dixon prime below {PRIME_SEARCH_BOUND} for exponent {exponent}")
+    raise CapExceeded(f"no Dixon prime below {ROOT_SCAN_BOUND} for exponent {exponent}")
 
 
 def primitive_root(r: int) -> int:
@@ -307,21 +307,21 @@ class CharTable:
 def class_matrix(cd: ClassData, j: int, r: int) -> np.ndarray:
     """Class-sum structure constants M_j[i, l] = #{x in C_j : x^-1 z_l in C_i}."""
     table = cd.table
-    ring = table.ring
-    ids_j = np.flatnonzero(cd.class_of == j)
-    inv_j = table.inverses()[ids_j]
     k = cd.k
-    M = np.zeros((k, k), dtype=np.int64)
-    reps_elems = table.elems[cd.reps]
-    for l in range(k):
-        prod = mat_mul(ring, inv_j, reps_elems[l])
-        classes = cd.class_of[table.ids_of(prod)]
-        M[:, l] = np.bincount(classes, minlength=k)
-    return M % r
+    inv_j = table.inverses()[cd.class_of == j]
+    # the (|C_j|, k) stack of x^-1 z_l: one product, one lookup, one count
+    prod = mat_mul(table.ring, inv_j[:, None], table.elems[cd.reps][None])
+    classes = cd.class_of[table.ids_of(prod.reshape(-1, table.n, table.n))]
+    M = np.bincount(classes * k + np.arange(len(classes)) % k, minlength=k * k)
+    return M.reshape(k, k) % r
 
 
 def character_table(table: GroupTable, cap: int = CHARTAB_CAP) -> CharTable:
     """Dixon-Schneider character table with exact cyclotomic lifting.
+
+    The classes j are tried in order until every space is a line.  Each
+    unsplit space W, kept as reduced rows, is split by the eigenvalues of
+    the d x d action A of M_j^T on it (d = dim W), never of the k x k M_j^T.
 
     |G| is compared with the cap before the class sweep, so a refused table
     costs no sweep.
@@ -333,42 +333,48 @@ def character_table(table: GroupTable, cap: int = CHARTAB_CAP) -> CharTable:
     k = cd.k
     e = cd.exponent()
     r = dixon_prime(e, order)
+    # every mod-r product below (W @ M_j^T, ker @ W, the lift's chibar @ zmat^T)
+    # sums at most max(k, e) terms below r^2; k, e <= CHARTAB_CAP and
+    # r <= ROOT_SCAN_BOUND keep this under 10^17, so it holds within the caps
+    if max(k, e) * (r - 1) ** 2 >= 1 << 63:
+        raise CapExceeded(f"Dixon prime r = {r} breaks the bound max(k, e) (r - 1)^2 < 2^63 "
+                          f"(k = {k}, e = {e})")
     h = cd.sizes % r
     hinv = np.array([pow(int(x), r - 2, r) for x in h], dtype=np.int64)
 
-    # split F_r^k into common eigen-rows of the transposed class matrices
-    spaces = [np.eye(k, dtype=np.int64)]
+    # split F_r^k into common eigen-rows of the transposed class matrices; an
+    # unsplit space is its reduced rows W with pivot columns piv, and is split
+    # on its restricted action A (W @ M_j^T = A @ W)
+    spaces = [(np.eye(k, dtype=np.int64), list(range(k)))]
     for j in range(1, k):
-        if all(len(s) == 1 for s in spaces):
+        if all(len(W) == 1 for W, _ in spaces):
             break
         MT = class_matrix(cd, j, r).T
-        roots = poly_roots_mod(charpoly_mod(MT, r), r)
         nxt = []
-        for W in spaces:
-            if len(W) == 1:
-                nxt.append(W)
+        for W, piv in spaces:
+            d = len(W)
+            if d == 1:
+                nxt.append((W, piv))
                 continue
-            Wr, piv = rref_mod(W, r)
-            act = (Wr @ MT) % r
-            A = act[:, piv]  # restricted action: Wr @ MT = A @ Wr
+            A = W @ MT[:, piv] % r
+            if np.array_equal(A, A[0, 0] * np.eye(d, dtype=np.int64)):
+                nxt.append((W, piv))  # W is already an eigenspace of M_j^T
+                continue
             found = 0
-            for lam in roots:
-                if found == len(Wr):
-                    break
-                # row w = c Wr is an eigen-row iff c A = lam c
-                ker = nullspace_mod((A.T - int(lam) * np.eye(len(Wr), dtype=np.int64)) % r, r)
-                if len(ker):
-                    nxt.append(ker @ Wr % r)
-                    found += len(ker)
-            if found != len(Wr):
+            for lam in poly_roots_mod(charpoly_mod(A, r), r):
+                # row w = c W is an eigen-row iff c A = lam c
+                ker = nullspace_mod((A.T - int(lam) * np.eye(d, dtype=np.int64)) % r, r)
+                nxt.append(rref_mod(ker @ W % r, r))
+                found += len(ker)
+            if found != d:
                 raise AssertionError("class matrix failed to act semisimply")
         spaces = nxt
-    if any(len(s) != 1 for s in spaces):
+    if any(len(W) != 1 for W, _ in spaces):
         raise AssertionError("class matrices did not separate all characters")
 
     # normalized eigen-rows are the central characters: row 0 of M_j is the
     # indicator of class j, so the eigenvalue (w M_j^T)[0] of w is w[j]
-    W = np.array([s[0] % r for s in spaces], dtype=np.int64)
+    W = np.concatenate([W for W, _ in spaces])
     if np.any(W[:, 0] == 0):
         raise AssertionError("eigenvector has zero identity coordinate")
     norm = np.array([pow(int(x), r - 2, r) for x in W[:, 0]], dtype=np.int64)

@@ -1,3 +1,4 @@
+import hashlib
 from collections import Counter
 
 import numpy as np
@@ -7,14 +8,17 @@ from whittaker.cyclotomic import IntegralityError, integer_values, pairings
 from whittaker.localring import get_ring, ring_make
 from whittaker.groups import CapExceeded, GroupSpec, enumerate_group, unipotent_subgroup
 from whittaker.whittaker_verify import NonDegenChar, induced_norm
+from whittaker import chartab
 from whittaker.chartab import (CharTable, charpoly_mod, character_table,
                                class_matrix, classify_regular, conjugacy_classes,
-                               decompose_induced, dixon_prime, poly_roots_mod,
-                               primitive_root, restriction_norm,
-                               sl_class_profile, special_regular_scan, sqrt_mod)
+                               decompose_induced, dixon_prime, nullspace_mod,
+                               poly_roots_mod, primitive_root, restriction_norm,
+                               rref_mod, sl_class_profile, special_regular_scan,
+                               sqrt_mod)
 
 Z4 = ring_make("mixed", 2, 1, 2)
 Z9 = ring_make("mixed", 3, 1, 2)
+Z8 = ring_make("mixed", 2, 1, 3)
 F2 = ring_make("mixed", 2, 1, 1)
 F3 = ring_make("mixed", 3, 1, 1)
 
@@ -73,6 +77,23 @@ def test_charpoly_mod_matches_determinant_evaluation():
             assert val == det
 
 
+def test_rref_and_nullspace_mod():
+    rng = np.random.default_rng(7)
+    for r in (433, 337):
+        for m, n, rank in ((5, 5, 5), (4, 9, 4), (9, 6, 6), (8, 8, 3), (6, 10, 2), (7, 7, 0)):
+            A = rng.integers(0, r, size=(m, rank)) @ rng.integers(0, r, size=(rank, n)) % r
+            R, piv = rref_mod(A, r)
+            assert len(piv) == len(R) == rank and piv == sorted(piv)
+            # reduced at the pivots, zero left of each pivot, same row space
+            assert np.array_equal(R[:, piv], np.eye(rank, dtype=np.int64))
+            assert all(not R[t, :c].any() for t, c in enumerate(piv))
+            assert np.array_equal(A[:, piv] @ R % r, A)
+            basis = nullspace_mod(A, r)
+            assert basis.shape == (n - rank, n)
+            assert not (A @ basis.T % r).any()
+            assert len(rref_mod(basis, r)[1]) == n - rank
+
+
 def test_poly_roots_mod():
     # (x - 3)(x - 5) over F_13
     assert poly_roots_mod(np.array([15, -8, 1]) % 13, 13).tolist() == [3, 5]
@@ -96,6 +117,10 @@ def test_dixon_prime_choice():
     assert dixon_prime(12, 96) == 37
     assert dixon_prime(36, 648) == 73
     assert dixon_prime(72, 3888) == 433
+    # the search ends where the root scan would refuse the prime: the first
+    # candidate above 2 sqrt(10^12) = 2 * 10^6 is past it
+    with pytest.raises(CapExceeded, match="no Dixon prime"):
+        dixon_prime(2, 10**12)
 
 
 # -- conjugacy classes ----------------------------------------------------------
@@ -156,6 +181,68 @@ def test_class_matrix_row_zero_is_the_class_indicator(gl2z4_ct, sl2z9_ct):
     for ct in (gl2z4_ct, sl2z9_ct):
         for j in range(ct.k):
             assert class_matrix(ct.cd, j, ct.r)[0].tolist() == np.eye(ct.k, dtype=int)[j].tolist()
+
+
+def test_class_matrix_counts_products_into_classes():
+    # M_j[i, l] = #{x in C_j : x^-1 z_l in C_i}, counted one product at a time
+    cd = conjugacy_classes(enumerate_group(GroupSpec("SL", 2, F3)))
+    table = cd.table
+    for j in range(cd.k):
+        want = np.zeros((cd.k, cd.k), dtype=np.int64)
+        for x in np.flatnonzero(cd.class_of == j):
+            xinv = table.inverses()[x]
+            for l, z in enumerate(table.elems[cd.reps]):
+                want[cd.class_of[table.ids_of((xinv @ z % 3)[None])[0]], l] += 1
+        assert np.array_equal(class_matrix(cd, j, 13), want % 13)
+
+
+# sha256 of rows, degrees and (e, r), and the class matrices the split asks
+# for, recorded before the split moved onto the restricted action
+PINNED_TABLES = [
+    (GroupSpec("GL", 2, Z4), "cd2d962b8f60041369ac01cc6e337175e3763890069b20a20cfecb980afdd739", 6),
+    (GroupSpec("SL", 2, Z9), "9e367b68680528578a44026ff80f62b6ef7a77638ec9f12d0d813c09fa91f11a", 20),
+    (GroupSpec("GL", 2, Z8), "51813dcb2a0706a3d08db5c383be9ebefd837d0dd1cb1b46e6bb85c568108f83", 35),
+]
+
+
+@pytest.mark.parametrize("spec,digest,calls", PINNED_TABLES, ids=["GL2-Z4", "SL2-Z9", "GL2-Z8"])
+def test_tables_match_pinned_digests(monkeypatch, spec, digest, calls):
+    seen = []
+
+    def counted(cd, j, r):
+        seen.append(j)
+        return class_matrix(cd, j, r)
+    monkeypatch.setattr(chartab, "class_matrix", counted)
+    ct = character_table(enumerate_group(spec))
+    got = hashlib.sha256(ct.rows.tobytes() + ct.degrees.tobytes() + str((ct.e, ct.r)).encode())
+    assert got.hexdigest() == digest
+    assert seen == list(range(1, calls + 1))
+
+
+def _refuse_class_matrix(cd, j, r):
+    raise AssertionError("class_matrix reached")
+
+
+def test_dixon_prime_breaking_the_int64_bound_is_refused(monkeypatch):
+    monkeypatch.setattr(chartab, "dixon_prime", lambda e, order: 2**32 + 15)
+    monkeypatch.setattr(chartab, "class_matrix", _refuse_class_matrix)
+    with pytest.raises(CapExceeded, match="2\\^63"):
+        character_table(enumerate_group(GroupSpec("GL", 2, Z4)))
+
+
+def test_split_refuses_a_non_semisimple_class_matrix(monkeypatch):
+    # a Jordan block: one eigenvalue, a one-dimensional eigenspace
+    def jordan(cd, j, r):
+        return (3 * np.eye(cd.k, dtype=np.int64) + np.eye(cd.k, k=1, dtype=np.int64)) % r
+    monkeypatch.setattr(chartab, "class_matrix", jordan)
+    with pytest.raises(AssertionError, match="failed to act semisimply"):
+        character_table(enumerate_group(GroupSpec("GL", 2, Z4)))
+
+
+def test_split_refuses_class_matrices_that_do_not_separate(monkeypatch):
+    monkeypatch.setattr(chartab, "class_matrix", lambda cd, j, r: np.eye(cd.k, dtype=np.int64))
+    with pytest.raises(AssertionError, match="did not separate all characters"):
+        character_table(enumerate_group(GroupSpec("GL", 2, Z4)))
 
 
 def test_orthogonality_verification_runs(gl2z4_ct):
