@@ -9,19 +9,15 @@ independent brute-force character computation, all in exact arithmetic.
 __version__ = "0.1.0"
 
 from .localring import RingDesc, RingKind, get_ring, parse_ring, ring_make
-from .linalg import (Mat, Poly, char_poly, companion, det, factor_poly, inverse,
-                     min_poly, monic_irreducibles, solve_count, span_size)
-from .cyclotomic import (CycloNum, IntegralityError, NonRationalError,
-                         integer_values, root_of_unity)
+from .linalg import Poly, char_poly, factor_poly, min_poly, monic_irreducibles
+from .cyclotomic import CycloNum, IntegralityError, NonRationalError, integer_values
 from .groups import (CapExceeded, GroupSpec, GroupTable, SubgroupHandle,
-                     centralizer, congruence_subgroup, enumerate_group,
-                     iter_group_chunks, lie_centralizer_count, unipotent_subgroup)
-from .regular import (TypeMatrix, a_regular, centralizer_order_residue,
-                      count_a_regular_classes, iota, is_cyclic, is_regular,
-                      type_of)
+                     congruence_subgroup, enumerate_group, iter_group_chunks,
+                     unipotent_subgroup)
+from .regular import TypeMatrix, a_regular, iota, is_regular, type_of
 from .whittaker_verify import (NonDegenChar, VerificationReport, induced_dim,
                                induced_norm, phi_x_exponents, predicted_dim_sum,
                                predicted_regular_count, verify_multiplicity_one)
-from .chartab import (CharTable, ClassData, character_table, classify_regular,
-                      conjugacy_classes, decompose_induced, restriction_norm,
-                      special_regular_scan)
+from .chartab import (CharTable, ClassData, character_table, class_data,
+                      classify_regular, conjugacy_classes, decompose_induced,
+                      restriction_norm, special_regular_scan)

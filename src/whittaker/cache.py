@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .chartab import CharTable, ClassData, character_table
+from .chartab import CharTable, character_table, class_data
 from .groups import GroupSpec, GroupTable, enumerate_group
 from .linalg import monic_irreducibles
 
@@ -152,18 +152,11 @@ def chartab_cache_key(spec: GroupSpec) -> str:
 
 
 def save_char_table(ct: CharTable, cache_dir: Path) -> Path:
-    cd = ct.cd
-    meta = {
-        "e": ct.e,
-        "r": ct.r,
-        "reps": cd.reps.tolist(),
-        "sizes": cd.sizes.tolist(),
-        "inverse_perm": cd.inverse_perm.tolist(),
-        "orders": cd.orders.tolist(),
-        "degrees": ct.degrees.tolist(),
-    }
+    """The class numbering, the Dixon prime, the exponent, the degrees and
+    the values; the rest of the class data is derived from class_of on load."""
+    meta = {"e": ct.e, "r": ct.r, "degrees": ct.degrees.tolist()}
     return _write(chartab_cache_key(ct.table.spec), cache_dir, meta,
-                  {"class_of": cd.class_of.astype(np.int64),
+                  {"class_of": ct.cd.class_of.astype(np.int64),
                    "rows": ct.rows.astype(np.int64)})
 
 
@@ -172,11 +165,8 @@ def load_char_table(table: GroupTable, cache_dir: Path) -> CharTable | None:
     if got is None:
         return None
     meta, arrays = got
-    vector = {f: np.array(meta[f], dtype=np.int64)
-              for f in ("reps", "sizes", "inverse_perm", "orders", "degrees")}
-    cd = ClassData(table, arrays["class_of"], vector["reps"], vector["sizes"],
-                   vector["inverse_perm"], vector["orders"])
-    ct = CharTable(cd, meta["e"], meta["r"], vector["degrees"], arrays["rows"])
+    ct = CharTable(class_data(table, arrays["class_of"]), meta["e"], meta["r"],
+                   np.array(meta["degrees"], dtype=np.int64), arrays["rows"])
     ct.loaded = True
     return ct
 

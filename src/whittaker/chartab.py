@@ -16,17 +16,17 @@ read by integer_values.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, isqrt
+from math import isqrt
 
 import numpy as np
 
-from .cyclotomic import CycloNum, IntegralityError, integer_values, pairings
+from .cyclotomic import IntegralityError, integer_values, pairings
 from .localring import all_tuples, get_ring, is_prime
-from .linalg import Mat, mat_mul, min_poly
+from .linalg import mat_inv_batch, mat_mul
 from .groups import (CapExceeded, GroupTable, SubgroupHandle,
                      congruence_subgroup, unipotent_subgroup)
 from .whittaker_verify import NonDegenChar, phi_x_exponents, predictions_supported
-from .regular import TypeMatrix, type_of, iota
+from .regular import TypeMatrix, iota, is_regular, type_of
 
 CHARTAB_CAP = 100_000
 CLASS_SWEEP_CAP = 100_000
@@ -40,7 +40,8 @@ CLASSIFY_PAIR_CAP = 1 << 22
 
 @dataclass
 class ClassData:
-    """Conjugacy partition of a fully tabulated group."""
+    """Conjugacy partition of a fully tabulated group; class_data derives
+    every field from class_of."""
 
     table: GroupTable
     class_of: np.ndarray  # element id -> class id
@@ -54,10 +55,7 @@ class ClassData:
         return len(self.reps)
 
     def exponent(self) -> int:
-        e = 1
-        for o in self.orders:
-            e = e * int(o) // gcd(e, int(o))
-        return e
+        return int(np.lcm.reduce(self.orders))
 
     def power_classes(self, i: int) -> list[int]:
         """Classes of rep_i^s for s = 0 .. ord-1."""
@@ -78,33 +76,47 @@ def conjugacy_classes(table: GroupTable) -> ClassData:
     elems = table.elems
     invs = table.inverses()
     class_of = np.full(N, -1, dtype=np.int64)
-    reps = []
     sizes = []
     for i in range(N):
         if class_of[i] >= 0:
             continue
-        cid = len(reps)
         orbit = mat_mul(ring, mat_mul(ring, elems, elems[i]), invs)
         ids = np.unique(table.ids_of(orbit))
-        class_of[ids] = cid
-        reps.append(i)
+        class_of[ids] = len(sizes)
         sizes.append(len(ids))
-    reps = np.array(reps, dtype=np.int64)
-    sizes = np.array(sizes, dtype=np.int64)
-    if sizes.sum() != N:
+    if sum(sizes) != N:
         raise AssertionError("class sizes do not partition the group")
-    # inversion permutation and element orders per class
-    inv_perm = class_of[table.ids_of(invs[reps])]
-    orders = []
+    return class_data(table, class_of)
+
+
+def class_data(table: GroupTable, class_of: np.ndarray) -> ClassData:
+    """The ClassData of a class numbering of the table's elements.
+
+    The classes must be numbered in order of their smallest id, as the sweep
+    numbers them (so class 0 holds the identity); AssertionError otherwise.
+    The sizes are counts, each representative is the smallest id of its
+    class, and the inversion permutation and the element orders are read off
+    the representatives, their orders by one batched power loop.
+    """
+    class_of = np.asarray(class_of, dtype=np.int64)
+    labels, reps = np.unique(class_of, return_index=True)
+    if (len(class_of) != len(table) or not np.array_equal(labels, np.arange(len(labels)))
+            or np.any(np.diff(reps) <= 0)):
+        raise AssertionError(f"the classes of {table.spec.key()} are not numbered "
+                             "in order of their smallest id")
+    ring = table.ring
+    x = table.elems[reps]
+    inverse_perm = class_of[table.ids_of(mat_inv_batch(ring, x))]
+    orders = np.zeros(len(reps), dtype=np.int64)
     eye = np.eye(table.n, dtype=np.int64)
-    for r in reps:
-        o, cur = 1, elems[r]
-        while not np.array_equal(cur, eye):
-            cur = mat_mul(ring, cur, elems[r])
-            o += 1
-        orders.append(o)
-    return ClassData(table, class_of, reps, sizes, inv_perm,
-                     np.array(orders, dtype=np.int64))
+    power, s = x, 1
+    while True:
+        orders[(orders == 0) & (power == eye).all(axis=(1, 2))] = s
+        if orders.all():
+            break
+        power = mat_mul(ring, power, x)
+        s += 1
+    return ClassData(table, class_of, reps, np.bincount(class_of), inverse_perm, orders)
 
 
 # ---------------------------------------------------------------------------
@@ -275,9 +287,6 @@ class CharTable:
     @property
     def table(self) -> GroupTable:
         return self.cd.table
-
-    def value(self, t: int, i: int) -> CycloNum:
-        return CycloNum(self.e, self.rows[t, i].tolist())
 
     def verify(self) -> None:
         """Exact completeness and row orthogonality; raises on failure.
@@ -471,7 +480,6 @@ def classify_regular(ct: CharTable) -> list[RegularFlag]:
     ksub = congruence_subgroup(table, ell - 1)
     n = spec.n
     q = ring.q
-    res = ring.residue_field()
     # levels y' of the kernel elements: y = I + pi^(l-1) y'
     vpk = ring.q ** (ell - 1)
     yprimes = (ksub.elements() - np.eye(n, dtype=np.int64)[None]) // vpk % q
@@ -494,8 +502,7 @@ def classify_regular(ct: CharTable) -> list[RegularFlag]:
     # regularity and type depend on x only: decide them once per supported x
     types = {}
     for xi in np.flatnonzero(mults.any(axis=1)).tolist():
-        xmat = Mat(res.desc, xs[xi])
-        types[xi] = type_of(xmat) if min_poly(xmat).degree == n else None
+        types[xi] = type_of(xs[xi], q) if is_regular(ring, xs[xi]) else None
     flags = []
     for t in range(k):
         support = np.flatnonzero(mults[:, t])

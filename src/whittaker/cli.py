@@ -64,10 +64,6 @@ class JobConfig:
     def to_dict(self) -> dict:
         return asdict(self)
 
-    @staticmethod
-    def from_dict(d: dict) -> "JobConfig":
-        return JobConfig(**d)
-
     def group_spec(self) -> GroupSpec:
         return GroupSpec(self.family, self.n, parse_ring(self.ring))
 

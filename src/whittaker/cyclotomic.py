@@ -32,20 +32,6 @@ class NonRationalError(IntegralityError, ValueError):
     """Raised when a rational value is requested from a non-rational number."""
 
 
-def euler_phi(m: int) -> int:
-    result = m
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
-            while m % d == 0:
-                m //= d
-            result -= result // d
-        d += 1
-    if m > 1:
-        result -= result // m
-    return result
-
-
 def _poly_divexact(num: list[int], den: list[int]) -> list[int]:
     """Exact division of integer polynomials; den must be monic-led and divide num."""
     num = list(num)
@@ -280,9 +266,3 @@ class CycloNum:
         ang = 2j * np.pi / self.m
         return complex(sum(c * np.exp(ang * j) for j, c in enumerate(self.coeffs)))
 
-
-def root_of_unity(m: int, j: int) -> CycloNum:
-    """zeta_m^j as a CycloNum."""
-    c = [0] * m
-    c[j % m] = 1
-    return CycloNum(m, c)

@@ -23,8 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .localring import CapExceeded, Ring, RingDesc, all_tuples, get_ring
-from .linalg import (Mat, commutant_matrix, mat_det_batch, mat_inv_batch, mat_mul,
-                     solve_count)
+from .linalg import mat_det_batch, mat_inv_batch, mat_mul
 
 TABLE_CAP = 200_000
 COSET_CAP = 2_000_000
@@ -154,9 +153,6 @@ class GroupTable:
             self._invs = mat_inv_batch(self.ring, self.elems)
         return self._invs
 
-    def element(self, i: int) -> Mat:
-        return Mat(self.spec.ring, self.elems[i])
-
 
 def enumerate_group(spec: GroupSpec, cap: int = TABLE_CAP) -> GroupTable:
     """Build the full table; raises CapExceeded when |G| > cap."""
@@ -187,10 +183,6 @@ class SubgroupHandle:
     def __len__(self):
         return len(self.ids)
 
-    def contains(self, i: int) -> bool:
-        pos = np.searchsorted(self.ids, i)
-        return pos < len(self.ids) and self.ids[pos] == i
-
     def elements(self) -> np.ndarray:
         return self.parent.elems[self.ids]
 
@@ -215,7 +207,10 @@ def unipotent_subgroup(table: GroupTable, k: int = 0) -> SubgroupHandle:
     mats = unipotent_matrices(table.spec, k)
     ids = table.ids_of(mats)
     h = SubgroupHandle(table, ids, f"U(pi^{k})")
-    assert len(h) == unipotent_order(table.n, table.spec.ring, k)
+    expected = unipotent_order(table.n, table.spec.ring, k)
+    if len(h) != expected:
+        raise AssertionError(f"U(pi^{k}) of {table.spec.key()} has {len(h)} elements, "
+                             f"|U(pi^{k})| = {expected}")
     return h
 
 
@@ -269,19 +264,11 @@ def congruence_subgroup(table: GroupTable, i: int) -> SubgroupHandle:
     eye = np.eye(table.n, dtype=np.int64)
     mask = ((table.elems % modulus) == (eye % modulus)).all(axis=(1, 2))
     h = SubgroupHandle(table, np.flatnonzero(mask), f"K^{i}")
-    assert len(h) == congruence_order(table.spec, i)
+    expected = congruence_order(table.spec, i)
+    if len(h) != expected:
+        raise AssertionError(f"K^{i} of {table.spec.key()} has {len(h)} elements, "
+                             f"|K^{i}| = {expected}")
     return h
-
-
-def centralizer(table: GroupTable, x: Mat) -> SubgroupHandle:
-    """Group centralizer of a matrix over the same ring, by table filtering."""
-    if x.desc != table.spec.ring:
-        raise ValueError("centralizer requires a matrix over the group's ring")
-    ring = table.ring
-    left = mat_mul(ring, table.elems, x.a)
-    right = mat_mul(ring, x.a[None], table.elems)
-    mask = (left == right).all(axis=(1, 2))
-    return SubgroupHandle(table, np.flatnonzero(mask), "centralizer")
 
 
 def matrix_powers(ring: Ring, x: np.ndarray, n: int) -> np.ndarray:
@@ -313,16 +300,3 @@ def centralizer_order_by_units(spec: GroupSpec, xs: np.ndarray) -> np.ndarray:
     central = ring.v_is_unit(dets) if spec.family == "GL" else dets == 1
     return np.count_nonzero(central, axis=1)
 
-
-def lie_centralizer_count(spec: GroupSpec, x: np.ndarray) -> int:
-    """|C_{g(o_r)}(x)| by exact kernel counting (gl: all y; sl: tr y = 0)."""
-    ring = get_ring(spec.ring)
-    sys_rows = commutant_matrix(ring, np.asarray(x, dtype=np.int64))
-    if spec.family == "SL":
-        n = spec.n
-        tr = np.zeros((1, n * n), dtype=np.int64)
-        for i in range(n):
-            tr[0, i * n + i] = 1
-        sys_rows = np.concatenate([sys_rows, tr])
-    count, _ = solve_count(ring, sys_rows)
-    return count

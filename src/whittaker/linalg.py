@@ -1,23 +1,20 @@
-"""Linear and polynomial algebra over F_q and over the local rings o_l.
+"""Polynomial algebra over F_q and batched matrix kernels over the local
+rings o_l.
 
-Provides exact determinants and inverses, characteristic and minimal
-polynomials over the residue field, irreducible factorization against a
-sieve of monic irreducibles, and exact solution counting for linear
-systems over o_l via valuation-tracking diagonalization (Smith/Howell
-style reduction over a chain ring).
-
-F_q is GF_ring(q), the l = 1 Ring of the equal family: Poly, companion,
+A matrix is a numpy array of integer element codes, and its Ring (or q, for
+F_q) is passed next to it.  Over F_q there are characteristic and minimal
+polynomials and irreducible factorization against a sieve of monic
+irreducibles.  F_q is GF_ring(q), the l = 1 Ring of the equal family: Poly,
 char_poly and min_poly do their scalar arithmetic on it, and min_poly its
 matrix products too.
 
-Matrices are stored as numpy arrays of integer element codes; batched
-variants of multiply / det / inverse operate on stacks of matrices and
-are the workhorses of group enumeration and character sums.  The batched
-det is the Leibniz sum over permutations and the batched inverse is the
-adjugate (the same sum on each (n-1)-minor) times det^-1, both written on
-the ring's vectorized operations: one formula for every n and both ring
-families.  The scalar `det` (cofactor expansion) is an independent
-reference for them.
+The batched kernels multiply, take determinants of and invert stacks of code
+matrices; they are the workhorses of group enumeration and character sums.
+The batched det is the Leibniz sum over permutations and the batched inverse
+is the adjugate (the same sum on each (n-1)-minor) times det^-1, both written
+on the ring's vectorized operations: one formula for every n and both ring
+families.  The independent scalar reference for them (cofactor expansion)
+lives with the other test oracles in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -27,8 +24,7 @@ from functools import lru_cache, reduce
 
 import numpy as np
 
-from .localring import (Ring, RingDesc, RingKind, _factor_prime_power, all_tuples, get_ring,
-                        ring_make)
+from .localring import Ring, RingKind, _factor_prime_power, all_tuples, get_ring, ring_make
 
 
 # ---------------------------------------------------------------------------
@@ -73,10 +69,6 @@ class Poly:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    @staticmethod
-    def x(q: int) -> "Poly":
-        return Poly(q, (0, 1))
-
     def __eq__(self, other):
         return isinstance(other, Poly) and self.q == other.q and self.coeffs == other.coeffs
 
@@ -95,9 +87,6 @@ class Poly:
     def __neg__(self) -> "Poly":
         F = self.field
         return Poly(self.q, [F.neg(c) for c in self.coeffs])
-
-    def __sub__(self, other: "Poly") -> "Poly":
-        return self + (-other)
 
     def __mul__(self, other: "Poly") -> "Poly":
         if self.is_zero() or other.is_zero():
@@ -139,41 +128,8 @@ class Poly:
             return self
         return self.scale(self.field.inv(self.coeffs[-1]))
 
-    def gcd(self, other: "Poly") -> "Poly":
-        a, b = self, other
-        while not b.is_zero():
-            a, b = b, a % b
-        return a.monic() if not a.is_zero() else a
-
-    def evaluate(self, x: int) -> int:
-        F = self.field
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = F.add(F.mul(acc, x), c)
-        return acc
-
     def __repr__(self):
-        if self.is_zero():
-            return "Poly(0)"
-        terms = []
-        for i, c in enumerate(self.coeffs):
-            if c:
-                terms.append(f"{c}*t^{i}" if i else f"{c}")
-        return "Poly(" + " + ".join(terms) + f" over GF({self.q}))"
-
-
-def companion(poly: Poly) -> np.ndarray:
-    """Companion matrix (codes) of a monic polynomial over F_q."""
-    if not poly.is_monic:
-        raise ValueError("companion matrix requires a monic polynomial")
-    n = poly.degree
-    F = poly.field
-    a = np.zeros((n, n), dtype=np.int64)
-    for i in range(1, n):
-        a[i, i - 1] = 1
-    for i in range(n):
-        a[i, n - 1] = F.neg(poly.coeffs[i])
-    return a
+        return f"Poly({self.q}, {self.coeffs})"
 
 
 # ---------------------------------------------------------------------------
@@ -245,108 +201,7 @@ def factor_poly(poly: Poly, cap: int = FACTOR_DEGREE_CAP) -> list[tuple[Poly, in
 
 
 # ---------------------------------------------------------------------------
-# matrices over o_r (and over F_q as the r = 1 case)
-
-
-class Mat:
-    """Square matrix over a local ring, entries as an (n, n) code array."""
-
-    __slots__ = ("desc", "a")
-
-    def __init__(self, desc: RingDesc, a):
-        arr = np.asarray(a, dtype=np.int64)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise ValueError("Mat requires a square array")
-        self.desc = desc
-        self.a = arr
-
-    def __repr__(self):
-        return f"Mat({self.desc.key()}, {self.a.tolist()})"
-
-    @property
-    def ring(self) -> Ring:
-        return get_ring(self.desc)
-
-    @property
-    def n(self) -> int:
-        return self.a.shape[0]
-
-    @staticmethod
-    def identity(desc: RingDesc, n: int) -> "Mat":
-        return Mat(desc, np.eye(n, dtype=np.int64))
-
-    def __mul__(self, other: "Mat") -> "Mat":
-        return Mat(self.desc, mat_mul(self.ring, self.a, other.a))
-
-    def __add__(self, other: "Mat") -> "Mat":
-        return Mat(self.desc, self.ring.v_add(self.a, other.a))
-
-    def __sub__(self, other: "Mat") -> "Mat":
-        return Mat(self.desc, self.ring.v_sub(self.a, other.a))
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Mat)
-            and self.desc == other.desc
-            and self.a.shape == other.a.shape
-            and bool(np.all(self.a == other.a))
-        )
-
-    def __hash__(self):
-        return hash((self.desc, self.a.tobytes()))
-
-    def trace(self) -> int:
-        t = 0
-        for i in range(self.n):
-            t = self.ring.add(t, int(self.a[i, i]))
-        return t
-
-    def power(self, e: int) -> "Mat":
-        r = Mat.identity(self.desc, self.n)
-        b = self
-        while e:
-            if e & 1:
-                r = r * b
-            b = b * b
-            e >>= 1
-        return r
-
-    def project(self, i: int) -> "Mat":
-        ring = self.ring
-        sub = ring.subring(i)
-        return Mat(sub.desc, self.a % ring.q**i)
-
-
-def det(M: Mat) -> int:
-    """Exact determinant (code) by cofactor expansion."""
-    return _det_scalar(M.ring, M.a)
-
-
-def _det_scalar(ring: Ring, a: np.ndarray) -> int:
-    n = a.shape[0]
-    if n == 1:
-        return int(a[0, 0])
-    if n == 2:
-        return ring.sub(ring.mul(int(a[0, 0]), int(a[1, 1])),
-                        ring.mul(int(a[0, 1]), int(a[1, 0])))
-    acc = 0
-    sign_pos = True
-    for j in range(n):
-        c = int(a[0, j])
-        if c:
-            minor = np.delete(np.delete(a, 0, axis=0), j, axis=1)
-            term = ring.mul(c, _det_scalar(ring, minor))
-            acc = ring.add(acc, term if sign_pos else ring.neg(term))
-        sign_pos = not sign_pos
-    return acc
-
-
-def inverse(M: Mat) -> Mat:
-    """Exact inverse; ValueError unless det M is a unit."""
-    return Mat(M.desc, mat_inv_batch(M.ring, M.a))
-
-
-# -- batched kernels ---------------------------------------------------------
+# batched kernels on code arrays over o_r (and over F_q as the r = 1 case)
 
 
 def mat_mul(ring: Ring, A, B) -> np.ndarray:
@@ -410,9 +265,8 @@ def mat_inv_batch(ring: Ring, A) -> np.ndarray:
 # characteristic / minimal polynomials over F_q
 
 
-def char_poly(mat, q: int | None = None) -> Poly:
-    """Characteristic polynomial det(tI - x) of a matrix over F_q."""
-    a, q = _as_field_matrix(mat, q)
+def char_poly(a: np.ndarray, q: int) -> Poly:
+    """Characteristic polynomial det(tI - a) of a code matrix over F_q."""
     F = GF_ring(q)
     n = a.shape[0]
     entries = [[Poly(q, (F.neg(int(a[i, j])),)) if i != j
@@ -436,9 +290,9 @@ def _poly_det(rows: list[list[Poly]], q: int) -> Poly:
     return acc
 
 
-def min_poly(mat, q: int | None = None) -> Poly:
-    """Minimal polynomial: least-degree monic annihilator of the matrix."""
-    a, q = _as_field_matrix(mat, q)
+def min_poly(a: np.ndarray, q: int) -> Poly:
+    """Minimal polynomial: least-degree monic annihilator of a code matrix
+    over F_q."""
     F = GF_ring(q)
     n = a.shape[0]
     dim = n * n
@@ -462,115 +316,3 @@ def min_poly(mat, q: int | None = None) -> Poly:
         pivots[lead] = ([F.mul(linv, c) for c in vec], [F.mul(linv, c) for c in combo])
         power = mat_mul(F, power, a)
     raise AssertionError("no annihilator of degree <= n")  # unreachable
-
-
-def _as_field_matrix(mat, q):
-    if isinstance(mat, Mat):
-        if mat.ring.ell != 1:
-            raise ValueError("field-level operation requires a matrix over o_1")
-        return mat.a, mat.ring.q
-    if q is None:
-        raise ValueError("q required for a raw code array")
-    return np.asarray(mat, dtype=np.int64), q
-
-
-# ---------------------------------------------------------------------------
-# linear systems over o_l: exact kernels via Smith-style diagonalization
-
-
-def smith_diagonal(ring: Ring, A, track_cols: bool = False):
-    """Diagonalize A by unimodular row/column operations over o_l.
-
-    Returns (valuations of diagonal pivots, V) where V is the accumulated
-    column transform (A_new = U A V); V is None unless track_cols.
-    """
-    rows = [[int(c) for c in r] for r in np.asarray(A, dtype=np.int64)]
-    nr = len(rows)
-    nc = len(rows[0]) if nr else 0
-    V = [[1 if i == j else 0 for j in range(nc)] for i in range(nc)] if track_cols else None
-    pivots = []
-    s = 0
-    while s < min(nr, nc):
-        best = None
-        for i in range(s, nr):
-            for j in range(s, nc):
-                v = ring.valuation(rows[i][j])
-                if v < ring.ell and (best is None or v < best[0]):
-                    best = (v, i, j)
-        if best is None:
-            break
-        e, bi, bj = best
-        rows[s], rows[bi] = rows[bi], rows[s]
-        if bj != s:
-            for r in rows:
-                r[s], r[bj] = r[bj], r[s]
-            if track_cols:
-                for r in V:
-                    r[s], r[bj] = r[bj], r[s]
-        # normalize pivot to pi^e
-        u = ring.div_varpi_pow(rows[s][s], e) if e else rows[s][s]
-        uinv = ring.inv(u)
-        for j in range(nc):
-            rows[s][j] = ring.mul(uinv, rows[s][j])
-        # clear column s below, then row s to the right
-        for i in range(nr):
-            if i != s and rows[i][s]:
-                f = ring.div_varpi_pow(rows[i][s], e)
-                for j in range(nc):
-                    rows[i][j] = ring.sub(rows[i][j], ring.mul(f, rows[s][j]))
-        for j in range(nc):
-            if j != s and rows[s][j]:
-                f = ring.div_varpi_pow(rows[s][j], e)
-                for i in range(nr):
-                    rows[i][j] = ring.sub(rows[i][j], ring.mul(f, rows[i][s]))
-                if track_cols:
-                    for i in range(nc):
-                        V[i][j] = ring.sub(V[i][j], ring.mul(f, V[i][s]))
-        pivots.append(e)
-        s += 1
-    return pivots, V
-
-
-def solve_count(ring: Ring, A) -> tuple[int, list[np.ndarray]]:
-    """Exact count and spanning set for {v | A v = 0} over o_l.
-
-    The count is q^(sum of pivot valuations) * q^(l * #free coordinates),
-    always a power of p.
-    """
-    A = np.asarray(A, dtype=np.int64)
-    nc = A.shape[1]
-    pivots, V = smith_diagonal(ring, A, track_cols=True)
-    rank = len(pivots)
-    count = ring.q ** (sum(pivots) + ring.ell * (nc - rank))
-    basis = []
-    for s, e in enumerate(pivots):
-        if e > 0:
-            col = np.array([V[i][s] for i in range(nc)], dtype=np.int64)
-            basis.append(np.array([ring.mul_varpi_pow(int(c), ring.ell - e) for c in col],
-                                  dtype=np.int64))
-    for j in range(rank, nc):
-        basis.append(np.array([V[i][j] for i in range(nc)], dtype=np.int64))
-    return count, basis
-
-
-def span_size(ring: Ring, gens) -> int:
-    """Number of elements of the o_l-module spanned by the given row vectors."""
-    G = np.asarray(gens, dtype=np.int64)
-    if G.size == 0:
-        return 1
-    pivots, _ = smith_diagonal(ring, G)
-    return ring.q ** sum(ring.ell - e for e in pivots)
-
-
-def commutant_matrix(ring: Ring, x: np.ndarray) -> np.ndarray:
-    """Matrix of y -> xy - yx on the n^2 coordinates of y, over o_l."""
-    x = np.asarray(x, dtype=np.int64)
-    n = x.shape[0]
-    out = np.zeros((n * n, n * n), dtype=np.int64)
-    for i in range(n):
-        for j in range(n):
-            row = i * n + j
-            for k in range(n):
-                out[row, k * n + j] = ring.add(int(out[row, k * n + j]), int(x[i, k]))
-                out[row, i * n + k] = ring.sub(int(out[row, i * n + k]), int(x[k, j]))
-    return out

@@ -218,32 +218,10 @@ class Ring:
             return pow(a, -1, self.size)
         return self.v_inv().item(a)
 
-    def valuation(self, a: int) -> int:
-        """q-adic valuation of the code; valuation(0) = ell by convention."""
-        if a == 0:
-            return self.ell
-        v = 0
-        while a % self.q == 0:
-            a //= self.q
-            v += 1
-        return v
-
     def project_code(self, a: int, i: int) -> int:
         if not 1 <= i <= self.ell:
             raise ValueError(f"projection level {i} out of range [1, {self.ell}]")
         return a % self.q**i
-
-    def mul_varpi_pow(self, a: int, k: int) -> int:
-        """a * pi^k; in code terms (a mod q^(l-k)) * q^k for both families."""
-        if k >= self.ell:
-            return 0
-        return (a % self.q ** (self.ell - k)) * self.q**k
-
-    def div_varpi_pow(self, a: int, k: int) -> int:
-        """Exact division by pi^k; the result is well defined mod pi^(ell-k)."""
-        if a % self.q**k != 0:
-            raise ValueError("element not divisible by pi^k")
-        return a // self.q**k
 
     def subring(self, i: int) -> "Ring":
         """The quotient o_i with the same family and q."""
@@ -253,9 +231,6 @@ class Ring:
 
     def residue_field(self) -> "Ring":
         return self.subring(1)
-
-    def elements(self) -> range:
-        return range(self.size)
 
     def unit_codes(self) -> list[int]:
         return [a for a in range(self.size) if a % self.q != 0]

@@ -179,8 +179,7 @@ def predicted_regular_count(spec: GroupSpec, a: int) -> int:
     sub = ring.subring(m_level)
     spec_m = GroupSpec(spec.family, spec.n, sub.desc)
     a_m = ring.project_code(a, m_level)
-    xs = np.stack([a_regular(sub.desc, spec.n, a_m, [int(c) for c in coeffs]).a
-                   for coeffs in a_regular_coeff_tuples(spec, sub)])
+    xs = a_regular(sub.desc, spec.n, a_m, a_regular_coeff_tuples(spec, sub))
     total = int(centralizer_order_by_units(spec_m, xs).sum())
     if ring.ell % 2 == 1:
         total *= ring.q**spec.reg_centralizer_dim
@@ -235,32 +234,6 @@ class VerificationReport:
     predicted_count: int | None
     predicted_dim: int | None
     checks: list[CheckRecord] = field(default_factory=list)
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks if not c.informational)
-
-    def to_dict(self) -> dict:
-        return {
-            "spec": self.spec_key,
-            "a": self.a_code,
-            "computed": {"ind_dim": self.ind_dim, "ind_norm": self.ind_norm},
-            "predicted": {
-                "regular_count": self.predicted_count,
-                "dim_sum": self.predicted_dim,
-            },
-            "checks": [
-                {
-                    "claim": c.claim,
-                    "predicted": c.predicted,
-                    "computed": c.computed,
-                    "pass": c.passed,
-                    "informational": c.informational,
-                }
-                for c in self.checks
-            ],
-            "pass": self.passed,
-        }
 
 
 def verify_multiplicity_one(

@@ -1,0 +1,336 @@
+"""Reference implementations that only the tests call.
+
+Most are an independent route to a fact that `whittaker` computes another
+way: the scalar determinant by cofactor expansion, exact kernel counting over
+o_l by Smith-style diagonalization, group centralizers by filtering a full
+table, the cyclic-vector search over o_r, and the closed forms of the type
+combinatorics.  Matrices are code arrays with their Ring (or q) alongside,
+as in `whittaker` itself.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from whittaker.cyclotomic import CycloNum
+from whittaker.groups import GroupSpec, GroupTable, SubgroupHandle, matrix_powers
+from whittaker.linalg import Poly, mat_det_batch, mat_mul, monic_irreducibles
+from whittaker.localring import Ring, RingDesc, all_tuples, get_ring
+from whittaker.regular import TypeMatrix
+
+
+# ---------------------------------------------------------------------------
+# scalars, polynomials and cyclotomic numbers
+
+
+def valuation(ring: Ring, a: int) -> int:
+    """q-adic valuation of the code; valuation(0) = ell by convention."""
+    if a == 0:
+        return ring.ell
+    v = 0
+    while a % ring.q == 0:
+        a //= ring.q
+        v += 1
+    return v
+
+
+def mul_varpi_pow(ring: Ring, a: int, k: int) -> int:
+    """a * pi^k; in code terms (a mod q^(l-k)) * q^k for both families."""
+    if k >= ring.ell:
+        return 0
+    return (a % ring.q ** (ring.ell - k)) * ring.q**k
+
+
+def div_varpi_pow(ring: Ring, a: int, k: int) -> int:
+    """Exact division by pi^k; the result is well defined mod pi^(ell-k)."""
+    if a % ring.q**k != 0:
+        raise ValueError("element not divisible by pi^k")
+    return a // ring.q**k
+
+
+def poly_value(poly: Poly, x: int) -> int:
+    """The polynomial evaluated at x in F_q, by Horner's rule."""
+    F = poly.field
+    acc = 0
+    for c in reversed(poly.coeffs):
+        acc = F.add(F.mul(acc, x), c)
+    return acc
+
+
+def companion(poly: Poly) -> np.ndarray:
+    """Companion matrix (codes) of a monic polynomial over F_q."""
+    if not poly.is_monic:
+        raise ValueError("companion matrix requires a monic polynomial")
+    n = poly.degree
+    F = poly.field
+    a = np.zeros((n, n), dtype=np.int64)
+    for i in range(1, n):
+        a[i, i - 1] = 1
+    for i in range(n):
+        a[i, n - 1] = F.neg(poly.coeffs[i])
+    return a
+
+
+def euler_phi(m: int) -> int:
+    result = m
+    d = 2
+    while d * d <= m:
+        if m % d == 0:
+            while m % d == 0:
+                m //= d
+            result -= result // d
+        d += 1
+    if m > 1:
+        result -= result // m
+    return result
+
+
+def root_of_unity(m: int, j: int) -> CycloNum:
+    """zeta_m^j as a CycloNum."""
+    c = [0] * m
+    c[j % m] = 1
+    return CycloNum(m, c)
+
+
+# ---------------------------------------------------------------------------
+# matrices over o_l
+
+
+def det_scalar(ring: Ring, a: np.ndarray) -> int:
+    """Exact determinant (code) by cofactor expansion."""
+    n = a.shape[0]
+    if n == 1:
+        return int(a[0, 0])
+    if n == 2:
+        return ring.sub(ring.mul(int(a[0, 0]), int(a[1, 1])),
+                        ring.mul(int(a[0, 1]), int(a[1, 0])))
+    acc = 0
+    sign_pos = True
+    for j in range(n):
+        c = int(a[0, j])
+        if c:
+            minor = np.delete(np.delete(a, 0, axis=0), j, axis=1)
+            term = ring.mul(c, det_scalar(ring, minor))
+            acc = ring.add(acc, term if sign_pos else ring.neg(term))
+        sign_pos = not sign_pos
+    return acc
+
+
+def smith_diagonal(ring: Ring, A, track_cols: bool = False):
+    """Diagonalize A by unimodular row/column operations over o_l.
+
+    Returns (valuations of diagonal pivots, V) where V is the accumulated
+    column transform (A_new = U A V); V is None unless track_cols.
+    """
+    rows = [[int(c) for c in r] for r in np.asarray(A, dtype=np.int64)]
+    nr = len(rows)
+    nc = len(rows[0]) if nr else 0
+    V = [[1 if i == j else 0 for j in range(nc)] for i in range(nc)] if track_cols else None
+    pivots = []
+    s = 0
+    while s < min(nr, nc):
+        best = None
+        for i in range(s, nr):
+            for j in range(s, nc):
+                v = valuation(ring, rows[i][j])
+                if v < ring.ell and (best is None or v < best[0]):
+                    best = (v, i, j)
+        if best is None:
+            break
+        e, bi, bj = best
+        rows[s], rows[bi] = rows[bi], rows[s]
+        if bj != s:
+            for r in rows:
+                r[s], r[bj] = r[bj], r[s]
+            if track_cols:
+                for r in V:
+                    r[s], r[bj] = r[bj], r[s]
+        # normalize pivot to pi^e
+        u = div_varpi_pow(ring, rows[s][s], e) if e else rows[s][s]
+        uinv = ring.inv(u)
+        for j in range(nc):
+            rows[s][j] = ring.mul(uinv, rows[s][j])
+        # clear column s below, then row s to the right
+        for i in range(nr):
+            if i != s and rows[i][s]:
+                f = div_varpi_pow(ring, rows[i][s], e)
+                for j in range(nc):
+                    rows[i][j] = ring.sub(rows[i][j], ring.mul(f, rows[s][j]))
+        for j in range(nc):
+            if j != s and rows[s][j]:
+                f = div_varpi_pow(ring, rows[s][j], e)
+                for i in range(nr):
+                    rows[i][j] = ring.sub(rows[i][j], ring.mul(f, rows[i][s]))
+                if track_cols:
+                    for i in range(nc):
+                        V[i][j] = ring.sub(V[i][j], ring.mul(f, V[i][s]))
+        pivots.append(e)
+        s += 1
+    return pivots, V
+
+
+def solve_count(ring: Ring, A) -> tuple[int, list[np.ndarray]]:
+    """Exact count and spanning set for {v | A v = 0} over o_l.
+
+    The count is q^(sum of pivot valuations) * q^(l * #free coordinates),
+    always a power of p.
+    """
+    A = np.asarray(A, dtype=np.int64)
+    nc = A.shape[1]
+    pivots, V = smith_diagonal(ring, A, track_cols=True)
+    rank = len(pivots)
+    count = ring.q ** (sum(pivots) + ring.ell * (nc - rank))
+    basis = []
+    for s, e in enumerate(pivots):
+        if e > 0:
+            col = np.array([V[i][s] for i in range(nc)], dtype=np.int64)
+            basis.append(np.array([mul_varpi_pow(ring, int(c), ring.ell - e) for c in col],
+                                  dtype=np.int64))
+    for j in range(rank, nc):
+        basis.append(np.array([V[i][j] for i in range(nc)], dtype=np.int64))
+    return count, basis
+
+
+def span_size(ring: Ring, gens) -> int:
+    """Number of elements of the o_l-module spanned by the given row vectors."""
+    G = np.asarray(gens, dtype=np.int64)
+    if G.size == 0:
+        return 1
+    pivots, _ = smith_diagonal(ring, G)
+    return ring.q ** sum(ring.ell - e for e in pivots)
+
+
+def commutant_matrix(ring: Ring, x: np.ndarray) -> np.ndarray:
+    """Matrix of y -> xy - yx on the n^2 coordinates of y, over o_l."""
+    x = np.asarray(x, dtype=np.int64)
+    n = x.shape[0]
+    out = np.zeros((n * n, n * n), dtype=np.int64)
+    for i in range(n):
+        for j in range(n):
+            row = i * n + j
+            for k in range(n):
+                out[row, k * n + j] = ring.add(int(out[row, k * n + j]), int(x[i, k]))
+                out[row, i * n + k] = ring.sub(int(out[row, i * n + k]), int(x[k, j]))
+    return out
+
+
+def lie_centralizer_count(spec: GroupSpec, x: np.ndarray) -> int:
+    """|C_{g(o_r)}(x)| by exact kernel counting (gl: all y; sl: tr y = 0)."""
+    ring = get_ring(spec.ring)
+    sys_rows = commutant_matrix(ring, np.asarray(x, dtype=np.int64))
+    if spec.family == "SL":
+        n = spec.n
+        tr = np.zeros((1, n * n), dtype=np.int64)
+        for i in range(n):
+            tr[0, i * n + i] = 1
+        sys_rows = np.concatenate([sys_rows, tr])
+    count, _ = solve_count(ring, sys_rows)
+    return count
+
+
+def centralizer(table: GroupTable, x: np.ndarray) -> SubgroupHandle:
+    """Group centralizer of a code matrix over the group's ring, by table
+    filtering."""
+    ring = table.ring
+    x = np.asarray(x, dtype=np.int64)
+    left = mat_mul(ring, table.elems, x)
+    right = mat_mul(ring, x[None], table.elems)
+    mask = (left == right).all(axis=(1, 2))
+    return SubgroupHandle(table, np.flatnonzero(mask), "centralizer")
+
+
+def is_cyclic(ring: Ring, x: np.ndarray) -> bool:
+    """Cyclic-vector search over o_r itself (independent oracle for is_regular).
+
+    Looks for v with det([v, xv, ..., x^(n-1)v]) a unit, over all q^(rn)
+    candidate vectors.
+    """
+    n = x.shape[0]
+    pows = matrix_powers(ring, np.asarray(x, dtype=np.int64), n)
+    vecs = all_tuples(ring.size, n)
+    # columns of the Krylov matrix: x^j v
+    kry = np.empty((len(vecs), n, n), dtype=np.int64)
+    for j in range(n):
+        col = None
+        for k in range(n):
+            term = ring.v_mul(pows[j][:, k][None, :], vecs[:, k][:, None])
+            col = term if col is None else ring.v_add(col, term)
+        kry[:, :, j] = col
+    dets = mat_det_batch(ring, kry)
+    return bool(ring.v_is_unit(dets).any())
+
+
+# ---------------------------------------------------------------------------
+# counts and types
+
+
+def count_a_regular_classes(family: str, n: int, desc: RingDesc) -> int:
+    """Number of a-regular conjugacy classes of g(o_r) for a fixed unit a:
+    q^(n r) for gl_n, q^((n-1) r) for sl_n.  For sl_n the count holds where
+    (p,2) = (p,n) = 1 (whittaker_verify.predictions_supported)."""
+    d = n if family == "GL" else n - 1
+    return desc.q ** (d * desc.ell)
+
+
+def centralizer_order_residue(tau: TypeMatrix, q: int) -> int:
+    """|C_{GL_n(F_q)}(x)| for tau-regular x: the centralizer is the unit group
+    of a product of rings F_{q^d}[t]/(t^e)."""
+    out = 1
+    for d, e, c in tau.entries:
+        out *= (q ** (d * e) - q ** (d * (e - 1))) ** c
+    return out
+
+
+def all_n_typical(n: int) -> list[TypeMatrix]:
+    """All n-typical type matrices (multisets of (d, e) blocks)."""
+    blocks = [(d, e) for d in range(1, n + 1) for e in range(1, n + 1) if d * e <= n]
+    out: list[TypeMatrix] = []
+
+    def rec(rem: int, idx: int, counts: dict):
+        if rem == 0:
+            out.append(TypeMatrix.make(n, dict(counts)))
+            return
+        if idx == len(blocks):
+            return
+        d, e = blocks[idx]
+        cost = d * e
+        maxc = rem // cost
+        for c in range(maxc, -1, -1):
+            if c:
+                counts[(d, e)] = c
+            rec(rem - c * cost, idx + 1, counts)
+            counts.pop((d, e), None)
+
+    rec(n, 0, {})
+    return out
+
+
+def tau_regular_companion(tau: TypeMatrix, q: int) -> np.ndarray | None:
+    """A tau-regular companion matrix (codes) over F_q, or None when F_q has
+    too few irreducibles of some degree to realize tau."""
+    need: dict[int, int] = {}
+    for d, _, c in tau.entries:
+        need[d] = need.get(d, 0) + c
+    maxd = max(need) if need else 1
+    sieve = monic_irreducibles(q, maxd)
+    for d, cnt in need.items():
+        if len(sieve[d]) < cnt:
+            return None
+    poly = Poly(q, (1,))
+    cursor = {d: 0 for d in need}
+    for d, e, c in tau.entries:
+        for _ in range(c):
+            f = sieve[d][cursor[d]]
+            cursor[d] += 1
+            for _ in range(e):
+                poly = poly * f
+    return companion(poly)
+
+
+# ---------------------------------------------------------------------------
+# verdicts
+
+
+def report_passed(rep) -> bool:
+    """A VerificationReport passes when every non-informational check does."""
+    return all(c.passed for c in rep.checks if not c.informational)

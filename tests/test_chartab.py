@@ -4,12 +4,13 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from whittaker.cyclotomic import IntegralityError, integer_values, pairings
+from whittaker.cyclotomic import CycloNum, IntegralityError, integer_values, pairings
 from whittaker.localring import get_ring, ring_make
+from whittaker.linalg import mat_mul
 from whittaker.groups import CapExceeded, GroupSpec, enumerate_group, unipotent_subgroup
 from whittaker.whittaker_verify import NonDegenChar, induced_norm
 from whittaker import chartab
-from whittaker.chartab import (CharTable, charpoly_mod, character_table,
+from whittaker.chartab import (CharTable, charpoly_mod, character_table, class_data,
                                class_matrix, classify_regular, conjugacy_classes,
                                decompose_induced, dixon_prime, nullspace_mod,
                                poly_roots_mod, primitive_root, restriction_norm,
@@ -21,6 +22,11 @@ Z9 = ring_make("mixed", 3, 1, 2)
 Z8 = ring_make("mixed", 2, 1, 3)
 F2 = ring_make("mixed", 2, 1, 1)
 F3 = ring_make("mixed", 3, 1, 1)
+
+
+def _value(ct, t, i):
+    """chi_t at class i as an exact element of Z[zeta_e]."""
+    return CycloNum(ct.e, ct.rows[t, i].tolist())
 
 
 # -- shared tables (module scope: they are the expensive part) ----------------
@@ -138,6 +144,30 @@ def test_sl2f3_classes():
     assert cd.sizes.sum() == 24
 
 
+def test_class_data_matches_elementwise_oracle(gl2z4_ct):
+    # representatives, sizes, element orders and the classes of inverses,
+    # read element by element instead of off the representatives
+    cd = gl2z4_ct.cd
+    table = cd.table
+    eye = np.eye(2, dtype=np.int64)
+    orders = []
+    for x in table.elems:
+        o, power = 1, x
+        while not np.array_equal(power, eye):
+            power = mat_mul(table.ring, power, x)
+            o += 1
+        orders.append(o)
+    inverse_classes = cd.class_of[table.ids_of(table.inverses())]
+    for c in range(cd.k):
+        members = np.flatnonzero(cd.class_of == c)
+        assert cd.reps[c] == members[0] and cd.sizes[c] == len(members)
+        assert set(np.array(orders)[members]) == {cd.orders[c]}
+        assert set(inverse_classes[members]) == {cd.inverse_perm[c]}
+    # the identity moved out of class 0: the numbering is out of order
+    with pytest.raises(AssertionError, match="not numbered in order of their smallest id"):
+        class_data(table, (cd.class_of + 1) % cd.k)
+
+
 def test_class_count_equals_irreducible_count(gl2z4_ct):
     cd = gl2z4_ct.cd
     assert cd.sizes.sum() == 96
@@ -151,8 +181,6 @@ def test_class_function_constancy_sampled(sl2z9_ct):
     table = ct.table
     ring = table.ring
     rng = np.random.default_rng(31)
-    from whittaker.linalg import mat_mul
-
     t = int(np.argmax(ct.degrees))
     for _ in range(20):
         i = int(rng.integers(0, len(table)))
@@ -267,7 +295,7 @@ def test_degrees_divide_group_order(gl2z4_ct, sl2z9_ct):
 def test_trivial_character_present(gl2z4_ct):
     ones = [t for t in range(gl2z4_ct.k)
             if gl2z4_ct.degrees[t] == 1
-            and all(gl2z4_ct.value(t, i) == gl2z4_ct.value(t, 0)
+            and all(_value(gl2z4_ct, t, i) == _value(gl2z4_ct, t, 0)
                     for i in range(gl2z4_ct.k))]
     assert len(ones) == 1
 
@@ -280,12 +308,10 @@ def test_induced_from_trivial_u_character_contains_trivial_once(gl2z4_ct):
     u_classes = ct.cd.class_of[u.ids]
     triv = next(t for t in range(ct.k)
                 if ct.degrees[t] == 1
-                and all(ct.value(t, i) == ct.value(t, 0) for i in range(ct.k)))
+                and all(_value(ct, t, i) == _value(ct, t, 0) for i in range(ct.k)))
     acc = np.zeros(ct.e, dtype=np.int64)
     for cls in u_classes:
         acc += ct.rows[triv, cls]
-    from whittaker.cyclotomic import CycloNum
-
     assert CycloNum(ct.e, acc.tolist()).rational_value() == len(u)
 
 

@@ -1,6 +1,7 @@
 import json
 
 import jsonschema
+import numpy as np
 import pytest
 
 from whittaker.cli import (JobConfig, build_parser, config_from_args,
@@ -28,7 +29,7 @@ def test_config_round_trip():
         ["verify", "--group", "SL2", "--ring", "mixed:3^2", "--a", "all",
          "--threads", "2", "--no-cache"])
     cfg = config_from_args(args)
-    assert JobConfig.from_dict(cfg.to_dict()) == cfg
+    assert JobConfig(**cfg.to_dict()) == cfg
 
 
 def test_formula_rows():
@@ -301,6 +302,61 @@ def test_cached_degrees_swap_exits_internal(capsys, tmp_path):
     err = capsys.readouterr().err
     assert "internal fault: AssertionError: degrees differ from the identity-class values" in err
     assert len(err.splitlines()) == 1
+
+
+def _rewrite_gl2_z9_classes(tmp_path, fault):
+    # a class-numbering fault written back through the cache's own writer, so
+    # the file passes the integrity rule
+    from whittaker.cache import load_char_table, load_group_table, save_char_table
+    from whittaker.groups import GroupSpec
+    from whittaker.localring import parse_ring
+
+    table = load_group_table(GroupSpec("GL", 2, parse_ring("mixed:3^2")), tmp_path)
+    ct = load_char_table(table, tmp_path)
+    fault(ct.cd)
+    save_char_table(ct, tmp_path)
+
+
+def test_cached_classes_swapped_exit_internal(capsys, tmp_path):
+    # two classes of equal size and element order swapped in class_of: every
+    # subcommand that loads the table derives its class data from class_of
+    # and refuses a numbering out of order of the smallest ids
+    def swap(cd):
+        c1, c2 = next((i, j) for i in range(cd.k) for j in range(i + 1, cd.k)
+                      if cd.sizes[i] == cd.sizes[j] and cd.orders[i] == cd.orders[j])
+        in_c1, in_c2 = cd.class_of == c1, cd.class_of == c2
+        cd.class_of[in_c1], cd.class_of[in_c2] = c2, c1
+
+    cache = ["--cache-dir", str(tmp_path)]
+    assert main(["chartab", "--group", "GL2", "--ring", "mixed:3^2", *cache]) == 0
+    _rewrite_gl2_z9_classes(tmp_path, swap)
+    capsys.readouterr()
+    for args in (["chartab", "--group", "GL2"], ["branching", "--group", "GL2"],
+                 ["gl2-sl2-tables"]):
+        assert main([*args, "--ring", "mixed:3^2", *cache]) == EXIT_INTERNAL
+        err = capsys.readouterr().err
+        assert ("internal fault: AssertionError: the classes of GL2(mixed:3^2) are not "
+                "numbered in order of their smallest id") in err
+
+
+def test_cached_element_moved_between_classes_exits_internal(capsys, tmp_path):
+    # the largest id of the largest class moved to the next non-identity
+    # class: the numbering stays in order, the derived class sizes change,
+    # and the sums of re-verify's row relation, which reads them, are no
+    # longer rational
+    def move(cd):
+        big = int(cd.sizes.argmax())
+        moved = int(np.flatnonzero(cd.class_of == big)[-1])
+        target = 2 if big == 1 else 1
+        assert cd.reps[target] < moved
+        cd.class_of[moved] = target
+
+    args = ["chartab", "--group", "GL2", "--ring", "mixed:3^2", "--cache-dir", str(tmp_path)]
+    assert main(args) == 0
+    _rewrite_gl2_z9_classes(tmp_path, move)
+    capsys.readouterr()
+    assert main(args) == EXIT_INTERNAL
+    assert "internal arithmetic fault: character sum is not rational" in capsys.readouterr().err
 
 
 def test_unwritable_out_file_exits_internal(capsys, tmp_path):

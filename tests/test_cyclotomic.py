@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from whittaker.cyclotomic import (CycloNum, IntegralityError, NonRationalError,
-                                  cyclotomic_poly, euler_phi, integer_values,
-                                  pairings, root_of_unity)
+                                  cyclotomic_poly, integer_values, pairings)
+from oracles import euler_phi, root_of_unity
 
 
 def test_root_arithmetic_exponent_addition():

@@ -1,8 +1,9 @@
-"""The benchmark's layer tracer binds every name it wraps in `whittaker`.
+"""The benchmark binds every name it uses in `whittaker`.
 
-`perfbench/spans.install` looks functions, methods and classes up by name;
-a name that is renamed or deleted in `src/` must fail here, not only in a
-traced benchmark run.
+`perfbench/spans.install` looks functions, methods and classes up by name,
+and `perfbench/child.py` imports the exceptions and exit codes it maps a
+job's failure to; a name that is renamed or deleted in `src/` must fail
+here, not only in a benchmark run.
 """
 
 import subprocess
@@ -27,3 +28,12 @@ def test_tracer_install_binds_every_name(tmp_path):
         capture_output=True, text=True, cwd=tmp_path, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stderr == ""
+
+
+def test_benchmark_child_imports_resolve():
+    from whittaker.groups import CapExceeded
+    from whittaker.reporting import EXIT_CAP, EXIT_INTERNAL
+    from whittaker.whittaker_verify import IntegralityError
+
+    assert issubclass(CapExceeded, Exception) and issubclass(IntegralityError, ArithmeticError)
+    assert (EXIT_CAP, EXIT_INTERNAL) == (2, 3)
