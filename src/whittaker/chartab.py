@@ -26,7 +26,7 @@ from .linalg import mat_inv_batch, mat_mul
 from .groups import (CapExceeded, GroupTable, SubgroupHandle,
                      congruence_subgroup, unipotent_subgroup)
 from .whittaker_verify import NonDegenChar, phi_x_exponents, predictions_supported
-from .regular import TypeMatrix, iota, is_regular, type_of
+from .regular import TypeMatrix, iota, type_of
 
 CHARTAB_CAP = 100_000
 CLASS_SWEEP_CAP = 100_000
@@ -499,10 +499,8 @@ def classify_regular(ct: CharTable) -> list[RegularFlag]:
     if np.any(mults < 0):
         raise IntegralityError("negative restriction multiplicity")
 
-    # regularity and type depend on x only: decide them once per supported x
-    types = {}
-    for xi in np.flatnonzero(mults.any(axis=1)).tolist():
-        types[xi] = type_of(xs[xi], q) if is_regular(ring, xs[xi]) else None
+    # regularity and type depend on x only: one type_of per supported x
+    types = {xi: type_of(xs[xi], q) for xi in np.flatnonzero(mults.any(axis=1)).tolist()}
     flags = []
     for t in range(k):
         support = np.flatnonzero(mults[:, t])
@@ -533,14 +531,21 @@ def _lie_algebra_residue(spec) -> np.ndarray:
     return out
 
 
-def restriction_norm(ct_gl: CharTable, t: int, sl_table: GroupTable,
-                     sl_class_counts: np.ndarray | None = None) -> int:
-    """<Res chi_t, Res chi_t>_SL = (1/|SL|) sum over SL of |chi_t|^2, exact."""
+def restriction_norm(ct_gl: CharTable, ts, sl_table: GroupTable,
+                     sl_class_counts: np.ndarray | None = None) -> np.ndarray:
+    """<Res chi_t, Res chi_t>_SL = (1/|SL|) sum over SL of |chi_t|^2, exact,
+    for each row t of the sequence ts, as an int64 array.
+
+    One pairings call covers the block of rows, and integer_values checks the
+    whole (T, T, e) result: its off-diagonal entries are |SL| times
+    <Res chi_s, Res chi_t>_SL, integers as well.  The block is T^2 e int64,
+    so callers pass a few dozen rows at a time (cli: one factorization label).
+    """
     if sl_class_counts is None:
         sl_class_counts = sl_class_profile(ct_gl, sl_table)
-    row = ct_gl.rows[t][None]
-    acc = pairings(row * sl_class_counts[None, :, None], row)
-    return int(integer_values(acc, ct_gl.e, len(sl_table))[0, 0])
+    rows = ct_gl.rows[np.asarray(ts, dtype=np.int64)]
+    acc = pairings(rows * sl_class_counts[None, :, None], rows)
+    return np.diagonal(integer_values(acc, ct_gl.e, len(sl_table))).copy()
 
 
 def sl_class_profile(ct_gl: CharTable, sl_table: GroupTable) -> np.ndarray:

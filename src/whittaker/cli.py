@@ -103,7 +103,7 @@ def _maybe_table(spec: GroupSpec, cfg: JobConfig, env: ReportEnvelope):
 def _chartab(spec: GroupSpec, cfg: JobConfig, env: ReportEnvelope):
     table = cached_group_table(spec, cfg.cache_path(), cfg.table_cap)
     ct = cached_char_table(table, cfg.cache_path(), cfg.chartab_cap)
-    # classification factors characteristic polynomials of degree n
+    # classification factors minimal polynomials of degree n
     cached_irreducibles(spec.ring.q, spec.n)
     env.provenance["cache_keys"].extend([group_cache_key(spec), chartab_cache_key(spec)])
     env.provenance.setdefault("dixon", {})[spec.key()] = {"e": ct.e, "r": ct.r}
@@ -246,15 +246,19 @@ def cmd_branching(cfg: JobConfig) -> ReportEnvelope:
     flags = classify_regular(ct)
     regs = [f for f in flags if f.regular]
     profile = sl_class_profile(ct, sl_table)
-    norms = {f.index: restriction_norm(ct, f.index, sl_table, profile) for f in regs}
-    env.add("branching-norm-at-most-n", "restriction-constituent-bound",
-            f"<= {n}", max(norms.values()), max(norms.values()) <= n)
-    assert_iota = predictions_supported(sl_spec)
-    by_label: dict[str, set] = {}
+    by_label: dict[str, list] = {}
     for f in regs:
-        by_label.setdefault(f.label, set()).add(norms[f.index])
-    for label, got in sorted(by_label.items()):
-        tau = next(f.tau for f in regs if f.label == label)
+        by_label.setdefault(f.label, []).append(f)
+    # one restriction_norm block per label keeps each (T, T, e) Gram small
+    norms = {label: restriction_norm(ct, [f.index for f in fs], sl_table, profile).tolist()
+             for label, fs in by_label.items()}
+    top = max(max(got) for got in norms.values())
+    env.add("branching-norm-at-most-n", "restriction-constituent-bound",
+            f"<= {n}", top, top <= n)
+    assert_iota = predictions_supported(sl_spec)
+    for label, fs in sorted(by_label.items()):
+        got = set(norms[label])
+        tau = fs[0].tau
         if assert_iota:
             env.add(f"branching-iota-{label}", "restriction-norm-equals-iota",
                     [iota(tau, desc.q - 1)], sorted(got),

@@ -8,12 +8,15 @@ exact.  Two vectors represent the same algebraic number iff their
 difference is divisible by the m-th cyclotomic polynomial Phi_m, which is
 an exact integer polynomial division.
 
-reduction_matrix(m) is the one map from exponent vectors to canonical
-coordinates in the power basis 1, zeta, ..., zeta^(phi(m)-1).  A value is
-rational iff all its coordinates but the first vanish, so every exact sum
-is turned into an integer here: one CycloNum by is_zero/rational_value,
-a stack of exponent vectors at once by integer_values.  An inner product of
-class functions (every character sum) is pairings, then integer_values.
+reduction_matrix(m) is the map from exponent vectors to canonical
+coordinates in the power basis 1, zeta, ..., zeta^(phi(m)-1), and
+CycloNum.coordinates applies it.  A value is rational iff all its
+coordinates but the first vanish, so every exact sum is turned into an
+integer here: one CycloNum by is_zero/rational_value, a stack of exponent
+vectors at once by integer_values, which reduces through the radical
+s = rad(m) with the smaller reduction_matrix(s), as Phi_m(x) = Phi_s(x^(m/s)).
+An inner product of class functions (every character sum) is pairings, then
+integer_values.
 """
 
 from __future__ import annotations
@@ -88,24 +91,44 @@ def reduction_matrix(m: int) -> np.ndarray:
 def integer_values(acc: np.ndarray, m: int, divisor: int = 1) -> np.ndarray:
     """Exact integers acc / divisor for a stack (..., m) of exponent vectors.
 
-    Raises NonRationalError when a vector is not rational, IntegralityError
-    when it is not divisible by divisor or when the int64 reduction could
-    overflow: every partial sum of the product is bounded by the row L1
-    norm, at most m * max |entry|, times max |reduction entry|, and that
-    bound must stay below 2^63.
+    The reduction runs through s = rad(m): Phi_m(x) = Phi_s(x^(m/s)), so
+    exponent c (m/s) + b reduces by reduction_matrix(s) acting on c alone.
+    Each vector is read as an (s, m/s) block, and reduction_matrix(s) maps
+    its s rows to phi(s) rows, the canonical coordinates of
+    reduction_matrix(m) with m/s times fewer products.  Raises NonRationalError when a vector is
+    not rational, IntegralityError when it is not divisible by divisor or
+    when the int64 reduction could overflow: every partial sum of the product
+    is bounded by the row L1 norm, at most m * max |entry|, times
+    max |reduction entry| (the same for reduction_matrix(s) and
+    reduction_matrix(m)), and that bound must stay below 2^63.
     """
-    red = reduction_matrix(m)
-    flat = np.asarray(acc, dtype=np.int64).reshape(-1, m)
+    s = _radical(m)
+    red = reduction_matrix(s)
+    flat = np.asarray(acc, dtype=np.int64).reshape(-1, s, m // s)
     bound = m * _max_abs(flat) * _max_abs(red)
     if bound >= 1 << 63:
         raise IntegralityError(f"reducing sums bounded by {bound} could overflow int64")
-    reduced = flat @ red
-    if np.any(reduced[:, 1:]):
+    # reduced[n, b, c'] is the coordinate of zeta^(c' m/s + b)
+    reduced = flat.transpose(0, 2, 1) @ red
+    if np.any(reduced.reshape(len(flat), -1)[:, 1:]):
         raise NonRationalError("character sum is not rational")
-    vals, rem = np.divmod(reduced[:, 0], divisor)
+    vals, rem = np.divmod(reduced[:, 0, 0], divisor)
     if np.any(rem):
         raise IntegralityError(f"character sum is not divisible by {divisor}")
     return vals.reshape(np.shape(acc)[:-1])
+
+
+@lru_cache(maxsize=None)
+def _radical(m: int) -> int:
+    """The product of the distinct primes dividing m."""
+    out, d = 1, 2
+    while d * d <= m:
+        if m % d == 0:
+            out *= d
+            while m % d == 0:
+                m //= d
+        d += 1
+    return out * m if m > 1 else out
 
 
 def pairings(f: np.ndarray, g: np.ndarray) -> np.ndarray:

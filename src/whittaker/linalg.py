@@ -2,11 +2,11 @@
 rings o_l.
 
 A matrix is a numpy array of integer element codes, and its Ring (or q, for
-F_q) is passed next to it.  Over F_q there are characteristic and minimal
-polynomials and irreducible factorization against a sieve of monic
-irreducibles.  F_q is GF_ring(q), the l = 1 Ring of the equal family: Poly,
-char_poly and min_poly do their scalar arithmetic on it, and min_poly its
-matrix products too.
+F_q) is passed next to it.  Over F_q there are minimal polynomials and
+irreducible factorization against a sieve of monic irreducibles.  F_q is
+GF_ring(q), the l = 1 Ring of the equal family: Poly and min_poly do their
+scalar arithmetic on it, and min_poly its matrix products too.  The
+characteristic polynomial is a test oracle (tests/oracles.py).
 
 The batched kernels multiply, take determinants of and invert stacks of code
 matrices; they are the workhorses of group enumeration and character sums.
@@ -262,32 +262,7 @@ def mat_inv_batch(ring: Ring, A) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# characteristic / minimal polynomials over F_q
-
-
-def char_poly(a: np.ndarray, q: int) -> Poly:
-    """Characteristic polynomial det(tI - a) of a code matrix over F_q."""
-    F = GF_ring(q)
-    n = a.shape[0]
-    entries = [[Poly(q, (F.neg(int(a[i, j])),)) if i != j
-                else Poly(q, (F.neg(int(a[i, j])), 1))
-                for j in range(n)] for i in range(n)]
-    return _poly_det(entries, q)
-
-
-def _poly_det(rows: list[list[Poly]], q: int) -> Poly:
-    n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    acc = Poly(q, ())
-    for j in range(n):
-        c = rows[0][j]
-        if c.is_zero():
-            continue
-        minor = [[rows[i][k] for k in range(n) if k != j] for i in range(1, n)]
-        term = c * _poly_det(minor, q)
-        acc = acc + (term if j % 2 == 0 else -term)
-    return acc
+# minimal polynomials over F_q
 
 
 def min_poly(a: np.ndarray, q: int) -> Poly:

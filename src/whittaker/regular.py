@@ -2,24 +2,27 @@
 types.
 
 A matrix over o_r is regular iff it admits a cyclic vector; equivalently
-iff its residue image has equal characteristic and minimal polynomials.
-Regularity is decided at the residue field; the cyclic-vector search over
-o_r is an independent test oracle (tests/oracles.py).
+iff its residue image has a minimal polynomial of degree n, which then
+equals the characteristic polynomial (Cayley-Hamilton).  Regularity is
+decided at the residue field, by one minimal polynomial; the cyclic-vector
+search over o_r and the characteristic-polynomial route to the type are
+independent test oracles (tests/oracles.py).
 
 The type of a regular residue matrix records the degree/exponent pattern
-of its characteristic polynomial; the type and iota drive the GL -> SL
-branching predictions.
+of its minimal (= characteristic) polynomial; the type and iota drive the
+GL -> SL branching predictions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import gcd
 
 import numpy as np
 
 from .localring import Ring, RingDesc, all_tuples, get_ring
-from .linalg import char_poly, factor_poly, min_poly
+from .linalg import Poly, factor_poly, min_poly
 from .groups import GroupSpec
 
 
@@ -30,7 +33,7 @@ from .groups import GroupSpec
 def is_regular(ring: Ring, a: np.ndarray) -> bool:
     """True iff the code matrix a over o_r is regular: its residue has
     char poly = min poly."""
-    return min_poly(a % ring.q, ring.q).degree == a.shape[-1]
+    return type_of(a % ring.q, ring.q) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -106,16 +109,27 @@ class TypeMatrix:
         return ",".join(f"({d},{e})x{c}" for d, e, c in self.entries)
 
 
-def type_of(a: np.ndarray, q: int) -> TypeMatrix:
-    """Type of a regular code matrix over F_q from its char poly factorization."""
-    cp = char_poly(a, q)
-    if min_poly(a, q) != cp:
-        raise ValueError("type_of requires a regular matrix")
+def type_of(a: np.ndarray, q: int) -> TypeMatrix | None:
+    """Type of a code matrix over F_q, or None when it is not regular.
+
+    One minimal polynomial decides both: it divides the characteristic
+    polynomial, so it has degree n iff the two are equal (a is regular), and
+    then its factorization is the type.  Each distinct polynomial is
+    factored once per process.
+    """
+    mp = min_poly(a, q)
+    return _poly_type(mp) if mp.degree == a.shape[-1] else None
+
+
+@lru_cache(maxsize=None)
+def _poly_type(poly: Poly) -> TypeMatrix:
+    """The (degree, exponent) counts of a monic polynomial's factorization;
+    the cache holds one entry per distinct polynomial, at most q^n per (q, n)."""
     counts: dict[tuple[int, int], int] = {}
-    for f, e in factor_poly(cp):
+    for f, e in factor_poly(poly):
         key = (f.degree, e)
         counts[key] = counts.get(key, 0) + 1
-    return TypeMatrix.make(a.shape[-1], counts)
+    return TypeMatrix.make(poly.degree, counts)
 
 
 def iota(tau: TypeMatrix, r: int) -> int:

@@ -1,9 +1,11 @@
 """Reference implementations that only the tests call.
 
 Most are an independent route to a fact that `whittaker` computes another
-way: the scalar determinant by cofactor expansion, exact kernel counting over
-o_l by Smith-style diagonalization, group centralizers by filtering a full
-table, the cyclic-vector search over o_r, and the closed forms of the type
+way: the scalar determinant and the characteristic polynomial by cofactor
+expansion, the factorization type read off the characteristic polynomial,
+exact kernel counting over o_l by Smith-style diagonalization, group
+centralizers by filtering a full table, the cyclic-vector search over o_r,
+restriction norms one row at a time, and the closed forms of the type
 combinatorics.  Matrices are code arrays with their Ring (or q) alongside,
 as in `whittaker` itself.
 """
@@ -12,9 +14,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from whittaker.cyclotomic import CycloNum
+from whittaker.chartab import CharTable, sl_class_profile
+from whittaker.cyclotomic import CycloNum, integer_values, pairings
 from whittaker.groups import GroupSpec, GroupTable, SubgroupHandle, matrix_powers
-from whittaker.linalg import Poly, mat_det_batch, mat_mul, monic_irreducibles
+from whittaker.linalg import (GF_ring, Poly, factor_poly, mat_det_batch, mat_mul, min_poly,
+                              monic_irreducibles)
 from whittaker.localring import Ring, RingDesc, all_tuples, get_ring
 from whittaker.regular import TypeMatrix
 
@@ -90,6 +94,32 @@ def root_of_unity(m: int, j: int) -> CycloNum:
     c = [0] * m
     c[j % m] = 1
     return CycloNum(m, c)
+
+
+def char_poly(a: np.ndarray, q: int) -> Poly:
+    """Characteristic polynomial det(tI - a) of a code matrix over F_q."""
+    F = GF_ring(q)
+    n = a.shape[0]
+    entries = [[Poly(q, (F.neg(int(a[i, j])),)) if i != j
+                else Poly(q, (F.neg(int(a[i, j])), 1))
+                for j in range(n)] for i in range(n)]
+    return _poly_det(entries, q)
+
+
+def _poly_det(rows: list[list[Poly]], q: int) -> Poly:
+    """Determinant of a matrix of polynomials by cofactor expansion."""
+    n = len(rows)
+    if n == 1:
+        return rows[0][0]
+    acc = Poly(q, ())
+    for j in range(n):
+        c = rows[0][j]
+        if c.is_zero():
+            continue
+        minor = [[rows[i][k] for k in range(n) if k != j] for i in range(1, n)]
+        term = c * _poly_det(minor, q)
+        acc = acc + (term if j % 2 == 0 else -term)
+    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -325,6 +355,33 @@ def tau_regular_companion(tau: TypeMatrix, q: int) -> np.ndarray | None:
             for _ in range(e):
                 poly = poly * f
     return companion(poly)
+
+
+def type_of_charpoly(a: np.ndarray, q: int) -> TypeMatrix:
+    """Type of a regular code matrix over F_q from its characteristic
+    polynomial's factorization; ValueError unless min poly = char poly."""
+    cp = char_poly(a, q)
+    if min_poly(a, q) != cp:
+        raise ValueError("type_of_charpoly requires a regular matrix")
+    counts: dict[tuple[int, int], int] = {}
+    for f, e in factor_poly(cp):
+        key = (f.degree, e)
+        counts[key] = counts.get(key, 0) + 1
+    return TypeMatrix.make(a.shape[-1], counts)
+
+
+# ---------------------------------------------------------------------------
+# character sums
+
+
+def restriction_norm_row(ct_gl: CharTable, t: int, sl_table: GroupTable,
+                         sl_class_counts: np.ndarray | None = None) -> int:
+    """<Res chi_t, Res chi_t>_SL for one row, by its own pairings call."""
+    if sl_class_counts is None:
+        sl_class_counts = sl_class_profile(ct_gl, sl_table)
+    row = ct_gl.rows[t][None]
+    acc = pairings(row * sl_class_counts[None, :, None], row)
+    return int(integer_values(acc, ct_gl.e, len(sl_table))[0, 0])
 
 
 # ---------------------------------------------------------------------------

@@ -156,8 +156,8 @@ def test_criterion_08_branching():
     assert len(flags) == 54
     prof = sl_class_profile(ct, sl_table)
     want = {"cuspidal": 1, "split-nss": 2, "split-ss": 1}
-    for f in flags:
-        nrm = restriction_norm(ct, f.index, sl_table, prof)
+    norms = restriction_norm(ct, [f.index for f in flags], sl_table, prof).tolist()
+    for f, nrm in zip(flags, norms):
         assert nrm == iota(f.tau, 2) == want[f.label]
         assert nrm <= 2
     elapsed = time.perf_counter() - t0

@@ -16,6 +16,7 @@ from whittaker.chartab import (CharTable, charpoly_mod, character_table, class_d
                                poly_roots_mod, primitive_root, restriction_norm,
                                rref_mod, sl_class_profile, special_regular_scan,
                                sqrt_mod)
+from oracles import restriction_norm_row
 
 Z4 = ring_make("mixed", 2, 1, 2)
 Z9 = ring_make("mixed", 3, 1, 2)
@@ -385,8 +386,24 @@ def test_restriction_norm_bounded_and_matches_iota(sl2z9_ct):
     # (p = n = 2), so use the SL table itself restricted to itself: norm 1
     ct = sl2z9_ct
     prof = sl_class_profile(ct, ct.table)
-    for t in range(ct.k):
-        assert restriction_norm(ct, t, ct.table, prof) == 1
+    assert restriction_norm(ct, range(ct.k), ct.table, prof).tolist() == [1] * ct.k
+
+
+@pytest.mark.parametrize("desc", [Z9, Z8], ids=["Z9", "Z8"])
+def test_restriction_norm_blocks_match_per_row_oracle(desc):
+    # GL2 -> SL2 over every regular row: one block of all rows, and one block
+    # per factorization label as cli.cmd_branching passes them
+    ct = character_table(enumerate_group(GroupSpec("GL", 2, desc)))
+    sl_table = enumerate_group(GroupSpec("SL", 2, desc))
+    prof = sl_class_profile(ct, sl_table)
+    regs = [f for f in classify_regular(ct) if f.regular]
+    want = [restriction_norm_row(ct, f.index, sl_table, prof) for f in regs]
+    got = restriction_norm(ct, [f.index for f in regs], sl_table, prof)
+    assert got.dtype == np.int64 and got.tolist() == want
+    for label in {f.label for f in regs}:
+        block = [i for i, f in enumerate(regs) if f.label == label]
+        assert restriction_norm(ct, [regs[i].index for i in block], sl_table).tolist() == \
+            [want[i] for i in block]
 
 
 def test_chartab_cap():

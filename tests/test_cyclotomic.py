@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from whittaker.cyclotomic import (CycloNum, IntegralityError, NonRationalError,
-                                  cyclotomic_poly, integer_values, pairings)
+                                  cyclotomic_poly, integer_values, pairings,
+                                  reduction_matrix)
 from oracles import euler_phi, root_of_unity
 
 
@@ -134,6 +135,56 @@ def test_integer_values_refuses_sums_that_could_overflow():
     with pytest.raises(IntegralityError, match="overflow"):
         integer_values(np.full((1, 9), 1 << 61, dtype=np.int64), 9)
     assert integer_values(np.full((1, 9), 1 << 58, dtype=np.int64), 9).tolist() == [0]
+
+
+def test_integer_values_fold_matches_full_reduction():
+    # the fold through rad(m) against flat @ reduction_matrix(m) for every
+    # m <= 240: w subtracts the non-constant coordinates of a random v, so it
+    # is rational with the constant coordinate of v; w plus one other
+    # canonical coordinate is not rational
+    rng = np.random.default_rng(12)
+    for m in range(1, 241):
+        red = reduction_matrix(m)
+        v = rng.integers(-9, 10, size=(4, m))
+        coords = v @ red
+        w = v.copy()
+        w[:, 1:red.shape[1]] -= coords[:, 1:]
+        assert integer_values(w, m).tolist() == coords[:, 0].tolist()
+        assert integer_values(w.reshape(2, 2, m), m).shape == (2, 2)
+        for row, c in zip(v, coords):
+            if np.any(c[1:]):
+                with pytest.raises(NonRationalError):
+                    integer_values(row, m)
+            else:
+                assert integer_values(row, m) == c[0]
+        if red.shape[1] > 1:
+            j = int(rng.integers(1, red.shape[1]))
+            w[:, j] += 1
+            with pytest.raises(NonRationalError):
+                integer_values(w, m)
+
+
+def test_integer_values_fold_rejects_non_rational_roots():
+    # m = 72, rad(m) = 6: zeta_72 lies outside the b = 0 block of the fold,
+    # zeta_72^12 = zeta_6 inside it
+    for j in (1, 12):
+        with pytest.raises(NonRationalError):
+            integer_values(np.eye(72, dtype=np.int64)[j], 72)
+    # zeta_72^36 = -1 and zeta_72^24 + zeta_72^48 = -1 are rational
+    acc = np.zeros((2, 72), dtype=np.int64)
+    acc[0, 36] = 4
+    acc[1, [24, 48]] = 4
+    assert integer_values(acc, 72, 2).tolist() == [-2, -2]
+
+
+def test_integer_values_fold_keeps_integrality_checks():
+    acc = np.zeros((1, 72), dtype=np.int64)
+    acc[0, 0] = 6
+    with pytest.raises(IntegralityError, match="divisible"):
+        integer_values(acc, 72, 4)
+    # 72 * 2^57 * max|reduction entry| >= 2^63
+    with pytest.raises(IntegralityError, match="overflow"):
+        integer_values(np.full((1, 72), 1 << 57, dtype=np.int64), 72)
 
 
 @pytest.mark.parametrize("m", [1, 2, 4, 6, 9, 12])

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from whittaker.localring import CONWAY_POLYS, get_ring, ring_make
-from whittaker.linalg import (GF_ring, Poly, char_poly, factor_poly, mat_det_batch,
-                              mat_inv_batch, mat_mul, min_poly, monic_irreducibles)
-from oracles import (commutant_matrix, companion, det_scalar, poly_value, solve_count,
-                     span_size)
+from whittaker.linalg import (GF_ring, Poly, factor_poly, mat_det_batch, mat_inv_batch,
+                              mat_mul, min_poly, monic_irreducibles)
+from oracles import (char_poly, commutant_matrix, companion, det_scalar, poly_value,
+                     solve_count, span_size)
 
 Z4 = ring_make("mixed", 2, 1, 2)
 Z9 = ring_make("mixed", 3, 1, 2)

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from whittaker.localring import get_ring, ring_make
-from whittaker.linalg import Poly, char_poly
+from whittaker.linalg import Poly
 from whittaker.groups import GroupSpec, enumerate_group
 from whittaker.regular import TypeMatrix, a_regular, iota, is_regular, type_of
-from oracles import (all_n_typical, centralizer, centralizer_order_residue, companion,
-                     count_a_regular_classes, is_cyclic, tau_regular_companion)
+from oracles import (all_n_typical, centralizer, centralizer_order_residue, char_poly,
+                     companion, count_a_regular_classes, is_cyclic, tau_regular_companion,
+                     type_of_charpoly)
 
 Z4 = ring_make("mixed", 2, 1, 2)
 Z9 = ring_make("mixed", 3, 1, 2)
@@ -97,8 +98,20 @@ def test_type_of_examples():
     assert type_of(companion(Poly(3, (1, 0, 1))), 3).entries == ((2, 1, 1),)
     assert type_of(companion(Poly(3, (0, 0, 1))), 3).entries == ((1, 2, 1),)
     assert type_of(companion(Poly(3, (2, 0, 1))), 3).entries == ((1, 1, 2),)
-    with pytest.raises(ValueError):
-        type_of(np.eye(2, dtype=np.int64), 3)
+    assert type_of(np.eye(2, dtype=np.int64), 3) is None
+
+
+@pytest.mark.parametrize("n, q", [(2, 3), (2, 4), (3, 2)])
+def test_type_of_matches_charpoly_oracle_exhaustively(n, q):
+    # every matrix of gl_n(F_q): the same type, and None exactly where the
+    # char-poly route refuses a non-regular matrix
+    for entries in itertools.product(range(q), repeat=n * n):
+        x = np.array(entries, dtype=np.int64).reshape(n, n)
+        try:
+            want = type_of_charpoly(x, q)
+        except ValueError:
+            want = None
+        assert type_of(x, q) == want
 
 
 def test_type_labels_n2():
