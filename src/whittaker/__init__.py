@@ -14,7 +14,7 @@ from .cyclotomic import CycloNum, IntegralityError, NonRationalError, integer_va
 from .groups import (CapExceeded, GroupSpec, GroupTable, SubgroupHandle,
                      congruence_subgroup, enumerate_group, iter_group_chunks,
                      unipotent_subgroup)
-from .regular import TypeMatrix, a_regular, iota, is_regular, type_of
+from .regular import TypeMatrix, a_regular, iota, type_of
 from .whittaker_verify import (NonDegenChar, VerificationReport, induced_dim,
                                induced_norm, phi_x_exponents, predicted_dim_sum,
                                predicted_regular_count, verify_multiplicity_one)

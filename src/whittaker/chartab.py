@@ -81,7 +81,7 @@ def conjugacy_classes(table: GroupTable) -> ClassData:
         if class_of[i] >= 0:
             continue
         orbit = mat_mul(ring, mat_mul(ring, elems, elems[i]), invs)
-        ids = np.unique(table.ids_of(orbit))
+        ids = np.flatnonzero(np.bincount(table.ids_of(orbit)))
         class_of[ids] = len(sizes)
         sizes.append(len(ids))
     if sum(sizes) != N:

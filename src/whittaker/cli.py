@@ -120,10 +120,9 @@ def cmd_verify(cfg: JobConfig) -> ReportEnvelope:
     ring = get_ring(spec.ring)
     t0 = time.perf_counter()
     table = _maybe_table(spec, cfg, env)
-    for a in cfg.selected_units(ring):
-        rep = verify_multiplicity_one(spec, a, table=table)
+    for rep in verify_multiplicity_one(spec, cfg.selected_units(ring), table=table):
         for chk in rep.checks:
-            env.add(f"{chk.claim}[a={a}]", chk.claim, chk.predicted, chk.computed,
+            env.add(f"{chk.claim}[a={rep.a_code}]", chk.claim, chk.predicted, chk.computed,
                     chk.passed, chk.informational)
     if cfg.timings:
         env.timings["verify"] = time.perf_counter() - t0

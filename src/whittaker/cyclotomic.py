@@ -153,7 +153,7 @@ def pairings(f: np.ndarray, g: np.ndarray) -> np.ndarray:
     f_used = f.any(axis=0)
     steps = np.gcd(np.gcd.reduce(np.where(f_used | g.any(axis=0), np.arange(m), 0), axis=1), m)
     live = f_used.any(axis=1)
-    for d in np.unique(steps[live]).tolist():
+    for d in np.flatnonzero(np.bincount(steps[live])).tolist():
         cls = np.flatnonzero(live & (steps == d))
         mm = m // d
         fd = f[:, cls, ::d]

@@ -5,13 +5,15 @@ order (identity first, the rest ascending by row-major code tuple) plus a
 sorted int64 key index (the code tuple read in base |o_l|, searched in
 O(log |G|) per element of a batch) and precomputed inverses.
 
-G is listed as (G/U transversal) * U: coset_representatives builds a
-transversal of G/U without listing G, and every element of G is r u for
-exactly one representative r and one u in U.  The transversal asserts
-det r is a unit (GL) or 1 (SL), so every product is in G since
-det(r u) = det r; a table is accepted only with |G| rows, the identity
-first and strictly increasing keys after it, so its rows are |G| distinct
-members of G, which is all of G.  The induced norm sums over the
+G is listed as Z * (G/ZU transversal) * U, with Z the scalar matrices c I
+of G (c any unit for GL, c^n = 1 for SL; central_units lists the c):
+coset_representatives builds a transversal of G/ZU without listing G, and
+every element of G is z r u for exactly one z in Z, one representative r
+and one u in U.  The transversal asserts |R| |Z| |U| = |G| and that det r
+is a unit (GL) or 1 (SL), so every product is in G since
+det(z r u) = c^n det r; a table is accepted only with |G| rows, the
+identity first and strictly increasing keys after it, so its rows are |G|
+distinct members of G, which is all of G.  The induced norm sums over the
 transversal alone.
 """
 
@@ -90,12 +92,14 @@ def congruence_order(spec: GroupSpec, i: int) -> int:
 
 
 def iter_group_chunks(spec: GroupSpec):
-    """Yield the elements of G(o_l) as (N, n, n) code arrays: the coset
-    representatives times one u in U(o_l) per block."""
+    """Yield the elements of G(o_l) as (N, n, n) code arrays: z r u over
+    every scalar z in Z and every coset representative r, for one u in
+    U(o_l) per block."""
     ring = get_ring(spec.ring)
     reps = coset_representatives(spec)
+    scalars = central_units(spec)[:, None, None, None]
     for u in unipotent_matrices(spec):
-        yield mat_mul(ring, reps, u)
+        yield ring.v_mul(scalars, mat_mul(ring, reps, u)).reshape(-1, spec.n, spec.n)
 
 
 def element_keys(ring: Ring, batch: np.ndarray) -> np.ndarray:
@@ -177,7 +181,7 @@ class SubgroupHandle:
 
     def __init__(self, parent: GroupTable, ids, tag: str):
         self.parent = parent
-        self.ids = np.unique(np.asarray(ids, dtype=np.int64))
+        self.ids = np.flatnonzero(np.bincount(np.asarray(ids, dtype=np.int64)))
         self.tag = tag
 
     def __len__(self):
@@ -214,45 +218,75 @@ def unipotent_subgroup(table: GroupTable, k: int = 0) -> SubgroupHandle:
     return h
 
 
+def central_units(spec: GroupSpec) -> np.ndarray:
+    """The codes c, ascending, of the scalar matrices c I in G: every unit
+    for GL, the units with c^n = 1 for SL.  They form the central subgroup Z."""
+    ring = get_ring(spec.ring)
+    codes = np.arange(ring.size, dtype=np.int64)
+    units = codes[ring.v_is_unit(codes)]
+    if spec.family == "GL":
+        return units
+    power = np.ones_like(units)
+    for _ in range(spec.n):
+        power = ring.v_mul(power, units)
+    return units[power == 1]
+
+
 def coset_representatives(spec: GroupSpec) -> np.ndarray:
-    """A transversal of G/U: every element of G(o_l) is r u for one returned
-    r and one u in U(o_l).  CapExceeded, before allocating, if [G:U] > COSET_CAP.
+    """A transversal of G/ZU, Z the scalar matrices of central_units: every
+    element of G(o_l) is z r u for one z in Z, one returned r and one u in
+    U(o_l).  CapExceeded, before allocating, if [G:ZU] > COSET_CAP.
 
     Right multiplication by U adds multiples of earlier columns to later
-    ones, so each coset has one member whose column j is zero in the pivot
-    rows of the earlier columns; the pivot of column j is its first other
-    row holding a unit, so the free rows above it hold non-units.  For SL the
-    last column, whose only free row is its pivot, is scaled to det = 1.
+    ones, so each coset of U has one member whose column j is zero in the
+    pivot rows of the earlier columns; the pivot of column j is its first
+    other row holding a unit, so the free rows above it hold non-units.  For
+    SL the last column, whose only free row is its pivot, is scaled to
+    det = 1.  A scalar unit c keeps that zero/unit pattern (and det = 1 on
+    SL, c^n = 1), so c permutes these members freely, moving the pivot
+    entry x of column 0 to c x; the member whose x is the smallest code of
+    its coset x Z is the one kept.
     """
     ring = get_ring(spec.ring)
-    n = spec.n
-    u_order = unipotent_order(n, spec.ring)
-    index = spec.order() // u_order
+    u_order = unipotent_order(spec.n, spec.ring)
+    scalars = central_units(spec)
+    index = spec.order() // (len(scalars) * u_order)
     if index > COSET_CAP:
-        raise CapExceeded(f"[G : U] = {index} for {spec.key()} exceeds coset cap {COSET_CAP}")
-    codes = np.arange(ring.size, dtype=np.int64)
-    unit = ring.v_is_unit(codes)
-    units, nonunits = codes[unit], codes[~unit]
-    last_pivot = [1] if spec.family == "SL" else units
-    blocks = []
-    for piv in itertools.permutations(range(n)):  # piv[j]: pivot row of column j
-        entry_sets = [[0] if i in piv[:j] else
-                      (units if j < n - 1 else last_pivot) if i == piv[j] else
-                      nonunits if i < piv[j] else codes
-                      for i in range(n) for j in range(n)]
-        grid = np.meshgrid(*entry_sets, indexing="ij")
-        blocks.append(np.stack([g.ravel() for g in grid], axis=1).reshape(-1, n, n))
-    reps = np.concatenate(blocks)
+        raise CapExceeded(f"[G : ZU] = {index} for {spec.key()} exceeds coset cap {COSET_CAP}")
+    reps = _echelon_forms(ring, spec.n, spec.family, scalars)
     if spec.family == "SL":
         dinv = ring.v_inv()[mat_det_batch(ring, reps)]
         reps[:, :, -1] = ring.v_mul(reps[:, :, -1], dinv[:, None])
-    if len(reps) * u_order != spec.order():
+    if len(reps) * len(scalars) * u_order != spec.order():
         raise AssertionError(f"{len(reps)} coset representatives, closed-form index {index}")
     dets = mat_det_batch(ring, reps)
     if not np.all(dets == 1 if spec.family == "SL" else ring.v_is_unit(dets)):
         raise AssertionError(f"a coset representative of {spec.key()} has det "
                              + ("!= 1" if spec.family == "SL" else "a non-unit"))
     return reps
+
+
+def _echelon_forms(ring: Ring, n: int, family: str, scalars: np.ndarray) -> np.ndarray:
+    """Every n x n code matrix of the column echelon pattern that
+    coset_representatives describes, with the pivot entry of column 0 the
+    smallest code of its coset modulo the scalars, of every later column a
+    unit, and of the last column 1 for SL."""
+    codes = np.arange(ring.size, dtype=np.int64)
+    unit = ring.v_is_unit(codes)
+    units, nonunits = codes[unit], codes[~unit]
+    first_pivots = units[ring.v_mul(scalars[:, None], units).min(axis=0) == units]
+    pivot_sets = [first_pivots, *[units] * (n - 1)]
+    if family == "SL":
+        pivot_sets[-1] = [1]
+    blocks = []
+    for piv in itertools.permutations(range(n)):  # piv[j]: pivot row of column j
+        entry_sets = [[0] if i in piv[:j] else
+                      pivot_sets[j] if i == piv[j] else
+                      nonunits if i < piv[j] else codes
+                      for i in range(n) for j in range(n)]
+        grid = np.meshgrid(*entry_sets, indexing="ij")
+        blocks.append(np.stack([g.ravel() for g in grid], axis=1).reshape(-1, n, n))
+    return np.concatenate(blocks)
 
 
 def congruence_subgroup(table: GroupTable, i: int) -> SubgroupHandle:

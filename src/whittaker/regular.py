@@ -4,9 +4,10 @@ types.
 A matrix over o_r is regular iff it admits a cyclic vector; equivalently
 iff its residue image has a minimal polynomial of degree n, which then
 equals the characteristic polynomial (Cayley-Hamilton).  Regularity is
-decided at the residue field, by one minimal polynomial; the cyclic-vector
-search over o_r and the characteristic-polynomial route to the type are
-independent test oracles (tests/oracles.py).
+decided at the residue field, by one minimal polynomial: type_of returns
+None for a non-regular matrix.  The cyclic-vector search over o_r and the
+characteristic-polynomial route to the type are independent test oracles
+(tests/oracles.py).
 
 The type of a regular residue matrix records the degree/exponent pattern
 of its minimal (= characteristic) polynomial; the type and iota drive the
@@ -24,16 +25,6 @@ import numpy as np
 from .localring import Ring, RingDesc, all_tuples, get_ring
 from .linalg import Poly, factor_poly, min_poly
 from .groups import GroupSpec
-
-
-# ---------------------------------------------------------------------------
-# regularity
-
-
-def is_regular(ring: Ring, a: np.ndarray) -> bool:
-    """True iff the code matrix a over o_r is regular: its residue has
-    char poly = min poly."""
-    return type_of(a % ring.q, ring.q) is not None
 
 
 # ---------------------------------------------------------------------------

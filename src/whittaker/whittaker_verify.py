@@ -8,9 +8,10 @@ Ind_U^G(theta_a) of the non-degenerate character
 is analyzed through two independent routes:
 
 * computed: dim Ind = [G : U] and the self-intertwining norm
-  <Ind theta_a, Ind theta_a> by the exact Frobenius sum over a G/U
-  transversal g and u in U with g u g^-1 unipotent, accumulated as a
-  root-of-unity exponent counter and finalized in Z[zeta_m] by
+  <Ind theta_a, Ind theta_a> by the exact Frobenius sum over a G/ZU
+  transversal g (Z the scalar matrices of G) and u in U with g u g^-1
+  unipotent, one pass over U for every unit a at once, accumulated as
+  root-of-unity exponent counters and finalized in Z[zeta_m] by
   cyclotomic.integer_values;
 
 * predicted: the count of a-regular constituents (sum of centralizer
@@ -41,6 +42,7 @@ from .linalg import mat_mul, mat_inv_batch
 from .groups import (
     GroupSpec,
     GroupTable,
+    central_units,
     coset_representatives,
     unipotent_matrices,
     unipotent_subgroup,
@@ -125,29 +127,41 @@ def induced_dim(spec: GroupSpec, table: GroupTable | None = None) -> int:
     return dim
 
 
-def induced_norm(spec: GroupSpec, a: int) -> int:
-    """<Ind_U^G theta_a, Ind_U^G theta_a> by the exact Frobenius sum over a
-    G/U transversal.
+def induced_norm(spec: GroupSpec, units) -> list[int]:
+    """<Ind_U^G theta_a, Ind_U^G theta_a> for each unit a of `units`, by the
+    exact Frobenius sum over a G/ZU transversal, Z the scalar matrices of G.
 
     S(g) = sum over u in U with g u g^-1 in U of theta_a(g u g^-1)
     conj(theta_a(u)) is constant on each coset gU (theta_a is a linear
-    character of U), so the norm (1/|U|^2) sum_{g in G} S(g) equals
-    (1/|U|) sum_{r in G/U} S(r).  The sum is accumulated as an exponent
-    counter and finalized in Z[zeta_m]; the result must be an integer.
+    character of U), and S(z g) = S(g) for z in Z, since z is central and
+    (z g) u (z g)^-1 = g u g^-1.  A scalar z keeps the canonical pattern of
+    a coset representative (groups.coset_representatives), so G is the
+    disjoint union of the z r U and the norm (1/|U|^2) sum_{g in G} S(g)
+    equals |Z| sum_{r in G/ZU} S(r) / |U|.  The sum over r alone need not be
+    divisible by |U|; times |Z| it is the sum over the G/U transversal
+    {z r}, which is.
+    Each u in U is conjugated once, and the unipotent mask taken once, for
+    all the units; each unit's sum is accumulated as an exponent counter and
+    finalized in Z[zeta_m], and the result must be an integer.
     """
-    theta = NonDegenChar(spec, a)
-    ring = theta.ring
-    m = theta.m
+    thetas = [NonDegenChar(spec, a) for a in units]
+    ring = get_ring(spec.ring)
+    m = ring.char_order
     reps = coset_representatives(spec)
     invs = mat_inv_batch(ring, reps)
     u_mats = unipotent_matrices(spec, 0)
-    counter = np.zeros(m, dtype=np.int64)
-    for u, eu in zip(u_mats, theta.exponents_on(u_mats)):
+    u_expos = np.array([theta.exponents_on(u_mats) for theta in thetas])
+    offsets = m * np.arange(len(thetas))[:, None]  # row a of the (units, m) counter
+    counter = np.zeros(len(thetas) * m, dtype=np.int64)
+    for u, eu in zip(u_mats, u_expos.T):
         v = mat_mul(ring, mat_mul(ring, reps, u), invs)
-        mask = unipotent_mask(v, spec.n)
-        if mask.any():
-            counter += np.bincount((theta.exponents_on(v[mask]) - int(eu)) % m, minlength=m)
-    return int(integer_values(counter, m, len(u_mats)))
+        v = v[unipotent_mask(v, spec.n)]
+        if len(v):
+            ev = np.array([theta.exponents_on(v) for theta in thetas])
+            counter += np.bincount(((ev - eu[:, None]) % m + offsets).ravel(),
+                                   minlength=len(counter))
+    counter = counter.reshape(len(thetas), m) * len(central_units(spec))
+    return integer_values(counter, m, len(u_mats)).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -238,42 +252,45 @@ class VerificationReport:
 
 def verify_multiplicity_one(
     spec: GroupSpec,
-    a: int,
+    units,
     table: GroupTable | None = None,
-) -> VerificationReport:
-    """Full verdict at one (group, a): norm = regular count and
-    dim = dimension sum = index.
+) -> list[VerificationReport]:
+    """Full verdict at each (group, a), a in `units`: norm = regular count
+    and dim = dimension sum = index, with one induced_norm call for all
+    the units.
 
     For SL with p | 2n the predictions are skipped (reported as such).
     """
     ring = get_ring(spec.ring)
     dim = induced_dim(spec, table)
-    norm = induced_norm(spec, a)
-    checks = [
-        CheckRecord("induced-norm-positive-and-bounded", f"1..{dim}", norm,
-                    1 <= norm <= dim),
-    ]
-    pcount = pdim = None
-    if predictions_supported(spec):
-        pcount = predicted_regular_count(spec, a)
-        pdim = predicted_dim_sum(spec)
-        checks.append(CheckRecord("whittaker-norm-equals-regular-count", pcount, norm,
-                                  norm == pcount))
-        checks.append(CheckRecord("dimension-sum-equals-induced-dim", pdim, dim,
-                                  pdim == dim))
-    else:
-        checks.append(CheckRecord("predictions-skipped-sl-bad-characteristic",
-                                  None, None, True, informational=True))
-    if spec.family == "SL" and spec.n == 2:
-        printed = sl2_printed_index(ring.q, ring.ell)
-        checks.append(CheckRecord("sl2-printed-index-identity", printed, dim,
-                                  printed == dim, informational=True))
-    return VerificationReport(
-        spec_key=spec.key(),
-        a_code=a,
-        ind_dim=dim,
-        ind_norm=norm,
-        predicted_count=pcount,
-        predicted_dim=pdim,
-        checks=checks,
-    )
+    reports = []
+    for a, norm in zip(units, induced_norm(spec, units)):
+        checks = [
+            CheckRecord("induced-norm-positive-and-bounded", f"1..{dim}", norm,
+                        1 <= norm <= dim),
+        ]
+        pcount = pdim = None
+        if predictions_supported(spec):
+            pcount = predicted_regular_count(spec, a)
+            pdim = predicted_dim_sum(spec)
+            checks.append(CheckRecord("whittaker-norm-equals-regular-count", pcount, norm,
+                                      norm == pcount))
+            checks.append(CheckRecord("dimension-sum-equals-induced-dim", pdim, dim,
+                                      pdim == dim))
+        else:
+            checks.append(CheckRecord("predictions-skipped-sl-bad-characteristic",
+                                      None, None, True, informational=True))
+        if spec.family == "SL" and spec.n == 2:
+            printed = sl2_printed_index(ring.q, ring.ell)
+            checks.append(CheckRecord("sl2-printed-index-identity", printed, dim,
+                                      printed == dim, informational=True))
+        reports.append(VerificationReport(
+            spec_key=spec.key(),
+            a_code=a,
+            ind_dim=dim,
+            ind_norm=norm,
+            predicted_count=pcount,
+            predicted_dim=pdim,
+            checks=checks,
+        ))
+    return reports

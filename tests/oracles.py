@@ -5,9 +5,11 @@ way: the scalar determinant and the characteristic polynomial by cofactor
 expansion, the factorization type read off the characteristic polynomial,
 exact kernel counting over o_l by Smith-style diagonalization, group
 centralizers by filtering a full table, the cyclic-vector search over o_r,
-restriction norms one row at a time, and the closed forms of the type
-combinatorics.  Matrices are code arrays with their Ring (or q) alongside,
-as in `whittaker` itself.
+restriction norms one row at a time, the induced norm unit by unit over a
+G/U transversal, and the closed forms of the type combinatorics.  A few
+(`is_regular`) are thin conveniences over `whittaker` that only tests use.
+Matrices are code arrays with their Ring (or q) alongside, as in
+`whittaker` itself.
 """
 
 from __future__ import annotations
@@ -16,11 +18,13 @@ import numpy as np
 
 from whittaker.chartab import CharTable, sl_class_profile
 from whittaker.cyclotomic import CycloNum, integer_values, pairings
-from whittaker.groups import GroupSpec, GroupTable, SubgroupHandle, matrix_powers
-from whittaker.linalg import (GF_ring, Poly, factor_poly, mat_det_batch, mat_mul, min_poly,
-                              monic_irreducibles)
+from whittaker.groups import (GroupSpec, GroupTable, SubgroupHandle, element_keys,
+                              enumerate_group, matrix_powers, unipotent_matrices)
+from whittaker.linalg import (GF_ring, Poly, factor_poly, mat_det_batch, mat_inv_batch,
+                              mat_mul, min_poly, monic_irreducibles)
 from whittaker.localring import Ring, RingDesc, all_tuples, get_ring
-from whittaker.regular import TypeMatrix
+from whittaker.regular import TypeMatrix, type_of
+from whittaker.whittaker_verify import NonDegenChar, unipotent_mask
 
 
 # ---------------------------------------------------------------------------
@@ -269,6 +273,12 @@ def centralizer(table: GroupTable, x: np.ndarray) -> SubgroupHandle:
     return SubgroupHandle(table, np.flatnonzero(mask), "centralizer")
 
 
+def is_regular(ring: Ring, a: np.ndarray) -> bool:
+    """True iff the code matrix a over o_r is regular: its residue has
+    char poly = min poly, so `type_of` gives it a type."""
+    return type_of(a % ring.q, ring.q) is not None
+
+
 def is_cyclic(ring: Ring, x: np.ndarray) -> bool:
     """Cyclic-vector search over o_r itself (independent oracle for is_regular).
 
@@ -386,6 +396,36 @@ def restriction_norm_row(ct_gl: CharTable, t: int, sl_table: GroupTable,
 
 # ---------------------------------------------------------------------------
 # verdicts
+
+
+def gu_transversal(table: GroupTable) -> np.ndarray:
+    """A transversal of G/U read off the full table: the member of smallest
+    key in each coset g U."""
+    ring = table.ring
+    keys = np.full(len(table), np.iinfo(np.int64).max)
+    for u in unipotent_matrices(table.spec):
+        keys = np.minimum(keys, element_keys(ring, mat_mul(ring, table.elems, u)))
+    _, first = np.unique(keys, return_index=True)
+    return table.elems[first]
+
+
+def induced_norm_by_unit(spec: GroupSpec, a: int) -> int:
+    """<Ind_U^G theta_a, Ind_U^G theta_a> by the Frobenius sum over a G/U
+    transversal, one pass over U for the one unit a: (1/|U|) sum over r in
+    G/U and u in U with r u r^-1 in U of theta_a(r u r^-1) conj(theta_a(u))."""
+    theta = NonDegenChar(spec, a)
+    ring = theta.ring
+    m = theta.m
+    reps = gu_transversal(enumerate_group(spec))
+    invs = mat_inv_batch(ring, reps)
+    u_mats = unipotent_matrices(spec, 0)
+    counter = np.zeros(m, dtype=np.int64)
+    for u, eu in zip(u_mats, theta.exponents_on(u_mats)):
+        v = mat_mul(ring, mat_mul(ring, reps, u), invs)
+        mask = unipotent_mask(v, spec.n)
+        if mask.any():
+            counter += np.bincount((theta.exponents_on(v[mask]) - int(eu)) % m, minlength=m)
+    return int(integer_values(counter, m, len(u_mats)))
 
 
 def report_passed(rep) -> bool:

@@ -54,7 +54,7 @@ def test_criterion_01_gl2_z4_every_unit():
     spec = GroupSpec("GL", 2, Z4)
     for a in get_ring(Z4).unit_codes():
         assert induced_dim(spec) == 24
-        assert induced_norm(spec, a) == 8
+        assert induced_norm(spec, [a]) == [8]
         assert predicted_regular_count(spec, a) == 8
         assert predicted_dim_sum(spec) == 24
     elapsed = time.perf_counter() - t0
@@ -65,7 +65,7 @@ def test_criterion_01_gl2_z4_every_unit():
 def test_criterion_02_gl2_z9():
     t0 = time.perf_counter()
     spec = GroupSpec("GL", 2, Z9)
-    assert induced_norm(spec, 1) == 54 == 24 + 18 + 12
+    assert induced_norm(spec, [1]) == [54] == [24 + 18 + 12]
     assert induced_dim(spec) == 432
     elapsed = time.perf_counter() - t0
     assert elapsed < 10.0
@@ -77,7 +77,7 @@ def test_criterion_03_gl2_z8_odd_level():
     spec = GroupSpec("GL", 2, Z8)
     assert predicted_regular_count(spec, 1) == 32
     assert predicted_dim_sum(spec) == 192 == induced_dim(spec)
-    assert induced_norm(spec, 1) == 32
+    assert induced_norm(spec, [1]) == [32]
     elapsed = time.perf_counter() - t0
     assert elapsed < 10.0
     _report(3, f"GL2(Z/8) odd level: count 32, dim 192, norm 32 ({elapsed:.3f}s)")
@@ -87,7 +87,7 @@ def test_criterion_04_sl2_z9_every_unit():
     t0 = time.perf_counter()
     spec = GroupSpec("SL", 2, Z9)
     for a in get_ring(Z9).unit_codes():
-        rep = verify_multiplicity_one(spec, a)
+        [rep] = verify_multiplicity_one(spec, [a])
         assert report_passed(rep)
         assert rep.ind_norm == 12
         assert rep.ind_dim == 72 == rep.predicted_dim
@@ -211,12 +211,12 @@ def test_criterion_10_lemma_property_suites():
 def test_criterion_11_equal_characteristic_replication():
     spec_gl = GroupSpec("GL", 2, F2T2)
     for a in get_ring(F2T2).unit_codes():
-        assert induced_norm(spec_gl, a) == 8
+        assert induced_norm(spec_gl, [a]) == [8]
         assert predicted_regular_count(spec_gl, a) == 8
         assert induced_dim(spec_gl) == 24 == predicted_dim_sum(spec_gl)
     spec_sl = GroupSpec("SL", 2, F3T2)
     for a in get_ring(F3T2).unit_codes():
-        rep = verify_multiplicity_one(spec_sl, a)
+        [rep] = verify_multiplicity_one(spec_sl, [a])
         assert report_passed(rep) and rep.ind_norm == 12 and rep.ind_dim == 72
     _report(11, "equal characteristic: 8/24 over F2[t]/t^2, 12/72 over F3[t]/t^2")
 
@@ -225,13 +225,13 @@ def test_note_n3_property_based_transversal():
     t0 = time.perf_counter()
     gl = GroupSpec("GL", 3, Z4)
     assert induced_dim(gl) == 1344 == predicted_dim_sum(gl)
-    assert induced_norm(gl, 1) == 32 == predicted_regular_count(gl, 1)
+    assert induced_norm(gl, [1]) == [32] == [predicted_regular_count(gl, 1)]
     sl = GroupSpec("SL", 3, Z4)
     assert induced_dim(sl) == 672 == predicted_dim_sum(sl)
-    assert induced_norm(sl, 1) == 16 == predicted_regular_count(sl, 1)
+    assert induced_norm(sl, [1]) == [16] == [predicted_regular_count(sl, 1)]
     gl_eq = GroupSpec("GL", 3, F2T2)
     assert induced_dim(gl_eq) == 1344 == predicted_dim_sum(gl_eq)
-    assert induced_norm(gl_eq, 1) == 32 == predicted_regular_count(gl_eq, 1)
+    assert induced_norm(gl_eq, [1]) == [32] == [predicted_regular_count(gl_eq, 1)]
     elapsed = time.perf_counter() - t0
     assert elapsed < 1800.0
     _report("n3", f"GL3/SL3(Z/4), GL3(F2[t]/t^2): 32=32 @ 1344, 16=16 @ 672, "

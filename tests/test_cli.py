@@ -1,4 +1,7 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import jsonschema
 import numpy as np
@@ -9,6 +12,8 @@ from whittaker.cli import (JobConfig, build_parser, config_from_args,
 from whittaker.reporting import (EXIT_CAP, EXIT_INTERNAL, EXIT_USAGE, REPORT_SCHEMA,
                                  ReportEnvelope)
 from whittaker.whittaker_verify import NonDegenChar
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run_cli(args, capsys):
@@ -225,6 +230,46 @@ def test_off_by_one_theta_exponent_in_the_norm_exits_internal(monkeypatch, capsy
     code = main(["verify", "--group", "GL2", "--ring", "mixed:3^2", "--no-cache"])
     assert shifted and code == EXIT_INTERNAL
     assert "internal arithmetic fault" in capsys.readouterr().err
+
+
+def test_repeated_coset_representative_exits_internal(monkeypatch, capsys):
+    # one coset of G/ZU listed twice: |R| |Z| |U| = |G| no longer holds
+    from whittaker import groups
+    from whittaker.localring import parse_ring
+
+    original = groups._echelon_forms
+
+    def repeated(*args):
+        forms = original(*args)
+        return np.concatenate([forms, forms[:1]])
+
+    monkeypatch.setattr(groups, "_echelon_forms", repeated)
+    spec = groups.GroupSpec("GL", 2, parse_ring("mixed:3^2"))
+    with pytest.raises(AssertionError, match="73 coset representatives, closed-form index 72"):
+        groups.coset_representatives(spec)
+    code = main(["verify", "--group", "GL2", "--ring", "mixed:3^2", "--no-cache"])
+    assert code == EXIT_INTERNAL
+    assert "73 coset representatives" in capsys.readouterr().err
+
+
+NO_MASKED_ARRAYS = """
+import contextlib, io, sys
+sys.path.insert(0, sys.argv[1])
+from whittaker.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [main(["verify", "--group", "GL2", "--ring", "mixed:3^2", "--all-units",
+                   "--no-cache"]),
+             main(["chartab", "--group", "GL2", "--ring", "mixed:2^2", "--no-cache"])]
+print(codes, "numpy.ma" in sys.modules)
+"""
+
+
+def test_verify_and_chartab_do_not_import_numpy_ma(tmp_path):
+    # numpy.ma costs about 14 ms to import; a bare np.unique(x) pulls it in
+    done = subprocess.run([sys.executable, "-c", NO_MASKED_ARRAYS, str(SRC)],
+                          capture_output=True, text=True, cwd=tmp_path, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[0, 0] False"
 
 
 def _inject_character_value(tmp_path, index):
@@ -488,9 +533,20 @@ def test_bad_input_exits_usage(args, capsys):
 
 
 def test_coset_cap_exceeded_exits_cap(capsys):
-    # [GL3(Z/27) : U] = 221,079,456: refused before the transversal is built
+    # [GL3(Z/27) : ZU] = 221,079,456 / 18 = 12,282,192: refused before the
+    # transversal is built
     assert main(["verify", "--group", "GL3", "--ring", "mixed:3^3", "--no-cache"]) == EXIT_CAP
     assert "coset cap" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cap, code", [(100, 0), (71, EXIT_CAP)])
+def test_coset_cap_bounds_the_index_of_zu(cap, code, monkeypatch, capsys):
+    # GL2(Z/9): [G : ZU] = 72 < 100 < 432 = [G : U]
+    from whittaker import groups
+
+    monkeypatch.setattr(groups, "COSET_CAP", cap)
+    assert main(["verify", "--group", "GL2", "--ring", "mixed:3^2", "--all-units",
+                 "--no-cache"]) == code
 
 
 def test_chartab_verifies_once_cold_and_once_warm(monkeypatch, capsys, tmp_path):

@@ -7,13 +7,13 @@ import pytest
 from whittaker import groups
 from whittaker.localring import get_ring, ring_make
 from whittaker.linalg import mat_det_batch, mat_mul
-from whittaker.groups import (CapExceeded, GroupSpec, GroupTable,
+from whittaker.groups import (CapExceeded, GroupSpec, GroupTable, central_units,
                               centralizer_order_by_units, congruence_subgroup,
                               coset_representatives, enumerate_group,
                               group_order, iter_group_chunks, unipotent_matrices,
                               unipotent_subgroup)
-from whittaker.regular import a_regular, is_regular
-from oracles import centralizer, lie_centralizer_count
+from whittaker.regular import a_regular
+from oracles import centralizer, is_regular, lie_centralizer_count
 
 Z4 = ring_make("mixed", 2, 1, 2)
 Z8 = ring_make("mixed", 2, 1, 3)
@@ -80,20 +80,35 @@ GROUP_CASES = [GroupSpec("GL", 2, Z4), GroupSpec("SL", 2, Z9),
                GroupSpec("GL", 2, F2T2), GroupSpec("GL", 3, Z4)]
 
 
-@pytest.mark.parametrize("spec", GROUP_CASES, ids=str)
+# SL2(Z/8): mu_2 = {1, 3, 5, 7}, so |Z| = 4; SL2(F3[t]/t^2): Z = {1, -1}
+COSET_CASES = GROUP_CASES + [GroupSpec("SL", 2, Z8), GroupSpec("SL", 2, F3T2)]
+
+
+@pytest.mark.parametrize("spec", COSET_CASES, ids=str)
 def test_coset_representatives_times_u_is_the_group(spec):
-    # oracle: all |o|^(n^2) matrices, kept when det is a unit (GL) or 1 (SL)
+    # oracle: all |o|^(n^2) matrices, kept when det is a unit (GL) or 1 (SL);
+    # equal sorted keys show that z r u reaches every element exactly once
     ring = get_ring(spec.ring)
     n = spec.n
     every = np.indices((ring.size,) * (n * n)).reshape(n * n, -1).T.reshape(-1, n, n)
     dets = mat_det_batch(ring, every)
     oracle = every[dets == 1] if spec.family == "SL" else every[ring.v_is_unit(dets)]
     reps = coset_representatives(spec)
-    prods = mat_mul(ring, reps[:, None], unipotent_matrices(spec)[None]).reshape(-1, n, n)
+    scalars = central_units(spec)
+    ru = mat_mul(ring, reps[:, None], unipotent_matrices(spec)[None]).reshape(-1, n, n)
+    prods = ring.v_mul(scalars[:, None, None, None], ru[None]).reshape(-1, n, n)
     assert len(prods) == len(oracle) == spec.order()
     key = ring.size ** np.arange(n * n)
     assert np.array_equal(np.sort(prods.reshape(-1, n * n) @ key),
                           np.sort(oracle.reshape(-1, n * n) @ key))
+
+
+def test_central_units_are_the_scalars_of_the_group():
+    assert central_units(GroupSpec("GL", 2, Z9)).tolist() == [1, 2, 4, 5, 7, 8]
+    assert central_units(GroupSpec("SL", 2, Z9)).tolist() == [1, 8]
+    assert central_units(GroupSpec("SL", 2, Z8)).tolist() == [1, 3, 5, 7]
+    assert central_units(GroupSpec("SL", 3, Z4)).tolist() == [1]
+    assert len(central_units(GroupSpec("SL", 2, F3T2))) == 2
 
 
 # sha256 of enumerate_group(spec).elems as int64 bytes: cached tables, class

@@ -6,10 +6,10 @@ import pytest
 from whittaker.localring import get_ring, ring_make
 from whittaker.linalg import Poly
 from whittaker.groups import GroupSpec, enumerate_group
-from whittaker.regular import TypeMatrix, a_regular, iota, is_regular, type_of
+from whittaker.regular import TypeMatrix, a_regular, iota, type_of
 from oracles import (all_n_typical, centralizer, centralizer_order_residue, char_poly,
-                     companion, count_a_regular_classes, is_cyclic, tau_regular_companion,
-                     type_of_charpoly)
+                     companion, count_a_regular_classes, is_cyclic, is_regular,
+                     tau_regular_companion, type_of_charpoly)
 
 Z4 = ring_make("mixed", 2, 1, 2)
 Z9 = ring_make("mixed", 3, 1, 2)

@@ -11,7 +11,7 @@ from whittaker.whittaker_verify import (NonDegenChar, induced_dim, induced_norm,
                                         phi_x_exponents, predicted_dim_sum,
                                         predicted_regular_count, predictions_supported,
                                         verify_multiplicity_one)
-from oracles import centralizer, report_passed
+from oracles import centralizer, induced_norm_by_unit, report_passed
 
 Z4 = ring_make("mixed", 2, 1, 2)
 Z8 = ring_make("mixed", 2, 1, 3)
@@ -141,26 +141,26 @@ def test_induced_norm_gl2_z4():
     spec = GroupSpec("GL", 2, Z4)
     oracle = _norm_oracle_sum_of_centralizers(spec, 1)
     assert oracle == 3 + 1 + 2 + 2 == 8
-    assert induced_norm(spec, 1) == 8
+    assert induced_norm(spec, [1]) == [8]
 
 
 def test_induced_norm_gl2_z9():
     spec = GroupSpec("GL", 2, Z9)
     oracle = _norm_oracle_sum_of_centralizers(spec, 1)
     assert oracle == 3 * 8 + 3 * 4 + 3 * 6 == 54
-    assert induced_norm(spec, 1) == 54
+    assert induced_norm(spec, [1]) == [54]
 
 
 def test_induced_norm_sl2_z9():
     spec = GroupSpec("SL", 2, Z9)
     oracle = _norm_oracle_sum_of_centralizers(spec, 1)
     assert oracle == 6 + 2 + 4 == 12
-    assert induced_norm(spec, 1) == 12
+    assert induced_norm(spec, [1]) == [12]
 
 
 def test_induced_norm_odd_level():
     spec = GroupSpec("GL", 2, Z8)
-    assert induced_norm(spec, 1) == 32
+    assert induced_norm(spec, [1]) == [32]
     assert predicted_regular_count(spec, 1) == 32
     assert predicted_dim_sum(spec) == 192 == induced_dim(spec)
 
@@ -170,18 +170,31 @@ def test_norm_constant_on_torus_twist_classes():
     for spec, expected in ((GroupSpec("GL", 2, Z4), 8),
                            (GroupSpec("GL", 2, Z9), 54)):
         ring = get_ring(spec.ring)
-        assert all(induced_norm(spec, a) == expected for a in ring.unit_codes())
+        units = ring.unit_codes()
+        assert induced_norm(spec, units) == [expected] * len(units)
     ring = get_ring(Z9)
-    norms = {a: induced_norm(GroupSpec("SL", 2, Z9), a) for a in ring.unit_codes()}
+    norms = dict(zip(ring.unit_codes(),
+                     induced_norm(GroupSpec("SL", 2, Z9), ring.unit_codes())))
     squares = {(u * u) % 9 for u in ring.unit_codes()}
     assert len({norms[a] for a in squares}) == 1
     assert len({norms[a] for a in set(ring.unit_codes()) - squares}) == 1
 
 
+@pytest.mark.parametrize("spec", [
+    GroupSpec("GL", 2, Z4), GroupSpec("GL", 2, Z9), GroupSpec("SL", 2, Z9),
+    GroupSpec("SL", 2, Z8), GroupSpec("GL", 2, F2T2), GroupSpec("SL", 3, Z4),
+], ids=str)
+def test_induced_norm_over_g_mod_zu_matches_per_unit_oracle(spec):
+    # one pass over U for every unit, summed over G/ZU and scaled by |Z|,
+    # against one pass per unit over a G/U transversal read off the table
+    units = get_ring(spec.ring).unit_codes()
+    assert induced_norm(spec, units) == [induced_norm_by_unit(spec, a) for a in units]
+
+
 def test_norm_positive_and_bounded_by_dim():
     for spec in (GroupSpec("GL", 2, Z4), GroupSpec("SL", 2, Z4),
                  GroupSpec("SL", 2, F2T2)):
-        n = induced_norm(spec, 1)
+        [n] = induced_norm(spec, [1])
         assert 1 <= n <= induced_dim(spec)
 
 
@@ -207,7 +220,7 @@ def test_predictions_refuse_bad_sl_characteristic():
     assert not predictions_supported(GroupSpec("SL", 2, Z4))  # p = 2
     assert not predictions_supported(GroupSpec("SL", 3, F3))  # p = n
     for spec in (GroupSpec("SL", 2, Z4), GroupSpec("SL", 3, F3)):
-        rep = verify_multiplicity_one(spec, 1)
+        [rep] = verify_multiplicity_one(spec, [1])
         assert report_passed(rep) and rep.predicted_count is None and rep.predicted_dim is None
         note = [c for c in rep.checks if c.claim == "predictions-skipped-sl-bad-characteristic"]
         assert len(note) == 1 and note[0].informational
@@ -215,22 +228,22 @@ def test_predictions_refuse_bad_sl_characteristic():
 
 
 def test_verify_reports():
-    rep = verify_multiplicity_one(GroupSpec("GL", 2, Z4), 1)
+    [rep] = verify_multiplicity_one(GroupSpec("GL", 2, Z4), [1])
     assert report_passed(rep) and rep.ind_norm == 8 and rep.ind_dim == 24
     assert rep.predicted_count == 8 and rep.predicted_dim == 24
 
-    rep = verify_multiplicity_one(GroupSpec("SL", 2, Z9), 1)
+    [rep] = verify_multiplicity_one(GroupSpec("SL", 2, Z9), [1])
     assert report_passed(rep)
     note = [c for c in rep.checks if c.claim == "sl2-printed-index-identity"][0]
     assert note.informational and not note.passed
     assert note.predicted == 8 and note.computed == 72
 
-    rep = verify_multiplicity_one(GroupSpec("SL", 2, Z4), 1)
+    [rep] = verify_multiplicity_one(GroupSpec("SL", 2, Z4), [1])
     assert report_passed(rep) and rep.predicted_count is None
 
 
 def test_equal_characteristic_replication():
-    assert induced_norm(GroupSpec("GL", 2, F2T2), 1) == 8
+    assert induced_norm(GroupSpec("GL", 2, F2T2), [1]) == [8]
     assert induced_dim(GroupSpec("GL", 2, F2T2)) == 24
-    assert induced_norm(GroupSpec("SL", 2, F3T2), 1) == 12
+    assert induced_norm(GroupSpec("SL", 2, F3T2), [1]) == [12]
     assert induced_dim(GroupSpec("SL", 2, F3T2)) == 72
