@@ -76,8 +76,8 @@ def _write(key: str, cache_dir: Path, meta: dict, arrays: dict[str, np.ndarray])
 
 
 def _read(key: str, cache_dir: Path) -> tuple[dict, dict[str, np.ndarray]] | None:
-    """(metadata, writable arrays) of the file for `key`, or None when the
-    file is missing or breaks the integrity rule."""
+    """(metadata, read-only arrays in their stored dtypes) of the file for
+    `key`, or None when the file is missing or breaks the integrity rule."""
     path = _path(key, cache_dir)
     if not path.exists():
         return None
@@ -100,7 +100,7 @@ def _read(key: str, cache_dir: Path) -> tuple[dict, dict[str, np.ndarray]] | Non
             arrays, offset = {}, split
             for name, dtype, shape in meta["arrays"]:
                 count = int(np.prod(shape))
-                arrays[name] = np.frombuffer(raw, dtype, count, offset).reshape(shape).copy()
+                arrays[name] = np.frombuffer(raw, dtype, count, offset).reshape(shape)
                 offset += arrays[name].nbytes
             if offset != len(raw):
                 raise ValueError(f"{len(raw) - offset} bytes after the arrays")
@@ -151,13 +151,22 @@ def chartab_cache_key(spec: GroupSpec) -> str:
     return f"chartab/v{FORMAT_VERSION}/{spec.key()}"
 
 
+def _narrow(a: np.ndarray) -> np.ndarray:
+    """`a` in the narrowest signed integer dtype that holds its min and max."""
+    lo, hi = (int(a.min()), int(a.max())) if a.size else (0, 0)
+    dtype = next(t for t in (np.int8, np.int16, np.int32, np.int64)
+                 if np.iinfo(t).min <= lo and hi <= np.iinfo(t).max)
+    return a.astype(dtype)
+
+
 def save_char_table(ct: CharTable, cache_dir: Path) -> Path:
     """The class numbering, the Dixon prime, the exponent, the degrees and
-    the values; the rest of the class data is derived from class_of on load."""
+    the values; the rest of the class data is derived from class_of on load.
+    class_of and the values are stored narrow (int8 while k <= 128 and every
+    multiplicity fits), and the loader casts every stored dtype to int64."""
     meta = {"e": ct.e, "r": ct.r, "degrees": ct.degrees.tolist()}
     return _write(chartab_cache_key(ct.table.spec), cache_dir, meta,
-                  {"class_of": ct.cd.class_of.astype(np.int64),
-                   "rows": ct.rows.astype(np.int64)})
+                  {"class_of": _narrow(ct.cd.class_of), "rows": _narrow(ct.rows)})
 
 
 def load_char_table(table: GroupTable, cache_dir: Path) -> CharTable | None:
@@ -165,8 +174,9 @@ def load_char_table(table: GroupTable, cache_dir: Path) -> CharTable | None:
     if got is None:
         return None
     meta, arrays = got
-    ct = CharTable(class_data(table, arrays["class_of"]), meta["e"], meta["r"],
-                   np.array(meta["degrees"], dtype=np.int64), arrays["rows"])
+    ct = CharTable(class_data(table, arrays["class_of"].astype(np.int64)), meta["e"],
+                   meta["r"], np.array(meta["degrees"], dtype=np.int64),
+                   arrays["rows"].astype(np.int64))
     ct.loaded = True
     return ct
 

@@ -1,5 +1,10 @@
 """Exact conjugacy classes and complex character tables for small groups.
 
+The classes are the orbits of conjugation by a few generators of G, each
+conjugation one permutation of the table's ids; the generators are proved to
+generate G by the left multiplications they induce, which must connect the
+table.
+
 Tables are computed by the Dixon-Schneider method: the class-sum matrices
 M_j (structure constants of the class algebra) commute and are split over
 a prime field F_r with r = 1 mod exponent(G) and r > 2 sqrt(|G|), each
@@ -16,7 +21,7 @@ read by integer_values.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isqrt
+from math import gcd, isqrt
 
 import numpy as np
 
@@ -29,7 +34,7 @@ from .whittaker_verify import NonDegenChar, phi_x_exponents, predictions_support
 from .regular import TypeMatrix, iota, type_of
 
 CHARTAB_CAP = 100_000
-CLASS_SWEEP_CAP = 100_000
+CLASS_CAP = 100_000
 ROOT_SCAN_BOUND = 1_000_000
 CLASSIFY_PAIR_CAP = 1 << 22
 
@@ -67,36 +72,82 @@ class ClassData:
         return self.class_of[table.ids_of(np.stack(pows))].tolist()
 
 
+def generator_candidates(table: GroupTable) -> np.ndarray:
+    """Every non-identity id once, in a fixed order: the stride walk j w mod |G|
+    for j = 1 .. |G| - 1, w the first integer prime to |G| from
+    |G| (sqrt 5 - 1) / 2 up, which spreads the first picks over the table."""
+    size = len(table)
+    w = max(1, round(size * 0.6180339887498949))
+    while gcd(w, size) != 1:
+        w += 1
+    return np.arange(1, size, dtype=np.int64) * w % size
+
+
+def components(perms: list[np.ndarray], label: np.ndarray) -> np.ndarray:
+    """The smallest id of each id's component in the graph of the edges
+    i -> p[i] of the permutations p.
+
+    `label` starts the propagation: each entry an id of its own id's component
+    (np.arange, or the labels of a finer partition).  A round takes the
+    minimum along every p in both directions, then jumps pointers,
+    label <- label[label].  At the fixed point the two ends of every edge
+    agree and each label is an id of its own component: its smallest id.
+    """
+    while True:
+        before = label
+        for p in perms:
+            label = np.minimum(label, label[p])
+            label[p] = np.minimum(label[p], label)
+        while not np.array_equal(jumped := label[label], label):
+            label = jumped
+        if np.array_equal(label, before):
+            return label
+
+
 def conjugacy_classes(table: GroupTable) -> ClassData:
-    """Partition by full conjugation sweeps (one batched orbit per class)."""
+    """The classes as the orbits of conjugation by a checked generating set.
+
+    Each candidate s of generator_candidates that lies outside the subgroup S
+    the kept ones generate is kept.  One product s G gives two permutations
+    of the ids: the left multiplication g -> s g, whose components are the
+    right cosets of S, and the conjugation g -> s g s^-1.  Once the left
+    multiplications connect the whole table, S = G: that is the proof, and
+    AssertionError is raised if the candidates run out first.  The classes
+    are the components of the conjugations, numbered in order of their
+    smallest ids, the numbering class_data asks for.  The extra memory is two
+    |G|-long int64 permutations per kept generator.
+    """
     N = len(table)
-    if N > CLASS_SWEEP_CAP:
-        raise CapExceeded(f"|G| = {N} beyond the class-sweep cap {CLASS_SWEEP_CAP}")
-    ring = table.ring
-    elems = table.elems
-    invs = table.inverses()
-    class_of = np.full(N, -1, dtype=np.int64)
-    sizes = []
-    for i in range(N):
-        if class_of[i] >= 0:
-            continue
-        orbit = mat_mul(ring, mat_mul(ring, elems, elems[i]), invs)
-        ids = np.flatnonzero(np.bincount(table.ids_of(orbit)))
-        class_of[ids] = len(sizes)
-        sizes.append(len(ids))
-    if sum(sizes) != N:
-        raise AssertionError("class sizes do not partition the group")
-    return class_data(table, class_of)
+    if N > CLASS_CAP:
+        raise CapExceeded(f"|G| = {N} beyond the class cap {CLASS_CAP}")
+    ring, elems = table.ring, table.elems
+    lefts, conjugations = [], []
+    coset = np.arange(N)  # smallest id of each right coset of S; S = {g : coset[g] = 0}
+    for s in generator_candidates(table):
+        if not coset.any():
+            break
+        if coset[s]:
+            products = mat_mul(ring, elems[s], elems)
+            lefts.append(table.ids_of(products))
+            conjugations.append(
+                table.ids_of(mat_mul(ring, products, mat_inv_batch(ring, elems[s]))))
+            coset = components(lefts, coset)
+    if coset.any():
+        raise AssertionError(f"the generator candidates of {table.spec.key()} span a "
+                             f"proper subgroup of order {np.count_nonzero(coset == 0)}")
+    label = components(conjugations, np.arange(N))
+    return class_data(table, (np.cumsum(label == np.arange(N)) - 1)[label])
 
 
 def class_data(table: GroupTable, class_of: np.ndarray) -> ClassData:
     """The ClassData of a class numbering of the table's elements.
 
-    The classes must be numbered in order of their smallest id, as the sweep
-    numbers them (so class 0 holds the identity); AssertionError otherwise.
-    The sizes are counts, each representative is the smallest id of its
-    class, and the inversion permutation and the element orders are read off
-    the representatives, their orders by one batched power loop.
+    The classes must be numbered in order of their smallest id, as
+    conjugacy_classes numbers them (so class 0 holds the identity);
+    AssertionError otherwise.  The sizes are counts, each representative is
+    the smallest id of its class, and the inversion permutation and the
+    element orders are read off the representatives, their orders by one
+    batched power loop.
     """
     class_of = np.asarray(class_of, dtype=np.int64)
     labels, reps = np.unique(class_of, return_index=True)
@@ -332,8 +383,8 @@ def character_table(table: GroupTable, cap: int = CHARTAB_CAP) -> CharTable:
     unsplit space W, kept as reduced rows, is split by the eigenvalues of
     the d x d action A of M_j^T on it (d = dim W), never of the k x k M_j^T.
 
-    |G| is compared with the cap before the class sweep, so a refused table
-    costs no sweep.
+    |G| is compared with the cap before the classes are built, so a refused
+    table costs no class work.
     """
     order = len(table)
     if order > cap:

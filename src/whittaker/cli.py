@@ -327,33 +327,32 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """One parser for every subcommand: they all take the same options."""
     parser = _Parser(
         prog="whittaker",
         description="Exact verification of Whittaker-model multiplicity, "
                     "counting and branching identities over finite local rings.",
     )
-    sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name in COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--group", default="GL2",
-                       help="group family and rank, e.g. GL2, SL3")
-        p.add_argument("--ring", default="mixed:3^2",
-                       help="ring descriptor: mixed:p^l or equal:q^l")
-        p.add_argument("--a", dest="a_select", default="1",
-                       help="unit twist code, or 'all'")
-        p.add_argument("--all-units", dest="a_select", action="store_const",
-                       const="all", help="shorthand for --a all")
-        p.add_argument("--threads", type=int, default=1,
-                       help="ignored: kept so that existing command lines still parse")
-        p.add_argument("--table-cap", type=int, default=TABLE_CAP)
-        p.add_argument("--chartab-cap", type=int, default=CHARTAB_CAP)
-        p.add_argument("--cache-dir", default="")
-        p.add_argument("--no-cache", action="store_true")
-        p.add_argument("--out", default="", help="also write the report to a file")
-        p.add_argument("--format", dest="fmt", choices=("text", "json"),
-                       default="text")
-        p.add_argument("--timings", action="store_true",
-                       help="record wall times (breaks byte-level determinism)")
+    parser.add_argument("subcommand", choices=tuple(COMMANDS))
+    parser.add_argument("--group", default="GL2",
+                        help="group family and rank, e.g. GL2, SL3")
+    parser.add_argument("--ring", default="mixed:3^2",
+                        help="ring descriptor: mixed:p^l or equal:q^l")
+    parser.add_argument("--a", dest="a_select", default="1",
+                        help="unit twist code, or 'all'")
+    parser.add_argument("--all-units", dest="a_select", action="store_const",
+                        const="all", help="shorthand for --a all")
+    parser.add_argument("--threads", type=int, default=1,
+                        help="ignored: kept so that existing command lines still parse")
+    parser.add_argument("--table-cap", type=int, default=TABLE_CAP)
+    parser.add_argument("--chartab-cap", type=int, default=CHARTAB_CAP)
+    parser.add_argument("--cache-dir", default="")
+    parser.add_argument("--no-cache", action="store_true")
+    parser.add_argument("--out", default="", help="also write the report to a file")
+    parser.add_argument("--format", dest="fmt", choices=("text", "json"),
+                        default="text")
+    parser.add_argument("--timings", action="store_true",
+                        help="record wall times (breaks byte-level determinism)")
     return parser
 
 

@@ -4,7 +4,8 @@ Most are an independent route to a fact that `whittaker` computes another
 way: the scalar determinant and the characteristic polynomial by cofactor
 expansion, the factorization type read off the characteristic polynomial,
 exact kernel counting over o_l by Smith-style diagonalization, group
-centralizers by filtering a full table, the cyclic-vector search over o_r,
+centralizers by filtering a full table, conjugacy classes by one full
+conjugation sweep per class, the cyclic-vector search over o_r,
 restriction norms one row at a time, the induced norm unit by unit over a
 G/U transversal, and the closed forms of the type combinatorics.  A few
 (`is_regular`) are thin conveniences over `whittaker` that only tests use.
@@ -16,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from whittaker.chartab import CharTable, sl_class_profile
+from whittaker.chartab import CharTable, ClassData, class_data, sl_class_profile
 from whittaker.cyclotomic import CycloNum, integer_values, pairings
 from whittaker.groups import (GroupSpec, GroupTable, SubgroupHandle, element_keys,
                               enumerate_group, matrix_powers, unipotent_matrices)
@@ -378,6 +379,24 @@ def type_of_charpoly(a: np.ndarray, q: int) -> TypeMatrix:
         key = (f.degree, e)
         counts[key] = counts.get(key, 0) + 1
     return TypeMatrix.make(a.shape[-1], counts)
+
+
+# ---------------------------------------------------------------------------
+# conjugacy classes
+
+
+def conjugacy_classes_sweep(table: GroupTable) -> ClassData:
+    """The classes by full conjugation sweeps: the orbit of the smallest id
+    not yet in a class, conjugated by every element of G at once."""
+    ring, elems, invs = table.ring, table.elems, table.inverses()
+    class_of = np.full(len(table), -1, dtype=np.int64)
+    k = 0
+    for i in range(len(table)):
+        if class_of[i] < 0:
+            orbit = mat_mul(ring, mat_mul(ring, elems, elems[i]), invs)
+            class_of[table.ids_of(orbit)] = k
+            k += 1
+    return class_data(table, class_of)
 
 
 # ---------------------------------------------------------------------------

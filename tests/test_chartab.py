@@ -11,18 +11,20 @@ from whittaker.groups import CapExceeded, GroupSpec, enumerate_group, unipotent_
 from whittaker.whittaker_verify import NonDegenChar, induced_norm
 from whittaker import chartab
 from whittaker.chartab import (CharTable, charpoly_mod, character_table, class_data,
-                               class_matrix, classify_regular, conjugacy_classes,
+                               class_matrix, classify_regular, components, conjugacy_classes,
                                decompose_induced, dixon_prime, nullspace_mod,
                                poly_roots_mod, primitive_root, restriction_norm,
                                rref_mod, sl_class_profile, special_regular_scan,
                                sqrt_mod)
-from oracles import restriction_norm_row
+from oracles import conjugacy_classes_sweep, restriction_norm_row
 
 Z4 = ring_make("mixed", 2, 1, 2)
 Z9 = ring_make("mixed", 3, 1, 2)
 Z8 = ring_make("mixed", 2, 1, 3)
 F2 = ring_make("mixed", 2, 1, 1)
 F3 = ring_make("mixed", 3, 1, 1)
+F3T2 = ring_make("equal", 3, 1, 2)
+CLASS_FIELDS = ("class_of", "reps", "sizes", "orders", "inverse_perm")
 
 
 def _value(ct, t, i):
@@ -143,6 +145,45 @@ def test_sl2f3_classes():
     cd = conjugacy_classes(enumerate_group(GroupSpec("SL", 2, F3)))
     assert cd.k == 7
     assert cd.sizes.sum() == 24
+
+
+@pytest.mark.parametrize("family, n, ring", [
+    ("GL", 1, F2),  # the trivial group
+    ("GL", 1, Z9),  # abelian
+    ("GL", 2, F2),
+    ("SL", 2, F3),
+    ("GL", 2, Z4),
+    ("GL", 2, Z8),
+    ("SL", 2, Z9),
+    ("SL", 2, Z8),
+    ("GL", 2, F3T2),
+    ("SL", 3, Z4),
+])
+def test_orbit_classes_match_the_sweep(family, n, ring):
+    table = enumerate_group(GroupSpec(family, n, ring))
+    cd, want = conjugacy_classes(table), conjugacy_classes_sweep(table)
+    for field in CLASS_FIELDS:
+        assert np.array_equal(getattr(cd, field), getattr(want, field)), field
+
+
+def test_components_are_labelled_by_their_smallest_id():
+    # p joins 0-3-5 and 1-4, q joins 1-4, and 2 is alone: the labels are the
+    # minima, also when p starts from the labels of q's finer partition
+    p = np.array([3, 4, 2, 5, 1, 0])
+    q = np.array([0, 4, 2, 3, 1, 5])
+    assert components([p, q], np.arange(6)).tolist() == [0, 1, 2, 0, 1, 0]
+    assert components([q], np.arange(6)).tolist() == [0, 1, 2, 3, 1, 5]
+    assert components([p], np.array([0, 1, 2, 3, 1, 5])).tolist() == [0, 1, 2, 0, 1, 0]
+    assert components([], np.arange(3)).tolist() == [0, 1, 2]
+
+
+def test_candidates_in_a_proper_subgroup_fail_the_closure(monkeypatch):
+    # only unipotent candidates: they generate U, never all of GL2(Z/4)
+    table = enumerate_group(GroupSpec("GL", 2, Z4))
+    monkeypatch.setattr(chartab, "generator_candidates",
+                        lambda table: unipotent_subgroup(table).ids[1:])
+    with pytest.raises(AssertionError, match="span a proper subgroup of order 4"):
+        conjugacy_classes(table)
 
 
 def test_class_data_matches_elementwise_oracle(gl2z4_ct):
@@ -426,3 +467,37 @@ def test_cache_round_trip(tmp_path, gl2z4_ct):
     assert np.array_equal(ct2.rows, gl2z4_ct.rows)
     assert np.array_equal(ct2.cd.class_of, gl2z4_ct.cd.class_of)
     ct2.verify()
+
+
+def test_cached_char_table_is_stored_narrow(tmp_path, gl2z4_ct):
+    # int8 while the values fit, wider when they do not, and negative values
+    # survive: fault tests write through save_char_table
+    from whittaker.cache import _read, chartab_cache_key, load_char_table, save_char_table
+
+    ct, key = gl2z4_ct, chartab_cache_key(gl2z4_ct.table.spec)
+    for value, dtype in [(None, np.int8), (-3, np.int8), (-129, np.int16), (1 << 40, np.int64)]:
+        rows = ct.rows.copy()
+        if value is not None:
+            rows[-1, 1, 0] = value
+        save_char_table(CharTable(ct.cd, ct.e, ct.r, ct.degrees, rows), tmp_path)
+        stored = _read(key, tmp_path)[1]
+        assert stored["rows"].dtype == dtype and stored["class_of"].dtype == np.int8
+        got = load_char_table(ct.table, tmp_path)
+        assert got.rows.dtype == got.cd.class_of.dtype == np.int64
+        assert np.array_equal(got.rows, rows)
+        assert np.array_equal(got.cd.class_of, ct.cd.class_of)
+
+
+def test_int64_cache_file_still_loads(tmp_path, gl2z4_ct):
+    # a .ct file as written before the arrays were stored narrow
+    from whittaker.cache import _write, chartab_cache_key, load_char_table
+
+    ct = gl2z4_ct
+    _write(chartab_cache_key(ct.table.spec), tmp_path,
+           {"e": ct.e, "r": ct.r, "degrees": ct.degrees.tolist()},
+           {"class_of": ct.cd.class_of.astype(np.int64), "rows": ct.rows.astype(np.int64)})
+    got = load_char_table(ct.table, tmp_path)
+    assert got.loaded and np.array_equal(got.rows, ct.rows)
+    for field in CLASS_FIELDS:
+        assert np.array_equal(getattr(got.cd, field), getattr(ct.cd, field)), field
+    got.verify()

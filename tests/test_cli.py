@@ -212,6 +212,21 @@ def test_chartab_cap_refuses_before_the_class_sweep(args, monkeypatch, capsys):
     assert "beyond character-table cap 100" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["classes", "chartab"])
+def test_generators_of_a_proper_subgroup_exit_internal(command, monkeypatch, capsys):
+    # unipotent candidates generate U only: the closure assertion fires
+    from whittaker import chartab
+    from whittaker.groups import unipotent_subgroup
+
+    monkeypatch.setattr(chartab, "generator_candidates",
+                        lambda table: unipotent_subgroup(table).ids[1:])
+    assert main([command, "--group", "GL2", "--ring", "mixed:2^2", "--no-cache"]) == EXIT_INTERNAL
+    err = capsys.readouterr().err
+    assert "internal fault: AssertionError: the generator candidates of GL2(mixed:2^2) span " \
+        "a proper subgroup of order 4" in err
+    assert len(err.splitlines()) == 1
+
+
 def test_off_by_one_theta_exponent_in_the_norm_exits_internal(monkeypatch, capsys):
     # theta_a on the identity of U shifted from zeta^0 to zeta^1: the
     # Frobenius double sum is no longer rational
@@ -529,6 +544,14 @@ def test_bad_input_exits_usage(args, capsys):
     except SystemExit as exc:  # argparse rejects the command line itself
         code = exc.code
     assert code == EXIT_USAGE
+    assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args", [[], ["tables"], ["--group", "GL2"]])
+def test_missing_or_unknown_subcommand_exits_usage(args, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([*args, "--no-cache"])
+    assert exc.value.code == EXIT_USAGE
     assert "error" in capsys.readouterr().err
 
 
