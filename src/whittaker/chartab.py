@@ -11,8 +11,9 @@ a prime field F_r with r = 1 mod exponent(G) and r > 2 sqrt(|G|), each
 unsplit eigenspace on its own restricted action of M_j^T; their common
 eigenvectors, normalized at the identity class, are the central
 character vectors, degrees are recovered from the second orthogonality
-relation plus a modular square root, and the character values are lifted to
-exact cyclotomic integers through eigenvalue-multiplicity discrete sums.
+relation, which gives d^2 mod r, as the one divisor of |G| below r/2 with
+that square, and the character values are lifted to exact cyclotomic
+integers through eigenvalue-multiplicity discrete sums.
 Every character sum downstream (orthogonality, induced multiplicities, the
 regular classification, restriction norms) is one cyclotomic.pairings call
 read by integer_values.
@@ -28,8 +29,8 @@ import numpy as np
 from .cyclotomic import IntegralityError, integer_values, pairings
 from .localring import all_tuples, get_ring, is_prime
 from .linalg import mat_inv_batch, mat_mul
-from .groups import (CapExceeded, GroupTable, SubgroupHandle,
-                     congruence_subgroup, unipotent_subgroup)
+from .groups import (CapExceeded, GroupTable, congruence_subgroup, matrix_powers,
+                     unipotent_subgroup)
 from .whittaker_verify import NonDegenChar, phi_x_exponents, predictions_supported
 from .regular import TypeMatrix, iota, type_of
 
@@ -65,11 +66,8 @@ class ClassData:
     def power_classes(self, i: int) -> list[int]:
         """Classes of rep_i^s for s = 0 .. ord-1."""
         table = self.table
-        x = table.elems[self.reps[i]]
-        pows = [np.eye(table.n, dtype=np.int64)]
-        for _ in range(int(self.orders[i]) - 1):
-            pows.append(mat_mul(table.ring, pows[-1], x))
-        return self.class_of[table.ids_of(np.stack(pows))].tolist()
+        pows = matrix_powers(table.ring, table.elems[self.reps[i]], int(self.orders[i]))
+        return self.class_of[table.ids_of(pows)].tolist()
 
 
 def generator_candidates(table: GroupTable) -> np.ndarray:
@@ -203,33 +201,6 @@ def primitive_root(r: int) -> int:
     raise AssertionError("no primitive root found")
 
 
-def sqrt_mod(a: int, r: int) -> int:
-    """Tonelli-Shanks square root mod an odd prime (deterministic)."""
-    a %= r
-    if a == 0:
-        return 0
-    if pow(a, (r - 1) // 2, r) != 1:
-        raise ValueError("not a quadratic residue")
-    if r % 4 == 3:
-        return pow(a, (r + 1) // 4, r)
-    q, s = r - 1, 0
-    while q % 2 == 0:
-        q //= 2
-        s += 1
-    z = next(z for z in range(2, r) if pow(z, (r - 1) // 2, r) == r - 1)
-    m, c, t, x = s, pow(z, q, r), pow(a, q, r), pow(a, (q + 1) // 2, r)
-    while t != 1:
-        i, tt = 0, t
-        while tt != 1:
-            tt = tt * tt % r
-            i += 1
-        b = pow(c, 1 << (m - i - 1), r)
-        m, c = i, b * b % r
-        t = t * c % r
-        x = x * b % r
-    return x
-
-
 def rref_mod(A: np.ndarray, r: int) -> tuple[np.ndarray, list[int]]:
     A = np.array(A, dtype=np.int64) % r
     nrows, ncols = A.shape
@@ -258,12 +229,12 @@ def nullspace_mod(A: np.ndarray, r: int) -> np.ndarray:
     """Row basis of the right kernel of A mod r."""
     R, piv = rref_mod(A, r)
     ncols = A.shape[1]
-    free = [c for c in range(ncols) if c not in piv]
+    is_pivot = np.zeros(ncols, dtype=bool)
+    is_pivot[piv] = True
+    free = np.flatnonzero(~is_pivot)
     basis = np.zeros((len(free), ncols), dtype=np.int64)
-    for t, fcol in enumerate(free):
-        basis[t, fcol] = 1
-        for j, pcol in enumerate(piv):
-            basis[t, pcol] = (-int(R[j, fcol])) % r
+    basis[np.arange(len(free)), free] = 1
+    basis[:, piv] = -R[:, free].T % r
     return basis
 
 
@@ -440,13 +411,14 @@ def character_table(table: GroupTable, cap: int = CHARTAB_CAP) -> CharTable:
     norm = np.array([pow(int(x), r - 2, r) for x in W[:, 0]], dtype=np.int64)
     omega = W * norm[:, None] % r
 
-    # degrees from sum_j omega(j) omega(j*) / h_j = |G| / d^2
+    # degrees from sum_j omega(j) omega(j*) / h_j = |G| / d^2: a degree d
+    # divides |G| and d <= isqrt|G| < r/2 (dixon_prime), and d^2 mod r tells
+    # those divisors apart (d^2 = d'^2 mod r forces d = +-d'), so d is the
+    # divisor whose square is |G| / s mod r; 0 if none is
     s = (omega * omega[:, cd.inverse_perm] % r * hinv % r).sum(axis=1) % r
-    degrees = np.empty(k, dtype=np.int64)
-    for t in range(k):
-        d2 = order % r * pow(int(s[t]), r - 2, r) % r
-        droot = sqrt_mod(d2, r)
-        degrees[t] = min(droot, r - droot)
+    by_square = {d * d % r: d for d in range(1, isqrt(order) + 1) if order % d == 0}
+    degrees = np.array([by_square.get(order * pow(int(st), r - 2, r) % r, 0) for st in s],
+                       dtype=np.int64)
     if int(np.sum(degrees**2)) != order:
         raise AssertionError("degree recovery failed")
 
@@ -482,25 +454,25 @@ def character_table(table: GroupTable, cap: int = CHARTAB_CAP) -> CharTable:
 
 
 def decompose_induced(ct: CharTable, theta: NonDegenChar,
-                      u_sub: SubgroupHandle | None = None) -> np.ndarray:
+                      u_ids: np.ndarray | None = None) -> np.ndarray:
     """Multiplicities <Ind_U^G theta, chi_t> by Frobenius reciprocity:
     (1/|U|) sum_u chi_t(u) conj(theta(u))."""
     table = ct.table
     if theta.spec.key() != table.spec.key():
         raise ValueError("theta and table are over different groups")
-    if u_sub is None:
-        u_sub = unipotent_subgroup(table, 0)
+    if u_ids is None:
+        u_ids = unipotent_subgroup(table, 0)
     e, m = ct.e, theta.m
     if e % m:
         raise AssertionError("character field does not contain the theta values")
     # theta summed class by class over U: f[0, class, exponent]
-    u_classes = ct.cd.class_of[u_sub.ids]
-    u_expos = theta.exponents_on(u_sub.elements()) * (e // m)
+    u_classes = ct.cd.class_of[u_ids]
+    u_expos = theta.exponents_on(table.elems[u_ids]) * (e // m)
     f = np.bincount(u_classes * e + u_expos, minlength=ct.k * e).reshape(1, ct.k, e)
-    mults = integer_values(pairings(f, ct.rows), e, len(u_sub))[0]
+    mults = integer_values(pairings(f, ct.rows), e, len(u_ids))[0]
     if np.any(mults < 0):
         raise IntegralityError("negative multiplicity")
-    if int(np.sum(mults * ct.degrees)) != len(table) // len(u_sub):
+    if int(np.sum(mults * ct.degrees)) != len(table) // len(u_ids):
         raise AssertionError("multiplicities do not sum to the induced dimension")
     return mults
 
@@ -528,13 +500,13 @@ def classify_regular(ct: CharTable) -> list[RegularFlag]:
     ell = ring.ell
     if ell < 2:
         raise ValueError("regular classification needs l >= 2")
-    ksub = congruence_subgroup(table, ell - 1)
+    k_ids = congruence_subgroup(table, ell - 1)
     n = spec.n
     q = ring.q
     # levels y' of the kernel elements: y = I + pi^(l-1) y'
     vpk = ring.q ** (ell - 1)
-    yprimes = (ksub.elements() - np.eye(n, dtype=np.int64)[None]) // vpk % q
-    y_classes = ct.cd.class_of[ksub.ids]
+    yprimes = (table.elems[k_ids] - np.eye(n, dtype=np.int64)[None]) // vpk % q
+    y_classes = ct.cd.class_of[k_ids]
     # all x in g(F_q) (trace 0 for sl); a residue code is its own lift to o_l
     xs = _lie_algebra_residue(spec)
     if len(xs) * len(yprimes) > CLASSIFY_PAIR_CAP:
@@ -546,7 +518,7 @@ def classify_regular(ct: CharTable) -> list[RegularFlag]:
     # passed inline so that it is freed before integer_values
     cells = (np.arange(X)[:, None] * k + y_classes[None, :]) * e + expo
     acc = pairings(np.bincount(cells.ravel(), minlength=X * k * e).reshape(X, k, e), ct.rows)
-    mults = integer_values(acc, e, len(ksub))
+    mults = integer_values(acc, e, len(k_ids))
     if np.any(mults < 0):
         raise IntegralityError("negative restriction multiplicity")
 
@@ -631,11 +603,11 @@ def special_regular_scan(ct: CharTable,
     ring = table.ring
     if flags is None:
         flags = classify_regular(ct)
-    u_sub = unipotent_subgroup(table, 0)
+    u_ids = unipotent_subgroup(table, 0)
     units = ring.unit_codes()
     mult_by_a = {}
     for a in units:
-        mult_by_a[a] = decompose_induced(ct, NonDegenChar(spec, a), u_sub)
+        mult_by_a[a] = decompose_induced(ct, NonDegenChar(spec, a), u_ids)
         if np.any(mult_by_a[a] > 1):
             raise AssertionError("multiplicity above one")
     predok = predictions_supported(spec)

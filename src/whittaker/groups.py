@@ -176,24 +176,6 @@ def enumerate_group(spec: GroupSpec, cap: int = TABLE_CAP) -> GroupTable:
 # subgroups
 
 
-class SubgroupHandle:
-    """Sorted member-id list of a subgroup of a GroupTable."""
-
-    def __init__(self, parent: GroupTable, ids, tag: str):
-        self.parent = parent
-        self.ids = np.flatnonzero(np.bincount(np.asarray(ids, dtype=np.int64)))
-        self.tag = tag
-
-    def __len__(self):
-        return len(self.ids)
-
-    def elements(self) -> np.ndarray:
-        return self.parent.elems[self.ids]
-
-    def __repr__(self):
-        return f"SubgroupHandle({self.tag}, order {len(self.ids)})"
-
-
 def unipotent_matrices(spec: GroupSpec, k: int = 0) -> np.ndarray:
     """All of U(pi^k o_l): unit diagonal, strictly upper entries in pi^k o_l."""
     ring = get_ring(spec.ring)
@@ -207,15 +189,14 @@ def unipotent_matrices(spec: GroupSpec, k: int = 0) -> np.ndarray:
     return out
 
 
-def unipotent_subgroup(table: GroupTable, k: int = 0) -> SubgroupHandle:
-    mats = unipotent_matrices(table.spec, k)
-    ids = table.ids_of(mats)
-    h = SubgroupHandle(table, ids, f"U(pi^{k})")
+def unipotent_subgroup(table: GroupTable, k: int = 0) -> np.ndarray:
+    """The sorted ids of U(pi^k) in the table."""
+    ids = np.flatnonzero(np.bincount(table.ids_of(unipotent_matrices(table.spec, k))))
     expected = unipotent_order(table.n, table.spec.ring, k)
-    if len(h) != expected:
-        raise AssertionError(f"U(pi^{k}) of {table.spec.key()} has {len(h)} elements, "
+    if len(ids) != expected:
+        raise AssertionError(f"U(pi^{k}) of {table.spec.key()} has {len(ids)} elements, "
                              f"|U(pi^{k})| = {expected}")
-    return h
+    return ids
 
 
 def central_units(spec: GroupSpec) -> np.ndarray:
@@ -289,20 +270,20 @@ def _echelon_forms(ring: Ring, n: int, family: str, scalars: np.ndarray) -> np.n
     return np.concatenate(blocks)
 
 
-def congruence_subgroup(table: GroupTable, i: int) -> SubgroupHandle:
-    """K^i = kernel of reduction G(o_l) -> G(o_i)."""
+def congruence_subgroup(table: GroupTable, i: int) -> np.ndarray:
+    """The sorted ids of K^i = kernel of reduction G(o_l) -> G(o_i)."""
     ring = table.ring
     if not 1 <= i <= ring.ell:
         raise ValueError(f"congruence level {i} out of range [1, {ring.ell}]")
     modulus = ring.q**i
     eye = np.eye(table.n, dtype=np.int64)
     mask = ((table.elems % modulus) == (eye % modulus)).all(axis=(1, 2))
-    h = SubgroupHandle(table, np.flatnonzero(mask), f"K^{i}")
+    ids = np.flatnonzero(mask)
     expected = congruence_order(table.spec, i)
-    if len(h) != expected:
-        raise AssertionError(f"K^{i} of {table.spec.key()} has {len(h)} elements, "
+    if len(ids) != expected:
+        raise AssertionError(f"K^{i} of {table.spec.key()} has {len(ids)} elements, "
                              f"|K^{i}| = {expected}")
-    return h
+    return ids
 
 
 def matrix_powers(ring: Ring, x: np.ndarray, n: int) -> np.ndarray:

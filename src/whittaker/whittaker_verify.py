@@ -1,11 +1,11 @@
-"""Exact verification of Whittaker-model multiplicity and dimension claims.
+"""The two sides of the Whittaker-model multiplicity and dimension claims.
 
 For G in {GL_n, SL_n} over o_l and a unit a, the induced representation
 Ind_U^G(theta_a) of the non-degenerate character
 
     theta_a((x_ij)) = phi(a x_12 + x_23 + ... + x_{n-1,n})
 
-is analyzed through two independent routes:
+is measured here, and cli.cmd_verify compares the two sides:
 
 * computed: dim Ind = [G : U] and the self-intertwining norm
   <Ind theta_a, Ind theta_a> by the exact Frobenius sum over a G/ZU
@@ -18,9 +18,6 @@ is analyzed through two independent routes:
   orders over a-regular classes of g(o_m), m = floor(l/2), with an extra
   q^d factor for odd l) and the closed-form dimension sum.
 
-Norm = count and dim = dimension sum certify, at this (group, a), that
-Ind theta_a is multiplicity free with the predicted constituent set.
-
 Both characters are exponent maps on code arrays, read off the one table
 Ring.phi_exponents() of phi: theta_a is NonDegenChar.exponents_on, on a
 stack of unipotent matrices, and the duality character
@@ -30,8 +27,6 @@ the lemma tests call the same two functions.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -224,73 +219,3 @@ def sl2_printed_index(q: int, ell: int) -> int:
     """The index value (q^2-1) q^(2l-4) as printed in the SL_2 source table;
     disagrees with |SL_2(o_l)| / |U| (recorded as a note in reports)."""
     return (q * q - 1) * q ** (2 * ell - 4)
-
-
-# ---------------------------------------------------------------------------
-# verdicts
-
-
-@dataclass
-class CheckRecord:
-    claim: str
-    predicted: object
-    computed: object
-    passed: bool
-    informational: bool = False
-
-
-@dataclass
-class VerificationReport:
-    spec_key: str
-    a_code: int
-    ind_dim: int
-    ind_norm: int
-    predicted_count: int | None
-    predicted_dim: int | None
-    checks: list[CheckRecord] = field(default_factory=list)
-
-
-def verify_multiplicity_one(
-    spec: GroupSpec,
-    units,
-    table: GroupTable | None = None,
-) -> list[VerificationReport]:
-    """Full verdict at each (group, a), a in `units`: norm = regular count
-    and dim = dimension sum = index, with one induced_norm call for all
-    the units.
-
-    For SL with p | 2n the predictions are skipped (reported as such).
-    """
-    ring = get_ring(spec.ring)
-    dim = induced_dim(spec, table)
-    reports = []
-    for a, norm in zip(units, induced_norm(spec, units)):
-        checks = [
-            CheckRecord("induced-norm-positive-and-bounded", f"1..{dim}", norm,
-                        1 <= norm <= dim),
-        ]
-        pcount = pdim = None
-        if predictions_supported(spec):
-            pcount = predicted_regular_count(spec, a)
-            pdim = predicted_dim_sum(spec)
-            checks.append(CheckRecord("whittaker-norm-equals-regular-count", pcount, norm,
-                                      norm == pcount))
-            checks.append(CheckRecord("dimension-sum-equals-induced-dim", pdim, dim,
-                                      pdim == dim))
-        else:
-            checks.append(CheckRecord("predictions-skipped-sl-bad-characteristic",
-                                      None, None, True, informational=True))
-        if spec.family == "SL" and spec.n == 2:
-            printed = sl2_printed_index(ring.q, ring.ell)
-            checks.append(CheckRecord("sl2-printed-index-identity", printed, dim,
-                                      printed == dim, informational=True))
-        reports.append(VerificationReport(
-            spec_key=spec.key(),
-            a_code=a,
-            ind_dim=dim,
-            ind_norm=norm,
-            predicted_count=pcount,
-            predicted_dim=pdim,
-            checks=checks,
-        ))
-    return reports

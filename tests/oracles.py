@@ -8,7 +8,8 @@ centralizers by filtering a full table, conjugacy classes by one full
 conjugation sweep per class, the cyclic-vector search over o_r,
 restriction norms one row at a time, the induced norm unit by unit over a
 G/U transversal, and the closed forms of the type combinatorics.  A few
-(`is_regular`) are thin conveniences over `whittaker` that only tests use.
+(`is_regular`, `verify_checks`) are thin conveniences over `whittaker` that
+only tests use.
 Matrices are code arrays with their Ring (or q) alongside, as in
 `whittaker` itself.
 """
@@ -18,9 +19,10 @@ from __future__ import annotations
 import numpy as np
 
 from whittaker.chartab import CharTable, ClassData, class_data, sl_class_profile
+from whittaker.cli import JobConfig, run
 from whittaker.cyclotomic import CycloNum, integer_values, pairings
-from whittaker.groups import (GroupSpec, GroupTable, SubgroupHandle, element_keys,
-                              enumerate_group, matrix_powers, unipotent_matrices)
+from whittaker.groups import (GroupSpec, GroupTable, element_keys, enumerate_group,
+                              matrix_powers, unipotent_matrices)
 from whittaker.linalg import (GF_ring, Poly, factor_poly, mat_det_batch, mat_inv_batch,
                               mat_mul, min_poly, monic_irreducibles)
 from whittaker.localring import Ring, RingDesc, all_tuples, get_ring
@@ -263,15 +265,15 @@ def lie_centralizer_count(spec: GroupSpec, x: np.ndarray) -> int:
     return count
 
 
-def centralizer(table: GroupTable, x: np.ndarray) -> SubgroupHandle:
-    """Group centralizer of a code matrix over the group's ring, by table
-    filtering."""
+def centralizer(table: GroupTable, x: np.ndarray) -> np.ndarray:
+    """Sorted ids of the group centralizer of a code matrix over the group's
+    ring, by table filtering."""
     ring = table.ring
     x = np.asarray(x, dtype=np.int64)
     left = mat_mul(ring, table.elems, x)
     right = mat_mul(ring, x[None], table.elems)
     mask = (left == right).all(axis=(1, 2))
-    return SubgroupHandle(table, np.flatnonzero(mask), "centralizer")
+    return np.flatnonzero(mask)
 
 
 def is_regular(ring: Ring, a: np.ndarray) -> bool:
@@ -447,6 +449,8 @@ def induced_norm_by_unit(spec: GroupSpec, a: int) -> int:
     return int(integer_values(counter, m, len(u_mats)))
 
 
-def report_passed(rep) -> bool:
-    """A VerificationReport passes when every non-informational check does."""
-    return all(c.passed for c in rep.checks if not c.informational)
+def verify_checks(family: str, n: int, ring: str, a: str = "1") -> dict:
+    """The checks of a passing `verify` report at --a `a`, by name."""
+    env = run(JobConfig("verify", ring=ring, family=family, n=n, a_select=a, no_cache=True))
+    assert env.passed
+    return {c.name: c for c in env.checks}

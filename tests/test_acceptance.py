@@ -15,13 +15,12 @@ from whittaker.localring import get_ring, ring_make
 from whittaker.groups import GroupSpec, enumerate_group
 from whittaker.whittaker_verify import (induced_dim, induced_norm,
                                         predicted_dim_sum,
-                                        predicted_regular_count,
-                                        verify_multiplicity_one, NonDegenChar)
+                                        predicted_regular_count, NonDegenChar)
 from whittaker.chartab import (character_table, classify_regular, decompose_induced,
                                restriction_norm, sl_class_profile,
                                special_regular_scan)
 from whittaker.regular import iota
-from oracles import report_passed
+from oracles import verify_checks
 
 Z4 = ring_make("mixed", 2, 1, 2)
 Z8 = ring_make("mixed", 2, 1, 3)
@@ -85,15 +84,14 @@ def test_criterion_03_gl2_z8_odd_level():
 
 def test_criterion_04_sl2_z9_every_unit():
     t0 = time.perf_counter()
-    spec = GroupSpec("SL", 2, Z9)
+    checks = verify_checks("SL", 2, "mixed:3^2", "all")
     for a in get_ring(Z9).unit_codes():
-        [rep] = verify_multiplicity_one(spec, [a])
-        assert report_passed(rep)
-        assert rep.ind_norm == 12
-        assert rep.ind_dim == 72 == rep.predicted_dim
-        flagged = [c for c in rep.checks if c.claim == "sl2-printed-index-identity"]
-        assert flagged and flagged[0].informational and not flagged[0].passed
-        assert flagged[0].predicted == 8 and flagged[0].computed == 72
+        assert checks[f"whittaker-norm-equals-regular-count[a={a}]"].computed == 12
+        dim = checks[f"dimension-sum-equals-induced-dim[a={a}]"]
+        assert dim.computed == 72 == dim.predicted
+        flagged = checks[f"sl2-printed-index-identity[a={a}]"]
+        assert flagged.informational and not flagged.passed
+        assert flagged.predicted == 8 and flagged.computed == 72
     elapsed = time.perf_counter() - t0
     assert elapsed < 5.0
     _report(4, f"SL2(Z/9) all 6 units: norm 12, dim 72, printed index flagged "
@@ -214,10 +212,10 @@ def test_criterion_11_equal_characteristic_replication():
         assert induced_norm(spec_gl, [a]) == [8]
         assert predicted_regular_count(spec_gl, a) == 8
         assert induced_dim(spec_gl) == 24 == predicted_dim_sum(spec_gl)
-    spec_sl = GroupSpec("SL", 2, F3T2)
+    checks = verify_checks("SL", 2, "equal:3^2", "all")
     for a in get_ring(F3T2).unit_codes():
-        [rep] = verify_multiplicity_one(spec_sl, [a])
-        assert report_passed(rep) and rep.ind_norm == 12 and rep.ind_dim == 72
+        assert checks[f"whittaker-norm-equals-regular-count[a={a}]"].computed == 12
+        assert checks[f"dimension-sum-equals-induced-dim[a={a}]"].computed == 72
     _report(11, "equal characteristic: 8/24 over F2[t]/t^2, 12/72 over F3[t]/t^2")
 
 

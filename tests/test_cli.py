@@ -219,7 +219,7 @@ def test_generators_of_a_proper_subgroup_exit_internal(command, monkeypatch, cap
     from whittaker.groups import unipotent_subgroup
 
     monkeypatch.setattr(chartab, "generator_candidates",
-                        lambda table: unipotent_subgroup(table).ids[1:])
+                        lambda table: unipotent_subgroup(table)[1:])
     assert main([command, "--group", "GL2", "--ring", "mixed:2^2", "--no-cache"]) == EXIT_INTERNAL
     err = capsys.readouterr().err
     assert "internal fault: AssertionError: the generator candidates of GL2(mixed:2^2) span " \
@@ -501,13 +501,45 @@ def test_mismatch_gives_exit_one():
     assert env2.passed and env2.exit_code == 0
 
 
-def test_timings_gated(capsys, tmp_path):
-    args = ["classes", "--group", "GL2", "--ring", "mixed:2^1", "--no-cache",
-            "--format", "json"]
+def test_verify_mismatch_exits_one(monkeypatch, capsys):
+    # a predicted count one too high is a falsification result: exit 1, no stderr
+    from whittaker import cli
+
+    true_count = cli.predicted_regular_count
+    monkeypatch.setattr(cli, "predicted_regular_count", lambda spec, a: true_count(spec, a) + 1)
+    assert main(["verify", "--group", "GL2", "--ring", "mixed:2^2", "--a", "1",
+                 "--no-cache"]) == 1
+    out, err = capsys.readouterr()
+    assert "[FAIL] whittaker-norm-equals-regular-count[a=1]: predicted=9 computed=8" \
+        "   <-- mismatch" in out
+    assert "result: FAIL" in out and err == ""
+
+
+def test_branching_mismatch_exits_one(monkeypatch, capsys):
+    from whittaker import cli
+
+    true_iota = cli.iota
+    monkeypatch.setattr(cli, "iota", lambda tau, m: true_iota(tau, m) + 1)
+    assert main(["branching", "--group", "GL2", "--ring", "mixed:3^2", "--no-cache"]) == 1
+    out, err = capsys.readouterr()
+    assert "[FAIL] branching-iota-split-nss: predicted=[3] computed=[2]   <-- mismatch" in out
+    assert "result: FAIL" in out and err == ""
+
+
+@pytest.mark.parametrize("args", [
+    ["verify", "--group", "GL2", "--ring", "mixed:2^2"],
+    ["gl2-sl2-tables", "--ring", "mixed:2^2"],
+    ["branching", "--group", "GL2", "--ring", "mixed:2^2"],
+    ["chartab", "--group", "GL2", "--ring", "mixed:2^1"],
+    ["classes", "--group", "GL2", "--ring", "mixed:2^1"],
+], ids=lambda args: args[0])
+def test_timings_gated(args, capsys):
+    args = [*args, "--no-cache", "--format", "json"]
     _, out = run_cli(args, capsys)
     assert json.loads(out)["timings"] == {}
     _, out2 = run_cli(args + ["--timings"], capsys)
-    assert "classes" in json.loads(out2)["timings"]
+    timings = json.loads(out2)["timings"]
+    assert list(timings) == [args[0]] and isinstance(timings[args[0]], float)
 
 
 def test_all_units_alias(capsys, tmp_path):

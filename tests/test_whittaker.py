@@ -9,9 +9,8 @@ from whittaker.groups import GroupSpec, enumerate_group, unipotent_matrices
 from whittaker.regular import a_regular, a_regular_coeff_tuples
 from whittaker.whittaker_verify import (NonDegenChar, induced_dim, induced_norm,
                                         phi_x_exponents, predicted_dim_sum,
-                                        predicted_regular_count, predictions_supported,
-                                        verify_multiplicity_one)
-from oracles import centralizer, induced_norm_by_unit, report_passed
+                                        predicted_regular_count, predictions_supported)
+from oracles import centralizer, induced_norm_by_unit, verify_checks
 
 Z4 = ring_make("mixed", 2, 1, 2)
 Z8 = ring_make("mixed", 2, 1, 3)
@@ -219,27 +218,31 @@ def test_predictions_refuse_bad_sl_characteristic():
     assert predictions_supported(GroupSpec("SL", 2, Z9))
     assert not predictions_supported(GroupSpec("SL", 2, Z4))  # p = 2
     assert not predictions_supported(GroupSpec("SL", 3, F3))  # p = n
-    for spec in (GroupSpec("SL", 2, Z4), GroupSpec("SL", 3, F3)):
-        [rep] = verify_multiplicity_one(spec, [1])
-        assert report_passed(rep) and rep.predicted_count is None and rep.predicted_dim is None
-        note = [c for c in rep.checks if c.claim == "predictions-skipped-sl-bad-characteristic"]
-        assert len(note) == 1 and note[0].informational
-        assert not any(c.claim == "whittaker-norm-equals-regular-count" for c in rep.checks)
+    for n, ring in ((2, "mixed:2^2"), (3, "mixed:3^1")):
+        checks = verify_checks("SL", n, ring)
+        assert [c.claim for c in checks.values()] == [
+            "induced-norm-positive-and-bounded", "predictions-skipped-sl-bad-characteristic",
+            *(["sl2-printed-index-identity"] if n == 2 else [])]
+        note = checks["predictions-skipped-sl-bad-characteristic[a=1]"]
+        assert note.informational and note.predicted is None and note.computed is None
 
 
 def test_verify_reports():
-    [rep] = verify_multiplicity_one(GroupSpec("GL", 2, Z4), [1])
-    assert report_passed(rep) and rep.ind_norm == 8 and rep.ind_dim == 24
-    assert rep.predicted_count == 8 and rep.predicted_dim == 24
+    checks = verify_checks("GL", 2, "mixed:2^2")
+    norm = checks["induced-norm-positive-and-bounded[a=1]"]
+    assert (norm.predicted, norm.computed) == ("1..24", 8)
+    count = checks["whittaker-norm-equals-regular-count[a=1]"]
+    assert (count.predicted, count.computed) == (8, 8)
+    dim = checks["dimension-sum-equals-induced-dim[a=1]"]
+    assert (dim.predicted, dim.computed) == (24, 24)
 
-    [rep] = verify_multiplicity_one(GroupSpec("SL", 2, Z9), [1])
-    assert report_passed(rep)
-    note = [c for c in rep.checks if c.claim == "sl2-printed-index-identity"][0]
+    checks = verify_checks("SL", 2, "mixed:3^2")
+    note = checks["sl2-printed-index-identity[a=1]"]
     assert note.informational and not note.passed
     assert note.predicted == 8 and note.computed == 72
 
-    [rep] = verify_multiplicity_one(GroupSpec("SL", 2, Z4), [1])
-    assert report_passed(rep) and rep.predicted_count is None
+    checks = verify_checks("SL", 2, "mixed:2^2")
+    assert "whittaker-norm-equals-regular-count[a=1]" not in checks
 
 
 def test_equal_characteristic_replication():
