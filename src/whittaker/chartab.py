@@ -522,8 +522,11 @@ def classify_regular(ct: CharTable) -> list[RegularFlag]:
     if np.any(mults < 0):
         raise IntegralityError("negative restriction multiplicity")
 
-    # regularity and type depend on x only: one type_of per supported x
-    types = {xi: type_of(xs[xi], q) for xi in np.flatnonzero(mults.any(axis=1)).tolist()}
+    # regularity and type depend on x only: one type_of call for every
+    # supported x.  Its (X, q^n, n, n) stack is within n^2 times the pair cap
+    # above, since q^n <= |K^(l-1)| = len(yprimes) for n >= 2.
+    supported = np.flatnonzero(mults.any(axis=1))
+    types = dict(zip(supported.tolist(), type_of(xs[supported], q)))
     flags = []
     for t in range(k):
         support = np.flatnonzero(mults[:, t])

@@ -104,7 +104,7 @@ def _maybe_table(spec: GroupSpec, cfg: JobConfig, env: ReportEnvelope):
 def _chartab(spec: GroupSpec, cfg: JobConfig, env: ReportEnvelope):
     table = cached_group_table(spec, cfg.cache_path(), cfg.table_cap)
     ct = cached_char_table(table, cfg.cache_path(), cfg.chartab_cap)
-    # classification factors minimal polynomials of degree n
+    # classification factors characteristic polynomials of degree n
     cached_irreducibles(spec.ring.q, spec.n)
     env.provenance["cache_keys"].extend([group_cache_key(spec), chartab_cache_key(spec)])
     env.provenance.setdefault("dixon", {})[spec.key()] = {"e": ct.e, "r": ct.r}
@@ -414,6 +414,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except CapExceeded as exc:  # --all-units lists the units of a ring above the gate
+        print(f"cap exceeded: {exc}", file=sys.stderr)
+        return EXIT_CAP
     try:
         env = run(cfg)
         rendered = env.to_text() if cfg.fmt == "text" else env.to_json()

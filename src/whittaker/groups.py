@@ -295,6 +295,17 @@ def matrix_powers(ring: Ring, x: np.ndarray, n: int) -> np.ndarray:
     return np.stack(out)
 
 
+def poly_values(ring: Ring, coeffs: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """sum_i c_i x^i for every coefficient tuple c (ascending) of a (C, k)
+    stack at every x of an (X, n, n) stack, as an (X, C, n, n) array."""
+    pows = matrix_powers(ring, np.asarray(xs, dtype=np.int64), coeffs.shape[1])
+    out = None
+    for i in range(coeffs.shape[1]):
+        term = ring.v_mul(coeffs[None, :, i, None, None], pows[i][:, None])
+        out = term if out is None else ring.v_add(out, term)
+    return out
+
+
 def centralizer_order_by_units(spec: GroupSpec, xs: np.ndarray) -> np.ndarray:
     """|C_{G(o_r)}(x)| for each regular x of an (N, n, n) stack, via the unit
     group of o_r[x], with one batched determinant.
@@ -304,14 +315,8 @@ def centralizer_order_by_units(spec: GroupSpec, xs: np.ndarray) -> np.ndarray:
     for GL, det = 1 for SL).
     """
     ring = get_ring(spec.ring)
-    n = spec.n
-    pows = matrix_powers(ring, np.asarray(xs, dtype=np.int64), n)
-    coeffs = all_tuples(ring.size, n)
-    combo = None  # (N, |o_r|^n, n, n): every combination of the powers of each x
-    for i in range(n):
-        term = ring.v_mul(coeffs[None, :, i, None, None], pows[i][:, None])
-        combo = term if combo is None else ring.v_add(combo, term)
-    dets = mat_det_batch(ring, combo)
+    # (N, |o_r|^n, n, n): every combination of the powers of each x
+    dets = mat_det_batch(ring, poly_values(ring, all_tuples(ring.size, spec.n), xs))
     central = ring.v_is_unit(dets) if spec.family == "GL" else dets == 1
     return np.count_nonzero(central, axis=1)
 

@@ -2,10 +2,9 @@
 rings o_l.
 
 A matrix is a numpy array of integer element codes, and its Ring (or q, for
-F_q) is passed next to it.  Over F_q there are minimal polynomials and
-irreducible factorization against a sieve of monic irreducibles.  F_q is
-GF_ring(q), the l = 1 Ring of the equal family: Poly and min_poly do their
-scalar arithmetic on it, and min_poly its matrix products too.  The
+F_q) is passed next to it.  Over F_q there is irreducible factorization
+against a sieve of monic irreducibles.  F_q is GF_ring(q), the l = 1 Ring
+of the equal family, and Poly does its scalar arithmetic on it.  The
 characteristic polynomial is a test oracle (tests/oracles.py).
 
 The batched kernels multiply, take determinants of and invert stacks of code
@@ -100,10 +99,6 @@ class Poly:
                         out[i + j] = F.add(out[i + j], F.mul(a, b))
         return Poly(self.q, out)
 
-    def scale(self, c: int) -> "Poly":
-        F = self.field
-        return Poly(self.q, [F.mul(c, a) for a in self.coeffs])
-
     def divmod(self, den: "Poly") -> tuple["Poly", "Poly"]:
         if den.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
@@ -123,11 +118,6 @@ class Poly:
     def __mod__(self, den: "Poly") -> "Poly":
         return self.divmod(den)[1]
 
-    def monic(self) -> "Poly":
-        if self.is_zero():
-            return self
-        return self.scale(self.field.inv(self.coeffs[-1]))
-
     def __repr__(self):
         return f"Poly({self.q}, {self.coeffs})"
 
@@ -137,15 +127,11 @@ class Poly:
 
 FACTOR_DEGREE_CAP = 8
 
-# (q, max_deg) -> sieve, kept for the life of the process
-_SIEVE_MEMO: dict[tuple[int, int], tuple] = {}
 
-
+@lru_cache(maxsize=None)
 def monic_irreducibles(q: int, max_deg: int) -> tuple[tuple[Poly, ...], ...]:
-    """All monic irreducibles over F_q of degree 1..max_deg, by trial division."""
-    got = _SIEVE_MEMO.get((q, max_deg))
-    if got is not None:
-        return got
+    """All monic irreducibles over F_q of degree 1..max_deg, by trial division;
+    each sieve is kept for the life of the process."""
     by_degree: list[list[Poly]] = [[]]  # degree 0 slot unused
     for d in range(1, max_deg + 1):
         found = []
@@ -154,9 +140,7 @@ def monic_irreducibles(q: int, max_deg: int) -> tuple[tuple[Poly, ...], ...]:
             if _is_irreducible(cand, by_degree):
                 found.append(cand)
         by_degree.append(found)
-    sieve = tuple(tuple(lst) for lst in by_degree)
-    _SIEVE_MEMO[(q, max_deg)] = sieve
-    return sieve
+    return tuple(tuple(lst) for lst in by_degree)
 
 
 def _is_irreducible(cand: Poly, by_degree) -> bool:
@@ -259,35 +243,3 @@ def mat_inv_batch(ring: Ring, A) -> np.ndarray:
             adj[..., j, i] = _leibniz(ring, E, [r for r in range(n) if r != i],
                                       [c for c in range(n) if c != j], (i + j) % 2 == 1)
     return ring.v_mul(ring.v_inv()[dets][..., None, None], adj)
-
-
-# ---------------------------------------------------------------------------
-# minimal polynomials over F_q
-
-
-def min_poly(a: np.ndarray, q: int) -> Poly:
-    """Minimal polynomial: least-degree monic annihilator of a code matrix
-    over F_q."""
-    F = GF_ring(q)
-    n = a.shape[0]
-    dim = n * n
-    # echelon rows over F_q with their expression in powers of the matrix
-    pivots: dict[int, tuple[list[int], list[int]]] = {}
-    power = np.eye(n, dtype=np.int64)
-    for k in range(n + 1):
-        vec = [int(c) for c in power.reshape(dim)]
-        combo = [0] * (n + 1)
-        combo[k] = 1
-        for col in sorted(pivots):
-            if vec[col]:
-                cvec, ccombo = pivots[col]
-                f = vec[col]
-                vec = [F.sub(x, F.mul(f, y)) for x, y in zip(vec, cvec)]
-                combo = [F.sub(x, F.mul(f, y)) for x, y in zip(combo, ccombo)]
-        lead = next((i for i, c in enumerate(vec) if c), None)
-        if lead is None:
-            return Poly(q, combo).monic()
-        linv = F.inv(vec[lead])
-        pivots[lead] = ([F.mul(linv, c) for c in vec], [F.mul(linv, c) for c in combo])
-        power = mat_mul(F, power, a)
-    raise AssertionError("no annihilator of degree <= n")  # unreachable

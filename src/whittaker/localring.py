@@ -25,8 +25,10 @@ residue field F_q (l = 1) included.  The mixed family computes mod p^l.
 The equal family reads every scalar and vectorized operation off
 add/mul/neg tables that each ring builds once, by array arithmetic on
 digits: F_q = F_p[x]/(modulus) on base-p digits, and o_l = F_q[t]/(t^l)
-on base-q digits over the residue field's tables.  A ring above
-TABLE_GATE elements raises CapExceeded instead.
+on base-q digits over the residue field's tables.  A ring of either family
+above TABLE_GATE elements raises CapExceeded instead of building any
+per-element table or vector (the tables, the unit list, the inverse and
+phi vectors).
 
 Elements are these int codes, and numpy arrays of them in the vectorized
 operations; there is no element object.  The canonical primitive additive
@@ -233,7 +235,14 @@ class Ring:
         return self.subring(1)
 
     def unit_codes(self) -> list[int]:
+        self._gate()
         return [a for a in range(self.size) if a % self.q != 0]
+
+    def _gate(self) -> None:
+        """CapExceeded above TABLE_GATE, before a per-element vector is built."""
+        if self.size > TABLE_GATE:
+            raise CapExceeded(f"ring {self.desc.key()} of size {self.size} exceeds the "
+                              f"element-table gate {TABLE_GATE}")
 
     # -- vectorized arithmetic on numpy code arrays -------------------------
 
@@ -248,9 +257,7 @@ class Ring:
         red[d] being the digits of x^d mod the modulus.  The tables are
         built one output digit plane at a time.
         """
-        if self.size > TABLE_GATE:
-            raise CapExceeded(f"ring {self.desc.key()} of size {self.size} exceeds the "
-                              f"element-table gate {TABLE_GATE}")
+        self._gate()
         p = self.p
         if self.ell == 1:
             x = np.arange(p)
@@ -311,6 +318,7 @@ class Ring:
     def v_inv(self) -> np.ndarray:
         """Unit-inverse lookup vector; 0 at non-units."""
         if self._inv_vec is None:
+            self._gate()
             if self._mixed:
                 self._inv_vec = np.array([pow(a, -1, self.size) if a % self.q else 0
                                           for a in range(self.size)], dtype=np.int64)
@@ -329,6 +337,7 @@ class Ring:
         mixed: phi(x) = zeta_{p^l}^x.  equal: phi(x) = zeta_p^Tr(c_{l-1}(x)).
         """
         if self._expo_vec is None:
+            self._gate()
             if self._mixed:
                 self._expo_vec = np.arange(self.size, dtype=np.int64)
             else:  # Tr(c) = c + c^p + ... + c^(p^(f-1)) on F_q's tables

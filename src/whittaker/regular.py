@@ -2,16 +2,18 @@
 types.
 
 A matrix over o_r is regular iff it admits a cyclic vector; equivalently
-iff its residue image has a minimal polynomial of degree n, which then
+iff its residue image x has a minimal polynomial of degree n, which then
 equals the characteristic polynomial (Cayley-Hamilton).  Regularity is
-decided at the residue field, by one minimal polynomial: type_of returns
-None for a non-regular matrix.  The cyclic-vector search over o_r and the
-characteristic-polynomial route to the type are independent test oracles
-(tests/oracles.py).
+decided at the residue field by counting annihilators: the monic degree-n
+polynomials that kill x are the multiples of its minimal polynomial, and x
+is regular iff there is exactly one.  type_of types a whole stack of
+residue matrices at once and returns None for each non-regular one.  The
+cyclic-vector search over o_r and the characteristic-polynomial route to
+the type are independent test oracles (tests/oracles.py).
 
 The type of a regular residue matrix records the degree/exponent pattern
-of its minimal (= characteristic) polynomial; the type and iota drive the
-GL -> SL branching predictions.
+of its characteristic polynomial; the type and iota drive the GL -> SL
+branching predictions.
 """
 
 from __future__ import annotations
@@ -23,8 +25,8 @@ from math import gcd
 import numpy as np
 
 from .localring import Ring, RingDesc, all_tuples, get_ring
-from .linalg import Poly, factor_poly, min_poly
-from .groups import GroupSpec
+from .linalg import GF_ring, Poly, factor_poly
+from .groups import GroupSpec, poly_values
 
 
 # ---------------------------------------------------------------------------
@@ -100,16 +102,22 @@ class TypeMatrix:
         return ",".join(f"({d},{e})x{c}" for d, e, c in self.entries)
 
 
-def type_of(a: np.ndarray, q: int) -> TypeMatrix | None:
-    """Type of a code matrix over F_q, or None when it is not regular.
+def type_of(xs: np.ndarray, q: int) -> list[TypeMatrix | None]:
+    """Type of each code matrix of an (X, n, n) stack over F_q, or None where
+    it is not regular.
 
-    One minimal polynomial decides both: it divides the characteristic
-    polynomial, so it has degree n iff the two are equal (a is regular), and
-    then its factorization is the type.  Each distinct polynomial is
-    factored once per process.
+    The monic degree-n annihilators of x are the multiples of its minimal
+    polynomial mu, q^(n - deg mu) of them: x is regular iff exactly one
+    exists, and then it is the characteristic polynomial, whose
+    factorization is the type.  All q^n of them are evaluated at every x at
+    once, and each distinct polynomial is factored once per process.
     """
-    mp = min_poly(a, q)
-    return _poly_type(mp) if mp.degree == a.shape[-1] else None
+    n = xs.shape[-1]
+    monic = np.ones((q**n, n + 1), dtype=np.int64)
+    monic[:, :n] = all_tuples(q, n)
+    kills = ~poly_values(GF_ring(q), monic, xs).any(axis=(-2, -1))  # (X, q^n)
+    return [_poly_type(Poly(q, monic[first])) if count == 1 else None
+            for count, first in zip(kills.sum(axis=1).tolist(), kills.argmax(axis=1).tolist())]
 
 
 @lru_cache(maxsize=None)

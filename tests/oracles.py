@@ -24,7 +24,7 @@ from whittaker.cyclotomic import CycloNum, integer_values, pairings
 from whittaker.groups import (GroupSpec, GroupTable, element_keys, enumerate_group,
                               matrix_powers, unipotent_matrices)
 from whittaker.linalg import (GF_ring, Poly, factor_poly, mat_det_batch, mat_inv_batch,
-                              mat_mul, min_poly, monic_irreducibles)
+                              mat_mul, monic_irreducibles)
 from whittaker.localring import Ring, RingDesc, all_tuples, get_ring
 from whittaker.regular import TypeMatrix, type_of
 from whittaker.whittaker_verify import NonDegenChar, unipotent_mask
@@ -276,10 +276,10 @@ def centralizer(table: GroupTable, x: np.ndarray) -> np.ndarray:
     return np.flatnonzero(mask)
 
 
-def is_regular(ring: Ring, a: np.ndarray) -> bool:
-    """True iff the code matrix a over o_r is regular: its residue has
-    char poly = min poly, so `type_of` gives it a type."""
-    return type_of(a % ring.q, ring.q) is not None
+def is_regular(ring: Ring, xs: np.ndarray) -> list[bool]:
+    """Whether each code matrix of an (X, n, n) stack over o_r is regular:
+    `type_of` gives its residue a type."""
+    return [tau is not None for tau in type_of(np.asarray(xs) % ring.q, ring.q)]
 
 
 def is_cyclic(ring: Ring, x: np.ndarray) -> bool:
@@ -372,10 +372,10 @@ def tau_regular_companion(tau: TypeMatrix, q: int) -> np.ndarray | None:
 
 def type_of_charpoly(a: np.ndarray, q: int) -> TypeMatrix:
     """Type of a regular code matrix over F_q from its characteristic
-    polynomial's factorization; ValueError unless min poly = char poly."""
-    cp = char_poly(a, q)
-    if min_poly(a, q) != cp:
+    polynomial's factorization; ValueError unless a has a cyclic vector."""
+    if not is_cyclic(GF_ring(q), a):
         raise ValueError("type_of_charpoly requires a regular matrix")
+    cp = char_poly(a, q)
     counts: dict[tuple[int, int], int] = {}
     for f, e in factor_poly(cp):
         key = (f.degree, e)

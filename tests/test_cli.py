@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -640,3 +641,27 @@ def test_level_one_verify_without_predictions_passes(capsys):
 def test_ring_above_the_table_gate_exits_cap(capsys):
     assert main(["classes", "--group", "GL1", "--ring", "equal:2^13", "--no-cache"]) == EXIT_CAP
     assert "element-table gate" in capsys.readouterr().err
+
+
+# 1 GiB of address space: the CLI fits in it, while a unit list or a phi
+# vector of 3^20 elements does not, so a regression fails fast
+LOW_MEMORY_CLI = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+sys.path.insert(0, sys.argv[1])
+from whittaker.cli import main
+sys.exit(main(sys.argv[2:]))
+"""
+
+
+@pytest.mark.parametrize("unit", [["--all-units"], ["--a", "1"]], ids=["all-units", "a-1"])
+def test_mixed_ring_above_the_table_gate_exits_cap(unit, tmp_path):
+    done = subprocess.run(
+        [sys.executable, "-c", LOW_MEMORY_CLI, str(SRC), "verify", "--group", "GL2",
+         "--ring", "mixed:3^20", *unit, "--no-cache"],
+        capture_output=True, text=True, cwd=tmp_path, timeout=120,
+        env={**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"})
+    assert done.returncode == EXIT_CAP, done.stderr
+    lines = done.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("cap exceeded: ")
+    assert "element-table gate" in lines[0] and "Traceback" not in done.stderr

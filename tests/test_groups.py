@@ -236,7 +236,7 @@ def test_centralizer_two_routes_agree_for_regular_elements():
         for a in ring.unit_codes()[:2]:
             xs = [a_regular(desc, 2, a, (c0, 0) if family == "SL" else (c0, min(1, c0)))
                   for c0 in range(ring.size)]
-            assert all(is_regular(ring, x) for x in xs)
+            assert all(is_regular(ring, np.stack(xs)))
             by_units = centralizer_order_by_units(spec, np.stack(xs))
             assert by_units.tolist() == [len(centralizer(table, x)) for x in xs]
 

@@ -3,9 +3,10 @@ import itertools
 import numpy as np
 import pytest
 
-from whittaker.localring import CONWAY_POLYS, get_ring, ring_make
+from whittaker.localring import CONWAY_POLYS, all_tuples, get_ring, ring_make
 from whittaker.linalg import (GF_ring, Poly, factor_poly, mat_det_batch, mat_inv_batch,
-                              mat_mul, min_poly, monic_irreducibles)
+                              mat_mul, monic_irreducibles)
+from whittaker.regular import type_of
 from oracles import (char_poly, commutant_matrix, companion, det_scalar, poly_value,
                      solve_count, span_size)
 
@@ -46,10 +47,14 @@ def test_det_multiplicative_random():
                                                                     det_scalar(ring, B))
 
 
+# The minimal-polynomial halves of the next four tests read type_of: a matrix
+# is regular (min poly = char poly) iff type_of gives it a type.
+
+
 def test_char_min_poly_zero_matrix():
     z = np.zeros((2, 2), dtype=np.int64)
     assert char_poly(z, 2).coeffs == (0, 0, 1)
-    assert min_poly(z, 2).coeffs == (0, 1)
+    assert type_of(z[None], 2) == [None]  # min poly t
 
 
 def test_char_min_poly_companion_direct_oracle():
@@ -60,31 +65,36 @@ def test_char_min_poly_companion_direct_oracle():
     acc = ring.v_add(ring.v_add(mat_mul(ring, C, C), C), np.eye(2, dtype=np.int64))
     assert not acc.any()
     assert C[0, 1] != 0 or C[1, 0] != 0
-    assert min_poly(C, 2) == char_poly(C, 2) == cp
+    assert char_poly(C, 2) == cp
+    assert [tau.entries for tau in type_of(C[None], 2)] == [((2, 1, 1),)]  # cp irreducible
 
 
 def test_char_min_poly_scalar():
     d = np.eye(2, dtype=np.int64)
     assert char_poly(d, 3).coeffs == (1, 1, 1)  # (t-1)^2 over F3
-    assert min_poly(d, 3).coeffs == (2, 1)      # t - 1
+    assert type_of(d[None], 3) == [None]        # min poly t - 1
 
 
 def test_min_poly_divides_char_poly_exhaustive_2x2():
     for q in (2, 3):
-        desc = ring_make("mixed", q, 1, 1)
-        for entries in itertools.product(range(q), repeat=4):
-            m = np.array(entries).reshape(2, 2)
-            cp, mp = char_poly(m, q), min_poly(m, q)
-            assert (cp % mp).is_zero()
-            # both polynomials annihilate the matrix
-            ring = get_ring(desc)
-            for poly in (cp, mp):
-                acc = np.zeros((2, 2), dtype=np.int64)
-                power = np.eye(2, dtype=np.int64)
-                for c in poly.coeffs:
-                    acc = ring.v_add(acc, ring.v_mul(np.full((2, 2), c), power))
-                    power = mat_mul(ring, power, m)
-                assert not acc.any()
+        ring = get_ring(ring_make("mixed", q, 1, 1))
+        ms = all_tuples(q, 4).reshape(-1, 2, 2)
+        for m, tau in zip(ms, type_of(ms, q)):
+            cp = char_poly(m, q)
+            # the char poly annihilates the matrix (Cayley-Hamilton)
+            acc = np.zeros((2, 2), dtype=np.int64)
+            power = np.eye(2, dtype=np.int64)
+            for c in cp.coeffs:
+                acc = ring.v_add(acc, ring.v_mul(np.full((2, 2), c), power))
+                power = mat_mul(ring, power, m)
+            assert not acc.any()
+            # the min poly is a proper divisor of cp exactly for the scalars,
+            # and every other matrix is typed by the factorization of cp
+            scalar = m[0, 1] == m[1, 0] == 0 and m[0, 0] == m[1, 1]
+            assert (tau is None) == scalar
+            if tau is not None:
+                assert sorted((d, e) for d, e, c in tau.entries for _ in range(c)) == \
+                    sorted((f.degree, e) for f, e in factor_poly(cp))
 
 
 def test_factor_examples():

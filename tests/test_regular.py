@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from whittaker.localring import get_ring, ring_make
+from whittaker.localring import all_tuples, get_ring, ring_make
 from whittaker.linalg import Poly
 from whittaker.groups import GroupSpec, enumerate_group
 from whittaker.regular import TypeMatrix, a_regular, iota, type_of
@@ -19,8 +19,8 @@ F3 = ring_make("mixed", 3, 1, 1)
 
 def test_is_regular_examples():
     r9 = get_ring(Z9)
-    assert is_regular(r9, np.array([[0, 8], [1, 0]]))      # companion of t^2 + 1
-    assert not is_regular(r9, np.array([[2, 0], [0, 2]]))  # scalar
+    # the companion of t^2 + 1, and a scalar
+    assert is_regular(r9, np.array([[[0, 8], [1, 0]], [[2, 0], [0, 2]]])) == [True, False]
 
 
 def test_lower_shift_with_unit_subdiagonal_is_regular():
@@ -29,21 +29,20 @@ def test_lower_shift_with_unit_subdiagonal_is_regular():
     upper = [(i, j) for i in range(3) for j in range(3) if j >= i]
     r4 = get_ring(Z4)
     for a in (1, 3):
-        for _ in range(40):
-            m = np.zeros((3, 3), dtype=np.int64)
-            m[1, 0] = a
-            m[2, 1] = 1
+        ms = np.zeros((40, 3, 3), dtype=np.int64)
+        ms[:, 1, 0] = a
+        ms[:, 2, 1] = 1
+        for m in ms:
             for (i, j) in upper:
                 m[i, j] = rng.integers(0, 4)
-            assert is_regular(r4, m) and is_cyclic(r4, m)
+        assert all(is_regular(r4, ms)) and all(is_cyclic(r4, m) for m in ms)
 
 
 def test_is_cyclic_agrees_with_residue_test_exhaustively():
     for desc in (F2, F3, Z4):
         ring = get_ring(desc)
-        for entries in itertools.product(range(ring.size), repeat=4):
-            x = np.array(entries).reshape(2, 2)
-            assert is_cyclic(ring, x) == is_regular(ring, x)
+        xs = all_tuples(ring.size, 4).reshape(-1, 2, 2)
+        assert [is_cyclic(ring, x) for x in xs] == is_regular(ring, xs)
 
 
 def test_a_regular_examples():
@@ -56,7 +55,7 @@ def test_a_regular_examples():
     x3 = a_regular(Z4, 3, 3, (1, 1, 1))
     assert x3[1, 0] == 3 and x3[2, 1] == 1
     r4 = get_ring(Z4)
-    assert is_regular(r4, x3) and is_cyclic(r4, x3)
+    assert is_regular(r4, x3[None]) == [True] and is_cyclic(r4, x3)
 
 
 def test_a_regular_requires_unit():
@@ -68,8 +67,7 @@ def test_a_regular_always_regular():
     for desc in (Z4, Z9):
         ring = get_ring(desc)
         for a in ring.unit_codes():
-            for coeffs in itertools.product(range(ring.size), repeat=2):
-                assert is_regular(ring, a_regular(desc, 2, a, coeffs))
+            assert all(is_regular(ring, a_regular(desc, 2, a, all_tuples(ring.size, 2))))
 
 
 def test_count_examples():
@@ -95,23 +93,25 @@ def test_a_regular_classes_pairwise_nonconjugate():
 
 
 def test_type_of_examples():
-    assert type_of(companion(Poly(3, (1, 0, 1))), 3).entries == ((2, 1, 1),)
-    assert type_of(companion(Poly(3, (0, 0, 1))), 3).entries == ((1, 2, 1),)
-    assert type_of(companion(Poly(3, (2, 0, 1))), 3).entries == ((1, 1, 2),)
-    assert type_of(np.eye(2, dtype=np.int64), 3) is None
+    xs = np.stack([companion(Poly(3, (1, 0, 1))), companion(Poly(3, (0, 0, 1))),
+                   np.eye(2, dtype=np.int64), companion(Poly(3, (2, 0, 1)))])
+    got = [tau and tau.entries for tau in type_of(xs, 3)]
+    assert got == [((2, 1, 1),), ((1, 2, 1),), None, ((1, 1, 2),)]
 
 
-@pytest.mark.parametrize("n, q", [(2, 3), (2, 4), (3, 2)])
+def _charpoly_type_or_none(x, q):
+    try:
+        return type_of_charpoly(x, q)
+    except ValueError:
+        return None
+
+
+@pytest.mark.parametrize("n, q", [(2, 2), (2, 3), (2, 4), (2, 5), (3, 2)])
 def test_type_of_matches_charpoly_oracle_exhaustively(n, q):
-    # every matrix of gl_n(F_q): the same type, and None exactly where the
-    # char-poly route refuses a non-regular matrix
-    for entries in itertools.product(range(q), repeat=n * n):
-        x = np.array(entries, dtype=np.int64).reshape(n, n)
-        try:
-            want = type_of_charpoly(x, q)
-        except ValueError:
-            want = None
-        assert type_of(x, q) == want
+    # all of gl_n(F_q) as one stack: the same type, and None exactly where the
+    # char-poly route refuses a non-regular matrix, position by position
+    xs = all_tuples(q, n * n).reshape(-1, n, n)
+    assert type_of(xs, q) == [_charpoly_type_or_none(x, q) for x in xs]
 
 
 def test_type_labels_n2():
@@ -120,9 +120,8 @@ def test_type_labels_n2():
         (0, 0, 1): "split-nss",
         (2, 0, 1): "split-ss",
     }
-    for coeffs, label in labels.items():
-        tau = type_of(companion(Poly(3, coeffs)), 3)
-        assert tau.label() == label
+    xs = np.stack([companion(Poly(3, coeffs)) for coeffs in labels])
+    assert [tau.label() for tau in type_of(xs, 3)] == list(labels.values())
 
 
 def test_n_typical_invariant():
@@ -160,6 +159,6 @@ def test_centralizer_order_residue_brute_force_all_types():
                 xm = tau_regular_companion(tau, q)
                 if xm is None:
                     continue  # not realizable over this small field
-                assert type_of(xm, q) == tau
+                assert type_of(xm[None], q) == [tau]
                 pred = centralizer_order_residue(tau, q)
                 assert pred == len(centralizer(table, xm))
