@@ -27,8 +27,8 @@ add/mul/neg tables that each ring builds once, by array arithmetic on
 digits: F_q = F_p[x]/(modulus) on base-p digits, and o_l = F_q[t]/(t^l)
 on base-q digits over the residue field's tables.  A ring of either family
 above TABLE_GATE elements raises CapExceeded instead of building any
-per-element table or vector (the tables, the unit list, the inverse and
-phi vectors).
+per-element table or vector (the tables, the unit list, the inverse,
+valuation and phi vectors).
 
 Elements are these int codes, and numpy arrays of them in the vectorized
 operations; there is no element object.  The canonical primitive additive
@@ -325,6 +325,12 @@ class Ring:
             else:  # the first 1 in each row of the mul table; a non-unit row has none
                 self._inv_vec = np.argmax(self.tables[1] == 1, axis=1).astype(np.int64)
         return self._inv_vec
+
+    @cached_property
+    def valuations(self) -> np.ndarray:
+        """Valuation lookup vector: the lowest nonzero base-q digit of each code, l at 0."""
+        self._gate()
+        return sum(np.arange(self.size) % self.q**k == 0 for k in range(1, self.ell + 1))
 
     def v_is_unit(self, A) -> np.ndarray:
         return np.asarray(A, dtype=np.int64) % self.q != 0

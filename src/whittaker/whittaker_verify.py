@@ -8,38 +8,33 @@ Ind_U^G(theta_a) of the non-degenerate character
 is measured here, and cli.cmd_verify compares the two sides:
 
 * computed: dim Ind = [G : U] and the self-intertwining norm
-  <Ind theta_a, Ind theta_a> by the exact Frobenius sum over a G/ZU
-  transversal g (Z the scalar matrices of G) and u in U with g u g^-1
-  unipotent, one pass over U for every unit a at once, accumulated as
-  root-of-unity exponent counters and finalized in Z[zeta_m] by
-  cyclotomic.integer_values;
+  <Ind theta_a, Ind theta_a> by Mackey over o_l-modules: a sum over a G/ZU
+  transversal (Z the scalar matrices of G) of |U cap r^-1 U r| or 0, read
+  off one Smith elimination of an o_l-linear map per representative r,
+  batched over the transversal for every unit a at once (mackey_terms);
 
 * predicted: the count of a-regular constituents (sum of centralizer
   orders over a-regular classes of g(o_m), m = floor(l/2), with an extra
   q^d factor for odd l) and the closed-form dimension sum.
 
 Both characters are exponent maps on code arrays, read off the one table
-Ring.phi_exponents() of phi: theta_a is NonDegenChar.exponents_on, on a
-stack of unipotent matrices, and the duality character
-phi_x(I + pi^i y') = phi(pi^i tr(x y')) of the congruence kernel K^i is
-phi_x_exponents, on a stack of x against a stack of y'.  The verdicts and
-the lemma tests call the same two functions.
+Ring.phi_exponents() of phi: theta_a is NonDegenChar.exponents_on, and the
+duality character phi_x(I + pi^i y') = phi(pi^i tr(x y')) of the congruence
+kernel K^i is phi_x_exponents; chartab and the lemma tests call the same two.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .cyclotomic import integer_values
-from .cyclotomic import IntegralityError  # noqa: F401  re-exported under its old home
+from .cyclotomic import IntegralityError
 from .localring import Ring, get_ring
-from .linalg import mat_mul, mat_inv_batch
+from .linalg import mat_inv_batch
 from .groups import (
     GroupSpec,
     GroupTable,
     central_units,
     coset_representatives,
-    unipotent_matrices,
     unipotent_subgroup,
     unipotent_order,
     centralizer_order_by_units,
@@ -74,15 +69,6 @@ class NonDegenChar:
         return self._expo[np.asarray(s, dtype=np.intp)]
 
 
-def unipotent_mask(batch: np.ndarray, n: int) -> np.ndarray:
-    mask = np.ones(batch.shape[:-2], dtype=bool)
-    for i in range(n):
-        mask &= batch[..., i, i] == 1
-        for j in range(i):
-            mask &= batch[..., i, j] == 0
-    return mask
-
-
 def phi_x_exponents(ring: Ring, i: int, lifts: np.ndarray, levels: np.ndarray) -> np.ndarray:
     """Exponents of phi_x(y) = phi(pi^i tr(x_hat y')) of zeta_m, m = ring.char_order,
     as an (X, Y) array over a stack of lifts x_hat and a stack of levels y'.
@@ -110,9 +96,7 @@ def phi_x_exponents(ring: Ring, i: int, lifts: np.ndarray, levels: np.ndarray) -
 
 def induced_dim(spec: GroupSpec, table: GroupTable | None = None) -> int:
     """dim Ind_U^G(theta) = [G : U], by closed form (and table division)."""
-    order = spec.order()
-    u_order = unipotent_order(spec.n, spec.ring)
-    dim, rem = divmod(order, u_order)
+    dim, rem = divmod(spec.order(), unipotent_order(spec.n, spec.ring))
     if rem:
         raise AssertionError("group order not divisible by |U|")
     if table is not None:
@@ -122,41 +106,51 @@ def induced_dim(spec: GroupSpec, table: GroupTable | None = None) -> int:
     return dim
 
 
-def induced_norm(spec: GroupSpec, units) -> list[int]:
-    """<Ind_U^G theta_a, Ind_U^G theta_a> for each unit a of `units`, by the
-    exact Frobenius sum over a G/ZU transversal, Z the scalar matrices of G.
-
-    S(g) = sum over u in U with g u g^-1 in U of theta_a(g u g^-1)
-    conj(theta_a(u)) is constant on each coset gU (theta_a is a linear
-    character of U), and S(z g) = S(g) for z in Z, since z is central and
-    (z g) u (z g)^-1 = g u g^-1.  A scalar z keeps the canonical pattern of
-    a coset representative (groups.coset_representatives), so G is the
-    disjoint union of the z r U and the norm (1/|U|^2) sum_{g in G} S(g)
-    equals |Z| sum_{r in G/ZU} S(r) / |U|.  The sum over r alone need not be
-    divisible by |U|; times |Z| it is the sum over the G/U transversal
-    {z r}, which is.
-    Each u in U is conjugated once, and the unipotent mask taken once, for
-    all the units; each unit's sum is accumulated as an exponent counter and
-    finalized in Z[zeta_m], and the result must be an integer.
+def mackey_terms(ring: Ring, reps: np.ndarray, units) -> tuple[np.ndarray, np.ndarray]:
+    """(sum_v, passed) for a stack of r: |U cap r^-1 U r| = q^sum_v[r], and
+    passed[r, x] says if theta_a(r u r^-1) conj(theta_a(u)) = phi(L_r N), u = I + N,
+    is trivial on it, a = units[x].  r u r^-1 is in U iff C_r N = 0, C_r[(a, b),
+    (i, j)] = r_ai (r^-1)_jb for a >= b, i < j.  Column operations, shared by the
+    L_r rows, bring C_r to pi^v_t times a unit in column t (v_t = l if zero); row
+    operations need no arithmetic, the pivot row being zero right of column t.
+    L_r vanishes on ker C_r iff its column t has valuation >= v_t for every t.
     """
-    thetas = [NonDegenChar(spec, a) for a in units]
-    ring = get_ring(spec.ring)
-    m = ring.char_order
-    reps = coset_representatives(spec)
+    n, val, count = reps.shape[-1], ring.valuations, len(reps)
     invs = mat_inv_batch(ring, reps)
-    u_mats = unipotent_matrices(spec, 0)
-    u_expos = np.array([theta.exponents_on(u_mats) for theta in thetas])
-    offsets = m * np.arange(len(thetas))[:, None]  # row a of the (units, m) counter
-    counter = np.zeros(len(thetas) * m, dtype=np.int64)
-    for u, eu in zip(u_mats, u_expos.T):
-        v = mat_mul(ring, mat_mul(ring, reps, u), invs)
-        v = v[unipotent_mask(v, spec.n)]
-        if len(v):
-            ev = np.array([theta.exponents_on(v) for theta in thetas])
-            counter += np.bincount(((ev - eu[:, None]) % m + offsets).ravel(),
-                                   minlength=len(counter))
-    counter = counter.reshape(len(thetas), m) * len(central_units(spec))
-    return integer_values(counter, m, len(u_mats)).tolist()
+    (rows, cols), (i, j) = np.tril_indices(n), np.triu_indices(n, 1)
+    d, k_dim = len(rows), len(i)
+    M = np.zeros((count, d + len(units), k_dim), dtype=np.int64)  # C_r over the L_r rows
+    M[:, :d] = ring.v_mul(reps[:, rows[:, None], i], invs[:, j, cols[:, None]])
+    for k in range(n - 1):  # L_r N = lambda_a(r N r^-1 - N), lambda_a(N) = a N_01 + N_12 + ...
+        term = ring.v_sub(ring.v_mul(reps[:, k, i], invs[:, j, k + 1]), (i == k) & (j == k + 1))
+        M[:, d:] = ring.v_add(M[:, d:], ring.v_mul(np.c_[units] if k == 0 else 1, term[:, None]))
+    at, sum_v, passed = np.arange(count), np.zeros(count, int), np.ones((count, len(units)), bool)
+    for t in range(k_dim):
+        v = val[M[:, :d, t:]].reshape(count, -1)
+        flat = v.argmin(axis=1)
+        row, col, v = flat // (k_dim - t), t + flat % (k_dim - t), v[at, flat]
+        M[at, :, t], M[at, :, col] = M[at, :, col], M[at, :, t]
+        piv = M[at, row, t:] // ring.q ** v[:, None]  # the pivot row over pi^v, code q^v
+        f = ring.v_mul(piv[:, 1:], ring.v_inv()[piv[:, :1]])
+        M[:, :, t + 1:] = ring.v_sub(M[:, :, t + 1:], ring.v_mul(f[:, None], M[:, :, t, None]))
+        sum_v += v
+        passed &= val[M[:, d:, t]] >= v[:, None]
+    return sum_v, passed
+
+
+def induced_norm(spec: GroupSpec, units) -> list[int]:
+    """<Ind_U^G theta_a, Ind_U^G theta_a> for each unit a of `units`: with Z the
+    scalars of G and S(g) the sum over U cap g^-1 U g of theta_a(g u g^-1)
+    conj(theta_a(u)), constant on gU and on Zg, it is |Z| sum_{r in G/ZU} S(r)
+    / |U| (groups.coset_representatives), S(r) = |U cap r^-1 U r| or 0."""
+    ring = get_ring(spec.ring)
+    sum_v, passed = mackey_terms(ring, coset_representatives(spec), units)
+    z, u_order = len(central_units(spec)), unipotent_order(spec.n, spec.ring)
+    totals = [z * sum(int(c) * ring.q**s for s, c in enumerate(np.bincount(sum_v[hit])))
+              for hit in passed.T]
+    if any(total % u_order for total in totals):
+        raise IntegralityError(f"Mackey sums {totals} are not all divisible by |U| = {u_order}")
+    return [total // u_order for total in totals]
 
 
 # ---------------------------------------------------------------------------

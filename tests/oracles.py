@@ -6,8 +6,9 @@ expansion, the factorization type read off the characteristic polynomial,
 exact kernel counting over o_l by Smith-style diagonalization, group
 centralizers by filtering a full table, conjugacy classes by one full
 conjugation sweep per class, the cyclic-vector search over o_r,
-restriction norms one row at a time, the induced norm unit by unit over a
-G/U transversal, and the closed forms of the type combinatorics.  A few
+restriction norms one row at a time, the induced norm by the Frobenius
+double sum over G/ZU and U (all units at once) and unit by unit over a G/U
+transversal, and the closed forms of the type combinatorics.  A few
 (`is_regular`, `verify_checks`) are thin conveniences over `whittaker` that
 only tests use.
 Matrices are code arrays with their Ring (or q) alongside, as in
@@ -21,13 +22,14 @@ import numpy as np
 from whittaker.chartab import CharTable, ClassData, class_data, sl_class_profile
 from whittaker.cli import JobConfig, run
 from whittaker.cyclotomic import CycloNum, integer_values, pairings
-from whittaker.groups import (GroupSpec, GroupTable, element_keys, enumerate_group,
-                              matrix_powers, unipotent_matrices)
+from whittaker.groups import (GroupSpec, GroupTable, central_units, coset_representatives,
+                              element_keys, enumerate_group, matrix_powers,
+                              unipotent_matrices)
 from whittaker.linalg import (GF_ring, Poly, factor_poly, mat_det_batch, mat_inv_batch,
                               mat_mul, monic_irreducibles)
 from whittaker.localring import Ring, RingDesc, all_tuples, get_ring
 from whittaker.regular import TypeMatrix, type_of
-from whittaker.whittaker_verify import NonDegenChar, unipotent_mask
+from whittaker.whittaker_verify import NonDegenChar
 
 
 # ---------------------------------------------------------------------------
@@ -428,6 +430,41 @@ def gu_transversal(table: GroupTable) -> np.ndarray:
         keys = np.minimum(keys, element_keys(ring, mat_mul(ring, table.elems, u)))
     _, first = np.unique(keys, return_index=True)
     return table.elems[first]
+
+
+def unipotent_mask(batch: np.ndarray, n: int) -> np.ndarray:
+    """Which matrices of a stack are in U: unit diagonal, zero below it."""
+    mask = np.ones(batch.shape[:-2], dtype=bool)
+    for i in range(n):
+        mask &= batch[..., i, i] == 1
+        for j in range(i):
+            mask &= batch[..., i, j] == 0
+    return mask
+
+
+def induced_norm_by_loop(spec: GroupSpec, units) -> list[int]:
+    """<Ind_U^G theta_a, Ind_U^G theta_a> for each unit a of `units` by the
+    Frobenius sum over a G/ZU transversal r and u in U with r u r^-1 in U:
+    |Z| sum of theta_a(r u r^-1) conj(theta_a(u)) / |U|, one pass over U for
+    every unit, accumulated as exponent counters and finalized in Z[zeta_m]."""
+    thetas = [NonDegenChar(spec, a) for a in units]
+    ring = get_ring(spec.ring)
+    m = ring.char_order
+    reps = coset_representatives(spec)
+    invs = mat_inv_batch(ring, reps)
+    u_mats = unipotent_matrices(spec, 0)
+    u_expos = np.array([theta.exponents_on(u_mats) for theta in thetas])
+    offsets = m * np.arange(len(thetas))[:, None]  # row a of the (units, m) counter
+    counter = np.zeros(len(thetas) * m, dtype=np.int64)
+    for u, eu in zip(u_mats, u_expos.T):
+        v = mat_mul(ring, mat_mul(ring, reps, u), invs)
+        v = v[unipotent_mask(v, spec.n)]
+        if len(v):
+            ev = np.array([theta.exponents_on(v) for theta in thetas])
+            counter += np.bincount(((ev - eu[:, None]) % m + offsets).ravel(),
+                                   minlength=len(counter))
+    counter = counter.reshape(len(thetas), m) * len(central_units(spec))
+    return integer_values(counter, m, len(u_mats)).tolist()
 
 
 def induced_norm_by_unit(spec: GroupSpec, a: int) -> int:

@@ -12,7 +12,6 @@ from whittaker.cli import (JobConfig, build_parser, config_from_args,
                            gl2_formula_row, main, parse_group, sl2_formula_row)
 from whittaker.reporting import (EXIT_CAP, EXIT_INTERNAL, EXIT_USAGE, REPORT_SCHEMA,
                                  ReportEnvelope)
-from whittaker.whittaker_verify import NonDegenChar
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -228,24 +227,19 @@ def test_generators_of_a_proper_subgroup_exit_internal(command, monkeypatch, cap
     assert len(err.splitlines()) == 1
 
 
-def test_off_by_one_theta_exponent_in_the_norm_exits_internal(monkeypatch, capsys):
-    # theta_a on the identity of U shifted from zeta^0 to zeta^1: the
-    # Frobenius double sum is no longer rational
-    original = NonDegenChar.exponents_on
-    shifted = []
+def test_patched_valuation_of_pi_in_the_norm_exits_internal(monkeypatch, capsys):
+    # the valuation vector reads pi as a unit: a pivot pi clears nothing, and
+    # |Z| times the Mackey sum over G/ZU is no longer divisible by |U|
+    from whittaker.localring import get_ring, parse_ring
 
-    def off_by_one(self, batch):
-        out = original(self, batch)
-        if not shifted:  # the first call evaluates theta on U itself
-            shifted.append(True)
-            out = out.copy()
-            out[0] += 1
-        return out
-
-    monkeypatch.setattr(NonDegenChar, "exponents_on", off_by_one)
-    code = main(["verify", "--group", "GL2", "--ring", "mixed:3^2", "--no-cache"])
-    assert shifted and code == EXIT_INTERNAL
-    assert "internal arithmetic fault" in capsys.readouterr().err
+    ring = get_ring(parse_ring("mixed:2^2"))
+    patched = ring.valuations.copy()
+    patched[ring.q] = 0
+    monkeypatch.setitem(ring.__dict__, "valuations", patched)
+    code = main(["verify", "--group", "SL3", "--ring", "mixed:2^2", "--no-cache"])
+    assert code == EXIT_INTERNAL
+    err = capsys.readouterr().err
+    assert "internal arithmetic fault: Mackey sums" in err and "|U| = 64" in err
 
 
 def test_repeated_coset_representative_exits_internal(monkeypatch, capsys):

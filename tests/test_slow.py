@@ -30,8 +30,8 @@ def test_orbit_classes_match_the_sweep_at_the_frontier(family, ring):
 
 
 @pytest.mark.parametrize("group, ring, norm", [
-    ("GL3", "mixed:2^3", 256),  # a few seconds
-    ("GL4", "mixed:2^2", 128),  # about five minutes: the first n = 4 verdict
+    ("GL4", "mixed:2^2", 128),  # 161,280 cosets, a few seconds: the first n = 4 verdict
+    ("GL3", "mixed:2^4", 2048),  # 688,128 cosets, a few seconds and about 600 MB
 ])
 def test_induced_norm_beyond_the_benchmark(group, ring, norm, capsys):
     code = main(["verify", "--group", group, "--ring", ring, "--a", "1", "--no-cache",

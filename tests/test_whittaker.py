@@ -1,16 +1,25 @@
+import functools
+import inspect
 import itertools
+import json
+import types
 
 import numpy as np
 import pytest
 
+from whittaker import whittaker_verify
+from whittaker.cli import main
+from whittaker.cyclotomic import IntegralityError
 from whittaker.localring import get_ring, ring_make
-from whittaker.linalg import mat_mul
-from whittaker.groups import GroupSpec, enumerate_group, unipotent_matrices
+from whittaker.linalg import mat_inv_batch, mat_mul
+from whittaker.groups import (GroupSpec, coset_representatives, enumerate_group,
+                              unipotent_matrices)
 from whittaker.regular import a_regular, a_regular_coeff_tuples
-from whittaker.whittaker_verify import (NonDegenChar, induced_dim, induced_norm,
+from whittaker.whittaker_verify import (NonDegenChar, induced_dim, induced_norm, mackey_terms,
                                         phi_x_exponents, predicted_dim_sum,
                                         predicted_regular_count, predictions_supported)
-from oracles import centralizer, induced_norm_by_unit, verify_checks
+from oracles import (centralizer, induced_norm_by_loop, induced_norm_by_unit, solve_count,
+                     verify_checks)
 
 Z4 = ring_make("mixed", 2, 1, 2)
 Z8 = ring_make("mixed", 2, 1, 3)
@@ -18,6 +27,8 @@ Z9 = ring_make("mixed", 3, 1, 2)
 F3 = ring_make("mixed", 3, 1, 1)
 F2T2 = ring_make("equal", 2, 1, 2)
 F3T2 = ring_make("equal", 3, 1, 2)
+F4T2 = ring_make("equal", 2, 2, 2)
+F5T2 = ring_make("equal", 5, 1, 2)
 
 
 def _stack(*mats):
@@ -188,6 +199,114 @@ def test_induced_norm_over_g_mod_zu_matches_per_unit_oracle(spec):
     # against one pass per unit over a G/U transversal read off the table
     units = get_ring(spec.ring).unit_codes()
     assert induced_norm(spec, units) == [induced_norm_by_unit(spec, a) for a in units]
+
+
+@pytest.mark.parametrize("spec", [
+    GroupSpec("GL", 1, Z9), GroupSpec("SL", 1, Z9),
+    *(GroupSpec("GL", 2, ring) for ring in (Z8, ring_make("mixed", 5, 1, 2), F3T2, F4T2,
+                                             ring_make("equal", 2, 1, 3))),
+    GroupSpec("SL", 2, ring_make("mixed", 3, 1, 3)), GroupSpec("SL", 2, F5T2),
+    *(GroupSpec(family, 3, ring) for family in ("GL", "SL") for ring in (Z4, F2T2)),
+], ids=str)
+def test_induced_norm_matches_the_loop_over_u(spec):
+    # Mackey over o_l-modules against the Frobenius double sum over G/ZU and U
+    units = get_ring(spec.ring).unit_codes()
+    assert induced_norm(spec, units) == induced_norm_by_loop(spec, units)
+
+
+def test_induced_norm_gl3_z8(capsys):
+    # [G : ZU] = 21,504 cosets, the first n = 3 verdict at l = 3
+    code = main(["verify", "--group", "GL3", "--ring", "mixed:2^3", "--a", "1", "--no-cache",
+                 "--format", "json"])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 0 and report["pass"] is True
+    got = {c["claim"]: c["computed"] for c in report["checks"]}
+    assert got["induced-norm-positive-and-bounded"] == 256
+
+
+def _mackey_oracle(ring, r, r_inv, units):
+    """|ker C_r| and, for each unit a, whether L_r vanishes on ker C_r, for
+    one representative r: the scalar Smith oracle on C_r, and L_r applied to
+    the spanning set of the kernel it returns."""
+    n = len(r)
+    coords = list(zip(*np.triu_indices(n, 1)))
+    C = np.array([[ring.mul(int(r[a, i]), int(r_inv[j, b])) for i, j in coords]
+                  for a, b in zip(*np.tril_indices(n))], dtype=np.int64)
+    count, basis = solve_count(ring, C)
+
+    def dot(x, y):
+        return functools.reduce(ring.add, (ring.mul(int(s), int(t)) for s, t in zip(x, y)), 0)
+
+    flags = []
+    for a in units:
+        # L_r N = lambda_a(r N r^-1 - N), lambda_a(N) = a N_01 + N_12 + ...
+        L = [dot([a] + [1] * (n - 2),
+                 [ring.sub(ring.mul(int(r[k, i]), int(r_inv[j, k + 1])), int((i, j) == (k, k + 1)))
+                  for k in range(n - 1)])
+             for i, j in coords]
+        flags.append(all(dot(L, b) == 0 for b in basis))
+    return count, flags
+
+
+def _mackey_mismatches(spec, terms=mackey_terms) -> int:
+    """The representatives r of G/ZU at which `terms` disagrees with the
+    scalar oracle, at every unit."""
+    ring = get_ring(spec.ring)
+    reps = coset_representatives(spec)
+    units = ring.unit_codes()
+    sum_v, passed = terms(ring, reps, units)
+    bad = 0
+    for r, r_inv, v, flags in zip(reps, mat_inv_batch(ring, reps), sum_v, passed):
+        bad += _mackey_oracle(ring, r, r_inv, units) != (ring.q ** int(v), flags.tolist())
+    return bad
+
+
+MACKEY_PINNED = [GroupSpec("GL", 2, Z9), GroupSpec("GL", 2, F4T2), GroupSpec("SL", 2, F5T2),
+                 GroupSpec("SL", 3, Z4)]
+
+
+@pytest.mark.parametrize("spec", MACKEY_PINNED, ids=str)
+def test_mackey_terms_match_the_smith_oracle_on_every_coset(spec):
+    assert _mackey_mismatches(spec) == 0
+
+
+def _mutant_verify(old: str, new: str) -> types.ModuleType:
+    """whittaker_verify with one piece of its source replaced, as a new module."""
+    source = inspect.getsource(whittaker_verify)
+    assert source.count(old) == 1
+    module = types.ModuleType("whittaker.mutant_verify")
+    module.__package__ = "whittaker"
+    exec(compile(source.replace(old, new), module.__name__, "exec"), module.__dict__)
+    return module
+
+
+def _norm_or_fault(norm, spec, units):
+    try:
+        return norm(spec, units)
+    except IntegralityError:
+        return "IntegralityError"
+
+
+def test_a_dropped_column_operation_breaks_the_oracles():
+    mutant = _mutant_verify(
+        "M[:, :, t + 1:] = ring.v_sub(M[:, :, t + 1:], ring.v_mul(f[:, None], M[:, :, t, None]))",
+        "pass")
+    spec = GroupSpec("SL", 3, Z4)  # n = 2 has one coordinate, so no column operation
+    assert _mackey_mismatches(spec, mutant.mackey_terms) > 0
+    units = get_ring(spec.ring).unit_codes()
+    assert _norm_or_fault(mutant.induced_norm, spec, units) != induced_norm_by_loop(spec, units)
+
+
+def test_a_patched_valuation_vector_breaks_the_oracles(monkeypatch):
+    # pi read as a unit: a pivot pi divides out nothing and clears nothing
+    spec = GroupSpec("GL", 2, Z9)
+    ring = get_ring(spec.ring)
+    patched = ring.valuations.copy()
+    patched[ring.q] = 0
+    monkeypatch.setitem(ring.__dict__, "valuations", patched)
+    assert _mackey_mismatches(spec) > 0
+    units = ring.unit_codes()
+    assert _norm_or_fault(induced_norm, spec, units) != induced_norm_by_loop(spec, units)
 
 
 def test_norm_positive_and_bounded_by_dim():
