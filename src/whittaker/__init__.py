@@ -9,7 +9,6 @@ independent brute-force character computation, all in exact arithmetic.
 __version__ = "0.1.0"
 
 from .localring import RingDesc, RingKind, get_ring, parse_ring, ring_make
-from .linalg import Poly, factor_poly, monic_irreducibles
 from .cyclotomic import CycloNum, IntegralityError, NonRationalError, integer_values
 from .groups import (CapExceeded, GroupSpec, GroupTable, congruence_subgroup,
                      enumerate_group, iter_group_chunks, unipotent_subgroup)

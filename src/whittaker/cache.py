@@ -30,7 +30,7 @@ import numpy as np
 
 from .chartab import CharTable, character_table, class_data
 from .groups import GroupSpec, GroupTable, enumerate_group
-from .linalg import monic_irreducibles
+from .regular import monic_types
 
 CACHE_ENV = "WHITTAKER_CACHE_DIR"
 FORMAT_VERSION = 1
@@ -193,9 +193,9 @@ def cached_char_table(table: GroupTable, cache_dir: Path | None, cap: int) -> Ch
 
 
 def cached_irreducibles(q: int, cap: int):
-    """The monic irreducible sieve; no longer cached on disk.
+    """Warms `regular.monic_types(q, cap)` for the regular classification.
 
     Kept only because the benchmark's layer tracer binds this name: the next
     benchmark change should delete it together with its call in `cli._chartab`.
     """
-    return monic_irreducibles(q, cap)
+    return monic_types(q, cap)

@@ -12,9 +12,10 @@ Exit codes: 0 all checks pass, 1 a predicted/computed mismatch, 2 a size
 cap was exceeded (the element-table gate of a ring among them), 3 an
 internal fault (an exactness check failed, such as a cached table that
 fails re-verification, or any other unexpected exception; one line on
-stderr), 4 a usage error (a bad flag, group, ring or unit, or l = 1 for a
-subcommand that needs l >= 2, rejected before any work).  A mismatch is a
-result (the tool exists to falsify), not a crash.
+stderr), 4 a usage error (a bad flag, group, ring or unit, an --out file
+in a missing directory, a cache directory that is or lies below a file, or
+l = 1 for a subcommand that needs l >= 2, rejected before any work).  A
+mismatch is a result (the tool exists to falsify), not a crash.
 """
 
 from __future__ import annotations
@@ -104,7 +105,7 @@ def _maybe_table(spec: GroupSpec, cfg: JobConfig, env: ReportEnvelope):
 def _chartab(spec: GroupSpec, cfg: JobConfig, env: ReportEnvelope):
     table = cached_group_table(spec, cfg.cache_path(), cfg.table_cap)
     ct = cached_char_table(table, cfg.cache_path(), cfg.chartab_cap)
-    # classification factors characteristic polynomials of degree n
+    # classification reads the types of the monic polynomials of degree n
     cached_irreducibles(spec.ring.q, spec.n)
     env.provenance["cache_keys"].extend([group_cache_key(spec), chartab_cache_key(spec)])
     env.provenance.setdefault("dixon", {})[spec.key()] = {"e": ct.e, "r": ct.r}
@@ -369,7 +370,7 @@ def parse_group(text: str) -> tuple[str, int]:
 
 
 def config_from_args(args: argparse.Namespace) -> JobConfig:
-    """ValueError on a bad group, ring, unit or count, before any work."""
+    """ValueError on a bad group, ring, unit, count or path, before any work."""
     family, n = parse_group(args.group)
     if args.threads < 1:
         raise ValueError("--threads must be positive")
@@ -389,6 +390,13 @@ def config_from_args(args: argparse.Namespace) -> JobConfig:
     )
     spec = cfg.group_spec()
     cfg.selected_units(get_ring(spec.ring))
+    out = Path(cfg.out)
+    if cfg.out and (out.is_dir() or not out.parent.is_dir()):
+        raise ValueError(f"--out {cfg.out} is not a file in an existing directory")
+    cache = cfg.cache_path()  # made on the first write, below its nearest existing ancestor
+    base = cache and next(p for p in (cache, *cache.parents) if p.exists())
+    if base and not base.is_dir():
+        raise ValueError(f"cache directory {cache}: {base} is not a directory")
     # the regular classification and the verify predictions need l >= 2
     needs_level_two = cfg.subcommand in ("gl2-sl2-tables", "branching") or (
         cfg.subcommand == "verify" and predictions_supported(spec))

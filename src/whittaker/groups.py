@@ -11,9 +11,11 @@ coset_representatives builds a transversal of G/ZU without listing G, and
 every element of G is z r u for exactly one z in Z, one representative r
 and one u in U.  The transversal asserts |R| |Z| |U| = |G| and that det r
 is a unit (GL) or 1 (SL), so every product is in G since
-det(z r u) = c^n det r; a table is accepted only with |G| rows, the
+det(z r u) = c^n det r.  A table is accepted only with |G| rows, the
 identity first and strictly increasing keys after it, so its rows are |G|
-distinct members of G, which is all of G.  The induced norm sums over the
+distinct matrices.  Those of enumerate_group are members of G, hence all of
+G; a table loaded from the cache has no determinant checked, and only its
+file's digest stands for its membership.  The induced norm sums over the
 transversal alone.
 """
 
@@ -116,7 +118,8 @@ class GroupTable:
     """Fully enumerated group with canonical ids and batched element lookup.
 
     The table rule, checked on every table built or loaded: |G| rows, the
-    identity first, then strictly increasing keys.
+    identity first, then strictly increasing keys.  It makes the rows
+    distinct, not members of G: no determinant is checked.
     """
 
     def __init__(self, spec: GroupSpec, elems: np.ndarray):

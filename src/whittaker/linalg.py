@@ -1,11 +1,8 @@
-"""Polynomial algebra over F_q and batched matrix kernels over the local
-rings o_l.
+"""The residue field F_q and batched matrix kernels over the local rings o_l.
 
 A matrix is a numpy array of integer element codes, and its Ring (or q, for
-F_q) is passed next to it.  Over F_q there is irreducible factorization
-against a sieve of monic irreducibles.  F_q is GF_ring(q), the l = 1 Ring
-of the equal family, and Poly does its scalar arithmetic on it.  The
-characteristic polynomial is a test oracle (tests/oracles.py).
+F_q) is passed next to it.  F_q is GF_ring(q), the l = 1 Ring of the equal
+family.
 
 The batched kernels multiply, take determinants of and invert stacks of code
 matrices; they are the workhorses of group enumeration and character sums.
@@ -23,7 +20,7 @@ from functools import lru_cache, reduce
 
 import numpy as np
 
-from .localring import Ring, RingKind, _factor_prime_power, all_tuples, get_ring, ring_make
+from .localring import Ring, RingKind, _factor_prime_power, get_ring, ring_make
 
 
 # ---------------------------------------------------------------------------
@@ -35,153 +32,6 @@ def GF_ring(q: int) -> Ring:
     """The field F_q as the r = 1 local ring (equal family)."""
     p, f = _factor_prime_power(q)
     return get_ring(ring_make(RingKind.EQUAL, p, f, 1))
-
-
-# ---------------------------------------------------------------------------
-# polynomials over F_q
-
-
-class Poly:
-    """Polynomial over F_q, coefficients ascending, no trailing zeros."""
-
-    __slots__ = ("q", "coeffs")
-
-    def __init__(self, q: int, coeffs):
-        c = list(int(x) for x in coeffs)
-        while c and c[-1] == 0:
-            c.pop()
-        self.q = q
-        self.coeffs = tuple(c)
-
-    @property
-    def field(self) -> Ring:
-        return GF_ring(self.q)
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1  # -1 for the zero polynomial
-
-    @property
-    def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1] == 1
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __eq__(self, other):
-        return isinstance(other, Poly) and self.q == other.q and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash((self.q, self.coeffs))
-
-    def __add__(self, other: "Poly") -> "Poly":
-        F = self.field
-        a, b = self.coeffs, other.coeffs
-        n = max(len(a), len(b))
-        return Poly(self.q, [
-            F.add(a[i] if i < len(a) else 0, b[i] if i < len(b) else 0)
-            for i in range(n)
-        ])
-
-    def __neg__(self) -> "Poly":
-        F = self.field
-        return Poly(self.q, [F.neg(c) for c in self.coeffs])
-
-    def __mul__(self, other: "Poly") -> "Poly":
-        if self.is_zero() or other.is_zero():
-            return Poly(self.q, ())
-        F = self.field
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    if b:
-                        out[i + j] = F.add(out[i + j], F.mul(a, b))
-        return Poly(self.q, out)
-
-    def divmod(self, den: "Poly") -> tuple["Poly", "Poly"]:
-        if den.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        F = self.field
-        rem = list(self.coeffs)
-        d = den.degree
-        lead_inv = F.inv(den.coeffs[-1])
-        quot = [0] * max(len(rem) - d, 0)
-        for i in range(len(rem) - 1, d - 1, -1):
-            c = F.mul(rem[i], lead_inv)
-            if c:
-                quot[i - d] = c
-                for j, dc in enumerate(den.coeffs):
-                    rem[i - d + j] = F.sub(rem[i - d + j], F.mul(c, dc))
-        return Poly(self.q, quot), Poly(self.q, rem)
-
-    def __mod__(self, den: "Poly") -> "Poly":
-        return self.divmod(den)[1]
-
-    def __repr__(self):
-        return f"Poly({self.q}, {self.coeffs})"
-
-
-# ---------------------------------------------------------------------------
-# irreducible sieve and factorization
-
-FACTOR_DEGREE_CAP = 8
-
-
-@lru_cache(maxsize=None)
-def monic_irreducibles(q: int, max_deg: int) -> tuple[tuple[Poly, ...], ...]:
-    """All monic irreducibles over F_q of degree 1..max_deg, by trial division;
-    each sieve is kept for the life of the process."""
-    by_degree: list[list[Poly]] = [[]]  # degree 0 slot unused
-    for d in range(1, max_deg + 1):
-        found = []
-        for tail in all_tuples(q, d):
-            cand = Poly(q, list(tail) + [1])
-            if _is_irreducible(cand, by_degree):
-                found.append(cand)
-        by_degree.append(found)
-    return tuple(tuple(lst) for lst in by_degree)
-
-
-def _is_irreducible(cand: Poly, by_degree) -> bool:
-    d = cand.degree
-    if d == 1:
-        return True
-    for e in range(1, d // 2 + 1):
-        for p in by_degree[e]:
-            if (cand % p).is_zero():
-                return False
-    return True
-
-
-def factor_poly(poly: Poly, cap: int = FACTOR_DEGREE_CAP) -> list[tuple[Poly, int]]:
-    """Factor a monic polynomial into (irreducible, exponent) pairs.
-
-    Deterministic trial division against the sieve of monic irreducibles of
-    degree <= cap; degrees above the cap are rejected.
-    """
-    if not poly.is_monic:
-        raise ValueError("factor_poly requires a monic polynomial")
-    if poly.degree > cap:
-        raise ValueError(f"degree {poly.degree} above factorization cap {cap}")
-    sieve = monic_irreducibles(poly.q, max(poly.degree, 1))
-    out = []
-    rem = poly
-    for d in range(1, poly.degree + 1):
-        if rem.degree < d:
-            break
-        for p in sieve[d]:
-            e = 0
-            while rem.degree >= d:
-                quot, r = rem.divmod(p)
-                if not r.is_zero():
-                    break
-                rem, e = quot, e + 1
-            if e:
-                out.append((p, e))
-    if rem.degree != 0:
-        raise AssertionError("factorization did not terminate")  # unreachable
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -13,11 +13,13 @@ the type are independent test oracles (tests/oracles.py).
 
 The type of a regular residue matrix records the degree/exponent pattern
 of its characteristic polynomial; the type and iota drive the GL -> SL
-branching predictions.
+branching predictions.  monic_types holds the type of every monic
+polynomial of one degree, from a sieve of products on coefficient codes.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
@@ -25,7 +27,7 @@ from math import gcd
 import numpy as np
 
 from .localring import Ring, RingDesc, all_tuples, get_ring
-from .linalg import GF_ring, Poly, factor_poly
+from .linalg import GF_ring
 from .groups import GroupSpec, poly_values
 
 
@@ -102,33 +104,67 @@ class TypeMatrix:
         return ",".join(f"({d},{e})x{c}" for d, e, c in self.entries)
 
 
+def _monics(q: int, d: int) -> np.ndarray:
+    """The ascending coefficient codes (q^d, d + 1) of every monic degree-d
+    polynomial over F_q, in all_tuples order: the code of a monic is the
+    base-q number of its coefficients below t^d, constant term fastest."""
+    monic = np.ones((q**d, d + 1), dtype=np.int64)
+    monic[:, :d] = all_tuples(q, d)
+    return monic
+
+
+def _products(F: Ring, i: int, j: int) -> dict[int, tuple[int, int]]:
+    """{code: (a, b)} over the products of every monic a of degree i with every
+    monic b of degree j, by one batched convolution over F; a code that
+    several pairs reach keeps the first of them, a-major."""
+    a, b = _monics(F.size, i), _monics(F.size, j)
+    out = np.zeros((len(a), len(b), i + j + 1), dtype=np.int64)
+    for s in range(i + 1):  # out += a_s t^s b
+        out[:, :, s:s + j + 1] = F.v_add(out[:, :, s:s + j + 1],
+                                         F.v_mul(a[:, None, s, None], b[None]))
+    codes = (out[..., :i + j] @ F.size ** np.arange(i + j)).ravel().tolist()
+    # the first pair to reach a code is the last one written
+    return {code: divmod(k, len(b)) for k, code in reversed(list(enumerate(codes)))}
+
+
+@lru_cache(maxsize=None)
+def monic_types(q: int, n: int) -> tuple[TypeMatrix, ...]:
+    """The type of every monic degree-n polynomial over F_q, indexed by its
+    code (the _monics order).
+
+    A monic of degree d is reducible iff it is the product of monics of
+    degrees i and d - i for some 1 <= i <= d/2.  Its irreducible factors are
+    those of the first such pair that reaches it; the codes that no pair
+    reaches are the irreducibles of degree d.
+    """
+    F = GF_ring(q)
+    # factors[d][code]: the irreducible factors (degree, code) of a monic, repeated
+    factors: list[list[tuple]] = [[()]]
+    for d in range(1, n + 1):
+        got: dict[int, tuple] = {}
+        for i in range(1, d // 2 + 1):
+            for code, (a, b) in _products(F, i, d - i).items():
+                if code not in got:
+                    got[code] = factors[i][a] + factors[d - i][b]
+        factors.append([got.get(code, ((d, code),)) for code in range(q**d)])
+    return tuple(TypeMatrix.make(n, Counter((deg, e) for (deg, _), e in Counter(f).items()))
+                 for f in factors[n])
+
+
 def type_of(xs: np.ndarray, q: int) -> list[TypeMatrix | None]:
     """Type of each code matrix of an (X, n, n) stack over F_q, or None where
     it is not regular.
 
     The monic degree-n annihilators of x are the multiples of its minimal
     polynomial mu, q^(n - deg mu) of them: x is regular iff exactly one
-    exists, and then it is the characteristic polynomial, whose
-    factorization is the type.  All q^n of them are evaluated at every x at
-    once, and each distinct polynomial is factored once per process.
+    exists, and then it is the characteristic polynomial, whose type
+    monic_types holds.  All q^n of them are evaluated at every x at once.
     """
     n = xs.shape[-1]
-    monic = np.ones((q**n, n + 1), dtype=np.int64)
-    monic[:, :n] = all_tuples(q, n)
-    kills = ~poly_values(GF_ring(q), monic, xs).any(axis=(-2, -1))  # (X, q^n)
-    return [_poly_type(Poly(q, monic[first])) if count == 1 else None
+    types = monic_types(q, n)
+    kills = ~poly_values(GF_ring(q), _monics(q, n), xs).any(axis=(-2, -1))  # (X, q^n)
+    return [types[first] if count == 1 else None
             for count, first in zip(kills.sum(axis=1).tolist(), kills.argmax(axis=1).tolist())]
-
-
-@lru_cache(maxsize=None)
-def _poly_type(poly: Poly) -> TypeMatrix:
-    """The (degree, exponent) counts of a monic polynomial's factorization;
-    the cache holds one entry per distinct polynomial, at most q^n per (q, n)."""
-    counts: dict[tuple[int, int], int] = {}
-    for f, e in factor_poly(poly):
-        key = (f.degree, e)
-        counts[key] = counts.get(key, 0) + 1
-    return TypeMatrix.make(poly.degree, counts)
 
 
 def iota(tau: TypeMatrix, r: int) -> int:

@@ -2,7 +2,9 @@
 
 Most are an independent route to a fact that `whittaker` computes another
 way: the scalar determinant and the characteristic polynomial by cofactor
-expansion, the factorization type read off the characteristic polynomial,
+expansion, scalar polynomials over F_q (`Poly`) factored by trial division
+against a sieve of monic irreducibles, the factorization type read off the
+characteristic polynomial,
 exact kernel counting over o_l by Smith-style diagonalization, group
 centralizers by filtering a full table, conjugacy classes by one full
 conjugation sweep per class, the cyclic-vector search over o_r,
@@ -17,6 +19,8 @@ Matrices are code arrays with their Ring (or q) alongside, as in
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from whittaker.chartab import CharTable, ClassData, class_data, sl_class_profile
@@ -25,8 +29,7 @@ from whittaker.cyclotomic import CycloNum, integer_values, pairings
 from whittaker.groups import (GroupSpec, GroupTable, central_units, coset_representatives,
                               element_keys, enumerate_group, matrix_powers,
                               unipotent_matrices)
-from whittaker.linalg import (GF_ring, Poly, factor_poly, mat_det_batch, mat_inv_batch,
-                              mat_mul, monic_irreducibles)
+from whittaker.linalg import GF_ring, mat_det_batch, mat_inv_batch, mat_mul
 from whittaker.localring import Ring, RingDesc, all_tuples, get_ring
 from whittaker.regular import TypeMatrix, type_of
 from whittaker.whittaker_verify import NonDegenChar
@@ -59,6 +62,139 @@ def div_varpi_pow(ring: Ring, a: int, k: int) -> int:
     if a % ring.q**k != 0:
         raise ValueError("element not divisible by pi^k")
     return a // ring.q**k
+
+
+class Poly:
+    """Polynomial over F_q, coefficients ascending, no trailing zeros."""
+
+    __slots__ = ("q", "coeffs")
+
+    def __init__(self, q: int, coeffs):
+        c = list(int(x) for x in coeffs)
+        while c and c[-1] == 0:
+            c.pop()
+        self.q = q
+        self.coeffs = tuple(c)
+
+    @property
+    def field(self) -> Ring:
+        return GF_ring(self.q)
+
+    @property
+    def degree(self) -> int:
+        return len(self.coeffs) - 1  # -1 for the zero polynomial
+
+    @property
+    def is_monic(self) -> bool:
+        return bool(self.coeffs) and self.coeffs[-1] == 1
+
+    def is_zero(self) -> bool:
+        return not self.coeffs
+
+    def __eq__(self, other):
+        return isinstance(other, Poly) and self.q == other.q and self.coeffs == other.coeffs
+
+    def __hash__(self):
+        return hash((self.q, self.coeffs))
+
+    def __add__(self, other: "Poly") -> "Poly":
+        F = self.field
+        a, b = self.coeffs, other.coeffs
+        n = max(len(a), len(b))
+        return Poly(self.q, [
+            F.add(a[i] if i < len(a) else 0, b[i] if i < len(b) else 0)
+            for i in range(n)
+        ])
+
+    def __neg__(self) -> "Poly":
+        F = self.field
+        return Poly(self.q, [F.neg(c) for c in self.coeffs])
+
+    def __mul__(self, other: "Poly") -> "Poly":
+        if self.is_zero() or other.is_zero():
+            return Poly(self.q, ())
+        F = self.field
+        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
+        for i, a in enumerate(self.coeffs):
+            if a:
+                for j, b in enumerate(other.coeffs):
+                    if b:
+                        out[i + j] = F.add(out[i + j], F.mul(a, b))
+        return Poly(self.q, out)
+
+    def divmod(self, den: "Poly") -> tuple["Poly", "Poly"]:
+        if den.is_zero():
+            raise ZeroDivisionError("polynomial division by zero")
+        F = self.field
+        rem = list(self.coeffs)
+        d = den.degree
+        lead_inv = F.inv(den.coeffs[-1])
+        quot = [0] * max(len(rem) - d, 0)
+        for i in range(len(rem) - 1, d - 1, -1):
+            c = F.mul(rem[i], lead_inv)
+            if c:
+                quot[i - d] = c
+                for j, dc in enumerate(den.coeffs):
+                    rem[i - d + j] = F.sub(rem[i - d + j], F.mul(c, dc))
+        return Poly(self.q, quot), Poly(self.q, rem)
+
+    def __mod__(self, den: "Poly") -> "Poly":
+        return self.divmod(den)[1]
+
+    def __repr__(self):
+        return f"Poly({self.q}, {self.coeffs})"
+
+
+@lru_cache(maxsize=None)
+def monic_irreducibles(q: int, max_deg: int) -> tuple[tuple[Poly, ...], ...]:
+    """All monic irreducibles over F_q of degree 1..max_deg, by trial division;
+    each sieve is kept for the life of the process."""
+    by_degree: list[list[Poly]] = [[]]  # degree 0 slot unused
+    for d in range(1, max_deg + 1):
+        found = []
+        for tail in all_tuples(q, d):
+            cand = Poly(q, list(tail) + [1])
+            if _is_irreducible(cand, by_degree):
+                found.append(cand)
+        by_degree.append(found)
+    return tuple(tuple(lst) for lst in by_degree)
+
+
+def _is_irreducible(cand: Poly, by_degree) -> bool:
+    d = cand.degree
+    if d == 1:
+        return True
+    for e in range(1, d // 2 + 1):
+        for p in by_degree[e]:
+            if (cand % p).is_zero():
+                return False
+    return True
+
+
+def factor_poly(poly: Poly) -> list[tuple[Poly, int]]:
+    """Factor a monic polynomial into (irreducible, exponent) pairs by
+    deterministic trial division against the sieve of monic irreducibles:
+    once no factor of degree <= deg/2 is left, what is left is irreducible."""
+    if not poly.is_monic:
+        raise ValueError("factor_poly requires a monic polynomial")
+    sieve = monic_irreducibles(poly.q, max(poly.degree // 2, 1))
+    out = []
+    rem = poly
+    for d in range(1, poly.degree // 2 + 1):
+        if rem.degree < 2 * d:
+            break
+        for p in sieve[d]:
+            e = 0
+            while rem.degree >= d:
+                quot, r = rem.divmod(p)
+                if not r.is_zero():
+                    break
+                rem, e = quot, e + 1
+            if e:
+                out.append((p, e))
+    if rem.degree > 0:
+        out.append((rem, 1))
+    return out
 
 
 def poly_value(poly: Poly, x: int) -> int:

@@ -415,7 +415,10 @@ def test_cached_element_moved_between_classes_exits_internal(capsys, tmp_path):
 
 
 def test_unwritable_out_file_exits_internal(capsys, tmp_path):
-    out = tmp_path / "missing-dir" / "report.json"
+    # a missing directory is a usage error, found before any work; a link into
+    # one passes that check, and its write still fails after the run
+    out = tmp_path / "report.json"
+    out.symlink_to(tmp_path / "missing-dir" / "report.json")
     assert main(["verify", "--group", "GL2", "--ring", "mixed:2^2", "--no-cache",
                  "--out", str(out)]) == EXIT_INTERNAL
     assert "internal fault: FileNotFoundError" in capsys.readouterr().err
@@ -572,6 +575,26 @@ def test_bad_input_exits_usage(args, capsys):
         code = exc.code
     assert code == EXIT_USAGE
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args, env", [
+    (["--out", "{tmp}/missing/report.txt"], None),
+    (["--out", "{tmp}"], None),
+    (["--cache-dir", "{tmp}/file"], None),
+    (["--cache-dir", "{tmp}/file/cache"], None),
+    ([], "{tmp}/file"),
+], ids=["out-in-missing-dir", "out-is-dir", "cache-dir-is-file", "cache-dir-below-file",
+        "env-cache-dir-is-file"])
+def test_bad_output_path_exits_usage_before_any_work(args, env, monkeypatch, capsys, tmp_path):
+    (tmp_path / "file").write_text("")
+    if env:
+        monkeypatch.setenv("WHITTAKER_CACHE_DIR", env.format(tmp=tmp_path))
+    code = main(["verify", "--group", "GL2", "--ring", "mixed:2^2",
+                 *(arg.format(tmp=tmp_path) for arg in args)])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE and captured.out == ""
+    assert captured.err.startswith("usage error: ")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]
 
 
 @pytest.mark.parametrize("args", [[], ["tables"], ["--group", "GL2"]])

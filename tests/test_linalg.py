@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 
 from whittaker.localring import CONWAY_POLYS, all_tuples, get_ring, ring_make
-from whittaker.linalg import (GF_ring, Poly, factor_poly, mat_det_batch, mat_inv_batch,
-                              mat_mul, monic_irreducibles)
-from whittaker.regular import type_of
-from oracles import (char_poly, commutant_matrix, companion, det_scalar, poly_value,
-                     solve_count, span_size)
+from whittaker.linalg import GF_ring, mat_det_batch, mat_inv_batch, mat_mul
+from whittaker.regular import monic_types, type_of
+from oracles import (Poly, char_poly, commutant_matrix, companion, det_scalar, factor_poly,
+                     poly_value, solve_count, span_size)
 
 Z4 = ring_make("mixed", 2, 1, 2)
 Z9 = ring_make("mixed", 3, 1, 2)
@@ -107,11 +106,6 @@ def test_factor_examples():
     assert factor_poly(Poly(2, (0, 0, 0, 0, 1))) == [(Poly(2, (0, 1)), 4)]
 
 
-def test_factor_degree_cap():
-    with pytest.raises(ValueError):
-        factor_poly(Poly(2, [1] + [0] * 8 + [1]), cap=8)
-
-
 def test_factor_refactors_exhaustively_degree_le_4():
     for q in (2, 3, 4):
         for d in range(1, 5):
@@ -125,13 +119,12 @@ def test_factor_refactors_exhaustively_degree_le_4():
 
 
 def test_irreducible_counts():
-    # number of monic irreducibles of degree d: (1/d) sum_{e|d} mu(e) q^(d/e)
+    # number of monic irreducibles of degree d: (1/d) sum_{e|d} mu(e) q^(d/e),
+    # read off the sieve as the monics of type ((d, 1, 1),)
     for q in (2, 3, 4):
-        sieve = monic_irreducibles(q, 4)
-        assert len(sieve[1]) == q
-        assert len(sieve[2]) == (q * q - q) // 2
-        assert len(sieve[3]) == (q**3 - q) // 3
-        assert len(sieve[4]) == (q**4 - q**2) // 4
+        gauss = {1: q, 2: (q * q - q) // 2, 3: (q**3 - q) // 3, 4: (q**4 - q**2) // 4}
+        for d, count in gauss.items():
+            assert sum(tau.entries == ((d, 1, 1),) for tau in monic_types(q, d)) == count
 
 
 def test_solve_count_examples():

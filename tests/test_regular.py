@@ -1,14 +1,16 @@
 import itertools
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from whittaker import regular
+from whittaker.cli import main
 from whittaker.localring import all_tuples, get_ring, ring_make
-from whittaker.linalg import Poly
 from whittaker.groups import GroupSpec, enumerate_group
-from whittaker.regular import TypeMatrix, a_regular, iota, type_of
-from oracles import (all_n_typical, centralizer, centralizer_order_residue, char_poly,
-                     companion, count_a_regular_classes, is_cyclic, is_regular,
+from whittaker.regular import TypeMatrix, a_regular, iota, monic_types, type_of
+from oracles import (Poly, all_n_typical, centralizer, centralizer_order_residue, char_poly,
+                     companion, count_a_regular_classes, factor_poly, is_cyclic, is_regular,
                      tau_regular_companion, type_of_charpoly)
 
 Z4 = ring_make("mixed", 2, 1, 2)
@@ -112,6 +114,63 @@ def test_type_of_matches_charpoly_oracle_exhaustively(n, q):
     # char-poly route refuses a non-regular matrix, position by position
     xs = all_tuples(q, n * n).reshape(-1, n, n)
     assert type_of(xs, q) == [_charpoly_type_or_none(x, q) for x in xs]
+
+
+def _factor_types(q, n):
+    """The type of every monic degree-n polynomial over F_q by the scalar
+    trial division of the oracle, in the order of monic_types."""
+    return tuple(TypeMatrix.make(n, Counter((f.degree, e)
+                                            for f, e in factor_poly(Poly(q, tail + [1]))))
+                 for tail in all_tuples(q, n).tolist())
+
+
+@pytest.mark.parametrize("q, n", [(q, n) for q in (2, 3, 4, 5, 7, 8, 9, 16)
+                                  for n in range(1, 5) if q**n <= 4096])
+def test_monic_types_match_factor_poly_oracle(q, n):
+    assert monic_types(q, n) == _factor_types(q, n)
+
+
+@pytest.fixture
+def fresh_monic_types():
+    """Clears the monic_types cache around a test that plants a sieve fault."""
+    regular.monic_types.cache_clear()
+    yield
+    regular.monic_types.cache_clear()
+
+
+def _drop_t_squared(monkeypatch):
+    products = regular._products
+
+    def faulty(F, i, j):
+        pairs = products(F, i, j)
+        pairs.pop(0)  # t^(i+j) has code 0: at n = 2 the one pair (t, t) is dropped
+        return pairs
+
+    monkeypatch.setattr(regular, "_products", faulty)
+
+
+def _swap_two_types(monkeypatch):
+    sieve = regular.monic_types
+
+    def faulty(q, n):
+        types = list(sieve(q, n))
+        types[0], types[1] = types[1], types[0]  # t^n and t^n + 1
+        return tuple(types)
+
+    monkeypatch.setattr(regular, "monic_types", faulty)
+
+
+@pytest.mark.parametrize("plant", [_drop_t_squared, _swap_two_types])
+def test_sieve_faults_fail_the_oracle_and_the_tables(plant, fresh_monic_types, monkeypatch,
+                                                     capsys):
+    # over F_3, t^2 is split non-semisimple and t^2 + 1 is cuspidal; both are
+    # characteristic polynomials of trace-zero matrices, so the SL_2(Z/9)
+    # cross-check of gl2-sl2-tables sees either fault
+    plant(monkeypatch)
+    assert regular.monic_types(3, 2) != _factor_types(3, 2)
+    assert main(["gl2-sl2-tables", "--ring", "mixed:3^2", "--chartab-cap", "1000",
+                 "--no-cache"]) == 1
+    assert "FAIL" in capsys.readouterr().out
 
 
 def test_type_labels_n2():
