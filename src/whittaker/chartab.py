@@ -8,12 +8,14 @@ table.
 Tables are computed by the Dixon-Schneider method: the class-sum matrices
 M_j (structure constants of the class algebra) commute and are split over
 a prime field F_r with r = 1 mod exponent(G) and r > 2 sqrt(|G|), each
-unsplit eigenspace on its own restricted action of M_j^T; their common
-eigenvectors, normalized at the identity class, are the central
-character vectors, degrees are recovered from the second orthogonality
-relation, which gives d^2 mod r, as the one divisor of |G| below r/2 with
-that square, and the character values are lifted to exact cyclotomic
-integers through eigenvalue-multiplicity discrete sums.
+unsplit eigenspace on its own restricted action A of M_j^T, whose
+eigen-rows are the row spaces of the projectors mu_i(A) / mu_i(lam_i)
+(eigen_rows); their common eigenvectors, normalized at the identity class,
+are the central character vectors, degrees are recovered from the second
+orthogonality relation, which gives d^2 mod r, as the one divisor of |G|
+below r/2 with that square, and the character values are lifted to exact
+cyclotomic integers through eigenvalue multiplicities, one discrete
+Fourier transform over the power classes per element order.
 Every character sum downstream (orthogonality, induced multiplicities, the
 regular classification, restriction norms) is one cyclotomic.pairings call
 read by integer_values.
@@ -62,12 +64,6 @@ class ClassData:
 
     def exponent(self) -> int:
         return int(np.lcm.reduce(self.orders))
-
-    def power_classes(self, i: int) -> list[int]:
-        """Classes of rep_i^s for s = 0 .. ord-1."""
-        table = self.table
-        pows = matrix_powers(table.ring, table.elems[self.reps[i]], int(self.orders[i]))
-        return self.class_of[table.ids_of(pows)].tolist()
 
 
 def generator_candidates(table: GroupTable) -> np.ndarray:
@@ -202,6 +198,8 @@ def primitive_root(r: int) -> int:
 
 
 def rref_mod(A: np.ndarray, r: int) -> tuple[np.ndarray, list[int]]:
+    """Reduced row echelon form of A mod r without its zero rows, and its
+    pivot columns; the column walk stops once the rows below are zero."""
     A = np.array(A, dtype=np.int64) % r
     nrows, ncols = A.shape
     piv = []
@@ -220,13 +218,14 @@ def rref_mod(A: np.ndarray, r: int) -> tuple[np.ndarray, list[int]]:
             A[others] = (A[others] - np.outer(A[others, col], A[row])) % r
         piv.append(col)
         row += 1
-        if row == nrows:
+        if not A[row:].any():
             break
     return A[:row], piv
 
 
-def nullspace_mod(A: np.ndarray, r: int) -> np.ndarray:
-    """Row basis of the right kernel of A mod r."""
+def nullspace_mod(A: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row basis of the right kernel of A mod r, and its free columns: the
+    basis is the identity there."""
     R, piv = rref_mod(A, r)
     ncols = A.shape[1]
     is_pivot = np.zeros(ncols, dtype=bool)
@@ -235,14 +234,16 @@ def nullspace_mod(A: np.ndarray, r: int) -> np.ndarray:
     basis = np.zeros((len(free), ncols), dtype=np.int64)
     basis[np.arange(len(free)), free] = 1
     basis[:, piv] = -R[:, free].T % r
-    return basis
+    return basis, free
 
 
 def charpoly_mod(A: np.ndarray, r: int) -> np.ndarray:
     """Characteristic polynomial of A mod r (coefficients ascending, monic)."""
     H = np.array(A, dtype=np.int64) % r
     n = H.shape[0]
-    # similarity reduction to upper Hessenberg
+    # similarity reduction to upper Hessenberg: column j is cleared below the
+    # subdiagonal by L H L^-1, L = I - f e_{j+1}^T on the rows j+2.. (the
+    # elementary factors of L commute, so this is one rank-1 update each way)
     for j in range(n - 2):
         if H[j + 1, j] == 0:
             nz = np.flatnonzero(H[j + 2:, j])
@@ -251,28 +252,68 @@ def charpoly_mod(A: np.ndarray, r: int) -> np.ndarray:
             i = j + 2 + int(nz[0])
             H[[j + 1, i]] = H[[i, j + 1]]
             H[:, [j + 1, i]] = H[:, [i, j + 1]]
-        inv = pow(int(H[j + 1, j]), r - 2, r)
-        for i in range(j + 2, n):
-            f = int(H[i, j]) * inv % r
-            if f:
-                H[i] = (H[i] - f * H[j + 1]) % r
-                H[:, j + 1] = (H[:, j + 1] + f * H[:, i]) % r
-    # p_i(x) = (x - H[i,i]) p_{i-1} - sum_k H[k,i] (prod subdiag) p_{k-1}
-    polys = [np.array([1], dtype=np.int64)]
+        f = H[j + 2:, j] * pow(int(H[j + 1, j]), r - 2, r) % r
+        H[j + 2:] = (H[j + 2:] - np.outer(f, H[j + 1])) % r
+        H[:, j + 1] = (H[:, j + 1] + H[:, j + 2:] @ f) % r
+    # p_i(x) = (x - H[i,i]) p_{i-1} - sum_{k<i} H[k,i] sub[k] p_{k-1}, with
+    # sub[k] the product of the subdiagonal entries H[k+1,k] .. H[i,i-1];
+    # row t of P holds the coefficients of p_{t-1}
+    P = np.zeros((n + 1, n + 1), dtype=np.int64)
+    P[0, 0] = 1
+    sub = np.zeros(0, dtype=np.int64)
     for i in range(n):
-        prev = polys[i]
-        cur = np.zeros(i + 2, dtype=np.int64)
-        cur[1:] = prev
-        cur[:-1] = (cur[:-1] - int(H[i, i]) * prev) % r
-        cur %= r
-        subprod = 1
-        for k in range(i - 1, -1, -1):
-            subprod = subprod * int(H[k + 1, k]) % r
-            coef = int(H[k, i]) * subprod % r
-            if coef:
-                cur[: k + 1] = (cur[: k + 1] - coef * polys[k]) % r
-        polys.append(cur)
-    return polys[n]
+        if i:
+            sub = np.append(sub, 1) * H[i, i - 1] % r
+        P[i + 1, 1:] = P[i, :-1]
+        P[i + 1] = (P[i + 1] - H[i, i] * P[i] - (H[:i, i] * sub % r) @ P[:i]) % r
+    return P[n]
+
+
+def eigen_rows(A: np.ndarray, r: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """For each root lam of charpoly_mod(A), ascending: a row basis C of the
+    rows c with c A = lam c mod r, and columns p with C[:, p] = I.
+
+    With mu = prod (x - lam_i) over the roots, A must satisfy mu(A) = 0,
+    which holds iff A is diagonalizable over F_r: AssertionError otherwise.
+    Then Q_i = mu_i(A) / mu_i(lam_i), mu_i = mu / (x - lam_i), projects onto
+    the lam_i rows, and its rank m_i = tr Q_i (d < r).  The rows are the row
+    space of Q_i, reduced from Q_i itself when 2 m_i <= d and otherwise as
+    the left kernel of I - Q_i, so a root costs min(m_i, d - m_i) pivots.
+    """
+    d = len(A)
+    lams = poly_roots_mod(charpoly_mod(A, r), r).tolist()
+    s = len(lams)
+    mu = np.ones(1, dtype=np.int64)
+    for lam in lams:
+        mu = (np.append(0, mu) - lam * np.append(mu, 0)) % r
+    powers = [np.eye(d, dtype=np.int64)]
+    for _ in range(s):
+        powers.append(powers[-1] @ A % r)
+    powers = np.stack(powers).reshape(s + 1, d * d)
+    if (mu @ powers % r).any():
+        raise AssertionError("class matrix failed to act semisimply")
+    # the coefficients of every mu_i / mu_i(lam_i), by synthetic division
+    coeffs = np.zeros((s, s), dtype=np.int64)
+    for i, lam in enumerate(lams):
+        coeffs[i, s - 1] = 1
+        for t in range(s - 1, 0, -1):
+            coeffs[i, t - 1] = (mu[t] + lam * coeffs[i, t]) % r
+        value = 1
+        for other in lams[:i] + lams[i + 1:]:
+            value = value * (lam - other) % r
+        coeffs[i] = coeffs[i] * pow(value, r - 2, r) % r
+    projectors = (coeffs @ powers[:s] % r).reshape(s, d, d)
+    out, found = [], 0
+    for Q in projectors:
+        if 2 * (int(np.trace(Q)) % r) <= d:
+            C, p = rref_mod(Q, r)
+        else:
+            C, p = nullspace_mod((np.eye(d, dtype=np.int64) - Q).T % r, r)
+        out.append((C, np.asarray(p, dtype=np.int64)))
+        found += len(C)
+    if found != d:
+        raise AssertionError("class matrix failed to act semisimply")
+    return out
 
 
 def poly_roots_mod(coeffs: np.ndarray, r: int) -> np.ndarray:
@@ -351,8 +392,9 @@ def character_table(table: GroupTable, cap: int = CHARTAB_CAP) -> CharTable:
     """Dixon-Schneider character table with exact cyclotomic lifting.
 
     The classes j are tried in order until every space is a line.  Each
-    unsplit space W, kept as reduced rows, is split by the eigenvalues of
-    the d x d action A of M_j^T on it (d = dim W), never of the k x k M_j^T.
+    unsplit space W, kept as rows that are the identity on some d columns,
+    is split by eigen_rows of the d x d action A of M_j^T on it
+    (d = dim W), never of the k x k M_j^T.
 
     |G| is compared with the cap before the classes are built, so a refused
     table costs no class work.
@@ -364,19 +406,21 @@ def character_table(table: GroupTable, cap: int = CHARTAB_CAP) -> CharTable:
     k = cd.k
     e = cd.exponent()
     r = dixon_prime(e, order)
-    # every mod-r product below (W @ M_j^T, ker @ W, the lift's chibar @ zmat^T)
-    # sums at most max(k, e) terms below r^2; k, e <= CHARTAB_CAP and
-    # r <= ROOT_SCAN_BOUND keep this under 10^17, so it holds within the caps
-    if max(k, e) * (r - 1) ** 2 >= 1 << 63:
-        raise CapExceeded(f"Dixon prime r = {r} breaks the bound max(k, e) (r - 1)^2 < 2^63 "
-                          f"(k = {k}, e = {e})")
+    # every mod-r product below sums at most max(k + 1, e) terms below r^2:
+    # W @ M_j^T and C @ W sum k, the split's powers, projectors and
+    # charpoly_mod at most d <= k, mu(A) its s + 1 <= k + 1 coefficients,
+    # and the lift's DFT o <= e; k, e <= CHARTAB_CAP and r <= ROOT_SCAN_BOUND
+    # keep this under 10^17, so it holds within the caps
+    if max(k + 1, e) * (r - 1) ** 2 >= 1 << 63:
+        raise CapExceeded(f"Dixon prime r = {r} breaks the bound max(k + 1, e) (r - 1)^2 "
+                          f"< 2^63 (k = {k}, e = {e})")
     h = cd.sizes % r
     hinv = np.array([pow(int(x), r - 2, r) for x in h], dtype=np.int64)
 
     # split F_r^k into common eigen-rows of the transposed class matrices; an
-    # unsplit space is its reduced rows W with pivot columns piv, and is split
-    # on its restricted action A (W @ M_j^T = A @ W)
-    spaces = [(np.eye(k, dtype=np.int64), list(range(k)))]
+    # unsplit space is its rows W with columns piv where W[:, piv] = I, and
+    # is split on its restricted action A (W @ M_j^T = A @ W)
+    spaces = [(np.eye(k, dtype=np.int64), np.arange(k))]
     for j in range(1, k):
         if all(len(W) == 1 for W, _ in spaces):
             break
@@ -391,14 +435,9 @@ def character_table(table: GroupTable, cap: int = CHARTAB_CAP) -> CharTable:
             if np.array_equal(A, A[0, 0] * np.eye(d, dtype=np.int64)):
                 nxt.append((W, piv))  # W is already an eigenspace of M_j^T
                 continue
-            found = 0
-            for lam in poly_roots_mod(charpoly_mod(A, r), r):
-                # row w = c W is an eigen-row iff c A = lam c
-                ker = nullspace_mod((A.T - int(lam) * np.eye(d, dtype=np.int64)) % r, r)
-                nxt.append(rref_mod(ker @ W % r, r))
-                found += len(ker)
-            if found != d:
-                raise AssertionError("class matrix failed to act semisimply")
+            # row w = c W is an eigen-row iff c A = lam c, and C[:, p] = I
+            # gives (C @ W)[:, piv[p]] = I
+            nxt.extend((C @ W % r, piv[p]) for C, p in eigen_rows(A, r))
         spaces = nxt
     if any(len(W) != 1 for W, _ in spaces):
         raise AssertionError("class matrices did not separate all characters")
@@ -422,23 +461,26 @@ def character_table(table: GroupTable, cap: int = CHARTAB_CAP) -> CharTable:
     if int(np.sum(degrees**2)) != order:
         raise AssertionError("degree recovery failed")
 
-    # character values mod r, then exact lifting class by class
+    # character values mod r, then the exact lift: the multiplicity of the
+    # eigenvalue zeta_o^u of a class of order o is (1/o) sum_s chi(g^s)
+    # zeta_o^(-us), one DFT per element order over the classes of that order,
+    # read off the classes of all the representatives' powers
     chibar = degrees[:, None] * omega % r * hinv[None, :] % r
-    g = primitive_root(r)
-    z = pow(g, (r - 1) // e, r)
+    z = pow(primitive_root(r), (r - 1) // e, r)
+    ring, n = table.ring, table.n
+    pows = matrix_powers(ring, table.elems[cd.reps], int(cd.orders.max()))
+    power_classes = cd.class_of[table.ids_of(pows.reshape(-1, n, n))].reshape(-1, k).T
     rows = np.zeros((k, k, e), dtype=np.int64)
-    for i in range(k):
-        o = int(cd.orders[i])
-        pcs = cd.power_classes(i)
-        zi = pow(z, e // o, r)
-        zmat = np.array([[pow(zi, (-u * s) % o, r) for s in range(o)] for u in range(o)],
-                        dtype=np.int64)
-        oinv = pow(o, r - 2, r)
-        cbar = chibar[:, pcs] @ zmat.T % r * oinv % r
-        if not np.array_equal(cbar.sum(axis=1), degrees):
-            raise IntegralityError("eigenvalue multiplicities do not sum to degree")
-        step = e // o
-        rows[:, i, ::step][:, : o] = cbar
+    for o in sorted(set(cd.orders.tolist())):
+        of_order = np.flatnonzero(cd.orders == o)
+        zo = pow(z, e // o, r)
+        # dft[s, u] = zeta_o^(-us), a symmetric matrix
+        dft = np.array([pow(zo, -t % o, r) for t in range(o)], dtype=np.int64)[
+            np.outer(np.arange(o), np.arange(o)) % o]
+        cbar = chibar[:, power_classes[of_order, :o]] @ dft % r * pow(o, r - 2, r) % r
+        rows[:, of_order, :: e // o] = cbar
+    if not (rows.sum(axis=2) == degrees[:, None]).all():
+        raise IntegralityError("eigenvalue multiplicities do not sum to degree")
     # canonical row order: ascending degree, then coefficient data
     order_keys = sorted(range(k), key=lambda t: (int(degrees[t]), rows[t].tobytes()))
     degrees = degrees[order_keys]

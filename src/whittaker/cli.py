@@ -390,7 +390,7 @@ def config_from_args(args: argparse.Namespace) -> JobConfig:
     )
     spec = cfg.group_spec()
     cfg.selected_units(get_ring(spec.ring))
-    out = Path(cfg.out)
+    out = Path(cfg.out).resolve()  # through any link, to the file written
     if cfg.out and (out.is_dir() or not out.parent.is_dir()):
         raise ValueError(f"--out {cfg.out} is not a file in an existing directory")
     cache = cfg.cache_path()  # made on the first write, below its nearest existing ancestor

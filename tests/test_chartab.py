@@ -12,7 +12,7 @@ from whittaker.whittaker_verify import NonDegenChar, induced_norm
 from whittaker import chartab
 from whittaker.chartab import (CharTable, charpoly_mod, character_table, class_data,
                                class_matrix, classify_regular, components, conjugacy_classes,
-                               decompose_induced, dixon_prime, nullspace_mod,
+                               decompose_induced, dixon_prime, eigen_rows, nullspace_mod,
                                poly_roots_mod, primitive_root, restriction_norm,
                                rref_mod, sl_class_profile, special_regular_scan)
 from oracles import conjugacy_classes_sweep, restriction_norm_row
@@ -96,13 +96,61 @@ def test_rref_and_nullspace_mod():
             assert np.array_equal(R[:, piv], np.eye(rank, dtype=np.int64))
             assert all(not R[t, :c].any() for t, c in enumerate(piv))
             assert np.array_equal(A[:, piv] @ R % r, A)
-            basis = nullspace_mod(A, r)
+            basis, free = nullspace_mod(A, r)
             assert basis.shape == (n - rank, n)
             assert not (A @ basis.T % r).any()
             assert len(rref_mod(basis, r)[1]) == n - rank
             # the one kernel basis that is the identity on the free columns
-            free = [c for c in range(n) if c not in piv]
+            assert free.tolist() == [c for c in range(n) if c not in piv]
             assert np.array_equal(basis[:, free], np.eye(n - rank, dtype=np.int64))
+
+
+def _inverse_mod(S, r):
+    d = len(S)
+    R, piv = rref_mod(np.hstack([S, np.eye(d, dtype=np.int64)]), r)
+    assert piv == list(range(d)), "S is singular"
+    return R[:, d:]
+
+
+@pytest.mark.parametrize("mults", [
+    (1, 1, 1, 1, 1, 1), (3, 3), (2, 5, 1), (7, 1), (1, 8, 2), (4, 2, 2, 1), (10,),
+], ids=str)
+def test_eigen_rows_match_a_per_root_nullspace(mults, monkeypatch):
+    # A = S diag S^-1 with the multiplicities on both sides of d/2, so both
+    # branches (the reduced projector and the kernel of I - Q) are taken
+    kernels = []
+    monkeypatch.setattr(chartab, "nullspace_mod",
+                        lambda M, r: kernels.append(len(M)) or nullspace_mod(M, r))
+    r = 433
+    rng = np.random.default_rng(sum(mults) * 31 + len(mults))
+    d = sum(mults)
+    lams = rng.choice(r, size=len(mults), replace=False)
+    diag = np.repeat(lams, mults)
+    while True:
+        S = rng.integers(0, r, size=(d, d))
+        if len(rref_mod(S, r)[1]) == d:
+            break
+    A = S * diag[None, :] % r @ _inverse_mod(S, r) % r
+    got = eigen_rows(A, r)
+    assert len(got) == len(mults)
+    assert len(kernels) == sum(2 * m > d for m in mults)
+    for (C, p), lam, m in zip(got, np.sort(lams).tolist(), np.array(mults)[np.argsort(lams)]):
+        assert C.shape == (m, d)
+        assert np.array_equal(C[:, p], np.eye(m, dtype=np.int64))
+        assert not ((C @ A - lam * C) % r).any()
+        oracle, _ = nullspace_mod((A.T - lam * np.eye(d, dtype=np.int64)) % r, r)
+        assert np.array_equal(rref_mod(C, r)[0], rref_mod(oracle, r)[0])
+
+
+def test_eigen_rows_refuse_a_dropped_root(monkeypatch):
+    # mu(A) over the roots found no longer kills A
+    monkeypatch.setattr(chartab, "poly_roots_mod",
+                        lambda coeffs, r: poly_roots_mod(coeffs, r)[:-1])
+    A = np.diag(np.array([2, 2, 5, 7], dtype=np.int64))
+    with pytest.raises(AssertionError, match="failed to act semisimply"):
+        eigen_rows(A, 13)
+    with pytest.raises(AssertionError, match="failed to act semisimply"):
+        character_table(enumerate_group(GroupSpec("GL", 2, Z4)))
 
 
 def test_poly_roots_mod():

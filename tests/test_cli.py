@@ -262,6 +262,26 @@ def test_repeated_coset_representative_exits_internal(monkeypatch, capsys):
     assert "73 coset representatives" in capsys.readouterr().err
 
 
+def test_swapped_power_classes_in_the_lift_exit_internal(monkeypatch, capsys):
+    # class 1's identity and first power trade places: the multiplicities of
+    # its eigenvalues then sum to chi(g_1) mod r, which is not the degree of
+    # every character, since g_1 is not the identity
+    from whittaker import chartab
+
+    original = chartab.matrix_powers
+
+    def swapped(ring, x, n):
+        pows = original(ring, x, n).copy()
+        pows[[0, 1], 1] = pows[[1, 0], 1]
+        return pows
+
+    monkeypatch.setattr(chartab, "matrix_powers", swapped)
+    assert main(["chartab", "--group", "GL2", "--ring", "mixed:2^2", "--no-cache"]) == EXIT_INTERNAL
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "multiplicities do not sum to degree" in captured.err
+
+
 NO_MASKED_ARRAYS = """
 import contextlib, io, sys
 sys.path.insert(0, sys.argv[1])
@@ -414,14 +434,16 @@ def test_cached_element_moved_between_classes_exits_internal(capsys, tmp_path):
     assert "internal arithmetic fault: character sum is not rational" in capsys.readouterr().err
 
 
-def test_unwritable_out_file_exits_internal(capsys, tmp_path):
-    # a missing directory is a usage error, found before any work; a link into
-    # one passes that check, and its write still fails after the run
-    out = tmp_path / "report.json"
-    out.symlink_to(tmp_path / "missing-dir" / "report.json")
+def test_unwritable_out_file_exits_internal(monkeypatch, capsys, tmp_path):
+    # a path that passes the up-front check, and whose write still fails
+    # after the run
+    def refuse(path, data):
+        raise OSError(f"cannot write {path}")
+
+    monkeypatch.setattr(Path, "write_text", refuse)
     assert main(["verify", "--group", "GL2", "--ring", "mixed:2^2", "--no-cache",
-                 "--out", str(out)]) == EXIT_INTERNAL
-    assert "internal fault: FileNotFoundError" in capsys.readouterr().err
+                 "--out", str(tmp_path / "report.json")]) == EXIT_INTERNAL
+    assert "internal fault: OSError: cannot write" in capsys.readouterr().err
 
 
 def _split(raw):
@@ -580,13 +602,15 @@ def test_bad_input_exits_usage(args, capsys):
 @pytest.mark.parametrize("args, env", [
     (["--out", "{tmp}/missing/report.txt"], None),
     (["--out", "{tmp}"], None),
+    (["--out", "{tmp}/link"], None),
     (["--cache-dir", "{tmp}/file"], None),
     (["--cache-dir", "{tmp}/file/cache"], None),
     ([], "{tmp}/file"),
-], ids=["out-in-missing-dir", "out-is-dir", "cache-dir-is-file", "cache-dir-below-file",
-        "env-cache-dir-is-file"])
+], ids=["out-in-missing-dir", "out-is-dir", "out-links-into-missing-dir",
+        "cache-dir-is-file", "cache-dir-below-file", "env-cache-dir-is-file"])
 def test_bad_output_path_exits_usage_before_any_work(args, env, monkeypatch, capsys, tmp_path):
     (tmp_path / "file").write_text("")
+    (tmp_path / "link").symlink_to(tmp_path / "missing-dir" / "report.json")
     if env:
         monkeypatch.setenv("WHITTAKER_CACHE_DIR", env.format(tmp=tmp_path))
     code = main(["verify", "--group", "GL2", "--ring", "mixed:2^2",
@@ -594,7 +618,7 @@ def test_bad_output_path_exits_usage_before_any_work(args, env, monkeypatch, cap
     captured = capsys.readouterr()
     assert code == EXIT_USAGE and captured.out == ""
     assert captured.err.startswith("usage error: ")
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["file", "link"]
 
 
 @pytest.mark.parametrize("args", [[], ["tables"], ["--group", "GL2"]])
