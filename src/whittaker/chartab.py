@@ -24,6 +24,7 @@ read by integer_values.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import permutations
 from math import gcd, isqrt
 
 import numpy as np
@@ -531,10 +532,21 @@ class RegularFlag:
 def classify_regular(ct: CharTable) -> list[RegularFlag]:
     """Classify irreducibles by their restriction to K^(l-1).
 
-    For each chi and each x in g(F_q), computes <chi|_{K^(l-1)}, phi_x>
-    exactly, with phi_x from whittaker_verify.phi_x_exponents; chi is regular
-    iff every x with nonzero pairing is regular, and the common factorization
-    type of those x gives the label.
+    chi is regular iff every x in g(F_q) with <chi|_{K^(l-1)}, phi_x> != 0 is
+    regular, and the common factorization type of those x gives the label;
+    phi_x is whittaker_verify.phi_x_exponents.  The pairing is constant on
+    each orbit of G(F_q) acting on g(F_q) by conjugation: phi_{g x g^-1} is
+    phi_x composed with conjugation by a lift of g^-1, and chi is a class
+    function.  So it is computed exactly on one x per label of adjoint_orbits,
+    the smallest.  Those labels are orbits of a fixed subset of G(F_q), a
+    partition at least as fine as the G-orbits whether or not the subset
+    generates, so every x shares its pairings and its type with its label's
+    representative and the flags are the same as over all x; generation only
+    decides how few representatives there are.
+
+    ValueError for l < 2, and for SL with p | n: the identity then lies in
+    sl_n(F_q) and is orthogonal to it under the trace form, so x -> phi_x is
+    not the duality of sl_n(F_q) with the characters of K^(l-1).
     """
     table = ct.table
     spec = table.spec
@@ -542,8 +554,12 @@ def classify_regular(ct: CharTable) -> list[RegularFlag]:
     ell = ring.ell
     if ell < 2:
         raise ValueError("regular classification needs l >= 2")
-    k_ids = congruence_subgroup(table, ell - 1)
     n = spec.n
+    if spec.family == "SL" and n % ring.p == 0:
+        raise ValueError(f"regular classification of SL_{n} needs p not dividing n: at "
+                         f"p = {ring.p} the trace form does not make sl_{n}(F_q) the "
+                         "dual of K^(l-1)")
+    k_ids = congruence_subgroup(table, ell - 1)
     q = ring.q
     # levels y' of the kernel elements: y = I + pi^(l-1) y'
     vpk = ring.q ** (ell - 1)
@@ -553,6 +569,8 @@ def classify_regular(ct: CharTable) -> list[RegularFlag]:
     xs = _lie_algebra_residue(spec)
     if len(xs) * len(yprimes) > CLASSIFY_PAIR_CAP:
         raise CapExceeded("classification pair count beyond cap")
+    labels = adjoint_orbits(spec)
+    xs = xs[labels == np.arange(len(xs))]
     e, k, X = ct.e, ct.k, len(xs)
     # phi_x(y) as exponents of zeta_e
     expo = phi_x_exponents(ring, ell - 1, xs, yprimes) * (e // ring.char_order)
@@ -565,8 +583,8 @@ def classify_regular(ct: CharTable) -> list[RegularFlag]:
         raise IntegralityError("negative restriction multiplicity")
 
     # regularity and type depend on x only: one type_of call for every
-    # supported x.  Its (X, q^n, n, n) stack is within n^2 times the pair cap
-    # above, since q^n <= |K^(l-1)| = len(yprimes) for n >= 2.
+    # supported representative.  Its (X, q^n, n, n) stack is within n^2 times
+    # the pair cap above, since q^n <= |K^(l-1)| = len(yprimes) for n >= 2.
     supported = np.flatnonzero(mults.any(axis=1))
     types = dict(zip(supported.tolist(), type_of(xs[supported], q)))
     flags = []
@@ -582,6 +600,44 @@ def classify_regular(ct: CharTable) -> list[RegularFlag]:
         flags.append(RegularFlag(t, int(ct.degrees[t]), reg, tau,
                                  tau.label() if tau else None))
     return flags
+
+
+def adjoint_orbits(spec) -> np.ndarray:
+    """The smallest index in its orbit of each x of _lie_algebra_residue(spec),
+    under conjugation by the transvections I + c E_ij (i != j, c in the F_p-basis
+    1, w, ..., w^(f-1) of F_q, w the smallest generator of F_q^x), and for GL
+    by diag(w, 1, ..., 1) too.
+
+    The transvections over a basis generate the additive groups of their
+    root positions, so SL_n(F_q), and diag(w, 1, ..., 1) adds every
+    determinant: these are the orbits of G(F_q).  An index is read back from
+    its matrix by the base-q digits of its first lie_dim entries, the order
+    in which _lie_algebra_residue lists them.
+    """
+    res = get_ring(spec.ring).residue_field()
+    xs = _lie_algebra_residue(spec)
+    n, q = spec.n, res.q
+    w = next(c for c in range(1, q) if _multiplicative_order(res, c) == q - 1)
+    basis = [1]
+    for _ in range(1, res.f):
+        basis.append(res.mul(basis[-1], w))
+    entries = [((i, j), c) for i, j in permutations(range(n), 2) for c in basis]
+    if spec.family == "GL":
+        entries.append(((0, 0), w))
+    gens = np.tile(np.eye(n, dtype=np.int64), (len(entries), 1, 1))
+    for g, ((i, j), c) in zip(gens, entries):
+        g[i, j] = c
+    conj = mat_mul(res, mat_mul(res, gens[:, None], xs[None]), mat_inv_batch(res, gens)[:, None])
+    digits = conj.reshape(len(gens), len(xs), n * n)[..., :spec.lie_dim]
+    ids = digits @ q ** np.arange(spec.lie_dim, dtype=np.int64)
+    return components(list(ids), np.arange(len(xs)))
+
+
+def _multiplicative_order(res, c: int) -> int:
+    power, order = c, 1
+    while power != 1:
+        power, order = res.mul(power, c), order + 1
+    return order
 
 
 def _lie_algebra_residue(spec) -> np.ndarray:
@@ -604,15 +660,17 @@ def restriction_norm(ct_gl: CharTable, ts, sl_table: GroupTable,
     """<Res chi_t, Res chi_t>_SL = (1/|SL|) sum over SL of |chi_t|^2, exact,
     for each row t of the sequence ts, as an int64 array.
 
-    One pairings call covers the block of rows, and integer_values checks the
-    whole (T, T, e) result: its off-diagonal entries are |SL| times
-    <Res chi_s, Res chi_t>_SL, integers as well.  The block is T^2 e int64,
-    so callers pass a few dozen rows at a time (cli: one factorization label).
+    One pairings call covers the block of rows on the classes that meet SL,
+    and integer_values checks the whole (T, T, e) result: its off-diagonal
+    entries are |SL| times <Res chi_s, Res chi_t>_SL, integers as well.  The
+    block is T^2 e int64, so callers pass a few dozen rows at a time (cli:
+    one factorization label).
     """
     if sl_class_counts is None:
         sl_class_counts = sl_class_profile(ct_gl, sl_table)
-    rows = ct_gl.rows[np.asarray(ts, dtype=np.int64)]
-    acc = pairings(rows * sl_class_counts[None, :, None], rows)
+    meet = np.flatnonzero(sl_class_counts)
+    rows = ct_gl.rows[np.ix_(np.asarray(ts, dtype=np.int64), meet)]
+    acc = pairings(rows * sl_class_counts[meet][None, :, None], rows)
     return np.diagonal(integer_values(acc, ct_gl.e, len(sl_table))).copy()
 
 
@@ -638,8 +696,9 @@ def special_regular_scan(ct: CharTable,
     """For each regular irreducible of an SL table, which theta_a contain it.
 
     The prediction (has a model for every unit a iff iota(tau, q-1) = 1)
-    applies when (p,2) = (p,n) = 1; otherwise observed sets are reported
-    without an asserted classification.
+    applies when (p,2) = (p,n) = 1.  At p = 2 with n odd the observed sets
+    are reported without it; at p | n there are no flags to scan, and
+    classify_regular raises ValueError.
     """
     table = ct.table
     spec = table.spec

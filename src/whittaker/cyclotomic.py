@@ -135,32 +135,36 @@ def pairings(f: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Exponent vectors (X, T, m) of sum_c f[x, c] * conj(g[t, c]) for stacks
     f (X, k, m) and g (T, k, m) of class functions with values in Z[zeta_m].
 
-    Classes where f vanishes are skipped; the others are paired in the
-    smallest subring Z[zeta_m^d] holding their values (d = gcd of m and the
-    exponents used), grouped by d.  Only the exponents that f uses enter the
-    contiguous inner axis of the int64 matmuls, one per output exponent.
-    Raises IntegralityError unless k * m * max|f| * max|g|, which bounds
-    every partial sum, is below 2^63.
+    Only the live classes, where f is nonzero, are read from g: they are paired
+    in the smallest subring Z[zeta_m^d] holding their values (d = gcd of m and
+    the exponents used), grouped by d.  Only the exponents that f uses enter
+    the contiguous inner axis of the int64 matmuls, one per output exponent.
+    Raises IntegralityError unless k' * m * max|f| * max|g'|, with k' live
+    classes and g' the columns of g on them, is below 2^63: it bounds every
+    partial sum, and g may exceed it on a class that f does not touch.
     """
     f = np.asarray(f, dtype=np.int64)
     g = np.asarray(g, dtype=np.int64)
     X, k, m = f.shape
     T = g.shape[0]
-    bound = k * m * _max_abs(f) * _max_abs(g)
+    f_used = f.any(axis=0)
+    live = np.flatnonzero(f_used.any(axis=1))
+    g_live = g[:, live] if len(live) < k else g  # a row orthogonality has every class live
+    bound = len(live) * m * _max_abs(f) * _max_abs(g_live)
     if bound >= 1 << 63:
         raise IntegralityError(f"pairing sums bounded by {bound} could overflow int64")
+    used = f_used[live] | g_live.any(axis=0)
+    del g_live  # the pairs below gather from g itself
+    steps = np.gcd(np.gcd.reduce(np.where(used, np.arange(m), 0), axis=1), m)
     out = np.zeros((X, T, m), dtype=np.int64)
-    f_used = f.any(axis=0)
-    steps = np.gcd(np.gcd.reduce(np.where(f_used | g.any(axis=0), np.arange(m), 0), axis=1), m)
-    live = f_used.any(axis=1)
-    for d in np.flatnonzero(np.bincount(steps[live])).tolist():
-        cls = np.flatnonzero(live & (steps == d))
+    for d in np.flatnonzero(np.bincount(steps)).tolist():
+        cls = live[steps == d]
         mm = m // d
-        fd = f[:, cls, ::d]
-        expos = np.flatnonzero(fd.any(axis=(0, 1)))
-        # f over (x; exponent a, class c), and conj(g) as hc[j, c, t] = g[t, c, -j]
-        fa = np.ascontiguousarray(fd[:, :, expos].transpose(0, 2, 1)).reshape(X, -1)
-        hc = np.ascontiguousarray(g[:, cls, ::d][:, :, -np.arange(mm) % mm].transpose(2, 1, 0))
+        expos = np.flatnonzero(f_used[cls, ::d].any(axis=0))
+        # f over (x; exponent a, class c), and conj(g) as hc[j, c, t] = g[t, c, -j d],
+        # each gathered in that layout by one index
+        fa = np.take(f.reshape(X, k * m), (cls * m + d * expos[:, None]).ravel(), axis=1)
+        hc = g.transpose(2, 1, 0)[(-np.arange(mm) % mm * d)[:, None], cls]
         for w in range(mm):
             # zeta^a * conj(zeta^j) lands on zeta^(d w) when j = w - a (mod mm)
             out[:, :, w * d] += fa @ hc[(w - expos) % mm].reshape(-1, T)

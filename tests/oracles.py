@@ -7,7 +7,9 @@ against a sieve of monic irreducibles, the factorization type read off the
 characteristic polynomial,
 exact kernel counting over o_l by Smith-style diagonalization, group
 centralizers by filtering a full table, conjugacy classes by one full
-conjugation sweep per class, the cyclic-vector search over o_r,
+conjugation sweep per class, the adjoint orbits on g(F_q) by the same sweep
+over G(F_q), the regular classification over every x of g(F_q) instead of
+one per orbit, the cyclic-vector search over o_r,
 restriction norms one row at a time, the induced norm by the Frobenius
 double sum over G/ZU and U (all units at once) and unit by unit over a G/U
 transversal, and the closed forms of the type combinatorics.  A few
@@ -23,16 +25,17 @@ from functools import lru_cache
 
 import numpy as np
 
-from whittaker.chartab import CharTable, ClassData, class_data, sl_class_profile
+from whittaker.chartab import (CLASSIFY_PAIR_CAP, CharTable, ClassData, RegularFlag,
+                               _lie_algebra_residue, class_data, sl_class_profile)
 from whittaker.cli import JobConfig, run
-from whittaker.cyclotomic import CycloNum, integer_values, pairings
-from whittaker.groups import (GroupSpec, GroupTable, central_units, coset_representatives,
-                              element_keys, enumerate_group, matrix_powers,
-                              unipotent_matrices)
+from whittaker.cyclotomic import CycloNum, IntegralityError, integer_values, pairings
+from whittaker.groups import (CapExceeded, GroupSpec, GroupTable, central_units,
+                              congruence_subgroup, coset_representatives, element_keys,
+                              enumerate_group, matrix_powers, unipotent_matrices)
 from whittaker.linalg import GF_ring, mat_det_batch, mat_inv_batch, mat_mul
 from whittaker.localring import Ring, RingDesc, all_tuples, get_ring
 from whittaker.regular import TypeMatrix, type_of
-from whittaker.whittaker_verify import NonDegenChar
+from whittaker.whittaker_verify import NonDegenChar, phi_x_exponents
 
 
 # ---------------------------------------------------------------------------
@@ -539,8 +542,63 @@ def conjugacy_classes_sweep(table: GroupTable) -> ClassData:
     return class_data(table, class_of)
 
 
+def adjoint_orbits_by_sweep(spec: GroupSpec) -> np.ndarray:
+    """The orbit labels of chartab.adjoint_orbits from all of G(F_q): each x of
+    _lie_algebra_residue(spec), in turn the smallest one not yet labelled, is
+    conjugated by every element of the l = 1 group table at once."""
+    res_spec = GroupSpec(spec.family, spec.n, RingDesc(spec.ring.kind, spec.ring.p,
+                                                        spec.ring.f, 1))
+    table = enumerate_group(res_spec)
+    res, n, free = table.ring, spec.n, spec.lie_dim
+    xs = _lie_algebra_residue(spec)
+    labels = np.full(len(xs), -1, dtype=np.int64)
+    for i in range(len(xs)):
+        if labels[i] < 0:
+            orbit = mat_mul(res, mat_mul(res, table.elems, xs[i]), table.inverses())
+            labels[orbit.reshape(-1, n * n)[:, :free] @ res.q ** np.arange(free)] = i
+    return labels
+
+
 # ---------------------------------------------------------------------------
 # character sums
+
+
+def classify_regular_by_x(ct: CharTable) -> list[RegularFlag]:
+    """chartab.classify_regular without the orbits: <chi|_{K^(l-1)}, phi_x>
+    for every x in g(F_q), and the type of every supported x."""
+    table = ct.table
+    spec, ring = table.spec, table.ring
+    ell, n, q = ring.ell, spec.n, ring.q
+    if ell < 2:
+        raise ValueError("regular classification needs l >= 2")
+    k_ids = congruence_subgroup(table, ell - 1)
+    yprimes = (table.elems[k_ids] - np.eye(n, dtype=np.int64)[None]) // q ** (ell - 1) % q
+    y_classes = ct.cd.class_of[k_ids]
+    xs = _lie_algebra_residue(spec)
+    if len(xs) * len(yprimes) > CLASSIFY_PAIR_CAP:
+        raise CapExceeded("classification pair count beyond cap")
+    e, k, X = ct.e, ct.k, len(xs)
+    expo = phi_x_exponents(ring, ell - 1, xs, yprimes) * (e // ring.char_order)
+    cells = (np.arange(X)[:, None] * k + y_classes[None, :]) * e + expo
+    acc = pairings(np.bincount(cells.ravel(), minlength=X * k * e).reshape(X, k, e), ct.rows)
+    mults = integer_values(acc, e, len(k_ids))
+    if np.any(mults < 0):
+        raise IntegralityError("negative restriction multiplicity")
+    supported = np.flatnonzero(mults.any(axis=1))
+    types = dict(zip(supported.tolist(), type_of(xs[supported], q)))
+    flags = []
+    for t in range(k):
+        support = np.flatnonzero(mults[:, t])
+        if len(support) == 0:
+            raise AssertionError("restriction to the kernel has empty support")
+        taus = {types[xi] for xi in support.tolist()}
+        reg = None not in taus
+        if reg and len(taus) != 1:
+            raise AssertionError("factorization type is not orbit-constant")
+        tau = taus.pop() if reg else None
+        flags.append(RegularFlag(t, int(ct.degrees[t]), reg, tau,
+                                 tau.label() if tau else None))
+    return flags
 
 
 def restriction_norm_row(ct_gl: CharTable, t: int, sl_table: GroupTable,

@@ -10,12 +10,14 @@ from whittaker.linalg import mat_mul
 from whittaker.groups import CapExceeded, GroupSpec, enumerate_group, unipotent_subgroup
 from whittaker.whittaker_verify import NonDegenChar, induced_norm
 from whittaker import chartab
-from whittaker.chartab import (CharTable, charpoly_mod, character_table, class_data,
-                               class_matrix, classify_regular, components, conjugacy_classes,
-                               decompose_induced, dixon_prime, eigen_rows, nullspace_mod,
-                               poly_roots_mod, primitive_root, restriction_norm,
-                               rref_mod, sl_class_profile, special_regular_scan)
-from oracles import conjugacy_classes_sweep, restriction_norm_row
+from whittaker.chartab import (CharTable, adjoint_orbits, charpoly_mod, character_table,
+                               class_data, class_matrix, classify_regular, components,
+                               conjugacy_classes, decompose_induced, dixon_prime, eigen_rows,
+                               nullspace_mod, poly_roots_mod, primitive_root,
+                               restriction_norm, rref_mod, sl_class_profile,
+                               special_regular_scan)
+from oracles import (adjoint_orbits_by_sweep, classify_regular_by_x, conjugacy_classes_sweep,
+                     restriction_norm_row)
 
 Z4 = ring_make("mixed", 2, 1, 2)
 Z9 = ring_make("mixed", 3, 1, 2)
@@ -449,6 +451,59 @@ def test_classify_regular_sl2z9(sl2z9_ct):
         "cuspidal": 4, "split-nss": 12, "split-ss": 2}
     assert Counter((f.label, f.degree) for f in regs) == {
         ("cuspidal", 6): 4, ("split-nss", 4): 12, ("split-ss", 12): 2}
+
+
+@pytest.mark.parametrize("family, n, ring, count", [
+    ("GL", 2, ring_make("mixed", 2, 1, 2), 6),
+    ("GL", 2, Z9, 12),
+    ("GL", 2, ring_make("equal", 2, 2, 2), 20),
+    ("GL", 3, Z4, 14),
+    ("SL", 2, Z9, 5),
+    ("SL", 3, Z4, 7),
+], ids=["gl2-F2", "gl2-F3", "gl2-F4", "gl3-F2", "sl2-F3", "sl3-F2"])
+def test_adjoint_orbits_are_the_orbits_of_the_whole_residue_group(family, n, ring, count):
+    labels = adjoint_orbits(GroupSpec(family, n, ring))
+    assert np.array_equal(labels, adjoint_orbits_by_sweep(GroupSpec(family, n, ring)))
+    assert len(np.unique(labels)) == count
+
+
+@pytest.mark.parametrize("family, n, ring", [
+    ("GL", 2, Z4), ("GL", 2, Z8), ("GL", 2, Z9), ("GL", 2, F3T2),
+    ("SL", 2, Z9), ("SL", 2, ring_make("mixed", 3, 1, 3)), ("SL", 2, ring_make("equal", 5, 1, 2)),
+    ("SL", 3, Z4),
+], ids=["GL2-Z4", "GL2-Z8", "GL2-Z9", "GL2-F3t2", "SL2-Z9", "SL2-Z27", "SL2-F5t2", "SL3-Z4"])
+def test_classify_regular_on_orbits_matches_every_x(family, n, ring):
+    ct = character_table(enumerate_group(GroupSpec(family, n, ring)))
+    assert classify_regular(ct) == classify_regular_by_x(ct)
+
+
+def test_merged_orbits_fail_the_classification(monkeypatch):
+    # the orbit of x = I joins the orbit of 0, whose representative 0 is the
+    # smaller: the characters over phi_I are then paired with no x at all, so
+    # no flags come back to compare with classify_regular_by_x
+    ct = character_table(enumerate_group(GroupSpec("GL", 2, Z9)))
+    original = chartab.adjoint_orbits
+
+    def merged(spec):
+        labels = original(spec).copy()
+        labels[labels == labels[1 + 3**3]] = 0  # index 1 + q^3 is diag(1, 1)
+        return labels
+
+    monkeypatch.setattr(chartab, "adjoint_orbits", merged)
+    with pytest.raises(AssertionError, match="empty support"):
+        classify_regular(ct)
+
+
+def test_sl_with_p_dividing_n_is_refused_up_front():
+    # at p | n the identity lies in sl_n(F_q) and pairs to zero with all of
+    # it: the pairing over every x leaves some characters with no support
+    ct = character_table(enumerate_group(GroupSpec("SL", 2, Z4)))
+    with pytest.raises(ValueError, match="p not dividing n"):
+        classify_regular(ct)
+    with pytest.raises(ValueError, match="p not dividing n"):
+        special_regular_scan(ct)
+    with pytest.raises(AssertionError, match="empty support"):
+        classify_regular_by_x(ct)
 
 
 def test_special_regular_scan_sl2z9(sl2z9_ct):

@@ -282,6 +282,25 @@ def test_swapped_power_classes_in_the_lift_exit_internal(monkeypatch, capsys):
     assert "multiplicities do not sum to degree" in captured.err
 
 
+def test_merged_adjoint_orbits_exit_internal(monkeypatch, capsys):
+    # the orbit of x = I joins the orbit of 0 (see test_chartab): the GL_2(Z/9)
+    # characters over phi_I lose their support
+    from whittaker import chartab
+
+    original = chartab.adjoint_orbits
+
+    def merged(spec):
+        labels = original(spec).copy()
+        labels[labels == labels[1 + 3**3]] = 0
+        return labels
+
+    monkeypatch.setattr(chartab, "adjoint_orbits", merged)
+    assert main(["gl2-sl2-tables", "--ring", "mixed:3^2", "--no-cache"]) == EXIT_INTERNAL
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "empty support" in captured.err
+
+
 NO_MASKED_ARRAYS = """
 import contextlib, io, sys
 sys.path.insert(0, sys.argv[1])

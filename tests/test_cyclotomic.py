@@ -219,6 +219,19 @@ def test_pairings_refuse_sums_that_could_overflow():
     assert pairings(f // 2, f).shape == (1, 1, 4)
 
 
+def test_pairings_bound_reads_only_the_live_classes():
+    # g on class 1, where f vanishes, is far beyond the int64 bound; it is
+    # never read, so the result is the one with that class zeroed
+    rng = np.random.default_rng(0)
+    f = rng.integers(-4, 5, size=(2, 3, 6))
+    g = rng.integers(-4, 5, size=(3, 3, 6))
+    f[:, 1] = 0
+    want = pairings(f, np.where(np.arange(3)[:, None] == 1, 0, g))
+    g[:, 1] = 1 << 62
+    assert np.array_equal(pairings(f, g), want)
+    assert want.any()
+
+
 def test_counter_construction():
     counter = [0] * 9
     counter[3] = 2

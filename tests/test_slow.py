@@ -9,11 +9,11 @@ import json
 import numpy as np
 import pytest
 
-from whittaker.chartab import conjugacy_classes
+from whittaker.chartab import character_table, classify_regular, conjugacy_classes
 from whittaker.cli import main
 from whittaker.groups import GroupSpec, enumerate_group
 from whittaker.localring import ring_make
-from oracles import conjugacy_classes_sweep
+from oracles import classify_regular_by_x, conjugacy_classes_sweep
 
 pytestmark = pytest.mark.slow
 
@@ -40,3 +40,12 @@ def test_induced_norm_beyond_the_benchmark(group, ring, norm, capsys):
     assert code == 0 and report["pass"] is True
     got = {c["claim"]: c["computed"] for c in report["checks"]}
     assert got["induced-norm-positive-and-bounded"] == norm
+
+
+@pytest.mark.parametrize("family, n, ring", [
+    ("GL", 3, ring_make("mixed", 2, 1, 2)),  # GL3(Z/4): 512 x in 14 orbits
+    ("GL", 2, ring_make("equal", 2, 2, 2)),  # GL2(F4[t]/t^2): 256 x in 20 orbits, k = 252
+])
+def test_classify_regular_on_orbits_matches_every_x_at_the_frontier(family, n, ring):
+    ct = character_table(enumerate_group(GroupSpec(family, n, ring)))
+    assert classify_regular(ct) == classify_regular_by_x(ct)
