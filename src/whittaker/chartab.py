@@ -31,14 +31,13 @@ import numpy as np
 
 from .cyclotomic import IntegralityError, integer_values, pairings
 from .localring import all_tuples, get_ring, is_prime
-from .linalg import mat_inv_batch, mat_mul
-from .groups import (CapExceeded, GroupTable, congruence_subgroup, matrix_powers,
+from .linalg import mat_det_batch, mat_inv_batch, mat_mul
+from .groups import (CapExceeded, GroupSpec, GroupTable, congruence_subgroup, matrix_powers,
                      unipotent_subgroup)
 from .whittaker_verify import NonDegenChar, phi_x_exponents, predictions_supported
 from .regular import TypeMatrix, iota, type_of
 
 CHARTAB_CAP = 100_000
-CLASS_CAP = 100_000
 ROOT_SCAN_BOUND = 1_000_000
 CLASSIFY_PAIR_CAP = 1 << 22
 
@@ -113,8 +112,6 @@ def conjugacy_classes(table: GroupTable) -> ClassData:
     |G|-long int64 permutations per kept generator.
     """
     N = len(table)
-    if N > CLASS_CAP:
-        raise CapExceeded(f"|G| = {N} beyond the class cap {CLASS_CAP}")
     ring, elems = table.ring, table.elems
     lefts, conjugations = [], []
     coset = np.arange(N)  # smallest id of each right coset of S; S = {g : coset[g] = 0}
@@ -655,8 +652,7 @@ def _lie_algebra_residue(spec) -> np.ndarray:
     return out
 
 
-def restriction_norm(ct_gl: CharTable, ts, sl_table: GroupTable,
-                     sl_class_counts: np.ndarray | None = None) -> np.ndarray:
+def restriction_norm(ct_gl: CharTable, ts) -> np.ndarray:
     """<Res chi_t, Res chi_t>_SL = (1/|SL|) sum over SL of |chi_t|^2, exact,
     for each row t of the sequence ts, as an int64 array.
 
@@ -666,18 +662,25 @@ def restriction_norm(ct_gl: CharTable, ts, sl_table: GroupTable,
     block is T^2 e int64, so callers pass a few dozen rows at a time (cli:
     one factorization label).
     """
-    if sl_class_counts is None:
-        sl_class_counts = sl_class_profile(ct_gl, sl_table)
-    meet = np.flatnonzero(sl_class_counts)
+    profile = sl_class_profile(ct_gl)
+    meet = np.flatnonzero(profile)
     rows = ct_gl.rows[np.ix_(np.asarray(ts, dtype=np.int64), meet)]
-    acc = pairings(rows * sl_class_counts[meet][None, :, None], rows)
-    return np.diagonal(integer_values(acc, ct_gl.e, len(sl_table))).copy()
+    acc = pairings(rows * profile[meet][None, :, None], rows)
+    return np.diagonal(integer_values(acc, ct_gl.e, int(profile.sum()))).copy()
 
 
-def sl_class_profile(ct_gl: CharTable, sl_table: GroupTable) -> np.ndarray:
-    """How many SL elements land in each GL conjugacy class."""
-    classes = ct_gl.cd.class_of[ct_gl.table.ids_of(sl_table.elems)]
-    return np.bincount(classes, minlength=ct_gl.k)
+def sl_class_profile(ct_gl: CharTable) -> np.ndarray:
+    """How many SL elements lie in each GL conjugacy class: its size where the
+    representative has det 1 (det is a class function), 0 elsewhere.
+    AssertionError unless the profile sums to |SL|."""
+    table = ct_gl.table
+    dets = mat_det_batch(table.ring, table.elems[ct_gl.cd.reps])
+    profile = np.where(dets == 1, ct_gl.cd.sizes, 0)
+    sl_order = GroupSpec("SL", table.spec.n, table.spec.ring).order()
+    if profile.sum() != sl_order:
+        raise AssertionError(f"the det-1 classes of {table.spec.key()} hold "
+                             f"{profile.sum()} elements, not |SL| = {sl_order}")
+    return profile
 
 
 @dataclass

@@ -36,8 +36,7 @@ from .cyclotomic import IntegralityError
 from .whittaker_verify import (induced_dim, induced_norm, predicted_dim_sum,
                                predicted_regular_count, predictions_supported,
                                sl2_printed_index)
-from .chartab import (CHARTAB_CAP, classify_regular, conjugacy_classes,
-                      restriction_norm, sl_class_profile)
+from .chartab import CHARTAB_CAP, classify_regular, conjugacy_classes, restriction_norm
 from .regular import iota
 from .cache import (cached_char_table, cached_group_table, cached_irreducibles,
                     chartab_cache_key, default_cache_dir, group_cache_key)
@@ -252,18 +251,14 @@ def cmd_branching(cfg: JobConfig) -> ReportEnvelope:
     env = _envelope(cfg)
     desc = parse_ring(cfg.ring)
     n = cfg.n
-    gl_spec = GroupSpec("GL", n, desc)
     sl_spec = GroupSpec("SL", n, desc)
-    ct = _chartab(gl_spec, cfg, env)
-    sl_table = cached_group_table(sl_spec, cfg.cache_path(), cfg.table_cap)
-    flags = classify_regular(ct)
-    regs = [f for f in flags if f.regular]
-    profile = sl_class_profile(ct, sl_table)
+    ct = _chartab(GroupSpec("GL", n, desc), cfg, env)
+    regs = [f for f in classify_regular(ct) if f.regular]
     by_label: dict[str, list] = {}
     for f in regs:
         by_label.setdefault(f.label, []).append(f)
     # one restriction_norm block per label keeps each (T, T, e) Gram small
-    norms = {label: restriction_norm(ct, [f.index for f in fs], sl_table, profile).tolist()
+    norms = {label: restriction_norm(ct, [f.index for f in fs]).tolist()
              for label, fs in by_label.items()}
     top = max(max(got) for got in norms.values())
     env.add("branching-norm-at-most-n", "restriction-constituent-bound",

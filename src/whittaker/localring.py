@@ -180,7 +180,6 @@ class Ring:
         self.p, self.f, self.ell = desc.p, desc.f, desc.ell
         self.q = desc.q
         self.size = desc.size
-        self.varpi = self.q if self.ell > 1 else 0  # pi = 0 in o_1
         # order of the canonical primitive additive character's values
         self.char_order = self.p**self.ell if self._mixed else self.p
         self._inv_vec = None

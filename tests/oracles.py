@@ -26,7 +26,7 @@ from functools import lru_cache
 import numpy as np
 
 from whittaker.chartab import (CLASSIFY_PAIR_CAP, CharTable, ClassData, RegularFlag,
-                               _lie_algebra_residue, class_data, sl_class_profile)
+                               _lie_algebra_residue, class_data)
 from whittaker.cli import JobConfig, run
 from whittaker.cyclotomic import CycloNum, IntegralityError, integer_values, pairings
 from whittaker.groups import (CapExceeded, GroupSpec, GroupTable, central_units,
@@ -601,13 +601,18 @@ def classify_regular_by_x(ct: CharTable) -> list[RegularFlag]:
     return flags
 
 
-def restriction_norm_row(ct_gl: CharTable, t: int, sl_table: GroupTable,
-                         sl_class_counts: np.ndarray | None = None) -> int:
-    """<Res chi_t, Res chi_t>_SL for one row, by its own pairings call."""
-    if sl_class_counts is None:
-        sl_class_counts = sl_class_profile(ct_gl, sl_table)
+def sl_class_profile_by_lookup(ct_gl: CharTable, sl_table: GroupTable) -> np.ndarray:
+    """How many SL elements land in each GL conjugacy class, by looking up
+    every element of a full SL table in the GL table."""
+    classes = ct_gl.cd.class_of[ct_gl.table.ids_of(sl_table.elems)]
+    return np.bincount(classes, minlength=ct_gl.k)
+
+
+def restriction_norm_row(ct_gl: CharTable, t: int, sl_table: GroupTable) -> int:
+    """<Res chi_t, Res chi_t>_SL for one row, by its own pairings call over
+    the looked-up SL profile."""
     row = ct_gl.rows[t][None]
-    acc = pairings(row * sl_class_counts[None, :, None], row)
+    acc = pairings(row * sl_class_profile_by_lookup(ct_gl, sl_table)[None, :, None], row)
     return int(integer_values(acc, ct_gl.e, len(sl_table))[0, 0])
 
 

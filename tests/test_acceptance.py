@@ -17,8 +17,7 @@ from whittaker.whittaker_verify import (induced_dim, induced_norm,
                                         predicted_dim_sum,
                                         predicted_regular_count, NonDegenChar)
 from whittaker.chartab import (character_table, classify_regular, decompose_induced,
-                               restriction_norm, sl_class_profile,
-                               special_regular_scan)
+                               restriction_norm, special_regular_scan)
 from whittaker.regular import iota
 from oracles import verify_checks
 
@@ -149,12 +148,10 @@ def test_criterion_07_multiplicity_free_at_p_dividing_n():
 def test_criterion_08_branching():
     t0 = time.perf_counter()
     ct = _ct(GroupSpec("GL", 2, Z9))
-    sl_table = _table(GroupSpec("SL", 2, Z9))
     flags = [f for f in classify_regular(ct) if f.regular]
     assert len(flags) == 54
-    prof = sl_class_profile(ct, sl_table)
     want = {"cuspidal": 1, "split-nss": 2, "split-ss": 1}
-    norms = restriction_norm(ct, [f.index for f in flags], sl_table, prof).tolist()
+    norms = restriction_norm(ct, [f.index for f in flags]).tolist()
     for f, nrm in zip(flags, norms):
         assert nrm == iota(f.tau, 2) == want[f.label]
         assert nrm <= 2

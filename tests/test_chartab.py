@@ -17,7 +17,7 @@ from whittaker.chartab import (CharTable, adjoint_orbits, charpoly_mod, characte
                                restriction_norm, rref_mod, sl_class_profile,
                                special_regular_scan)
 from oracles import (adjoint_orbits_by_sweep, classify_regular_by_x, conjugacy_classes_sweep,
-                     restriction_norm_row)
+                     restriction_norm_row, sl_class_profile_by_lookup)
 
 Z4 = ring_make("mixed", 2, 1, 2)
 Z9 = ring_make("mixed", 3, 1, 2)
@@ -526,8 +526,7 @@ def test_restriction_norm_bounded_and_matches_iota(sl2z9_ct):
     # cheap variant of the branching check at GL2(Z/4) scale is not valid
     # (p = n = 2), so use the SL table itself restricted to itself: norm 1
     ct = sl2z9_ct
-    prof = sl_class_profile(ct, ct.table)
-    assert restriction_norm(ct, range(ct.k), ct.table, prof).tolist() == [1] * ct.k
+    assert restriction_norm(ct, range(ct.k)).tolist() == [1] * ct.k
 
 
 @pytest.mark.parametrize("desc", [Z9, Z8], ids=["Z9", "Z8"])
@@ -536,15 +535,27 @@ def test_restriction_norm_blocks_match_per_row_oracle(desc):
     # per factorization label as cli.cmd_branching passes them
     ct = character_table(enumerate_group(GroupSpec("GL", 2, desc)))
     sl_table = enumerate_group(GroupSpec("SL", 2, desc))
-    prof = sl_class_profile(ct, sl_table)
     regs = [f for f in classify_regular(ct) if f.regular]
-    want = [restriction_norm_row(ct, f.index, sl_table, prof) for f in regs]
-    got = restriction_norm(ct, [f.index for f in regs], sl_table, prof)
+    want = [restriction_norm_row(ct, f.index, sl_table) for f in regs]
+    got = restriction_norm(ct, [f.index for f in regs])
     assert got.dtype == np.int64 and got.tolist() == want
     for label in {f.label for f in regs}:
         block = [i for i, f in enumerate(regs) if f.label == label]
-        assert restriction_norm(ct, [regs[i].index for i in block], sl_table).tolist() == \
+        assert restriction_norm(ct, [regs[i].index for i in block]).tolist() == \
             [want[i] for i in block]
+
+
+@pytest.mark.parametrize("desc", [Z4, Z8, Z9, F3T2], ids=["Z4", "Z8", "Z9", "F3t2"])
+def test_sl_class_profile_matches_the_lookup_oracle(desc):
+    ct = character_table(enumerate_group(GroupSpec("GL", 2, desc)))
+    sl_table = enumerate_group(GroupSpec("SL", 2, desc))
+    assert np.array_equal(sl_class_profile(ct), sl_class_profile_by_lookup(ct, sl_table))
+
+
+def test_sl_class_profile_of_an_sl_table_is_its_class_sizes(sl2z9_ct):
+    ct = sl2z9_ct
+    assert np.array_equal(sl_class_profile(ct), ct.cd.sizes)
+    assert np.array_equal(sl_class_profile(ct), sl_class_profile_by_lookup(ct, ct.table))
 
 
 def test_chartab_cap():

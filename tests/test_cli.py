@@ -140,6 +140,36 @@ def test_branching_p_equals_n_reports_without_iota(capsys, tmp_path):
     assert "branching-norms-cuspidal" in out
 
 
+def test_branching_reads_and_writes_no_sl_table(capsys, tmp_path):
+    # the SL class profile is read off the GL table: only GL files are cached
+    code, _ = run_cli(["branching", "--group", "GL2", "--ring", "mixed:3^2",
+                       "--cache-dir", str(tmp_path)], capsys)
+    assert code == 0
+    assert not list(tmp_path.rglob("SL*"))
+    assert list(tmp_path.rglob("GL2*"))
+
+
+def test_branching_with_a_wrong_det_exits_internal(monkeypatch, capsys):
+    # one class representative's det read wrong: the det-1 classes no longer
+    # hold |SL| elements
+    from whittaker import chartab
+
+    real = chartab.mat_det_batch
+
+    def one_wrong(ring, A):
+        dets = real(ring, A).copy()
+        dets[1] = 2 if dets[1] == 1 else 1
+        return dets
+
+    monkeypatch.setattr(chartab, "mat_det_batch", one_wrong)
+    assert main(["branching", "--group", "GL2", "--ring", "mixed:3^2", "--no-cache"]) \
+        == EXIT_INTERNAL
+    err = capsys.readouterr().err
+    assert "internal fault: AssertionError: the det-1 classes of GL2(mixed:3^2) hold " in err
+    assert "not |SL| = 648" in err
+    assert len(err.splitlines()) == 1
+
+
 def test_classes_subcommand(capsys):
     code, out = run_cli(
         ["classes", "--group", "SL2", "--ring", "mixed:3^1", "--no-cache",
@@ -149,6 +179,17 @@ def test_classes_subcommand(capsys):
     by_name = {c["name"]: c for c in rep["checks"]}
     assert by_name["class-count"]["computed"] == 7
     assert rep["provenance"]["class_sizes"] == [1, 1, 4, 4, 4, 4, 6]
+
+
+def test_classes_bounded_by_the_table_cap_alone(capsys):
+    # SL2(Z/49): |G| = 115,248, past 100,000 and under TABLE_CAP; only
+    # --table-cap bounds the class work
+    code, out = run_cli(
+        ["classes", "--group", "SL2", "--ring", "mixed:7^2", "--no-cache",
+         "--format", "json"], capsys)
+    assert code == 0
+    sizes = json.loads(out)["provenance"]["class_sizes"]
+    assert len(sizes) == 81 and sum(sizes) == 115_248
 
 
 def test_chartab_subcommand(capsys, tmp_path):

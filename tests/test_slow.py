@@ -9,11 +9,12 @@ import json
 import numpy as np
 import pytest
 
-from whittaker.chartab import character_table, classify_regular, conjugacy_classes
+from whittaker.chartab import (character_table, classify_regular, conjugacy_classes,
+                               sl_class_profile)
 from whittaker.cli import main
 from whittaker.groups import GroupSpec, enumerate_group
 from whittaker.localring import ring_make
-from oracles import classify_regular_by_x, conjugacy_classes_sweep
+from oracles import classify_regular_by_x, conjugacy_classes_sweep, sl_class_profile_by_lookup
 
 pytestmark = pytest.mark.slow
 
@@ -49,3 +50,10 @@ def test_induced_norm_beyond_the_benchmark(group, ring, norm, capsys):
 def test_classify_regular_on_orbits_matches_every_x_at_the_frontier(family, n, ring):
     ct = character_table(enumerate_group(GroupSpec(family, n, ring)))
     assert classify_regular(ct) == classify_regular_by_x(ct)
+
+
+def test_sl_class_profile_matches_the_lookup_oracle_on_gl3():
+    ring = ring_make("mixed", 2, 1, 2)  # GL3(Z/4): 60 classes
+    ct = character_table(enumerate_group(GroupSpec("GL", 3, ring)))
+    sl_table = enumerate_group(GroupSpec("SL", 3, ring))
+    assert np.array_equal(sl_class_profile(ct), sl_class_profile_by_lookup(ct, sl_table))
