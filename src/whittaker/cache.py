@@ -15,6 +15,11 @@ empty or pre-digest file) is rebuilt and overwritten, with one
 `cache: rebuilding <file>: <reason>` line on stderr; a missing file is
 rebuilt silently.  Writes go through a temp file and rename, so readers never
 observe partial files.
+
+A group table file holds the array `elems`, a character table file the
+arrays `class_of` and `rows`, and nothing derived from them.  A file that
+passes the rule is still checked as it is read, by GroupTable, class_data and
+CharTable: their AssertionError is a fault, not a rebuild.
 """
 
 from __future__ import annotations
@@ -160,23 +165,22 @@ def _narrow(a: np.ndarray) -> np.ndarray:
 
 
 def save_char_table(ct: CharTable, cache_dir: Path) -> Path:
-    """The class numbering, the Dixon prime, the exponent, the degrees and
-    the values; the rest of the class data is derived from class_of on load.
-    class_of and the values are stored narrow (int8 while k <= 128 and every
-    multiplicity fits), and the loader casts every stored dtype to int64."""
-    meta = {"e": ct.e, "r": ct.r, "degrees": ct.degrees.tolist()}
-    return _write(chartab_cache_key(ct.table.spec), cache_dir, meta,
+    """The class numbering and the values, nothing else: the class data, the
+    exponent, the Dixon prime and the degrees are derived from them on load.
+    Both are stored narrow (int8 while k <= 128 and every multiplicity fits),
+    and the loader casts every stored dtype to int64."""
+    return _write(chartab_cache_key(ct.table.spec), cache_dir, {},
                   {"class_of": _narrow(ct.cd.class_of), "rows": _narrow(ct.rows)})
 
 
 def load_char_table(table: GroupTable, cache_dir: Path) -> CharTable | None:
+    """Metadata keys other than `arrays` (e, r and degrees in older files)
+    are ignored."""
     got = _read(chartab_cache_key(table.spec), cache_dir)
     if got is None:
         return None
-    meta, arrays = got
-    ct = CharTable(class_data(table, arrays["class_of"].astype(np.int64)), meta["e"],
-                   meta["r"], np.array(meta["degrees"], dtype=np.int64),
-                   arrays["rows"].astype(np.int64))
+    ct = CharTable(class_data(table, got[1]["class_of"].astype(np.int64)),
+                   got[1]["rows"].astype(np.int64))
     ct.loaded = True
     return ct
 

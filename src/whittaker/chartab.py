@@ -178,17 +178,8 @@ def dixon_prime(exponent: int, order: int) -> int:
 
 
 def primitive_root(r: int) -> int:
-    fac = []
-    m = r - 1
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
-            fac.append(d)
-            while m % d == 0:
-                m //= d
-        d += 1
-    if m > 1:
-        fac.append(m)
+    divisors = np.arange(2, r)
+    fac = [int(f) for f in divisors[(r - 1) % divisors == 0] if is_prime(int(f))]
     for g in range(2, r):
         if all(pow(g, (r - 1) // f, r) != 1 for f in fac):
             return g
@@ -330,16 +321,32 @@ def poly_roots_mod(coeffs: np.ndarray, r: int) -> np.ndarray:
 
 
 class CharTable:
-    """Exact character table: degrees plus Z[zeta_e] values per (row, class)."""
+    """Exact character table: rows[t, i, u] is the multiplicity of the
+    eigenvalue zeta_e^u of chi_t at class i, an int64 (k, k, e) array, and
+    the exponent e, the Dixon prime r and the degrees rows[:, 0, 0] are
+    derived.  AssertionError unless the shape is (k, k, e), every entry lies
+    in 0..|G| (which keeps the sums exact), every (row, class) vector sums to
+    the degree (so the identity class holds exponent 0 only), and the degrees
+    divide |G| with squares summing to |G|; verify adds row orthogonality."""
 
-    def __init__(self, cd: ClassData, e: int, r: int, degrees: np.ndarray,
-                 rows: np.ndarray):
-        self.cd = cd
-        self.e = e
-        self.r = r
-        self.degrees = degrees
-        self.rows = rows  # (k, k, e) int64: coeff vectors of chi_t(class_i)
+    def __init__(self, cd: ClassData, rows: np.ndarray):
+        self.cd, self.rows, self.e = cd, rows, cd.exponent()
+        order = len(cd.table)
+        self.r = dixon_prime(self.e, order)
         self.loaded = False  # True when read from the disk cache
+        if rows.shape != (cd.k, cd.k, self.e):
+            raise AssertionError(f"the values have shape {rows.shape}, not (k, k, e)")
+        if rows.min() < 0 or rows.max() > order:
+            raise AssertionError("a multiplicity lies outside 0..|G|")
+        d = self.degrees
+        if not (rows.sum(axis=2) == d[:, None]).all():
+            raise AssertionError("eigenvalue multiplicities do not sum to degree")
+        if (d < 1).any() or (order % d).any() or (d**2).sum() != order:
+            raise AssertionError("the degrees are not divisors of |G| whose squares sum to |G|")
+
+    @property
+    def degrees(self) -> np.ndarray:
+        return self.rows[:, 0, 0]
 
     @property
     def k(self) -> int:
@@ -350,7 +357,7 @@ class CharTable:
         return self.cd.table
 
     def verify(self) -> None:
-        """Exact completeness and row orthogonality; raises on failure.
+        """Exact row orthogonality; AssertionError on failure.
 
         The column relation follows and is not computed.  The values form a
         square k x k matrix R over Z[zeta_e], and with H the diagonal of the
@@ -358,20 +365,11 @@ class CharTable:
         with R^-1 = H R* / |G|, and R* R = |G| H^-1 holds exactly: that is
         sum_t chi_t(i) conj(chi_t(j)) = delta_ij |C(g_i)|.
         """
-        k, order = self.k, len(self.table)
-        rows, e, h = self.rows, self.e, self.cd.sizes
-        if rows.shape != (k, k, e) or len(self.degrees) != k:
-            raise AssertionError("the table is not square in its k classes")
-        if int(np.sum(self.degrees**2)) != order:
-            raise AssertionError("sum of squared degrees differs from |G|")
-        if any(order % int(d) for d in self.degrees):
-            raise AssertionError("a degree does not divide |G|")
+        rows = self.rows
         # row orthogonality: sum_i h_i chi_s(i) conj(chi_t(i)) = delta |G|
-        prods = integer_values(pairings(rows * h[None, :, None], rows), e)
-        if not np.array_equal(prods, order * np.eye(k, dtype=np.int64)):
+        prods = integer_values(pairings(rows * self.cd.sizes[None, :, None], rows), self.e)
+        if not np.array_equal(prods, len(self.table) * np.eye(self.k, dtype=np.int64)):
             raise AssertionError("row orthogonality fails")
-        if not (np.array_equal(rows[:, 0, 0], self.degrees) and not np.any(rows[:, 0, 1:])):
-            raise AssertionError("degrees differ from the identity-class values")
 
 
 def class_matrix(cd: ClassData, j: int, r: int) -> np.ndarray:
@@ -443,26 +441,24 @@ def character_table(table: GroupTable, cap: int = CHARTAB_CAP) -> CharTable:
     # normalized eigen-rows are the central characters: row 0 of M_j is the
     # indicator of class j, so the eigenvalue (w M_j^T)[0] of w is w[j]
     W = np.concatenate([W for W, _ in spaces])
-    if np.any(W[:, 0] == 0):
-        raise AssertionError("eigenvector has zero identity coordinate")
     norm = np.array([pow(int(x), r - 2, r) for x in W[:, 0]], dtype=np.int64)
     omega = W * norm[:, None] % r
 
     # degrees from sum_j omega(j) omega(j*) / h_j = |G| / d^2: a degree d
     # divides |G| and d <= isqrt|G| < r/2 (dixon_prime), and d^2 mod r tells
     # those divisors apart (d^2 = d'^2 mod r forces d = +-d'), so d is the
-    # divisor whose square is |G| / s mod r; 0 if none is
+    # divisor whose square is |G| / s mod r; 0 if none is (or if w[0] = 0),
+    # which CharTable refuses
     s = (omega * omega[:, cd.inverse_perm] % r * hinv % r).sum(axis=1) % r
     by_square = {d * d % r: d for d in range(1, isqrt(order) + 1) if order % d == 0}
     degrees = np.array([by_square.get(order * pow(int(st), r - 2, r) % r, 0) for st in s],
                        dtype=np.int64)
-    if int(np.sum(degrees**2)) != order:
-        raise AssertionError("degree recovery failed")
 
     # character values mod r, then the exact lift: the multiplicity of the
     # eigenvalue zeta_o^u of a class of order o is (1/o) sum_s chi(g^s)
     # zeta_o^(-us), one DFT per element order over the classes of that order,
-    # read off the classes of all the representatives' powers
+    # read off the classes of all the representatives' powers; CharTable
+    # checks the lift, whose rows[:, 0, 0] are the degrees since they are < r
     chibar = degrees[:, None] * omega % r * hinv[None, :] % r
     z = pow(primitive_root(r), (r - 1) // e, r)
     ring, n = table.ring, table.n
@@ -477,14 +473,8 @@ def character_table(table: GroupTable, cap: int = CHARTAB_CAP) -> CharTable:
             np.outer(np.arange(o), np.arange(o)) % o]
         cbar = chibar[:, power_classes[of_order, :o]] @ dft % r * pow(o, r - 2, r) % r
         rows[:, of_order, :: e // o] = cbar
-    if not (rows.sum(axis=2) == degrees[:, None]).all():
-        raise IntegralityError("eigenvalue multiplicities do not sum to degree")
     # canonical row order: ascending degree, then coefficient data
-    order_keys = sorted(range(k), key=lambda t: (int(degrees[t]), rows[t].tobytes()))
-    degrees = degrees[order_keys]
-    rows = rows[order_keys]
-
-    ct = CharTable(cd, e, r, degrees, rows)
+    ct = CharTable(cd, rows[sorted(range(k), key=lambda t: (int(degrees[t]), rows[t].tobytes()))])
     ct.verify()
     return ct
 
@@ -502,12 +492,12 @@ def decompose_induced(ct: CharTable, theta: NonDegenChar,
         raise ValueError("theta and table are over different groups")
     if u_ids is None:
         u_ids = unipotent_subgroup(table, 0)
-    e, m = ct.e, theta.m
-    if e % m:
-        raise AssertionError("character field does not contain the theta values")
+    e = ct.e
     # theta summed class by class over U: f[0, class, exponent]
     u_classes = ct.cd.class_of[u_ids]
-    u_expos = theta.exponents_on(table.elems[u_ids]) * (e // m)
+    u_expos, rem = np.divmod(theta.exponents_on(table.elems[u_ids]) * e, theta.m)
+    if rem.any():
+        raise AssertionError("character field does not contain the theta values")
     f = np.bincount(u_classes * e + u_expos, minlength=ct.k * e).reshape(1, ct.k, e)
     mults = integer_values(pairings(f, ct.rows), e, len(u_ids))[0]
     if np.any(mults < 0):
@@ -569,8 +559,11 @@ def classify_regular(ct: CharTable) -> list[RegularFlag]:
     labels = adjoint_orbits(spec)
     xs = xs[labels == np.arange(len(xs))]
     e, k, X = ct.e, ct.k, len(xs)
-    # phi_x(y) as exponents of zeta_e
-    expo = phi_x_exponents(ring, ell - 1, xs, yprimes) * (e // ring.char_order)
+    # phi_x(y) as exponents of zeta_e, exact though p^l may not divide e (GL1):
+    # on K^(l-1), phi_x takes p-th roots of unity only, and p | e
+    expo, rem = np.divmod(phi_x_exponents(ring, ell - 1, xs, yprimes) * e, ring.char_order)
+    if rem.any():
+        raise AssertionError("phi_x takes values outside Q(zeta_e)")
     # phi_x summed class by class over K^(l-1), f[x, class, exponent], is
     # passed inline so that it is freed before integer_values
     cells = (np.arange(X)[:, None] * k + y_classes[None, :]) * e + expo

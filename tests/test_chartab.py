@@ -292,6 +292,44 @@ def test_completeness_identities(gl2z4_ct, sl2z9_ct):
     assert int(np.sum(sl2z9_ct.degrees**2)) == 648
 
 
+def test_char_table_derives_the_exponent_the_prime_and_the_degrees(gl2z4_ct):
+    ct = CharTable(gl2z4_ct.cd, gl2z4_ct.rows)
+    assert (ct.e, ct.r) == (12, dixon_prime(12, 96)) == (gl2z4_ct.e, gl2z4_ct.r)
+    assert ct.degrees.tolist() == [1, 1, 1, 1, 2, 2, 2, 2, 2, 3, 3, 3, 3, 6]
+
+
+def _edited(rows, index, delta):
+    rows = rows.copy()
+    rows[index] += delta
+    return rows
+
+
+def _row_scaled(rows, t, c):
+    return rows * np.where(np.arange(len(rows)) == t, c, 1)[:, None, None]
+
+
+# each breaks one invariant of GL2(Z/4)'s table, whose row 13 has degree 6
+# and row 4 degree 2
+CHAR_TABLE_FAULTS = {
+    "exponent-doubled": (lambda rows: np.concatenate([rows, 0 * rows], axis=2),
+                         r"not \(k, k, e\)"),
+    "row-negated": (lambda rows: _row_scaled(rows, 13, -1), r"outside 0..\|G\|"),
+    "above-order": (lambda rows: _edited(rows, (13, 1, 0), 97), r"outside 0..\|G\|"),
+    "identity-class": (lambda rows: _edited(_edited(rows, (13, 0, 0), -1), (13, 0, 1), 1),
+                       "do not sum to degree"),
+    "sum-off": (lambda rows: _edited(rows, (13, 1, 0), 1), "do not sum to degree"),
+    "degree-zero": (lambda rows: _row_scaled(rows, 4, 0), r"divisors of \|G\|"),
+    "row-doubled": (lambda rows: _row_scaled(rows, 13, 2), r"divisors of \|G\|"),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(CHAR_TABLE_FAULTS))
+def test_char_table_checks_its_invariants(gl2z4_ct, fault):
+    edit, message = CHAR_TABLE_FAULTS[fault]
+    with pytest.raises(AssertionError, match=message):
+        CharTable(gl2z4_ct.cd, edit(gl2z4_ct.rows))
+
+
 def test_class_matrix_row_zero_is_the_class_indicator(gl2z4_ct, sl2z9_ct):
     # M_j[0, l] = #{x in C_j : x^-1 z_l = 1} = delta_jl: the invariant that
     # makes the central characters omega equal to the normalized eigen-rows W
@@ -415,12 +453,29 @@ def test_decompose_gl2z4(gl2z4_ct):
 
 
 def test_non_rational_table_value_fails_decomposition(gl2z4_ct):
+    # one multiplicity of chi at the class of u(2), the one class of order 2
+    # that U meets once, moved from exponent u to u + 1: the vector keeps its
+    # sign and its sum, so the table passes CharTable, and the Frobenius sum
+    # moves by (zeta_e^u - zeta_e^(u+1)) / |U| (theta(u(2)) = -1), not rational
     ct = gl2z4_ct
+    u_classes = ct.cd.class_of[unipotent_subgroup(ct.table, 0)].tolist()
+    c = next(c for c in set(u_classes) - {0} if u_classes.count(c) == 1)
     rows = ct.rows.copy()
-    rows[-1, 0, 1] += 1  # chi(1) + zeta_e is not rational (e = 12 here)
-    bad = CharTable(ct.cd, ct.e, ct.r, ct.degrees, rows)
+    u = int(np.flatnonzero(rows[-1, c])[0])
+    rows[-1, c, u] -= 1
+    rows[-1, c, (u + 1) % ct.e] += 1
+    bad = CharTable(ct.cd, rows)
     with pytest.raises(IntegralityError):
         decompose_induced(bad, NonDegenChar(GroupSpec("GL", 2, Z4), 1))
+
+
+def test_decompose_gl1_where_p_to_the_l_does_not_divide_e():
+    # GL1(Z/9) is cyclic of order 6: e = 6, while theta's values are 9th
+    # roots of unity; U is trivial, so Ind theta is the regular representation
+    ct = character_table(enumerate_group(GroupSpec("GL", 1, Z9)))
+    assert ct.e == 6
+    m = decompose_induced(ct, NonDegenChar(GroupSpec("GL", 1, Z9), 1))
+    assert m.tolist() == [1] * 6
 
 
 def test_decompose_sl2z9(sl2z9_ct):
@@ -582,21 +637,26 @@ def test_cache_round_trip(tmp_path, gl2z4_ct):
 
 def test_cached_char_table_is_stored_narrow(tmp_path, gl2z4_ct):
     # int8 while the values fit, wider when they do not, and negative values
-    # survive: fault tests write through save_char_table
-    from whittaker.cache import _read, chartab_cache_key, load_char_table, save_char_table
+    # survive the file format (fault tests write them), though no CharTable
+    # holds them
+    from whittaker.cache import (_narrow, _read, _write, chartab_cache_key, load_char_table,
+                                 save_char_table)
 
     ct, key = gl2z4_ct, chartab_cache_key(gl2z4_ct.table.spec)
-    for value, dtype in [(None, np.int8), (-3, np.int8), (-129, np.int16), (1 << 40, np.int64)]:
+    save_char_table(ct, tmp_path)
+    assert _read(key, tmp_path)[0] == {"arrays": [["class_of", "|i1", [len(ct.table)]],
+                               ["rows", "|i1", [ct.k, ct.k, ct.e]]]}
+    got = load_char_table(ct.table, tmp_path)
+    assert got.rows.dtype == got.cd.class_of.dtype == np.int64
+    assert np.array_equal(got.rows, ct.rows)
+    assert np.array_equal(got.cd.class_of, ct.cd.class_of)
+    for value, dtype in [(-3, np.int8), (-129, np.int16), (1 << 40, np.int64)]:
         rows = ct.rows.copy()
-        if value is not None:
-            rows[-1, 1, 0] = value
-        save_char_table(CharTable(ct.cd, ct.e, ct.r, ct.degrees, rows), tmp_path)
+        rows[-1, 1, 0] = value
+        _write(key, tmp_path, {}, {"class_of": _narrow(ct.cd.class_of), "rows": _narrow(rows)})
         stored = _read(key, tmp_path)[1]
         assert stored["rows"].dtype == dtype and stored["class_of"].dtype == np.int8
-        got = load_char_table(ct.table, tmp_path)
-        assert got.rows.dtype == got.cd.class_of.dtype == np.int64
-        assert np.array_equal(got.rows, rows)
-        assert np.array_equal(got.cd.class_of, ct.cd.class_of)
+        assert np.array_equal(stored["rows"], rows)
 
 
 def test_int64_cache_file_still_loads(tmp_path, gl2z4_ct):

@@ -323,6 +323,16 @@ def test_swapped_power_classes_in_the_lift_exit_internal(monkeypatch, capsys):
     assert "multiplicities do not sum to degree" in captured.err
 
 
+def test_gl1_branching_where_p_to_the_l_does_not_divide_e(capsys):
+    # GL1(Z/9) has exponent 6: phi_x on K^1 takes cube roots of unity only
+    code, out = run_cli(["branching", "--group", "GL1", "--ring", "mixed:3^2", "--no-cache",
+                         "--format", "json"], capsys)
+    assert code == 0
+    checks = {c["name"]: c for c in json.loads(out)["checks"]}
+    assert checks["branching-iota-(1,1)x1"]["computed"] == [1]
+    assert checks["branching-regular-count"]["computed"] == 6
+
+
 def test_merged_adjoint_orbits_exit_internal(monkeypatch, capsys):
     # the orbit of x = I joins the orbit of 0 (see test_chartab): the GL_2(Z/9)
     # characters over phi_I lose their support
@@ -362,52 +372,86 @@ def test_verify_and_chartab_do_not_import_numpy_ma(tmp_path):
     assert done.stdout.strip() == "[0, 0] False"
 
 
-def _inject_character_value(tmp_path, index):
-    # a fault written back through the cache's own writer, so the file
-    # passes the integrity rule and only the checks on the values can see it
-    from whittaker.cache import load_char_table, load_group_table, save_char_table
+def _cached_gl2_z4(tmp_path):
+    # the GL2(Z/4) character table an earlier run left in the cache
+    from whittaker.cache import load_char_table, load_group_table
     from whittaker.groups import GroupSpec
     from whittaker.localring import parse_ring
 
     table = load_group_table(GroupSpec("GL", 2, parse_ring("mixed:2^2")), tmp_path)
-    ct = load_char_table(table, tmp_path)
-    ct.rows[index] += 1
+    return load_char_table(table, tmp_path)
+
+
+def _rewrite_gl2_z4_values(tmp_path, fault):
+    # a fault in the values of the cached GL2(Z/4) table, written back through
+    # the cache's own writer, so the file passes the integrity rule and only
+    # the checks on the values can see it
+    from whittaker.cache import save_char_table
+
+    ct = _cached_gl2_z4(tmp_path)
+    fault(ct)
     save_char_table(ct, tmp_path)
 
 
+def _move_multiplicity(ct, row, cls, shift):
+    # one multiplicity of chi_row at class cls moved from its first exponent u
+    # to u + shift: the vector keeps its sign and its sum, so the table still
+    # passes CharTable
+    u = int(np.flatnonzero(ct.rows[row, cls])[0])
+    ct.rows[row, cls, u] -= 1
+    ct.rows[row, cls, (u + shift) % ct.e] += 1
+
+
+GL2_Z4_SUBCOMMANDS = (["chartab", "--group", "GL2"], ["branching", "--group", "GL2"],
+                      ["gl2-sl2-tables"])
+
+
 def test_corrupt_cached_character_value_exits_internal(capsys, tmp_path):
-    # zeta_e added to one cached identity-class value: the classification
-    # sum over the congruence kernel is no longer rational
+    # zeta_e - 1 added to one cached value at a class of the congruence kernel
+    # K^1: the classification sum over the kernel is no longer rational
+    from whittaker.groups import congruence_subgroup
+
     args = ["branching", "--group", "GL2", "--ring", "mixed:2^2",
             "--cache-dir", str(tmp_path)]
     assert main(args) == 0
-    _inject_character_value(tmp_path, (-1, 0, 1))
+
+    def move(ct):
+        kernel_classes = ct.cd.class_of[congruence_subgroup(ct.table, 1)]
+        _move_multiplicity(ct, -1, int(kernel_classes[kernel_classes > 0][0]), 1)
+
+    _rewrite_gl2_z4_values(tmp_path, move)
     capsys.readouterr()
     assert main(args) == EXIT_INTERNAL
     assert "not rational" in capsys.readouterr().err
 
 
 def test_cached_table_failing_reverify_exits_internal(capsys, tmp_path):
-    # 1 added to one cached identity-class value: re-verify on load raises
-    # an AssertionError, a fault (exit 3), not a mismatch (exit 1)
-    args = ["chartab", "--group", "GL2", "--ring", "mixed:2^2",
-            "--cache-dir", str(tmp_path)]
-    assert main(args) == 0
-    _inject_character_value(tmp_path, (-1, 0, 0))
+    # 1 added to one cached identity-class value, the degree: the values at
+    # the other classes no longer sum to it, and the checks of every load
+    # raise an AssertionError, a fault (exit 3), not a mismatch (exit 1)
+    def bump(ct):
+        ct.rows[-1, 0, 0] += 1
+
+    cache = ["--ring", "mixed:2^2", "--cache-dir", str(tmp_path)]
+    assert main(["chartab", "--group", "GL2", *cache]) == 0
+    _rewrite_gl2_z4_values(tmp_path, bump)
     capsys.readouterr()
-    assert main(args) == EXIT_INTERNAL
-    err = capsys.readouterr().err
-    assert "internal fault: AssertionError: row orthogonality fails" in err
-    assert len(err.splitlines()) == 1
+    for args in GL2_Z4_SUBCOMMANDS:
+        assert main([*args, *cache]) == EXIT_INTERNAL
+        err = capsys.readouterr().err
+        assert ("internal fault: AssertionError: eigenvalue multiplicities do not sum "
+                "to degree") in err
+        assert len(err.splitlines()) == 1
 
 
 def test_cached_value_off_the_identity_class_exits_internal(capsys, tmp_path):
-    # 1 added to one cached value at a class other than the identity: the row
+    # one cached multiplicity at a class other than the identity moved by
+    # half a turn, from 1 to -1: sign, sums and rationality hold, and the row
     # relation alone, which re-verify checks, must catch it
     args = ["chartab", "--group", "GL2", "--ring", "mixed:2^2",
             "--cache-dir", str(tmp_path)]
     assert main(args) == 0
-    _inject_character_value(tmp_path, (-1, 1, 0))
+    _rewrite_gl2_z4_values(tmp_path, lambda ct: _move_multiplicity(ct, -1, 1, ct.e // 2))
     capsys.readouterr()
     assert main(args) == EXIT_INTERNAL
     err = capsys.readouterr().err
@@ -416,27 +460,82 @@ def test_cached_value_off_the_identity_class_exits_internal(capsys, tmp_path):
 
 
 def test_cached_degrees_swap_exits_internal(capsys, tmp_path):
-    # two distinct degrees swapped and written back through the cache's own
-    # writer: the sum of squares, divisibility and row orthogonality still
-    # hold, only the identity-class values differ
-    from whittaker.cache import load_char_table, load_group_table, save_char_table
-    from whittaker.groups import GroupSpec
-    from whittaker.localring import parse_ring
+    # the identity-class vectors of two rows of distinct degrees swapped: the
+    # sum of squares, divisibility and the identity class still hold, and the
+    # values at the other classes no longer sum to the degrees
+    def swap(ct):
+        d = ct.degrees.tolist()
+        j = next(j for j, v in enumerate(d) if v != d[0])
+        ct.rows[[0, j], 0] = ct.rows[[j, 0], 0]
 
     args = ["chartab", "--group", "GL2", "--ring", "mixed:2^2",
             "--cache-dir", str(tmp_path)]
     assert main(args) == 0
-    table = load_group_table(GroupSpec("GL", 2, parse_ring("mixed:2^2")), tmp_path)
-    ct = load_char_table(table, tmp_path)
-    d = ct.degrees
-    j = next(j for j, v in enumerate(d) if v != d[0])
-    d[[0, j]] = d[[j, 0]]
-    save_char_table(ct, tmp_path)
+    _rewrite_gl2_z4_values(tmp_path, swap)
     capsys.readouterr()
     assert main(args) == EXIT_INTERNAL
     err = capsys.readouterr().err
-    assert "internal fault: AssertionError: degrees differ from the identity-class values" in err
+    assert "internal fault: AssertionError: eigenvalue multiplicities do not sum to degree" in err
     assert len(err.splitlines()) == 1
+
+
+def _write_gl2_z4_values(tmp_path, ct, rows, meta):
+    # ct's classes, the values `rows` and the metadata `meta` written through
+    # the cache's own writer, so the file passes the integrity rule
+    from whittaker.cache import _write, chartab_cache_key
+
+    _write(chartab_cache_key(ct.table.spec), tmp_path, meta,
+           {"class_of": ct.cd.class_of.astype(np.int8), "rows": rows.astype(np.int8)})
+
+
+@pytest.mark.parametrize("fault", ["row-negated", "exponent-doubled"])
+def test_cached_table_breaking_an_invariant_exits_internal_everywhere(fault, capsys, tmp_path):
+    # files that a loader trusting stored e, r and degrees accepted: a row
+    # negated together with its degree (reported as degree -6), and the values
+    # embedded in Z[zeta_2e] with e and r to match (reported as e = 24,
+    # r = 73); every subcommand that loads the table must refuse both
+    from whittaker.chartab import dixon_prime
+
+    cache = ["--ring", "mixed:2^2", "--cache-dir", str(tmp_path)]
+    assert main(["chartab", "--group", "GL2", *cache]) == 0
+    ct = _cached_gl2_z4(tmp_path)
+    rows, degrees = ct.rows.copy(), ct.degrees.tolist()
+    e = ct.e
+    if fault == "row-negated":
+        rows[-1] *= -1
+        degrees[-1] *= -1
+        message = "a multiplicity lies outside 0..|G|"
+    else:
+        rows = np.zeros((ct.k, ct.k, 2 * e), dtype=np.int64)
+        rows[..., ::2] = ct.rows
+        e *= 2
+        message = "the values have shape (14, 14, 24), not (k, k, e)"
+    _write_gl2_z4_values(tmp_path, ct, rows, {"e": e, "r": dixon_prime(e, 96), "degrees": degrees})
+    capsys.readouterr()
+    for args in GL2_Z4_SUBCOMMANDS:
+        assert main([*args, *cache]) == EXIT_INTERNAL
+        captured = capsys.readouterr()
+        assert captured.out == "" and message in captured.err
+        assert len(captured.err.splitlines()) == 1
+
+
+def test_stale_dixon_prime_in_the_metadata_is_ignored(capsys, tmp_path):
+    # e, r and degrees are derived on load: an old file's metadata keys, a
+    # wrong prime among them, change nothing
+    from whittaker.chartab import dixon_prime
+
+    args = ["chartab", "--group", "GL2", "--ring", "mixed:2^2", "--format", "json",
+            "--cache-dir", str(tmp_path)]
+    assert main(args) == 0
+    warm = capsys.readouterr().out
+    ct = _cached_gl2_z4(tmp_path)
+    _write_gl2_z4_values(tmp_path, ct, ct.rows,
+                         {"e": ct.e, "r": 9973, "degrees": ct.degrees.tolist()})
+    assert main(args) == 0
+    out, err = capsys.readouterr()
+    assert out == warm and err == ""
+    assert json.loads(out)["provenance"]["dixon"]["GL2(mixed:2^2)"] == {
+        "e": 12, "r": dixon_prime(12, 96)}
 
 
 def _rewrite_gl2_z9_classes(tmp_path, fault):
@@ -518,16 +617,10 @@ def _join(header, meta, arrays):
 
 
 def _edit_meta(raw):
-    # same length, so only the digest can catch it: the shape of the group
-    # table reversed, or two distinct character degrees swapped (the sum of
-    # squares is unchanged)
+    # same length, so only the digest can catch it: the shape of the last
+    # array reversed, the group table's elements or the character values
     header, meta, arrays = _split(raw)
-    if "degrees" in meta:
-        d = meta["degrees"]
-        j = next(j for j, v in enumerate(d) if v != d[0])
-        d[0], d[j] = d[j], d[0]
-    else:
-        meta["arrays"][0][2].reverse()
+    meta["arrays"][-1][2].reverse()
     return _join(header, meta, arrays)
 
 
