@@ -16,20 +16,23 @@ orthogonality relation, which gives d^2 mod r, as the one divisor of |G|
 below r/2 with that square, and the character values are lifted to exact
 cyclotomic integers through eigenvalue multiplicities, one discrete
 Fourier transform over the power classes per element order.
-Every character sum downstream (orthogonality, induced multiplicities, the
-regular classification, restriction norms) is one cyclotomic.pairings call
-read by integer_values.
+Every character sum downstream (induced multiplicities, the regular
+classification, restriction norms) is one cyclotomic.pairings call read by
+integer_values.  CharTable.verify needs no such sum: it checks the power map
+exactly and row orthogonality modulo a few primes r' = 1 mod e at one
+embedding zeta_e -> zeta', which the power map makes exact.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import permutations
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 
 import numpy as np
 
-from .cyclotomic import IntegralityError, integer_values, pairings
+from .cyclotomic import (IntegralityError, integer_values, pairings, prime_divisors,
+                         root_of_unity, unit_generators)
 from .localring import all_tuples, get_ring, is_prime
 from .linalg import mat_det_batch, mat_inv_batch, mat_mul
 from .groups import (CapExceeded, GroupSpec, GroupTable, congruence_subgroup, matrix_powers,
@@ -162,6 +165,15 @@ def class_data(table: GroupTable, class_of: np.ndarray) -> ClassData:
     return ClassData(table, class_of, reps, np.bincount(class_of), inverse_perm, orders)
 
 
+def power_classes(cd: ClassData) -> np.ndarray:
+    """The (k, o) array of the classes of g_i^s for the representatives g_i
+    and s < o, the largest element order: one matrix_powers stack, one lookup."""
+    table = cd.table
+    n = table.n
+    pows = matrix_powers(table.ring, table.elems[cd.reps], int(cd.orders.max()))
+    return cd.class_of[table.ids_of(pows.reshape(-1, n, n))].reshape(-1, cd.k).T
+
+
 # ---------------------------------------------------------------------------
 # arithmetic mod the Dixon prime r
 
@@ -177,13 +189,20 @@ def dixon_prime(exponent: int, order: int) -> int:
     raise CapExceeded(f"no Dixon prime below {ROOT_SCAN_BOUND} for exponent {exponent}")
 
 
-def primitive_root(r: int) -> int:
-    divisors = np.arange(2, r)
-    fac = [int(f) for f in divisors[(r - 1) % divisors == 0] if is_prime(int(f))]
-    for g in range(2, r):
-        if all(pow(g, (r - 1) // f, r) != 1 for f in fac):
-            return g
-    raise AssertionError("no primitive root found")
+def verify_primes(e: int, bound: int) -> list[int]:
+    """Primes r = 1 mod e, descending from ROOT_SCAN_BOUND, until their
+    product exceeds 2 bound; CapExceeded if the candidates run out first."""
+    out, product = [], 1
+    r = (ROOT_SCAN_BOUND - 1) // e * e + 1
+    while product <= 2 * bound:
+        if r <= e:
+            raise CapExceeded(f"the primes = 1 mod {e} below {ROOT_SCAN_BOUND} do not "
+                              f"exceed 2 B = {2 * bound} in product")
+        if is_prime(r):
+            out.append(r)
+            product *= r
+        r -= e
+    return out
 
 
 def rref_mod(A: np.ndarray, r: int) -> tuple[np.ndarray, list[int]]:
@@ -326,8 +345,9 @@ class CharTable:
     the exponent e, the Dixon prime r and the degrees rows[:, 0, 0] are
     derived.  AssertionError unless the shape is (k, k, e), every entry lies
     in 0..|G| (which keeps the sums exact), every (row, class) vector sums to
-    the degree (so the identity class holds exponent 0 only), and the degrees
-    divide |G| with squares summing to |G|; verify adds row orthogonality."""
+    the degree (so the identity class holds exponent 0 only, and
+    |chi_t(g)| <= d_t), and the degrees divide |G| with squares summing to
+    |G|; verify adds the power map and row orthogonality."""
 
     def __init__(self, cd: ClassData, rows: np.ndarray):
         self.cd, self.rows, self.e = cd, rows, cd.exponent()
@@ -357,19 +377,67 @@ class CharTable:
         return self.cd.table
 
     def verify(self) -> None:
-        """Exact row orthogonality; AssertionError on failure.
+        """The power map, exactly, then row orthogonality modulo a few primes;
+        AssertionError on failure.
 
-        The column relation follows and is not computed.  The values form a
-        square k x k matrix R over Z[zeta_e], and with H the diagonal of the
-        class sizes the row relation says R H R* = |G| I.  So R is invertible
-        with R^-1 = H R* / |G|, and R* R = |G| H^-1 holds exactly: that is
-        sum_t chi_t(i) conj(chi_t(j)) = delta_ij |C(g_i)|.
+        Power map: the eigenvalues of chi(g^u) are the u-th powers of those of
+        chi(g), so column class(g_i^u) must be column i pushed forward by
+        x -> u x mod e.  It is checked for every prime u | e, and for each
+        unit u of unit_generators(e), where g -> g^u must also permute the
+        classes with their sizes: then sigma_u chi(g) = chi(g^u) for the
+        Galois automorphism sigma_u: zeta_e -> zeta_e^u.  This ties the values
+        to the classes, which row orthogonality cannot: it is blind to two
+        swapped columns of equal class size.
+
+        Row relation: the values form a square k x k matrix R over Z[zeta_e],
+        and with H the diagonal of the class sizes it says R H R* = |G| I.
+        Each sigma_u permutes the classes with their sizes, so it fixes every
+        entry of P = R H R* - |G| I, and the units generate (Z/e)^x: P is an
+        integer matrix, and |P| <= B = |G| (d_max^2 + 1) as |chi_t(g)| <= d_t.
+        For each prime r' of verify_primes (r' = 1 mod e), zeta_e -> zeta',
+        of order e in F_r', maps Z[zeta_e] onto F_r' and an integer to its
+        residue, so V H Vbar^T = |G| I mod r', with V and Vbar the values at
+        zeta' and zeta'^-1, says r' | P.  The product of the r' exceeds 2 B,
+        so P = 0.  No sum leaves int64: an e-term value is at most
+        d_max (r' - 1), as a vector sums to its degree, and a k-term product
+        at most k (r' - 1)^2.  Then R is invertible with R^-1 = H R* / |G|,
+        and the column relation R* R = |G| H^-1 follows.
         """
-        rows = self.rows
-        # row orthogonality: sum_i h_i chi_s(i) conj(chi_t(i)) = delta |G|
-        prods = integer_values(pairings(rows * self.cd.sizes[None, :, None], rows), self.e)
-        if not np.array_equal(prods, len(self.table) * np.eye(self.k, dtype=np.int64)):
-            raise AssertionError("row orthogonality fails")
+        cd, rows, e, k = self.cd, self.rows, self.e, self.k
+        order = len(self.table)
+        powers = power_classes(cd)
+        units = unit_generators(e)
+        for u in units + prime_divisors(e):
+            to = powers[np.arange(k), u % cd.orders]
+            if u in units and not (np.array_equal(np.sort(to), np.arange(k))
+                                   and np.array_equal(cd.sizes[to], cd.sizes)):
+                raise AssertionError(f"g -> g^{u} does not permute the classes with their sizes")
+            # exponent a m + b, m = e / gcd(u, e), lands on u b: column to[i] at
+            # the exponents u b, read by one take, must be column i summed over
+            # a; it is zero elsewhere, as both sides sum to the degree
+            m = e // gcd(u, e)
+            at = (to[:, None] * e + u * np.arange(m) % e).ravel()
+            if not np.array_equal(np.take(rows.reshape(k, k * e), at, axis=1),
+                                  sum((rows[..., x:x + m] for x in range(m, e, m)),
+                                      rows[..., :m]).reshape(k, -1)):
+                raise AssertionError(f"the values break the power map g -> g^{u}")
+
+        d_max = int(self.degrees.max())
+        bound = order * (d_max**2 + 1)
+        primes = verify_primes(e, bound)
+        if prod(primes) <= 2 * bound or max(k, d_max) * (max(primes) - 1) ** 2 >= 1 << 63:
+            raise AssertionError(f"the primes {primes} break the bounds prod r' > 2 B = "
+                                 f"{2 * bound} and max(k, d_max) (r' - 1)^2 < 2^63")
+        # the values at zeta' and zeta'^-1 mod every r', by one e-term product
+        zetas = [root_of_unity(e, r) for r in primes]
+        Z = np.array([[pow(z, s * u, r) for u in range(e)]
+                      for r, z in zip(primes, zetas) for s in (1, -1)], dtype=np.int64)
+        values = rows.reshape(k * k, e) @ Z.T
+        for j, r in enumerate(primes):
+            V, Vbar = (values[:, 2 * j + s].reshape(k, k) % r for s in (0, 1))
+            gram = V * (cd.sizes % r) % r @ Vbar.T % r
+            if not np.array_equal(gram, order % r * np.eye(k, dtype=np.int64)):
+                raise AssertionError(f"row orthogonality fails mod {r}")
 
 
 def class_matrix(cd: ClassData, j: int, r: int) -> np.ndarray:
@@ -460,10 +528,8 @@ def character_table(table: GroupTable, cap: int = CHARTAB_CAP) -> CharTable:
     # read off the classes of all the representatives' powers; CharTable
     # checks the lift, whose rows[:, 0, 0] are the degrees since they are < r
     chibar = degrees[:, None] * omega % r * hinv[None, :] % r
-    z = pow(primitive_root(r), (r - 1) // e, r)
-    ring, n = table.ring, table.n
-    pows = matrix_powers(ring, table.elems[cd.reps], int(cd.orders.max()))
-    power_classes = cd.class_of[table.ids_of(pows.reshape(-1, n, n))].reshape(-1, k).T
+    z = root_of_unity(e, r)
+    powers = power_classes(cd)
     rows = np.zeros((k, k, e), dtype=np.int64)
     for o in sorted(set(cd.orders.tolist())):
         of_order = np.flatnonzero(cd.orders == o)
@@ -471,7 +537,7 @@ def character_table(table: GroupTable, cap: int = CHARTAB_CAP) -> CharTable:
         # dft[s, u] = zeta_o^(-us), a symmetric matrix
         dft = np.array([pow(zo, -t % o, r) for t in range(o)], dtype=np.int64)[
             np.outer(np.arange(o), np.arange(o)) % o]
-        cbar = chibar[:, power_classes[of_order, :o]] @ dft % r * pow(o, r - 2, r) % r
+        cbar = chibar[:, powers[of_order, :o]] @ dft % r * pow(o, r - 2, r) % r
         rows[:, of_order, :: e // o] = cbar
     # canonical row order: ascending degree, then coefficient data
     ct = CharTable(cd, rows[sorted(range(k), key=lambda t: (int(degrees[t]), rows[t].tobytes()))])

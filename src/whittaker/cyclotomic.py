@@ -16,13 +16,16 @@ integer here: one CycloNum by is_zero/rational_value, a stack of exponent
 vectors at once by integer_values, which reduces through the radical
 s = rad(m) with the smaller reduction_matrix(s), as Phi_m(x) = Phi_s(x^(m/s)).
 An inner product of class functions (every character sum) is pairings, then
-integer_values.
+integer_values.  prime_divisors(m), unit_generators(m), generators of the
+Galois group (Z/m)^x, and root_of_unity(m, r), the image of zeta_m in F_r
+for a prime r = 1 mod m, serve the modular checks of character tables.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, prod
 
 import numpy as np
 
@@ -102,7 +105,7 @@ def integer_values(acc: np.ndarray, m: int, divisor: int = 1) -> np.ndarray:
     max |reduction entry| (the same for reduction_matrix(s) and
     reduction_matrix(m)), and that bound must stay below 2^63.
     """
-    s = _radical(m)
+    s = prod(prime_divisors(m))
     red = reduction_matrix(s)
     flat = np.asarray(acc, dtype=np.int64).reshape(-1, s, m // s)
     bound = m * _max_abs(flat) * _max_abs(red)
@@ -118,17 +121,44 @@ def integer_values(acc: np.ndarray, m: int, divisor: int = 1) -> np.ndarray:
     return vals.reshape(np.shape(acc)[:-1])
 
 
-@lru_cache(maxsize=None)
-def _radical(m: int) -> int:
-    """The product of the distinct primes dividing m."""
-    out, d = 1, 2
+def prime_divisors(m: int) -> list[int]:
+    """The primes dividing m, ascending."""
+    out, d = [], 2
     while d * d <= m:
         if m % d == 0:
-            out *= d
+            out.append(d)
             while m % d == 0:
                 m //= d
         d += 1
-    return out * m if m > 1 else out
+    return out + [m] if m > 1 else out
+
+
+def unit_generators(m: int) -> list[int]:
+    """Units w of Z/m, ascending, each outside the subgroup of (Z/m)^x that
+    the ones before it generate: together they generate (Z/m)^x, the Galois
+    group of Q(zeta_m), w acting as sigma_w: zeta_m -> zeta_m^w."""
+    span, gens = {1 % m}, []
+    for w in range(2, m):
+        if gcd(w, m) == 1 and w not in span:
+            gens.append(w)
+            grown, x = set(span), w
+            while x not in span:  # add the cosets span w^j until w^j is in span
+                grown |= {s * x % m for s in span}
+                x = x * w % m
+            span = grown
+    return gens
+
+
+def root_of_unity(m: int, r: int) -> int:
+    """A zeta of order m in F_r, r a prime = 1 mod m, so that zeta_m -> zeta
+    maps Z[zeta_m] onto F_r: x^((r-1)/m) for the first x = 2, 3, ... whose
+    power is no (m/p)-th root of 1 for a prime p | m."""
+    ps = prime_divisors(m)
+    for x in range(2, r):
+        z = pow(x, (r - 1) // m, r)
+        if all(pow(z, m // p, r) != 1 for p in ps):
+            return z
+    raise AssertionError(f"no root of unity of order {m} mod {r}")
 
 
 def pairings(f: np.ndarray, g: np.ndarray) -> np.ndarray:

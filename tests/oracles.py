@@ -10,7 +10,8 @@ centralizers by filtering a full table, conjugacy classes by one full
 conjugation sweep per class, the adjoint orbits on g(F_q) by the same sweep
 over G(F_q), the regular classification over every x of g(F_q) instead of
 one per orbit, the cyclic-vector search over o_r,
-restriction norms one row at a time, the induced norm by the Frobenius
+restriction norms one row at a time, row orthogonality by the exact Gram
+in Z[zeta_e] (`verify_exact`), the induced norm by the Frobenius
 double sum over G/ZU and U (all units at once) and unit by unit over a G/U
 transversal, and the closed forms of the type combinatorics.  A few
 (`is_regular`, `verify_checks`) are thin conveniences over `whittaker` that
@@ -599,6 +600,16 @@ def classify_regular_by_x(ct: CharTable) -> list[RegularFlag]:
         flags.append(RegularFlag(t, int(ct.degrees[t]), reg, tau,
                                  tau.label() if tau else None))
     return flags
+
+
+def verify_exact(ct: CharTable) -> None:
+    """Row orthogonality R H R* = |G| I by the exact Gram in Z[zeta_e]: one
+    pairings call over all rows, read by integer_values.  AssertionError when
+    the Gram is not |G| I, IntegralityError when an entry is not an integer."""
+    rows = ct.rows
+    prods = integer_values(pairings(rows * ct.cd.sizes[None, :, None], rows), ct.e)
+    if not np.array_equal(prods, len(ct.table) * np.eye(ct.k, dtype=np.int64)):
+        raise AssertionError("row orthogonality fails")
 
 
 def sl_class_profile_by_lookup(ct_gl: CharTable, sl_table: GroupTable) -> np.ndarray:

@@ -1,5 +1,6 @@
 import hashlib
 from collections import Counter
+from math import gcd
 
 import numpy as np
 import pytest
@@ -13,11 +14,10 @@ from whittaker import chartab
 from whittaker.chartab import (CharTable, adjoint_orbits, charpoly_mod, character_table,
                                class_data, class_matrix, classify_regular, components,
                                conjugacy_classes, decompose_induced, dixon_prime, eigen_rows,
-                               nullspace_mod, poly_roots_mod, primitive_root,
-                               restriction_norm, rref_mod, sl_class_profile,
-                               special_regular_scan)
+                               nullspace_mod, poly_roots_mod, restriction_norm, rref_mod,
+                               sl_class_profile, special_regular_scan)
 from oracles import (adjoint_orbits_by_sweep, classify_regular_by_x, conjugacy_classes_sweep,
-                     restriction_norm_row, sl_class_profile_by_lookup)
+                     restriction_norm_row, sl_class_profile_by_lookup, verify_exact)
 
 Z4 = ring_make("mixed", 2, 1, 2)
 Z9 = ring_make("mixed", 3, 1, 2)
@@ -49,6 +49,16 @@ def gl2z4_ct():
 @pytest.fixture(scope="module")
 def sl2z9_ct():
     return character_table(enumerate_group(GroupSpec("SL", 2, Z9)))
+
+
+@pytest.fixture(scope="module")
+def gl2z8_ct():
+    return character_table(enumerate_group(GroupSpec("GL", 2, Z8)))
+
+
+@pytest.fixture(scope="module")
+def gl2z9_ct():
+    return character_table(enumerate_group(GroupSpec("GL", 2, Z9)))
 
 
 # -- mod-r helpers -------------------------------------------------------------
@@ -158,13 +168,6 @@ def test_eigen_rows_refuse_a_dropped_root(monkeypatch):
 def test_poly_roots_mod():
     # (x - 3)(x - 5) over F_13
     assert poly_roots_mod(np.array([15, -8, 1]) % 13, 13).tolist() == [3, 5]
-
-
-def test_primitive_root():
-    for r in (13, 37, 73, 433):
-        g = primitive_root(r)
-        seen = {pow(g, k, r) for k in range(r - 1)}
-        assert len(seen) == r - 1
 
 
 def test_dixon_prime_choice():
@@ -411,6 +414,60 @@ def test_column_orthogonality(gl2z4_ct, sl2z9_ct):
         cols = ct.rows.transpose(1, 0, 2)
         got = integer_values(pairings(cols, cols), ct.e)
         assert np.array_equal(got, np.diag(len(ct.table) // ct.cd.sizes))
+
+
+def _passes(check) -> bool:
+    try:
+        check()
+    except (AssertionError, IntegralityError):
+        return False
+    return True
+
+
+def _corrupted(ct, seed, count):
+    """`count` tables of each kind, each with one (row, class) vector of ct
+    edited off the identity class, so that CharTable accepts it: "move" moves
+    one eigenvalue to another exponent, "sigma" applies a sigma_w (w a unit
+    mod e) that changes the vector."""
+    rng = np.random.default_rng(seed)
+    e = ct.e
+    units = [w for w in range(2, e) if gcd(w, e) == 1]
+    for kind in ("move", "sigma"):
+        made = 0
+        while made < count:
+            t, i = rng.integers(ct.k), rng.integers(1, ct.k)
+            v = ct.rows[t, i]
+            if kind == "move":
+                new = v.copy()
+                u = rng.choice(np.flatnonzero(v))
+                new[u] -= 1
+                new[(u + rng.integers(1, e)) % e] += 1
+            else:
+                new = np.zeros_like(v)
+                new[rng.choice(units) * np.arange(e) % e] = v
+                if np.array_equal(new, v):
+                    continue
+            rows = ct.rows.copy()
+            rows[t, i] = new
+            made += 1
+            yield kind, CharTable(ct.cd, rows)
+
+
+@pytest.mark.parametrize("fixture,count", [("gl2z4_ct", 40), ("gl2z8_ct", 20),
+                                           ("sl2z9_ct", 40), ("gl2z9_ct", 10)])
+def test_modular_verify_agrees_with_the_exact_gram(fixture, count, request):
+    # every genuine table passes both checks, and a seeded corruption that
+    # passes verify passes the exact Gram too; the reverse fails where the
+    # power map sees an edit that keeps every row relation
+    ct = request.getfixturevalue(fixture)
+    ct.verify()
+    verify_exact(ct)
+    stricter = Counter()
+    for kind, bad in _corrupted(ct, 23, count):
+        modular, exact = _passes(bad.verify), _passes(lambda: verify_exact(bad))
+        assert exact or not modular, kind
+        stricter[kind] += exact and not modular
+    print(f"{ct.table.spec.key()}: failed verify alone {dict(stricter)} of {count} per kind")
 
 
 def test_degrees_divide_group_order(gl2z4_ct, sl2z9_ct):

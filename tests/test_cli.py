@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -444,6 +445,42 @@ def test_cached_table_failing_reverify_exits_internal(capsys, tmp_path):
         assert len(err.splitlines()) == 1
 
 
+def test_cached_value_moved_by_galois_exits_internal(capsys, tmp_path):
+    # sigma_5 (zeta_12 -> zeta_12^5) applied to the one vector of the cached
+    # GL2(Z/4) values that it changes first: sign and sums hold, the row set
+    # is no longer Galois-stable, and the power map at a unit sees it
+    def conjugate(ct):
+        t, i = next((t, i) for t in range(ct.k) for i in range(1, ct.k)
+                    if not np.array_equal(ct.rows[t, i, 5 * np.arange(ct.e) % ct.e],
+                                          ct.rows[t, i]))
+        moved = np.zeros(ct.e, dtype=np.int64)
+        moved[5 * np.arange(ct.e) % ct.e] = ct.rows[t, i]
+        ct.rows[t, i] = moved
+
+    args = ["chartab", "--group", "GL2", "--ring", "mixed:2^2",
+            "--cache-dir", str(tmp_path)]
+    assert main(args) == 0
+    _rewrite_gl2_z4_values(tmp_path, conjugate)
+    capsys.readouterr()
+    assert main(args) == EXIT_INTERNAL
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"internal fault: AssertionError: the values break the power map "
+                        r"g -> g\^(5|7)\n", err)
+
+
+def test_too_few_verify_primes_exit_internal(monkeypatch, capsys):
+    # one prime = 1 mod 12 whose product cannot exceed 2 B = 2 |G| (d_max^2 + 1)
+    from whittaker import chartab
+
+    monkeypatch.setattr(chartab, "verify_primes", lambda e, bound: [13])
+    args = ["chartab", "--group", "GL2", "--ring", "mixed:2^2", "--no-cache"]
+    assert main(args) == EXIT_INTERNAL
+    err = capsys.readouterr().err
+    assert err.startswith("internal fault: AssertionError: the primes [13] break the bounds "
+                          "prod r' > 2 B = 7104")
+    assert len(err.splitlines()) == 1
+
+
 def test_cached_value_off_the_identity_class_exits_internal(capsys, tmp_path):
     # one cached multiplicity at a class other than the identity moved by
     # half a turn, from 1 to -1: sign, sums and rationality hold, and the row
@@ -538,16 +575,16 @@ def test_stale_dixon_prime_in_the_metadata_is_ignored(capsys, tmp_path):
         "e": 12, "r": dixon_prime(12, 96)}
 
 
-def _rewrite_gl2_z9_classes(tmp_path, fault):
-    # a class-numbering fault written back through the cache's own writer, so
-    # the file passes the integrity rule
+def _rewrite_gl2_z9(tmp_path, fault):
+    # a fault in the cached GL2(Z/9) table written back through the cache's
+    # own writer, so the file passes the integrity rule
     from whittaker.cache import load_char_table, load_group_table, save_char_table
     from whittaker.groups import GroupSpec
     from whittaker.localring import parse_ring
 
     table = load_group_table(GroupSpec("GL", 2, parse_ring("mixed:3^2")), tmp_path)
     ct = load_char_table(table, tmp_path)
-    fault(ct.cd)
+    fault(ct)
     save_char_table(ct, tmp_path)
 
 
@@ -563,7 +600,7 @@ def test_cached_classes_swapped_exit_internal(capsys, tmp_path):
 
     cache = ["--cache-dir", str(tmp_path)]
     assert main(["chartab", "--group", "GL2", "--ring", "mixed:3^2", *cache]) == 0
-    _rewrite_gl2_z9_classes(tmp_path, swap)
+    _rewrite_gl2_z9(tmp_path, lambda ct: swap(ct.cd))
     capsys.readouterr()
     for args in (["chartab", "--group", "GL2"], ["branching", "--group", "GL2"],
                  ["gl2-sl2-tables"]):
@@ -576,8 +613,8 @@ def test_cached_classes_swapped_exit_internal(capsys, tmp_path):
 def test_cached_element_moved_between_classes_exits_internal(capsys, tmp_path):
     # the largest id of the largest class moved to the next non-identity
     # class: the numbering stays in order, the derived class sizes change,
-    # and the sums of re-verify's row relation, which reads them, are no
-    # longer rational
+    # and re-verify's power map, which reads them, no longer permutes the
+    # classes with their sizes
     def move(cd):
         big = int(cd.sizes.argmax())
         moved = int(np.flatnonzero(cd.class_of == big)[-1])
@@ -587,10 +624,29 @@ def test_cached_element_moved_between_classes_exits_internal(capsys, tmp_path):
 
     args = ["chartab", "--group", "GL2", "--ring", "mixed:3^2", "--cache-dir", str(tmp_path)]
     assert main(args) == 0
-    _rewrite_gl2_z9_classes(tmp_path, move)
+    _rewrite_gl2_z9(tmp_path, lambda ct: move(ct.cd))
     capsys.readouterr()
     assert main(args) == EXIT_INTERNAL
-    assert "internal arithmetic fault: character sum is not rational" in capsys.readouterr().err
+    assert capsys.readouterr().err == ("internal fault: AssertionError: g -> g^5 does not "
+                                       "permute the classes with their sizes\n")
+
+
+def test_cached_columns_swapped_exit_internal(capsys, tmp_path):
+    # the values of classes 48 and 51 of GL2(Z/9) swapped: both have size 72
+    # and order 9, so the row relation holds, and the power map must see it
+    def swap(ct):
+        assert ct.cd.sizes[[48, 51]].tolist() == [72, 72]
+        assert ct.cd.orders[[48, 51]].tolist() == [9, 9]
+        ct.rows[:, [48, 51]] = ct.rows[:, [51, 48]]
+
+    args = ["chartab", "--group", "GL2", "--ring", "mixed:3^2", "--cache-dir", str(tmp_path)]
+    assert main(args) == 0
+    _rewrite_gl2_z9(tmp_path, swap)
+    capsys.readouterr()
+    assert main(args) == EXIT_INTERNAL
+    err = capsys.readouterr().err
+    assert err.startswith("internal fault: AssertionError: the values break the power map")
+    assert len(err.splitlines()) == 1
 
 
 def test_unwritable_out_file_exits_internal(monkeypatch, capsys, tmp_path):

@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from whittaker import cyclotomic
 from whittaker.cyclotomic import (CycloNum, IntegralityError, NonRationalError,
                                   cyclotomic_poly, integer_values, pairings,
-                                  reduction_matrix)
+                                  reduction_matrix, unit_generators)
 from oracles import euler_phi, root_of_unity
 
 
@@ -109,6 +110,26 @@ def test_rational_value_matches_float_on_galois_averaged_inputs():
             assert abs(avg.complex_value() - float(val)) < 1e-6
             checked += 1
     assert checked == 1000
+
+
+def test_root_of_unity_mod_r():
+    # order exactly m, for every divisor m of r - 1 (m = r - 1: a primitive root)
+    for r in (13, 37, 73, 433):
+        for m in (m for m in range(1, r) if (r - 1) % m == 0):
+            z = cyclotomic.root_of_unity(m, r)
+            assert pow(z, m, r) == 1 and len({pow(z, j, r) for j in range(m)}) == m
+
+
+def test_unit_generators_generate_the_units():
+    # each generator lies outside the span of the ones before it, and the
+    # span of all of them is every unit of Z/m
+    for m in range(1, 130):
+        span = {1 % m}
+        for w in unit_generators(m):
+            assert math.gcd(w, m) == 1 and w not in span
+            while not {s * w % m for s in span} <= span:
+                span |= {s * w % m for s in span}
+        assert span == {u for u in range(m) if math.gcd(u, m) == 1}
 
 
 def test_cyclotomic_polynomial_degrees_and_values():
