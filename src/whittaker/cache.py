@@ -33,7 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .chartab import CharTable, character_table, class_data
+from .chartab import CharTable, character_table, class_data, value_dtype
 from .groups import GroupSpec, GroupTable, enumerate_group
 from .regular import monic_types
 
@@ -70,8 +70,8 @@ def _path(key: str, cache_dir: Path) -> Path:
     return Path(cache_dir) / _FILES[kind].format(name)
 
 
-def _write(key: str, cache_dir: Path, meta: dict, arrays: dict[str, np.ndarray]) -> Path:
-    meta = {**meta, "arrays": [[name, a.dtype.str, list(a.shape)] for name, a in arrays.items()]}
+def _write(key: str, cache_dir: Path, arrays: dict[str, np.ndarray]) -> Path:
+    meta = {"arrays": [[name, a.dtype.str, list(a.shape)] for name, a in arrays.items()]}
     body = b"".join([json.dumps(meta, sort_keys=True).encode(), b"\n",
                      *(a.tobytes() for a in arrays.values())])
     header = {"key": key, "length": len(body), "sha256": hashlib.sha256(body).hexdigest()}
@@ -126,8 +126,7 @@ def group_cache_key(spec: GroupSpec) -> str:
 
 def save_group_table(table: GroupTable, cache_dir: Path) -> Path:
     dtype = np.uint8 if table.ring.size <= 256 else np.uint16
-    return _write(group_cache_key(table.spec), cache_dir, {},
-                  {"elems": table.elems.astype(dtype)})
+    return _write(group_cache_key(table.spec), cache_dir, {"elems": table.elems.astype(dtype)})
 
 
 def load_group_table(spec: GroupSpec, cache_dir: Path) -> GroupTable | None:
@@ -156,31 +155,26 @@ def chartab_cache_key(spec: GroupSpec) -> str:
     return f"chartab/v{FORMAT_VERSION}/{spec.key()}"
 
 
-def _narrow(a: np.ndarray) -> np.ndarray:
-    """`a` in the narrowest signed integer dtype that holds its min and max."""
-    lo, hi = (int(a.min()), int(a.max())) if a.size else (0, 0)
-    dtype = next(t for t in (np.int8, np.int16, np.int32, np.int64)
-                 if np.iinfo(t).min <= lo and hi <= np.iinfo(t).max)
-    return a.astype(dtype)
-
-
 def save_char_table(ct: CharTable, cache_dir: Path) -> Path:
     """The class numbering and the values, nothing else: the class data, the
     exponent, the Dixon prime and the degrees are derived from them on load.
-    Both are stored narrow (int8 while k <= 128 and every multiplicity fits),
-    and the loader casts every stored dtype to int64."""
-    return _write(chartab_cache_key(ct.table.spec), cache_dir, {},
-                  {"class_of": _narrow(ct.cd.class_of), "rows": _narrow(ct.rows)})
+    Both are stored in value_dtype of their largest entry: the class
+    numbering as a copy in that of k - 1, the values as CharTable holds them,
+    in that of the largest degree (int8 while k and every degree are below
+    128)."""
+    return _write(chartab_cache_key(ct.table.spec), cache_dir,
+                  {"class_of": ct.cd.class_of.astype(value_dtype(ct.k - 1)), "rows": ct.rows})
 
 
 def load_char_table(table: GroupTable, cache_dir: Path) -> CharTable | None:
-    """Metadata keys other than `arrays` (e, r and degrees in older files)
-    are ignored."""
+    """The values stay the file's read-only buffer in their stored dtype,
+    which CharTable narrows only when it is wider than its rule (older
+    int64 files).  Metadata keys other than `arrays` (e, r and degrees in
+    older files) are ignored."""
     got = _read(chartab_cache_key(table.spec), cache_dir)
     if got is None:
         return None
-    ct = CharTable(class_data(table, got[1]["class_of"].astype(np.int64)),
-                   got[1]["rows"].astype(np.int64))
+    ct = CharTable(class_data(table, got[1]["class_of"].astype(np.int64)), got[1]["rows"])
     ct.loaded = True
     return ct
 

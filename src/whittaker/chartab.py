@@ -21,11 +21,19 @@ classification, restriction norms) is one cyclotomic.pairings call read by
 integer_values.  CharTable.verify needs no such sum: it checks the power map
 exactly and row orthogonality modulo a few primes r' = 1 mod e at one
 embedding zeta_e -> zeta', which the power map makes exact.
+
+The values are held in the narrowest signed integer dtype that holds the
+largest degree (value_dtype), from the lift or the disk cache to every
+verdict.  numpy array arithmetic on such a dtype wraps without a warning, so
+every operation on the values is one of: a gather or a comparison; a sum
+along one (row, class) vector, which is at most its degree; or arithmetic on
+a gathered block widened to int64 first.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import permutations
 from math import gcd, isqrt, prod
 
@@ -43,6 +51,7 @@ from .regular import TypeMatrix, iota, type_of
 CHARTAB_CAP = 100_000
 ROOT_SCAN_BOUND = 1_000_000
 CLASSIFY_PAIR_CAP = 1 << 22
+VERIFY_BLOCK = 1 << 16  # values widened to int64 at a time by CharTable.verify
 
 
 # ---------------------------------------------------------------------------
@@ -67,6 +76,16 @@ class ClassData:
 
     def exponent(self) -> int:
         return int(np.lcm.reduce(self.orders))
+
+    @cached_property
+    def powers(self) -> np.ndarray:
+        """The (k, o) array of the classes of g_i^s for the representatives g_i
+        and s < o, the largest element order: one matrix_powers stack, one
+        lookup, made once for the lift and the verify."""
+        table = self.table
+        n = table.n
+        pows = matrix_powers(table.ring, table.elems[self.reps], int(self.orders.max()))
+        return self.class_of[table.ids_of(pows.reshape(-1, n, n))].reshape(-1, self.k).T
 
 
 def generator_candidates(table: GroupTable) -> np.ndarray:
@@ -163,15 +182,6 @@ def class_data(table: GroupTable, class_of: np.ndarray) -> ClassData:
         power = mat_mul(ring, power, x)
         s += 1
     return ClassData(table, class_of, reps, np.bincount(class_of), inverse_perm, orders)
-
-
-def power_classes(cd: ClassData) -> np.ndarray:
-    """The (k, o) array of the classes of g_i^s for the representatives g_i
-    and s < o, the largest element order: one matrix_powers stack, one lookup."""
-    table = cd.table
-    n = table.n
-    pows = matrix_powers(table.ring, table.elems[cd.reps], int(cd.orders.max()))
-    return cd.class_of[table.ids_of(pows.reshape(-1, n, n))].reshape(-1, cd.k).T
 
 
 # ---------------------------------------------------------------------------
@@ -339,34 +349,40 @@ def poly_roots_mod(coeffs: np.ndarray, r: int) -> np.ndarray:
 # the character table
 
 
+def value_dtype(hi: int) -> type:
+    """The narrowest signed integer dtype that holds 0..hi."""
+    return next(t for t in (np.int8, np.int16, np.int32, np.int64) if hi <= np.iinfo(t).max)
+
+
 class CharTable:
     """Exact character table: rows[t, i, u] is the multiplicity of the
-    eigenvalue zeta_e^u of chi_t at class i, an int64 (k, k, e) array, and
-    the exponent e, the Dixon prime r and the degrees rows[:, 0, 0] are
-    derived.  AssertionError unless the shape is (k, k, e), every entry lies
-    in 0..|G| (which keeps the sums exact), every (row, class) vector sums to
-    the degree (so the identity class holds exponent 0 only, and
-    |chi_t(g)| <= d_t), and the degrees divide |G| with squares summing to
-    |G|; verify adds the power map and row orthogonality."""
+    eigenvalue zeta_e^u of chi_t at class i, a (k, k, e) array in
+    value_dtype of its largest entry, the largest degree (int8 while every
+    degree is below 128).  The exponent e, the Dixon prime r and the int64
+    degrees rows[:, 0, 0] are derived.  AssertionError unless the shape is
+    (k, k, e), every entry lies in 0..|G| (checked in the incoming dtype,
+    before a wider array is narrowed, so the narrowing is exact), every
+    (row, class) vector sums to the degree (so the identity class holds
+    exponent 0 only, |chi_t(g)| <= d_t, and every partial sum of a vector
+    fits the dtype), and the degrees divide |G| with squares summing to |G|;
+    verify adds the power map and row orthogonality."""
 
     def __init__(self, cd: ClassData, rows: np.ndarray):
-        self.cd, self.rows, self.e = cd, rows, cd.exponent()
+        self.cd, self.e = cd, cd.exponent()
         order = len(cd.table)
         self.r = dixon_prime(self.e, order)
         self.loaded = False  # True when read from the disk cache
         if rows.shape != (cd.k, cd.k, self.e):
             raise AssertionError(f"the values have shape {rows.shape}, not (k, k, e)")
-        if rows.min() < 0 or rows.max() > order:
+        hi = int(rows.max())
+        if int(rows.min()) < 0 or hi > order:
             raise AssertionError("a multiplicity lies outside 0..|G|")
-        d = self.degrees
-        if not (rows.sum(axis=2) == d[:, None]).all():
+        self.rows = rows = rows.astype(value_dtype(hi), copy=False)
+        self.degrees = d = rows[:, 0, 0].astype(np.int64)
+        if not (rows.sum(axis=2, dtype=np.int64) == d[:, None]).all():
             raise AssertionError("eigenvalue multiplicities do not sum to degree")
         if (d < 1).any() or (order % d).any() or (d**2).sum() != order:
             raise AssertionError("the degrees are not divisors of |G| whose squares sum to |G|")
-
-    @property
-    def degrees(self) -> np.ndarray:
-        return self.rows[:, 0, 0]
 
     @property
     def k(self) -> int:
@@ -387,7 +403,10 @@ class CharTable:
         classes with their sizes: then sigma_u chi(g) = chi(g^u) for the
         Galois automorphism sigma_u: zeta_e -> zeta_e^u.  This ties the values
         to the classes, which row orthogonality cannot: it is blind to two
-        swapped columns of equal class size.
+        swapped columns of equal class size.  The push forward by a unit is
+        the column itself, and by a prime p the sum of the p slices of each
+        vector, which the values' dtype holds: every partial sum is at most
+        the degree.
 
         Row relation: the values form a square k x k matrix R over Z[zeta_e],
         and with H the diagonal of the class sizes it says R H R* = |G| I.
@@ -400,12 +419,14 @@ class CharTable:
         zeta' and zeta'^-1, says r' | P.  The product of the r' exceeds 2 B,
         so P = 0.  No sum leaves int64: an e-term value is at most
         d_max (r' - 1), as a vector sums to its degree, and a k-term product
-        at most k (r' - 1)^2.  Then R is invertible with R^-1 = H R* / |G|,
-        and the column relation R* R = |G| H^-1 follows.
+        at most k (r' - 1)^2.  V and Vbar are made from blocks of rows
+        widened to int64, at most VERIFY_BLOCK values at a time.  Then R is
+        invertible with R^-1 = H R* / |G|, and the column relation
+        R* R = |G| H^-1 follows.
         """
         cd, rows, e, k = self.cd, self.rows, self.e, self.k
         order = len(self.table)
-        powers = power_classes(cd)
+        powers = cd.powers
         units = unit_generators(e)
         for u in units + prime_divisors(e):
             to = powers[np.arange(k), u % cd.orders]
@@ -432,7 +453,9 @@ class CharTable:
         zetas = [root_of_unity(e, r) for r in primes]
         Z = np.array([[pow(z, s * u, r) for u in range(e)]
                       for r, z in zip(primes, zetas) for s in (1, -1)], dtype=np.int64)
-        values = rows.reshape(k * k, e) @ Z.T
+        step = max(1, VERIFY_BLOCK // (k * e))
+        values = np.concatenate([rows[t:t + step].reshape(-1, e).astype(np.int64) @ Z.T
+                                 for t in range(0, k, step)])
         for j, r in enumerate(primes):
             V, Vbar = (values[:, 2 * j + s].reshape(k, k) % r for s in (0, 1))
             gram = V * (cd.sizes % r) % r @ Vbar.T % r
@@ -526,11 +549,14 @@ def character_table(table: GroupTable, cap: int = CHARTAB_CAP) -> CharTable:
     # eigenvalue zeta_o^u of a class of order o is (1/o) sum_s chi(g^s)
     # zeta_o^(-us), one DFT per element order over the classes of that order,
     # read off the classes of all the representatives' powers; CharTable
-    # checks the lift, whose rows[:, 0, 0] are the degrees since they are < r
+    # checks the lift, whose rows[:, 0, 0] are the degrees since they are < r.
+    # The rows are made in CharTable's dtype, and each block is checked to
+    # be at most its row's degree before it is cast, which would otherwise
+    # wrap a wrong value silently
     chibar = degrees[:, None] * omega % r * hinv[None, :] % r
     z = root_of_unity(e, r)
-    powers = power_classes(cd)
-    rows = np.zeros((k, k, e), dtype=np.int64)
+    powers = cd.powers
+    rows = np.zeros((k, k, e), dtype=value_dtype(int(degrees.max())))
     for o in sorted(set(cd.orders.tolist())):
         of_order = np.flatnonzero(cd.orders == o)
         zo = pow(z, e // o, r)
@@ -538,6 +564,9 @@ def character_table(table: GroupTable, cap: int = CHARTAB_CAP) -> CharTable:
         dft = np.array([pow(zo, -t % o, r) for t in range(o)], dtype=np.int64)[
             np.outer(np.arange(o), np.arange(o)) % o]
         cbar = chibar[:, powers[of_order, :o]] @ dft % r * pow(o, r - 2, r) % r
+        if (cbar > degrees[:, None, None]).any():
+            raise AssertionError(f"a lifted multiplicity at element order {o} exceeds "
+                                 "its row's degree")
         rows[:, of_order, :: e // o] = cbar
     # canonical row order: ascending degree, then coefficient data
     ct = CharTable(cd, rows[sorted(range(k), key=lambda t: (int(degrees[t]), rows[t].tobytes()))])

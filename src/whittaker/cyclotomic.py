@@ -172,9 +172,12 @@ def pairings(f: np.ndarray, g: np.ndarray) -> np.ndarray:
     Raises IntegralityError unless k' * m * max|f| * max|g'|, with k' live
     classes and g' the columns of g on them, is below 2^63: it bounds every
     partial sum, and g may exceed it on a class that f does not touch.
+    g may be of any integer dtype, such as a CharTable's narrow values: it is
+    only read by gathers and comparisons, and what the products gather from
+    it is widened to int64 first; f is taken as int64.
     """
     f = np.asarray(f, dtype=np.int64)
-    g = np.asarray(g, dtype=np.int64)
+    g = np.asarray(g)
     X, k, m = f.shape
     T = g.shape[0]
     f_used = f.any(axis=0)
@@ -194,7 +197,7 @@ def pairings(f: np.ndarray, g: np.ndarray) -> np.ndarray:
         # f over (x; exponent a, class c), and conj(g) as hc[j, c, t] = g[t, c, -j d],
         # each gathered in that layout by one index
         fa = np.take(f.reshape(X, k * m), (cls * m + d * expos[:, None]).ravel(), axis=1)
-        hc = g.transpose(2, 1, 0)[(-np.arange(mm) % mm * d)[:, None], cls]
+        hc = g.transpose(2, 1, 0)[(-np.arange(mm) % mm * d)[:, None], cls].astype(np.int64)
         for w in range(mm):
             # zeta^a * conj(zeta^j) lands on zeta^(d w) when j = w - a (mod mm)
             out[:, :, w * d] += fa @ hc[(w - expos) % mm].reshape(-1, T)

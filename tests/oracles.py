@@ -14,18 +14,22 @@ restriction norms one row at a time, row orthogonality by the exact Gram
 in Z[zeta_e] (`verify_exact`), the induced norm by the Frobenius
 double sum over G/ZU and U (all units at once) and unit by unit over a G/U
 transversal, and the closed forms of the type combinatorics.  A few
-(`is_regular`, `verify_checks`) are thin conveniences over `whittaker` that
-only tests use.
+(`is_regular`, `verify_checks`, `write_with_metadata`) are thin conveniences
+over `whittaker` that only tests use.
 Matrices are code arrays with their Ring (or q) alongside, as in
 `whittaker` itself.
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 
+from whittaker.cache import _write
 from whittaker.chartab import (CLASSIFY_PAIR_CAP, CharTable, ClassData, RegularFlag,
                                _lie_algebra_residue, class_data)
 from whittaker.cli import JobConfig, run
@@ -701,3 +705,17 @@ def verify_checks(family: str, n: int, ring: str, a: str = "1") -> dict:
     env = run(JobConfig("verify", ring=ring, family=family, n=n, a_select=a, no_cache=True))
     assert env.passed
     return {c.name: c for c in env.checks}
+
+
+def write_with_metadata(key: str, cache_dir: Path, meta: dict,
+                        arrays: dict[str, np.ndarray]) -> Path:
+    """A cache file as older writers left it: the cache's own file for
+    `arrays`, with the keys of `meta` (such as e, r and degrees) added to its
+    metadata line and the header rewritten to match, so that the file passes
+    the integrity rule."""
+    path = _write(key, cache_dir, arrays)
+    line, packed = path.read_bytes().split(b"\n", 1)[1].split(b"\n", 1)
+    body = json.dumps({**meta, **json.loads(line)}, sort_keys=True).encode() + b"\n" + packed
+    header = {"key": key, "length": len(body), "sha256": hashlib.sha256(body).hexdigest()}
+    path.write_bytes(json.dumps(header, sort_keys=True).encode() + b"\n" + body)
+    return path

@@ -1,3 +1,4 @@
+import copy
 import hashlib
 from collections import Counter
 from math import gcd
@@ -15,9 +16,10 @@ from whittaker.chartab import (CharTable, adjoint_orbits, charpoly_mod, characte
                                class_data, class_matrix, classify_regular, components,
                                conjugacy_classes, decompose_induced, dixon_prime, eigen_rows,
                                nullspace_mod, poly_roots_mod, restriction_norm, rref_mod,
-                               sl_class_profile, special_regular_scan)
+                               sl_class_profile, special_regular_scan, value_dtype)
 from oracles import (adjoint_orbits_by_sweep, classify_regular_by_x, conjugacy_classes_sweep,
-                     restriction_norm_row, sl_class_profile_by_lookup, verify_exact)
+                     restriction_norm_row, sl_class_profile_by_lookup, verify_exact,
+                     write_with_metadata)
 
 Z4 = ring_make("mixed", 2, 1, 2)
 Z9 = ring_make("mixed", 3, 1, 2)
@@ -372,7 +374,8 @@ def test_tables_match_pinned_digests(monkeypatch, spec, digest, calls):
         return class_matrix(cd, j, r)
     monkeypatch.setattr(chartab, "class_matrix", counted)
     ct = character_table(enumerate_group(spec))
-    got = hashlib.sha256(ct.rows.tobytes() + ct.degrees.tobytes() + str((ct.e, ct.r)).encode())
+    got = hashlib.sha256(ct.rows.astype(np.int64).tobytes() + ct.degrees.tobytes()
+                         + str((ct.e, ct.r)).encode())
     assert got.hexdigest() == digest
     assert seen == list(range(1, calls + 1))
 
@@ -468,6 +471,77 @@ def test_modular_verify_agrees_with_the_exact_gram(fixture, count, request):
         assert exact or not modular, kind
         stricter[kind] += exact and not modular
     print(f"{ct.table.spec.key()}: failed verify alone {dict(stricter)} of {count} per kind")
+
+
+def _widened(ct):
+    """ct with an int64 copy of its values, set past the constructor, which
+    would narrow them again."""
+    wide = copy.copy(ct)
+    wide.rows = ct.rows.astype(np.int64)
+    return wide
+
+
+def _outcome(check):
+    try:
+        check()
+    except (AssertionError, IntegralityError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return None
+
+
+@pytest.mark.parametrize("fixture", ["gl2z8_ct", "sl2z9_ct", "gl2z9_ct"])
+def test_verdicts_do_not_depend_on_the_values_dtype(fixture, request):
+    # the kernels read the narrow values by gathers, comparisons, sums along
+    # one vector and blocks widened to int64: an int64 copy of the values
+    # gives the same verdicts, and the same faults on seeded corruptions
+    ct = request.getfixturevalue(fixture)
+    wide = _widened(ct)
+    assert ct.rows.dtype == np.int8 and wide.rows.dtype == np.int64
+    assert classify_regular(ct) == classify_regular(wide)
+    spec = ct.table.spec
+    u_ids = unipotent_subgroup(ct.table, 0)
+    for a in get_ring(spec.ring).unit_codes():
+        theta = NonDegenChar(spec, a)
+        assert np.array_equal(decompose_induced(ct, theta, u_ids),
+                              decompose_induced(wide, theta, u_ids))
+    assert np.array_equal(restriction_norm(ct, range(ct.k)), restriction_norm(wide, range(ct.k)))
+    for table in (ct, wide):
+        table.verify()
+        verify_exact(table)
+    for kind, bad in _corrupted(ct, 29, 3):
+        for check in (CharTable.verify, verify_exact):
+            assert _outcome(lambda: check(bad)) == _outcome(lambda: check(_widened(bad))), kind
+
+
+def test_value_dtype_is_the_narrowest_that_holds_the_largest_degree():
+    assert [value_dtype(hi) for hi in (1, 127, 128, 32767, 32768, 1 << 31)] == \
+        [np.int8, np.int8, np.int16, np.int16, np.int32, np.int64]
+
+
+def test_a_value_past_int8_is_refused_not_wrapped(sl2z9_ct):
+    # one value 256 above the genuine one: a cast to int8 would give back the
+    # genuine table, so CharTable checks the incoming array before narrowing
+    ct = sl2z9_ct
+    rows = ct.rows.astype(np.int64)
+    rows[-1, 1, int(np.flatnonzero(rows[-1, 1])[0])] += 256
+    assert np.array_equal(rows.astype(np.int8), ct.rows)
+    with pytest.raises(AssertionError, match="do not sum to degree"):
+        CharTable(ct.cd, rows)
+
+
+def test_power_classes_are_made_once_per_cold_table(monkeypatch):
+    # the lift and the verify share ClassData.powers
+    calls = []
+    original = chartab.matrix_powers
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+    monkeypatch.setattr(chartab, "matrix_powers", counted)
+    ct = character_table(enumerate_group(GroupSpec("GL", 2, Z4)))
+    assert len(calls) == 1
+    ct.verify()
+    assert len(calls) == 1
 
 
 def test_degrees_divide_group_order(gl2z4_ct, sl2z9_ct):
@@ -693,39 +767,44 @@ def test_cache_round_trip(tmp_path, gl2z4_ct):
 
 
 def test_cached_char_table_is_stored_narrow(tmp_path, gl2z4_ct):
-    # int8 while the values fit, wider when they do not, and negative values
-    # survive the file format (fault tests write them), though no CharTable
-    # holds them
-    from whittaker.cache import (_narrow, _read, _write, chartab_cache_key, load_char_table,
-                                 save_char_table)
+    # int8 in memory and on disk while k and the degrees are below 128, and
+    # loaded without a copy
+    from whittaker.cache import _read, _write, chartab_cache_key, load_char_table, save_char_table
 
     ct, key = gl2z4_ct, chartab_cache_key(gl2z4_ct.table.spec)
     save_char_table(ct, tmp_path)
     assert _read(key, tmp_path)[0] == {"arrays": [["class_of", "|i1", [len(ct.table)]],
                                ["rows", "|i1", [ct.k, ct.k, ct.e]]]}
+    assert ct.rows.dtype == np.int8
     got = load_char_table(ct.table, tmp_path)
-    assert got.rows.dtype == got.cd.class_of.dtype == np.int64
+    # the values are the file's buffer, read-only and narrow, not an int64 copy
+    assert got.rows.dtype == np.int8 and not got.rows.flags.writeable
+    assert not got.rows.flags.owndata
+    assert got.cd.class_of.dtype == np.int64
     assert np.array_equal(got.rows, ct.rows)
     assert np.array_equal(got.cd.class_of, ct.cd.class_of)
+    # the format keeps any stored dtype, and negative values (fault tests
+    # write them), though no CharTable holds them
     for value, dtype in [(-3, np.int8), (-129, np.int16), (1 << 40, np.int64)]:
-        rows = ct.rows.copy()
+        rows = ct.rows.astype(dtype)
         rows[-1, 1, 0] = value
-        _write(key, tmp_path, {}, {"class_of": _narrow(ct.cd.class_of), "rows": _narrow(rows)})
+        _write(key, tmp_path, {"class_of": ct.cd.class_of.astype(np.int8), "rows": rows})
         stored = _read(key, tmp_path)[1]
-        assert stored["rows"].dtype == dtype and stored["class_of"].dtype == np.int8
-        assert np.array_equal(stored["rows"], rows)
+        assert stored["rows"].dtype == dtype and np.array_equal(stored["rows"], rows)
 
 
 def test_int64_cache_file_still_loads(tmp_path, gl2z4_ct):
-    # a .ct file as written before the arrays were stored narrow
-    from whittaker.cache import _write, chartab_cache_key, load_char_table
+    # a .ct file as written before the arrays were stored narrow: its int64
+    # values are narrowed on load, after their range is checked
+    from whittaker.cache import chartab_cache_key, load_char_table
 
     ct = gl2z4_ct
-    _write(chartab_cache_key(ct.table.spec), tmp_path,
-           {"e": ct.e, "r": ct.r, "degrees": ct.degrees.tolist()},
-           {"class_of": ct.cd.class_of.astype(np.int64), "rows": ct.rows.astype(np.int64)})
+    write_with_metadata(chartab_cache_key(ct.table.spec), tmp_path,
+                        {"e": ct.e, "r": ct.r, "degrees": ct.degrees.tolist()},
+                        {"class_of": ct.cd.class_of.astype(np.int64),
+                         "rows": ct.rows.astype(np.int64)})
     got = load_char_table(ct.table, tmp_path)
-    assert got.loaded and np.array_equal(got.rows, ct.rows)
+    assert got.loaded and got.rows.dtype == np.int8 and np.array_equal(got.rows, ct.rows)
     for field in CLASS_FIELDS:
         assert np.array_equal(getattr(got.cd, field), getattr(ct.cd, field)), field
     got.verify()

@@ -305,9 +305,9 @@ def test_repeated_coset_representative_exits_internal(monkeypatch, capsys):
 
 
 def test_swapped_power_classes_in_the_lift_exit_internal(monkeypatch, capsys):
-    # class 1's identity and first power trade places: the multiplicities of
-    # its eigenvalues then sum to chi(g_1) mod r, which is not the degree of
-    # every character, since g_1 is not the identity
+    # class 1's identity and first power trade places: the DFT over its
+    # powers then gives multiplicities mod r that exceed the degree, and the
+    # lift refuses them before they are cast to the values' narrow dtype
     from whittaker import chartab
 
     original = chartab.matrix_powers
@@ -321,7 +321,24 @@ def test_swapped_power_classes_in_the_lift_exit_internal(monkeypatch, capsys):
     assert main(["chartab", "--group", "GL2", "--ring", "mixed:2^2", "--no-cache"]) == EXIT_INTERNAL
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "multiplicities do not sum to degree" in captured.err
+    assert ("internal fault: AssertionError: a lifted multiplicity at element order 2 "
+            "exceeds its row's degree") in captured.err
+
+
+def test_lift_value_above_its_degree_exits_internal(monkeypatch, capsys):
+    # the lift's DFT taken at zeta + 1 mod r, which is no root of unity: the
+    # multiplicities mod r come out above the degrees, and the lift refuses
+    # them before the cast to the narrow dtype, which keeps a value only
+    # modulo 256
+    from whittaker import chartab
+
+    original = chartab.root_of_unity
+    monkeypatch.setattr(chartab, "root_of_unity", lambda m, r: (original(m, r) + 1) % r)
+    assert main(["chartab", "--group", "GL2", "--ring", "mixed:2^2", "--no-cache"]) == EXIT_INTERNAL
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.fullmatch(r"internal fault: AssertionError: a lifted multiplicity at element "
+                        r"order \d+ exceeds its row's degree\n", captured.err)
 
 
 def test_gl1_branching_where_p_to_the_l_does_not_divide_e(capsys):
@@ -386,10 +403,12 @@ def _cached_gl2_z4(tmp_path):
 def _rewrite_gl2_z4_values(tmp_path, fault):
     # a fault in the values of the cached GL2(Z/4) table, written back through
     # the cache's own writer, so the file passes the integrity rule and only
-    # the checks on the values can see it
+    # the checks on the values can see it; the loaded values are the file's
+    # read-only buffer, so the fault edits a copy
     from whittaker.cache import save_char_table
 
     ct = _cached_gl2_z4(tmp_path)
+    ct.rows = ct.rows.copy()
     fault(ct)
     save_char_table(ct, tmp_path)
 
@@ -517,12 +536,13 @@ def test_cached_degrees_swap_exits_internal(capsys, tmp_path):
 
 
 def _write_gl2_z4_values(tmp_path, ct, rows, meta):
-    # ct's classes, the values `rows` and the metadata `meta` written through
-    # the cache's own writer, so the file passes the integrity rule
-    from whittaker.cache import _write, chartab_cache_key
+    # ct's classes, the values `rows` and the metadata `meta` of an older
+    # writer, in a file that passes the integrity rule
+    from whittaker.cache import chartab_cache_key
+    from oracles import write_with_metadata
 
-    _write(chartab_cache_key(ct.table.spec), tmp_path, meta,
-           {"class_of": ct.cd.class_of.astype(np.int8), "rows": rows.astype(np.int8)})
+    write_with_metadata(chartab_cache_key(ct.table.spec), tmp_path, meta,
+                        {"class_of": ct.cd.class_of.astype(np.int8), "rows": rows.astype(np.int8)})
 
 
 @pytest.mark.parametrize("fault", ["row-negated", "exponent-doubled"])
@@ -584,6 +604,7 @@ def _rewrite_gl2_z9(tmp_path, fault):
 
     table = load_group_table(GroupSpec("GL", 2, parse_ring("mixed:3^2")), tmp_path)
     ct = load_char_table(table, tmp_path)
+    ct.rows = ct.rows.copy()  # the loaded values are the file's read-only buffer
     fault(ct)
     save_char_table(ct, tmp_path)
 
