@@ -10,8 +10,9 @@ order the arrays follow it.  The digest covers every byte after the header
 line, metadata included.
 
 The rule: a file is used only when its key, its length and its digest all
-match and its body decodes.  Anything else (a truncated, bit-flipped, foreign,
-empty or pre-digest file) is rebuilt and overwritten, with one
+match and its body decodes into arrays of integer dtypes.  Anything else (a
+truncated, bit-flipped, foreign, empty or pre-digest file, or a float array,
+which a cast would truncate) is rebuilt and overwritten, with one
 `cache: rebuilding <file>: <reason>` line on stderr; a missing file is
 rebuilt silently.  Writes go through a temp file and rename, so readers never
 observe partial files.
@@ -104,6 +105,8 @@ def _read(key: str, cache_dir: Path) -> tuple[dict, dict[str, np.ndarray]] | Non
             meta = json.loads(raw[start:split])
             arrays, offset = {}, split
             for name, dtype, shape in meta["arrays"]:
+                if np.dtype(dtype).kind not in "iu":
+                    raise ValueError(f"{name} is stored as {dtype}, not as integers")
                 count = int(np.prod(shape))
                 arrays[name] = np.frombuffer(raw, dtype, count, offset).reshape(shape)
                 offset += arrays[name].nbytes

@@ -15,12 +15,14 @@ are the central character vectors, degrees are recovered from the second
 orthogonality relation, which gives d^2 mod r, as the one divisor of |G|
 below r/2 with that square, and the character values are lifted to exact
 cyclotomic integers through eigenvalue multiplicities, one discrete
-Fourier transform over the power classes per element order.
+Fourier transform over the power classes per element order (class_data
+reads them, the orders and the inverse classes off one stack of powers).
 Every character sum downstream (induced multiplicities, the regular
 classification, restriction norms) is one cyclotomic.pairings call read by
 integer_values.  CharTable.verify needs no such sum: it checks the power map
 exactly and row orthogonality modulo a few primes r' = 1 mod e at one
-embedding zeta_e -> zeta', which the power map makes exact.
+embedding zeta_e -> zeta', which the power map makes exact, and which
+reads the values at zeta'^-1 off those at zeta'.
 
 The values are held in the narrowest signed integer dtype that holds the
 largest degree (value_dtype), from the lift or the disk cache to every
@@ -33,7 +35,6 @@ a gathered block widened to int64 first.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import permutations
 from math import gcd, isqrt, prod
 
@@ -43,8 +44,7 @@ from .cyclotomic import (IntegralityError, integer_values, pairings, prime_divis
                          root_of_unity, unit_generators)
 from .localring import all_tuples, get_ring, is_prime
 from .linalg import mat_det_batch, mat_inv_batch, mat_mul
-from .groups import (CapExceeded, GroupSpec, GroupTable, congruence_subgroup, matrix_powers,
-                     unipotent_subgroup)
+from .groups import CapExceeded, GroupSpec, GroupTable, congruence_subgroup, unipotent_subgroup
 from .whittaker_verify import NonDegenChar, phi_x_exponents, predictions_supported
 from .regular import TypeMatrix, iota, type_of
 
@@ -61,7 +61,7 @@ VERIFY_BLOCK = 1 << 16  # values widened to int64 at a time by CharTable.verify
 @dataclass
 class ClassData:
     """Conjugacy partition of a fully tabulated group; class_data derives
-    every field from class_of."""
+    every field from class_of and one stack of the representatives' powers."""
 
     table: GroupTable
     class_of: np.ndarray  # element id -> class id
@@ -69,6 +69,7 @@ class ClassData:
     sizes: np.ndarray
     inverse_perm: np.ndarray  # class id -> class of inverse
     orders: np.ndarray        # element order of the class
+    powers: np.ndarray        # (k, o) classes of g_i^s, s < o the largest order
 
     @property
     def k(self) -> int:
@@ -76,16 +77,6 @@ class ClassData:
 
     def exponent(self) -> int:
         return int(np.lcm.reduce(self.orders))
-
-    @cached_property
-    def powers(self) -> np.ndarray:
-        """The (k, o) array of the classes of g_i^s for the representatives g_i
-        and s < o, the largest element order: one matrix_powers stack, one
-        lookup, made once for the lift and the verify."""
-        table = self.table
-        n = table.n
-        pows = matrix_powers(table.ring, table.elems[self.reps], int(self.orders.max()))
-        return self.class_of[table.ids_of(pows.reshape(-1, n, n))].reshape(-1, self.k).T
 
 
 def generator_candidates(table: GroupTable) -> np.ndarray:
@@ -158,10 +149,11 @@ def class_data(table: GroupTable, class_of: np.ndarray) -> ClassData:
 
     The classes must be numbered in order of their smallest id, as
     conjugacy_classes numbers them (so class 0 holds the identity);
-    AssertionError otherwise.  The sizes are counts, each representative is
-    the smallest id of its class, and the inversion permutation and the
-    element orders are read off the representatives, their orders by one
-    batched power loop.
+    AssertionError otherwise.  The sizes are counts, and each representative
+    is the smallest id of its class.  One loop stacks the powers
+    [I, g_i, ..., g_i^(o-1)] of the representatives, o the largest order;
+    the element orders, the power classes and the inverse classes (those of
+    g_i^(o_i - 1)) are read off it.
     """
     class_of = np.asarray(class_of, dtype=np.int64)
     labels, reps = np.unique(class_of, return_index=True)
@@ -169,19 +161,20 @@ def class_data(table: GroupTable, class_of: np.ndarray) -> ClassData:
             or np.any(np.diff(reps) <= 0)):
         raise AssertionError(f"the classes of {table.spec.key()} are not numbered "
                              "in order of their smallest id")
-    ring = table.ring
+    k, n = len(reps), table.n
     x = table.elems[reps]
-    inverse_perm = class_of[table.ids_of(mat_inv_batch(ring, x))]
-    orders = np.zeros(len(reps), dtype=np.int64)
-    eye = np.eye(table.n, dtype=np.int64)
-    power, s = x, 1
+    eye = np.eye(n, dtype=np.int64)
+    orders = np.zeros(k, dtype=np.int64)
+    stack, power = [np.broadcast_to(eye, x.shape)], x
     while True:
-        orders[(orders == 0) & (power == eye).all(axis=(1, 2))] = s
+        orders[(orders == 0) & (power == eye).all(axis=(1, 2))] = len(stack)
         if orders.all():
             break
-        power = mat_mul(ring, power, x)
-        s += 1
-    return ClassData(table, class_of, reps, np.bincount(class_of), inverse_perm, orders)
+        stack.append(power)
+        power = mat_mul(table.ring, power, x)
+    powers = class_of[table.ids_of(np.stack(stack).reshape(-1, n, n))].reshape(-1, k).T
+    return ClassData(table, class_of, reps, np.bincount(class_of),
+                     powers[np.arange(k), orders - 1], orders, powers)
 
 
 # ---------------------------------------------------------------------------
@@ -417,19 +410,21 @@ class CharTable:
         of order e in F_r', maps Z[zeta_e] onto F_r' and an integer to its
         residue, so V H Vbar^T = |G| I mod r', with V and Vbar the values at
         zeta' and zeta'^-1, says r' | P.  The product of the r' exceeds 2 B,
-        so P = 0.  No sum leaves int64: an e-term value is at most
+        so P = 0.  Vbar needs no product: sigma_-1 is a product of the
+        sigma_u of the unit generators just checked, so chi(g^-1) =
+        sigma_-1 chi(g) holds for the stored vectors, and Vbar is V at the
+        inverse classes.  No sum leaves int64: an e-term value is at most
         d_max (r' - 1), as a vector sums to its degree, and a k-term product
-        at most k (r' - 1)^2.  V and Vbar are made from blocks of rows
-        widened to int64, at most VERIFY_BLOCK values at a time.  Then R is
-        invertible with R^-1 = H R* / |G|, and the column relation
-        R* R = |G| H^-1 follows.
+        at most k (r' - 1)^2.  V is made from blocks of rows widened to
+        int64, at most VERIFY_BLOCK values at a time.  Then R is invertible
+        with R^-1 = H R* / |G|, and the column relation R* R = |G| H^-1
+        follows.
         """
         cd, rows, e, k = self.cd, self.rows, self.e, self.k
         order = len(self.table)
-        powers = cd.powers
         units = unit_generators(e)
         for u in units + prime_divisors(e):
-            to = powers[np.arange(k), u % cd.orders]
+            to = cd.powers[np.arange(k), u % cd.orders]
             if u in units and not (np.array_equal(np.sort(to), np.arange(k))
                                    and np.array_equal(cd.sizes[to], cd.sizes)):
                 raise AssertionError(f"g -> g^{u} does not permute the classes with their sizes")
@@ -449,16 +444,16 @@ class CharTable:
         if prod(primes) <= 2 * bound or max(k, d_max) * (max(primes) - 1) ** 2 >= 1 << 63:
             raise AssertionError(f"the primes {primes} break the bounds prod r' > 2 B = "
                                  f"{2 * bound} and max(k, d_max) (r' - 1)^2 < 2^63")
-        # the values at zeta' and zeta'^-1 mod every r', by one e-term product
+        # the values at zeta' mod every r', by one e-term product
         zetas = [root_of_unity(e, r) for r in primes]
-        Z = np.array([[pow(z, s * u, r) for u in range(e)]
-                      for r, z in zip(primes, zetas) for s in (1, -1)], dtype=np.int64)
+        Z = np.array([[pow(z, u, r) for u in range(e)] for r, z in zip(primes, zetas)],
+                     dtype=np.int64)
         step = max(1, VERIFY_BLOCK // (k * e))
         values = np.concatenate([rows[t:t + step].reshape(-1, e).astype(np.int64) @ Z.T
                                  for t in range(0, k, step)])
         for j, r in enumerate(primes):
-            V, Vbar = (values[:, 2 * j + s].reshape(k, k) % r for s in (0, 1))
-            gram = V * (cd.sizes % r) % r @ Vbar.T % r
+            V = values[:, j].reshape(k, k) % r
+            gram = V * (cd.sizes % r) % r @ V[:, cd.inverse_perm].T % r
             if not np.array_equal(gram, order % r * np.eye(k, dtype=np.int64)):
                 raise AssertionError(f"row orthogonality fails mod {r}")
 
@@ -555,7 +550,6 @@ def character_table(table: GroupTable, cap: int = CHARTAB_CAP) -> CharTable:
     # wrap a wrong value silently
     chibar = degrees[:, None] * omega % r * hinv[None, :] % r
     z = root_of_unity(e, r)
-    powers = cd.powers
     rows = np.zeros((k, k, e), dtype=value_dtype(int(degrees.max())))
     for o in sorted(set(cd.orders.tolist())):
         of_order = np.flatnonzero(cd.orders == o)
@@ -563,7 +557,7 @@ def character_table(table: GroupTable, cap: int = CHARTAB_CAP) -> CharTable:
         # dft[s, u] = zeta_o^(-us), a symmetric matrix
         dft = np.array([pow(zo, -t % o, r) for t in range(o)], dtype=np.int64)[
             np.outer(np.arange(o), np.arange(o)) % o]
-        cbar = chibar[:, powers[of_order, :o]] @ dft % r * pow(o, r - 2, r) % r
+        cbar = chibar[:, cd.powers[of_order, :o]] @ dft % r * pow(o, r - 2, r) % r
         if (cbar > degrees[:, None, None]).any():
             raise AssertionError(f"a lifted multiplicity at element order {o} exceeds "
                                  "its row's degree")

@@ -8,8 +8,9 @@ characteristic polynomial,
 exact kernel counting over o_l by Smith-style diagonalization, group
 centralizers by filtering a full table, conjugacy classes by one full
 conjugation sweep per class, the adjoint orbits on g(F_q) by the same sweep
-over G(F_q), the regular classification over every x of g(F_q) instead of
-one per orbit, the cyclic-vector search over o_r,
+over G(F_q), the power classes, orders and inverse classes of the class
+representatives one at a time, the regular classification over every x of
+g(F_q) instead of one per orbit, the cyclic-vector search over o_r,
 restriction norms one row at a time, row orthogonality by the exact Gram
 in Z[zeta_e] (`verify_exact`), the induced norm by the Frobenius
 double sum over G/ZU and U (all units at once) and unit by unit over a G/U
@@ -545,6 +546,27 @@ def conjugacy_classes_sweep(table: GroupTable) -> ClassData:
             class_of[table.ids_of(orbit)] = k
             k += 1
     return class_data(table, class_of)
+
+
+def class_powers_by_lookup(cd: ClassData) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The power classes, the element orders and the inverse classes of cd's
+    representatives, each its own way: one matrix_powers stack and one lookup
+    per representative out to the largest order, a scalar order loop, and a
+    lookup of the table's inverses."""
+    table = cd.table
+    ring, xs = table.ring, table.elems[cd.reps]
+    eye = np.eye(table.n, dtype=np.int64)
+    orders = []
+    for x in xs:
+        o, power = 1, x
+        while not np.array_equal(power, eye):
+            power = mat_mul(ring, power, x)
+            o += 1
+        orders.append(o)
+    powers = np.array([cd.class_of[table.ids_of(matrix_powers(ring, x, max(orders)))]
+                       for x in xs])
+    inverses = cd.class_of[table.ids_of(table.inverses()[cd.reps])]
+    return powers, np.array(orders), inverses
 
 
 def adjoint_orbits_by_sweep(spec: GroupSpec) -> np.ndarray:

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import hashlib
 from collections import Counter
 from math import gcd
@@ -9,7 +10,8 @@ import pytest
 from whittaker.cyclotomic import CycloNum, IntegralityError, integer_values, pairings
 from whittaker.localring import get_ring, ring_make
 from whittaker.linalg import mat_mul
-from whittaker.groups import CapExceeded, GroupSpec, enumerate_group, unipotent_subgroup
+from whittaker.groups import (CapExceeded, GroupSpec, GroupTable, enumerate_group,
+                              unipotent_subgroup)
 from whittaker.whittaker_verify import NonDegenChar, induced_norm
 from whittaker import chartab
 from whittaker.chartab import (CharTable, adjoint_orbits, charpoly_mod, character_table,
@@ -17,9 +19,9 @@ from whittaker.chartab import (CharTable, adjoint_orbits, charpoly_mod, characte
                                conjugacy_classes, decompose_induced, dixon_prime, eigen_rows,
                                nullspace_mod, poly_roots_mod, restriction_norm, rref_mod,
                                sl_class_profile, special_regular_scan, value_dtype)
-from oracles import (adjoint_orbits_by_sweep, classify_regular_by_x, conjugacy_classes_sweep,
-                     restriction_norm_row, sl_class_profile_by_lookup, verify_exact,
-                     write_with_metadata)
+from oracles import (adjoint_orbits_by_sweep, class_powers_by_lookup, classify_regular_by_x,
+                     conjugacy_classes_sweep, restriction_norm_row, sl_class_profile_by_lookup,
+                     verify_exact, write_with_metadata)
 
 Z4 = ring_make("mixed", 2, 1, 2)
 Z9 = ring_make("mixed", 3, 1, 2)
@@ -27,7 +29,7 @@ Z8 = ring_make("mixed", 2, 1, 3)
 F2 = ring_make("mixed", 2, 1, 1)
 F3 = ring_make("mixed", 3, 1, 1)
 F3T2 = ring_make("equal", 3, 1, 2)
-CLASS_FIELDS = ("class_of", "reps", "sizes", "orders", "inverse_perm")
+CLASS_FIELDS = ("class_of", "reps", "sizes", "orders", "inverse_perm", "powers")
 
 
 def _value(ct, t, i):
@@ -262,6 +264,22 @@ def test_class_data_matches_elementwise_oracle(gl2z4_ct):
         class_data(table, (cd.class_of + 1) % cd.k)
 
 
+@pytest.mark.parametrize("family, n, ring", [
+    ("GL", 2, Z4),
+    ("SL", 2, Z9),
+    ("GL", 2, F3T2),
+    ("SL", 3, Z4),
+])
+def test_class_powers_match_the_lookup_oracle(family, n, ring):
+    # class_data reads the power classes, the orders and the inverse classes
+    # off one stack; the oracle takes each representative's powers alone
+    cd = conjugacy_classes(enumerate_group(GroupSpec(family, n, ring)))
+    powers, orders, inverses = class_powers_by_lookup(cd)
+    assert np.array_equal(cd.powers, powers)
+    assert np.array_equal(cd.orders, orders)
+    assert np.array_equal(cd.inverse_perm, inverses)
+
+
 def test_class_count_equals_irreducible_count(gl2z4_ct):
     cd = gl2z4_ct.cd
     assert cd.sizes.sum() == 96
@@ -473,6 +491,20 @@ def test_modular_verify_agrees_with_the_exact_gram(fixture, count, request):
     print(f"{ct.table.spec.key()}: failed verify alone {dict(stricter)} of {count} per kind")
 
 
+def test_verify_reads_vbar_through_the_inverse_classes(gl2z4_ct):
+    # verify reads the values at zeta'^-1 as V[:, inverse_perm]; with the
+    # inverse classes of two classes that are not each other's inverse
+    # swapped, the power map still holds and the Gram fails
+    ct = gl2z4_ct
+    cd = ct.cd
+    i = 1
+    j = next(j for j in range(2, ct.k) if j != cd.inverse_perm[i])
+    perm = cd.inverse_perm.copy()
+    perm[[i, j]] = perm[[j, i]]
+    with pytest.raises(AssertionError, match="row orthogonality fails"):
+        CharTable(dataclasses.replace(cd, inverse_perm=perm), ct.rows).verify()
+
+
 def _widened(ct):
     """ct with an int64 copy of its values, set past the constructor, which
     would narrow them again."""
@@ -530,18 +562,27 @@ def test_a_value_past_int8_is_refused_not_wrapped(sl2z9_ct):
 
 
 def test_power_classes_are_made_once_per_cold_table(monkeypatch):
-    # the lift and the verify share ClassData.powers
-    calls = []
-    original = chartab.matrix_powers
+    # class_data is the only code that takes powers of the representatives:
+    # one call per cold table, whose power classes the lift and the verify
+    # share
+    made = []
+    original = chartab.class_data
 
     def counted(*args):
-        calls.append(args)
-        return original(*args)
-    monkeypatch.setattr(chartab, "matrix_powers", counted)
+        made.append(original(*args))
+        return made[-1]
+    monkeypatch.setattr(chartab, "class_data", counted)
     ct = character_table(enumerate_group(GroupSpec("GL", 2, Z4)))
-    assert len(calls) == 1
+    assert len(made) == 1 and ct.cd is made[0]
+
+    # the verify takes no product, no inverse and no lookup of its own
+    def refused(*args):
+        raise AssertionError("verify computed on the group")
+    for name in ("mat_mul", "mat_inv_batch"):
+        monkeypatch.setattr(chartab, name, refused)
+    monkeypatch.setattr(GroupTable, "ids_of", refused)
     ct.verify()
-    assert len(calls) == 1
+    assert len(made) == 1
 
 
 def test_degrees_divide_group_order(gl2z4_ct, sl2z9_ct):

@@ -310,14 +310,14 @@ def test_swapped_power_classes_in_the_lift_exit_internal(monkeypatch, capsys):
     # lift refuses them before they are cast to the values' narrow dtype
     from whittaker import chartab
 
-    original = chartab.matrix_powers
+    original = chartab.class_data
 
-    def swapped(ring, x, n):
-        pows = original(ring, x, n).copy()
-        pows[[0, 1], 1] = pows[[1, 0], 1]
-        return pows
+    def swapped(table, class_of):
+        cd = original(table, class_of)
+        cd.powers[1, [0, 1]] = cd.powers[1, [1, 0]]
+        return cd
 
-    monkeypatch.setattr(chartab, "matrix_powers", swapped)
+    monkeypatch.setattr(chartab, "class_data", swapped)
     assert main(["chartab", "--group", "GL2", "--ring", "mixed:2^2", "--no-cache"]) == EXIT_INTERNAL
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -732,6 +732,12 @@ def test_corrupt_cache_file_is_rebuilt(pattern, fault, capsys, tmp_path):
     (path,) = tmp_path.glob(pattern)
     corrupt, reason = CACHE_FAULTS[fault]
     path.write_bytes(corrupt(path.read_bytes()))
+    _assert_rebuilt(args, cold, path, reason, capsys)
+
+
+def _assert_rebuilt(args, cold, path, reason, capsys):
+    # the run rebuilds the file with one line that names it and the reason,
+    # its report equals the cold one, and the next run reads the new file
     assert main(args) == 0
     out, err = capsys.readouterr()
     assert out == cold
@@ -740,6 +746,30 @@ def test_corrupt_cache_file_is_rebuilt(pattern, fault, capsys, tmp_path):
     assert main(args) == 0
     out, err = capsys.readouterr()
     assert out == cold and "cache:" not in err
+
+
+@pytest.mark.parametrize("pattern, name, shift", [
+    ("chartab/*.ct", "rows", 0.25),
+    ("chartab/*.ct", "class_of", 0.5),
+    ("tables/*.grp", "elems", 0.5),
+])
+def test_non_integer_cached_array_is_rebuilt(pattern, name, shift, capsys, tmp_path):
+    # one array stored as float64 with a fraction added, in a file that passes
+    # the digest: a cast to int64 would give back the genuine values, so the
+    # file is refused as undecodable and rebuilt, not truncated and used
+    from whittaker.cache import _read
+    from oracles import write_with_metadata
+
+    args = ["gl2-sl2-tables", "--ring", "mixed:2^2", "--format", "json",
+            "--cache-dir", str(tmp_path)]
+    assert main(args) == 0
+    cold = capsys.readouterr().out
+    (path,) = tmp_path.glob(pattern)
+    key = json.loads(path.read_bytes().partition(b"\n")[0])["key"]
+    arrays = dict(_read(key, tmp_path)[1])
+    arrays[name] = arrays[name].astype(np.float64) + shift
+    write_with_metadata(key, tmp_path, {}, arrays)
+    _assert_rebuilt(args, cold, path, f"undecodable: {name} is stored as <f8", capsys)
 
 
 def test_mismatch_gives_exit_one():

@@ -26,7 +26,7 @@ pytestmark = pytest.mark.slow
 def test_orbit_classes_match_the_sweep_at_the_frontier(family, ring):
     table = enumerate_group(GroupSpec(family, 2, ring))
     cd, want = conjugacy_classes(table), conjugacy_classes_sweep(table)
-    for field in ("class_of", "reps", "sizes", "orders", "inverse_perm"):
+    for field in ("class_of", "reps", "sizes", "orders", "inverse_perm", "powers"):
         assert np.array_equal(getattr(cd, field), getattr(want, field)), field
 
 
