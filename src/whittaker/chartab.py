@@ -7,22 +7,25 @@ table.
 
 Tables are computed by the Dixon-Schneider method: the class-sum matrices
 M_j (structure constants of the class algebra) commute and are split over
-a prime field F_r with r = 1 mod exponent(G) and r > 2 sqrt(|G|), each
-unsplit eigenspace on its own restricted action A of M_j^T, whose
-eigen-rows are the row spaces of the projectors mu_i(A) / mu_i(lam_i)
-(eigen_rows); their common eigenvectors, normalized at the identity class,
-are the central character vectors, degrees are recovered from the second
-orthogonality relation, which gives d^2 mod r, as the one divisor of |G|
-below r/2 with that square, and the character values are lifted to exact
-cyclotomic integers through eigenvalue multiplicities, one discrete
-Fourier transform over the power classes per element order (class_data
-reads them, the orders and the inverse classes off one stack of powers).
-Every character sum downstream (induced multiplicities, the regular
-classification, restriction norms) is one cyclotomic.pairings call read by
-integer_values.  CharTable.verify needs no such sum: it checks the power map
-exactly and row orthogonality modulo a few primes r' = 1 mod e at one
-embedding zeta_e -> zeta', which the power map makes exact, and which
-reads the values at zeta'^-1 off those at zeta'.
+a prime field F_r with r = 1 mod exponent(G) and r > 2 sqrt(|G|).  The
+first split is on a central class, whose M_z permutes the classes and
+splits in closed form (central_eigen_rows).  Then each unsplit eigenspace
+is split on its own restricted action A of M_j^T, which reads only the
+rows of M_j at its pivot columns (class_matrix makes just those rows,
+Schneider's restriction), and whose eigen-rows are the row spaces of the
+projectors mu_i(A) / mu_i(lam_i) (eigen_rows).  The common eigenvectors,
+normalized at the identity class, are the central character vectors,
+degrees are recovered from the second orthogonality relation, which gives
+d^2 mod r, as the one divisor of |G| below r/2 with that square, and the
+character values are lifted to exact cyclotomic integers through
+eigenvalue multiplicities, one discrete Fourier transform over the power
+classes per element order (class_data reads them, the orders and the
+inverse classes off one stack of powers).  Every character sum downstream
+(induced multiplicities, the regular classification, restriction norms) is
+one cyclotomic.pairings call read by integer_values.  CharTable.verify needs
+no such sum: it checks the power map exactly and row orthogonality modulo a
+few primes r' = 1 mod e at one embedding zeta_e -> zeta', which the power
+map makes exact, and which reads the values at zeta'^-1 off those at zeta'.
 
 The values are held in the narrowest signed integer dtype that holds the
 largest degree (value_dtype), from the lift or the disk cache to every
@@ -35,6 +38,7 @@ a gathered block widened to int64 first.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import permutations
 from math import gcd, isqrt, prod
 
@@ -77,6 +81,12 @@ class ClassData:
 
     def exponent(self) -> int:
         return int(np.lcm.reduce(self.orders))
+
+    @cached_property
+    def members(self) -> np.ndarray:
+        """The element ids sorted by class, stably: class j is the slice of
+        sizes[j] ids after the sizes[:j].sum() of the classes before it."""
+        return np.argsort(self.class_of, kind="stable")
 
 
 def generator_candidates(table: GroupTable) -> np.ndarray:
@@ -290,6 +300,9 @@ def eigen_rows(A: np.ndarray, r: int) -> list[tuple[np.ndarray, np.ndarray]]:
     the lam_i rows, and its rank m_i = tr Q_i (d < r).  The rows are the row
     space of Q_i, reduced from Q_i itself when 2 m_i <= d and otherwise as
     the left kernel of I - Q_i, so a root costs min(m_i, d - m_i) pivots.
+    Once mu(A) = 0, the Q_i are idempotents that sum to I with Q_i Q_j = 0
+    for i != j, so their ranks m_i sum to d: the rows found number d, and
+    no check of that count could fail.
     """
     d = len(A)
     lams = poly_roots_mod(charpoly_mod(A, r), r).tolist()
@@ -314,16 +327,13 @@ def eigen_rows(A: np.ndarray, r: int) -> list[tuple[np.ndarray, np.ndarray]]:
             value = value * (lam - other) % r
         coeffs[i] = coeffs[i] * pow(value, r - 2, r) % r
     projectors = (coeffs @ powers[:s] % r).reshape(s, d, d)
-    out, found = [], 0
+    out = []
     for Q in projectors:
         if 2 * (int(np.trace(Q)) % r) <= d:
             C, p = rref_mod(Q, r)
         else:
             C, p = nullspace_mod((np.eye(d, dtype=np.int64) - Q).T % r, r)
         out.append((C, np.asarray(p, dtype=np.int64)))
-        found += len(C)
-    if found != d:
-        raise AssertionError("class matrix failed to act semisimply")
     return out
 
 
@@ -458,25 +468,73 @@ class CharTable:
                 raise AssertionError(f"row orthogonality fails mod {r}")
 
 
-def class_matrix(cd: ClassData, j: int, r: int) -> np.ndarray:
-    """Class-sum structure constants M_j[i, l] = #{x in C_j : x^-1 z_l in C_i}."""
-    table = cd.table
-    k = cd.k
-    inv_j = table.inverses()[cd.class_of == j]
-    # the (|C_j|, k) stack of x^-1 z_l: one product, one lookup, one count
-    prod = mat_mul(table.ring, inv_j[:, None], table.elems[cd.reps][None])
-    classes = cd.class_of[table.ids_of(prod.reshape(-1, table.n, table.n))]
-    M = np.bincount(classes * k + np.arange(len(classes)) % k, minlength=k * k)
-    return M.reshape(k, k) % r
+def class_matrix(cd: ClassData, j: int, r: int, rows: np.ndarray) -> np.ndarray:
+    """The rows `rows` of the class-sum structure constants mod r,
+    M_j[i, l] = #{x in C_j : x^-1 z_l in C_i}, as a (len(rows), k) array.
+
+    The pairs (x, y) in C_j x C_i with x y in C_l number h_l M_j[i, l], as
+    each element of C_l is such a product M_j[i, l] times, and by
+    conjugation h_i #{x in C_j : x z_i in C_l}, the same count for every y
+    in C_i.  So M_j[i, l] = h_i #{x in C_j : x z_i in C_l} / h_l, a quotient
+    exact over Z, and row i costs the |C_j| products x z_i: one product of
+    the class by the representatives of `rows`, one lookup and one count,
+    with no inverses.
+    """
+    table, k = cd.table, cd.k
+    start = int(cd.sizes[:j].sum())
+    xs = table.elems[cd.members[start:start + cd.sizes[j]]]
+    products = mat_mul(table.ring, xs[:, None], table.elems[cd.reps[rows]][None])
+    classes = cd.class_of[table.ids_of(products.reshape(-1, table.n, table.n))]
+    at = np.arange(len(classes)) % len(rows) * k + classes
+    counts = np.bincount(at, minlength=len(rows) * k).reshape(len(rows), k)
+    return counts * cd.sizes[rows, None] // cd.sizes[None] % r
+
+
+def central_eigen_rows(cd: ClassData, z: int, r: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """eigen_rows of the transposed class matrix of a central class z (of
+    size 1), in closed form.
+
+    With pi(i) the class of z z_i, M_z[i, l] = 1 if l = pi(i) and 0
+    otherwise, so w M_z^T = lam w reads w[pi(i)] = lam w[i]: pi permutes the
+    classes.  On a cycle c_0, c_1 = pi(c_0), ... of length L, c_0 its
+    smallest class, each lam with lam^L = 1 gives the eigen-row
+    w[c_t] = lam^t, zero off the cycle, with pivot c_0.  L divides the order
+    o of z, so the lam are among the roots of x^o - 1, taken from
+    poly_roots_mod in ascending order as eigen_rows takes them.  Over all
+    cycles these are sum L = k independent rows, one basis of F_r^k.
+    """
+    table, k = cd.table, cd.k
+    ring, elems = table.ring, table.elems
+    pi = cd.class_of[table.ids_of(mat_mul(ring, elems[cd.reps[z]], elems[cd.reps]))]
+    cycles, seen = [], np.zeros(k, dtype=bool)
+    for c in range(k):
+        if not seen[c]:
+            cycle = [c]
+            while (c := int(pi[c])) != cycle[0]:
+                cycle.append(c)
+            seen[cycle] = True
+            cycles.append(cycle)
+    o = int(cd.orders[z])
+    out = []
+    for lam in poly_roots_mod(np.array([r - 1] + [0] * (o - 1) + [1]), r).tolist():
+        mine = [cycle for cycle in cycles if pow(lam, len(cycle), r) == 1]
+        C = np.zeros((len(mine), k), dtype=np.int64)
+        for row, cycle in zip(C, mine):
+            row[cycle] = [pow(lam, t, r) for t in range(len(cycle))]
+        out.append((C, np.array([cycle[0] for cycle in mine], dtype=np.int64)))
+    return out
 
 
 def character_table(table: GroupTable, cap: int = CHARTAB_CAP) -> CharTable:
     """Dixon-Schneider character table with exact cyclotomic lifting.
 
-    The classes j are tried in order until every space is a line.  Each
-    unsplit space W, kept as rows that are the identity on some d columns,
-    is split by eigen_rows of the d x d action A of M_j^T on it
-    (d = dim W), never of the k x k M_j^T.
+    The first split is on the central class of largest order, in closed form
+    (central_eigen_rows); the other central classes follow, then the rest in
+    index order, until every space is a line.  Each unsplit space W, kept as
+    rows that are the identity on its pivot columns piv, is split by
+    eigen_rows of the d x d action A = W M_j[piv]^T of M_j^T on it
+    (d = dim W), never of the k x k M_j^T; class_matrix makes only the rows
+    of M_j in the pivots of the unsplit spaces.
 
     |G| is compared with the cap before the classes are built, so a refused
     table costs no class work.
@@ -489,7 +547,7 @@ def character_table(table: GroupTable, cap: int = CHARTAB_CAP) -> CharTable:
     e = cd.exponent()
     r = dixon_prime(e, order)
     # every mod-r product below sums at most max(k + 1, e) terms below r^2:
-    # W @ M_j^T and C @ W sum k, the split's powers, projectors and
+    # W @ M_j[piv]^T and C @ W sum k, the split's powers, projectors and
     # charpoly_mod at most d <= k, mu(A) its s + 1 <= k + 1 coefficients,
     # and the lift's DFT o <= e; k, e <= CHARTAB_CAP and r <= ROOT_SCAN_BOUND
     # keep this under 10^17, so it holds within the caps
@@ -501,19 +559,30 @@ def character_table(table: GroupTable, cap: int = CHARTAB_CAP) -> CharTable:
 
     # split F_r^k into common eigen-rows of the transposed class matrices; an
     # unsplit space is its rows W with columns piv where W[:, piv] = I, and
-    # is split on its restricted action A (W @ M_j^T = A @ W)
+    # is split on its restricted action A (W @ M_j^T = A @ W), which reads
+    # the rows piv of M_j only.  The identity class 0 splits nothing
+    central = np.flatnonzero(cd.sizes == 1)[1:]
     spaces = [(np.eye(k, dtype=np.int64), np.arange(k))]
-    for j in range(1, k):
-        if all(len(W) == 1 for W, _ in spaces):
+    if len(central):
+        z = int(central[np.argmax(cd.orders[central])])
+        spaces = central_eigen_rows(cd, z, r)  # C @ I = C, and piv[p] = p
+        central = central[central != z]
+    for j in np.concatenate([central, np.flatnonzero(cd.sizes > 1)]).tolist():
+        wide = np.zeros(k, dtype=bool)  # the pivots of the unsplit spaces
+        for W, piv in spaces:
+            if len(W) > 1:
+                wide[piv] = True
+        if not wide.any():
             break
-        MT = class_matrix(cd, j, r).T
+        M = class_matrix(cd, j, r, np.flatnonzero(wide))
+        at = np.cumsum(wide) - 1  # class -> its row of M
         nxt = []
         for W, piv in spaces:
             d = len(W)
             if d == 1:
                 nxt.append((W, piv))
                 continue
-            A = W @ MT[:, piv] % r
+            A = W @ M[at[piv]].T % r
             if np.array_equal(A, A[0, 0] * np.eye(d, dtype=np.int64)):
                 nxt.append((W, piv))  # W is already an eigenspace of M_j^T
                 continue
@@ -521,8 +590,9 @@ def character_table(table: GroupTable, cap: int = CHARTAB_CAP) -> CharTable:
             # gives (C @ W)[:, piv[p]] = I
             nxt.extend((C @ W % r, piv[p]) for C, p in eigen_rows(A, r))
         spaces = nxt
-    if any(len(W) != 1 for W, _ in spaces):
-        raise AssertionError("class matrices did not separate all characters")
+    if [len(W) for W, _ in spaces] != [1] * k:
+        raise AssertionError(f"class matrices did not separate all characters into k = {k} "
+                             "lines")
 
     # normalized eigen-rows are the central characters: row 0 of M_j is the
     # indicator of class j, so the eigenvalue (w M_j^T)[0] of w is w[j]

@@ -14,11 +14,11 @@ from whittaker.groups import (CapExceeded, GroupSpec, GroupTable, enumerate_grou
                               unipotent_subgroup)
 from whittaker.whittaker_verify import NonDegenChar, induced_norm
 from whittaker import chartab
-from whittaker.chartab import (CharTable, adjoint_orbits, charpoly_mod, character_table,
-                               class_data, class_matrix, classify_regular, components,
-                               conjugacy_classes, decompose_induced, dixon_prime, eigen_rows,
-                               nullspace_mod, poly_roots_mod, restriction_norm, rref_mod,
-                               sl_class_profile, special_regular_scan, value_dtype)
+from whittaker.chartab import (CharTable, adjoint_orbits, central_eigen_rows, charpoly_mod,
+                               character_table, class_data, class_matrix, classify_regular,
+                               components, conjugacy_classes, decompose_induced, dixon_prime,
+                               eigen_rows, nullspace_mod, poly_roots_mod, restriction_norm,
+                               rref_mod, sl_class_profile, special_regular_scan, value_dtype)
 from oracles import (adjoint_orbits_by_sweep, class_powers_by_lookup, classify_regular_by_x,
                      conjugacy_classes_sweep, restriction_norm_row, sl_class_profile_by_lookup,
                      verify_exact, write_with_metadata)
@@ -358,28 +358,57 @@ def test_class_matrix_row_zero_is_the_class_indicator(gl2z4_ct, sl2z9_ct):
     # makes the central characters omega equal to the normalized eigen-rows W
     for ct in (gl2z4_ct, sl2z9_ct):
         for j in range(ct.k):
-            assert class_matrix(ct.cd, j, ct.r)[0].tolist() == np.eye(ct.k, dtype=int)[j].tolist()
+            got = class_matrix(ct.cd, j, ct.r, np.array([0]))
+            assert got.tolist() == [np.eye(ct.k, dtype=int)[j].tolist()]
 
 
 def test_class_matrix_counts_products_into_classes():
-    # M_j[i, l] = #{x in C_j : x^-1 z_l in C_i}, counted one product at a time
+    # M_j[i, l] = #{x in C_j : x^-1 z_l in C_i}, counted one product at a
+    # time; class_matrix reads any set of its rows off the products x z_i
     cd = conjugacy_classes(enumerate_group(GroupSpec("SL", 2, F3)))
     table = cd.table
+    rng = np.random.default_rng(7)
     for j in range(cd.k):
         want = np.zeros((cd.k, cd.k), dtype=np.int64)
         for x in np.flatnonzero(cd.class_of == j):
             xinv = table.inverses()[x]
             for l, z in enumerate(table.elems[cd.reps]):
                 want[cd.class_of[table.ids_of((xinv @ z % 3)[None])[0]], l] += 1
-        assert np.array_equal(class_matrix(cd, j, 13), want % 13)
+        assert np.array_equal(class_matrix(cd, j, 13, np.arange(cd.k)), want % 13)
+        for size in (1, 2, cd.k - 1):
+            rows = np.sort(rng.choice(cd.k, size=size, replace=False))
+            assert np.array_equal(class_matrix(cd, j, 13, rows), want[rows] % 13)
 
 
-# sha256 of rows, degrees and (e, r), and the class matrices the split asks
-# for, recorded before the split moved onto the restricted action
+def test_central_split_spans_the_eigen_rows_of_its_permutation(gl2z8_ct, sl2z9_ct):
+    # M_z of a central class permutes the classes; its closed-form rows span,
+    # root by root, the rows that eigen_rows finds on M_z^T itself
+    for ct in (gl2z8_ct, sl2z9_ct):
+        cd, k, r = ct.cd, ct.k, ct.r
+        central = np.flatnonzero(cd.sizes == 1)[1:].tolist()
+        assert central
+        for z in central:
+            MT = class_matrix(cd, z, r, np.arange(k)).T
+            assert set(MT.ravel().tolist()) == {0, 1}
+            assert (MT.sum(axis=0) == 1).all() and (MT.sum(axis=1) == 1).all()
+            got, want = central_eigen_rows(cd, z, r), eigen_rows(MT, r)
+            assert len(got) == len(want)
+            for (C, p), (D, _) in zip(got, want):
+                assert np.array_equal(C[:, p], np.eye(len(C), dtype=np.int64))
+                assert np.array_equal(rref_mod(C, r)[0], rref_mod(D, r)[0])
+
+
+# sha256 of rows, degrees and (e, r), recorded before the split moved onto
+# the restricted action, and the classes whose matrix rows the split asks
+# for, in order: the other central classes, then the rest in index order
+# (recorded when the first split became the closed-form central one)
 PINNED_TABLES = [
-    (GroupSpec("GL", 2, Z4), "cd2d962b8f60041369ac01cc6e337175e3763890069b20a20cfecb980afdd739", 6),
-    (GroupSpec("SL", 2, Z9), "9e367b68680528578a44026ff80f62b6ef7a77638ec9f12d0d813c09fa91f11a", 20),
-    (GroupSpec("GL", 2, Z8), "51813dcb2a0706a3d08db5c383be9ebefd837d0dd1cb1b46e6bb85c568108f83", 35),
+    (GroupSpec("GL", 2, Z4), "cd2d962b8f60041369ac01cc6e337175e3763890069b20a20cfecb980afdd739",
+     list(range(1, 7))),
+    (GroupSpec("SL", 2, Z9), "9e367b68680528578a44026ff80f62b6ef7a77638ec9f12d0d813c09fa91f11a",
+     list(range(1, 5))),
+    (GroupSpec("GL", 2, Z8), "51813dcb2a0706a3d08db5c383be9ebefd837d0dd1cb1b46e6bb85c568108f83",
+     [58, 59, *range(1, 36)]),
 ]
 
 
@@ -387,18 +416,41 @@ PINNED_TABLES = [
 def test_tables_match_pinned_digests(monkeypatch, spec, digest, calls):
     seen = []
 
-    def counted(cd, j, r):
+    def counted(cd, j, r, rows):
         seen.append(j)
-        return class_matrix(cd, j, r)
+        return class_matrix(cd, j, r, rows)
     monkeypatch.setattr(chartab, "class_matrix", counted)
     ct = character_table(enumerate_group(spec))
     got = hashlib.sha256(ct.rows.astype(np.int64).tobytes() + ct.degrees.tobytes()
                          + str((ct.e, ct.r)).encode())
     assert got.hexdigest() == digest
-    assert seen == list(range(1, calls + 1))
+    assert seen == calls
 
 
-def _refuse_class_matrix(cd, j, r):
+def test_split_starts_on_the_central_class_of_largest_order(monkeypatch):
+    # GL2(Z/9): the central classes 64, 74, 75, 76, 77 have orders 6, 3, 6,
+    # 3, 2; the closed form takes the first of order 6, and the other
+    # central classes come before the rest
+    central, seen = [], []
+    original_central, original_matrix = chartab.central_eigen_rows, chartab.class_matrix
+
+    def central_split(cd, z, r):
+        central.append(z)
+        return original_central(cd, z, r)
+
+    def counted(cd, j, r, rows):
+        seen.append(j)
+        return original_matrix(cd, j, r, rows)
+    monkeypatch.setattr(chartab, "central_eigen_rows", central_split)
+    monkeypatch.setattr(chartab, "class_matrix", counted)
+    ct = character_table(enumerate_group(GroupSpec("GL", 2, Z9)))
+    assert np.flatnonzero(ct.cd.sizes == 1).tolist() == [0, 64, 74, 75, 76, 77]
+    assert ct.cd.orders[[64, 74, 75, 76, 77]].tolist() == [6, 3, 6, 3, 2]
+    assert central == [64]
+    assert seen[:5] == [74, 75, 76, 77, 1]
+
+
+def _refuse_class_matrix(cd, j, r, rows):
     raise AssertionError("class_matrix reached")
 
 
@@ -410,16 +462,17 @@ def test_dixon_prime_breaking_the_int64_bound_is_refused(monkeypatch):
 
 
 def test_split_refuses_a_non_semisimple_class_matrix(monkeypatch):
-    # a Jordan block: one eigenvalue, a one-dimensional eigenspace
-    def jordan(cd, j, r):
-        return (3 * np.eye(cd.k, dtype=np.int64) + np.eye(cd.k, k=1, dtype=np.int64)) % r
+    # the rows of a Jordan block: one eigenvalue, a one-dimensional eigenspace
+    def jordan(cd, j, r, rows):
+        return (3 * np.eye(cd.k, dtype=np.int64) + np.eye(cd.k, k=1, dtype=np.int64))[rows] % r
     monkeypatch.setattr(chartab, "class_matrix", jordan)
     with pytest.raises(AssertionError, match="failed to act semisimply"):
         character_table(enumerate_group(GroupSpec("GL", 2, Z4)))
 
 
 def test_split_refuses_class_matrices_that_do_not_separate(monkeypatch):
-    monkeypatch.setattr(chartab, "class_matrix", lambda cd, j, r: np.eye(cd.k, dtype=np.int64))
+    monkeypatch.setattr(chartab, "class_matrix",
+                        lambda cd, j, r, rows: np.eye(cd.k, dtype=np.int64)[rows])
     with pytest.raises(AssertionError, match="did not separate all characters"):
         character_table(enumerate_group(GroupSpec("GL", 2, Z4)))
 

@@ -341,6 +341,44 @@ def test_lift_value_above_its_degree_exits_internal(monkeypatch, capsys):
                         r"order \d+ exceeds its row's degree\n", captured.err)
 
 
+def test_class_matrix_with_a_wrong_size_ratio_exits_internal(monkeypatch, capsys):
+    # every M_j[i, 1] read as h_i c / (h_1 / 2): one class size ratio wrong,
+    # and the restricted action of the first class split on is then no
+    # longer diagonalizable
+    from whittaker import chartab
+
+    original = chartab.class_matrix
+
+    def wrong_ratio(cd, j, r, rows):
+        M = original(cd, j, r, rows)
+        M[:, 1] = 2 * M[:, 1] % r
+        return M
+
+    monkeypatch.setattr(chartab, "class_matrix", wrong_ratio)
+    assert main(["chartab", "--group", "GL2", "--ring", "mixed:2^2", "--no-cache"]) == EXIT_INTERNAL
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "internal fault: AssertionError: class matrix failed to act semisimply\n"
+
+
+def test_central_split_dropping_a_cycle_exits_internal(monkeypatch, capsys):
+    # the rows of the cycle with pivot 2 are lost from every eigenspace of the
+    # closed-form central split: the split ends in k - 1 lines
+    from whittaker import chartab
+
+    original = chartab.central_eigen_rows
+
+    def dropped(cd, z, r):
+        return [(C[p != 2], p[p != 2]) for C, p in original(cd, z, r)]
+
+    monkeypatch.setattr(chartab, "central_eigen_rows", dropped)
+    assert main(["chartab", "--group", "GL2", "--ring", "mixed:2^2", "--no-cache"]) == EXIT_INTERNAL
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("internal fault: AssertionError: class matrices did not separate "
+                            "all characters into k = 14 lines\n")
+
+
 def test_gl1_branching_where_p_to_the_l_does_not_divide_e(capsys):
     # GL1(Z/9) has exponent 6: phi_x on K^1 takes cube roots of unity only
     code, out = run_cli(["branching", "--group", "GL1", "--ring", "mixed:3^2", "--no-cache",
@@ -388,6 +426,27 @@ def test_verify_and_chartab_do_not_import_numpy_ma(tmp_path):
                           capture_output=True, text=True, cwd=tmp_path, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[0, 0] False"
+
+
+COLD_THEN_WARM = """
+import contextlib, io, sys
+sys.path.insert(0, sys.argv[1])
+from whittaker.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [main([command, "--group", "GL2", "--ring", "mixed:2^2", "--cache-dir", "cache"])
+             for command in ("chartab", "branching")]
+print(codes, "numpy.ma" in sys.modules)
+"""
+
+
+def test_cold_chartab_then_branching_do_not_import_numpy_ma(tmp_path):
+    # the split and the lift of a cold table, its cache write, and the load,
+    # verify and classification that branching makes of it
+    done = subprocess.run([sys.executable, "-c", COLD_THEN_WARM, str(SRC)],
+                          capture_output=True, text=True, cwd=tmp_path, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[0, 0] False"
+    assert list((tmp_path / "cache" / "chartab").glob("GL2_mixed_2_2_*.ct"))
 
 
 def _cached_gl2_z4(tmp_path):

@@ -4,6 +4,7 @@ Deselected by default (`addopts` in pyproject.toml); run them with
 `pytest -m slow`.
 """
 
+import hashlib
 import json
 
 import numpy as np
@@ -57,3 +58,18 @@ def test_sl_class_profile_matches_the_lookup_oracle_on_gl3():
     ct = character_table(enumerate_group(GroupSpec("GL", 3, ring)))
     sl_table = enumerate_group(GroupSpec("SL", 3, ring))
     assert np.array_equal(sl_class_profile(ct), sl_class_profile_by_lookup(ct, sl_table))
+
+
+# sha256 of rows, degrees and (e, r), hashed as test_chartab's pinned digests
+# are, recorded before the split read only the rows of M_j it needs
+@pytest.mark.parametrize("ring, digest", [
+    # GL2(Z/16): k = 248, e = 48, r = 337
+    (ring_make("mixed", 2, 1, 4), "6e0a0292ca3637dc30c372030cfb751af1ad8faa8a80e07da08044a0bfdfc128"),
+    # GL2(F4[t]/t^2): k = 252, e = 60, r = 541
+    (ring_make("equal", 2, 2, 2), "9696bbb2c91962b7fce6ac1a963328c48de06107f12fed4ce282ade706cddef0"),
+])
+def test_frontier_tables_match_pinned_digests(ring, digest):
+    ct = character_table(enumerate_group(GroupSpec("GL", 2, ring)))
+    got = hashlib.sha256(ct.rows.astype(np.int64).tobytes() + ct.degrees.tobytes()
+                         + str((ct.e, ct.r)).encode())
+    assert got.hexdigest() == digest
