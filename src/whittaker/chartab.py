@@ -20,12 +20,12 @@ d^2 mod r, as the one divisor of |G| below r/2 with that square, and the
 character values are lifted to exact cyclotomic integers through
 eigenvalue multiplicities, one discrete Fourier transform over the power
 classes per element order (class_data reads them, the orders and the
-inverse classes off one stack of powers).  Every character sum downstream
-(induced multiplicities, the regular classification, restriction norms) is
-one cyclotomic.pairings call read by integer_values.  CharTable.verify needs
-no such sum: it checks the power map exactly and row orthogonality modulo a
-few primes r' = 1 mod e at one embedding zeta_e -> zeta', which the power
-map makes exact, and which reads the values at zeta'^-1 off those at zeta'.
+inverse classes off one stack of powers).  CharTable.verify checks the
+power map exactly and row orthogonality modulo a few primes r' = 1 mod e
+(CharTable.moduli).  Every character sum downstream (induced multiplicities,
+the regular classification, restriction norms) is one class_sums call: the
+power map on the classes it reads makes it an integer, read off its
+residues mod the same r'.
 
 The values are held in the narrowest signed integer dtype that holds the
 largest degree (value_dtype), from the lift or the disk cache to every
@@ -44,8 +44,7 @@ from math import gcd, isqrt, prod
 
 import numpy as np
 
-from .cyclotomic import (IntegralityError, integer_values, pairings, prime_divisors,
-                         root_of_unity, unit_generators)
+from .cyclotomic import IntegralityError, prime_divisors, root_of_unity, unit_generators
 from .localring import all_tuples, get_ring, is_prime
 from .linalg import mat_det_batch, mat_inv_batch, mat_mul
 from .groups import CapExceeded, GroupSpec, GroupTable, congruence_subgroup, unipotent_subgroup
@@ -55,7 +54,7 @@ from .regular import TypeMatrix, iota, type_of
 CHARTAB_CAP = 100_000
 ROOT_SCAN_BOUND = 1_000_000
 CLASSIFY_PAIR_CAP = 1 << 22
-VERIFY_BLOCK = 1 << 16  # values widened to int64 at a time by CharTable.verify
+VERIFY_BLOCK = 1 << 16  # values widened to int64 at a time by at_roots
 
 
 # ---------------------------------------------------------------------------
@@ -357,6 +356,30 @@ def value_dtype(hi: int) -> type:
     return next(t for t in (np.int8, np.int16, np.int32, np.int64) if hi <= np.iinfo(t).max)
 
 
+def power_map_holds(a: np.ndarray, to: np.ndarray, u: int) -> bool:
+    """Whether the exponent vectors a[..., c, :], one per class c, keep the
+    power map g -> g^u: exponent x m + b (m = e / gcd(u, e)) lands on u b, so
+    the vector at to[c], the class of g_c^u, read at the exponents u b must be
+    the one at c summed over x, and zero elsewhere when both have one sum."""
+    e, lead = a.shape[-1], a.shape[:-2]
+    m = e // gcd(u, e)
+    at = (to[:, None] * e + u * np.arange(m) % e).ravel()
+    return np.array_equal(np.take(a.reshape(*lead, -1), at, axis=-1),
+                          sum((a[..., x:x + m] for x in range(m, e, m)),
+                              a[..., :m]).reshape(*lead, -1))
+
+
+def at_roots(a: np.ndarray, Z: np.ndarray) -> np.ndarray:
+    """The exponent vectors a (..., e) at each row of powers Z (P, e),
+    unreduced, as int64 (..., P), widened VERIFY_BLOCK values at a time."""
+    flat = a.reshape(-1, a.shape[-1])
+    out = np.empty((len(flat), len(Z)), dtype=np.int64)
+    step = max(1, VERIFY_BLOCK // a.shape[-1])
+    for i in range(0, len(flat), step):
+        out[i:i + step] = flat[i:i + step].astype(np.int64) @ Z.T
+    return out.reshape(*a.shape[:-1], len(Z))
+
+
 class CharTable:
     """Exact character table: rows[t, i, u] is the multiplicity of the
     eigenvalue zeta_e^u of chi_t at class i, a (k, k, e) array in
@@ -399,36 +422,21 @@ class CharTable:
         """The power map, exactly, then row orthogonality modulo a few primes;
         AssertionError on failure.
 
-        Power map: the eigenvalues of chi(g^u) are the u-th powers of those of
-        chi(g), so column class(g_i^u) must be column i pushed forward by
-        x -> u x mod e.  It is checked for every prime u | e, and for each
-        unit u of unit_generators(e), where g -> g^u must also permute the
-        classes with their sizes: then sigma_u chi(g) = chi(g^u) for the
-        Galois automorphism sigma_u: zeta_e -> zeta_e^u.  This ties the values
-        to the classes, which row orthogonality cannot: it is blind to two
-        swapped columns of equal class size.  The push forward by a unit is
-        the column itself, and by a prime p the sum of the p slices of each
-        vector, which the values' dtype holds: every partial sum is at most
-        the degree.
+        Power map (power_map_holds), for every prime u | e and each unit u of
+        unit_generators(e), where g -> g^u must also permute the classes with
+        their sizes: then sigma_u chi(g) = chi(g^u).  It ties the values to
+        the classes, which row orthogonality cannot: it is blind to two
+        swapped columns of equal class size.
 
-        Row relation: the values form a square k x k matrix R over Z[zeta_e],
-        and with H the diagonal of the class sizes it says R H R* = |G| I.
-        Each sigma_u permutes the classes with their sizes, so it fixes every
-        entry of P = R H R* - |G| I, and the units generate (Z/e)^x: P is an
-        integer matrix, and |P| <= B = |G| (d_max^2 + 1) as |chi_t(g)| <= d_t.
-        For each prime r' of verify_primes (r' = 1 mod e), zeta_e -> zeta',
-        of order e in F_r', maps Z[zeta_e] onto F_r' and an integer to its
-        residue, so V H Vbar^T = |G| I mod r', with V and Vbar the values at
-        zeta' and zeta'^-1, says r' | P.  The product of the r' exceeds 2 B,
-        so P = 0.  Vbar needs no product: sigma_-1 is a product of the
-        sigma_u of the unit generators just checked, so chi(g^-1) =
-        sigma_-1 chi(g) holds for the stored vectors, and Vbar is V at the
-        inverse classes.  No sum leaves int64: an e-term value is at most
-        d_max (r' - 1), as a vector sums to its degree, and a k-term product
-        at most k (r' - 1)^2.  V is made from blocks of rows widened to
-        int64, at most VERIFY_BLOCK values at a time.  Then R is invertible
-        with R^-1 = H R* / |G|, and the column relation R* R = |G| H^-1
-        follows.
+        Row relation: with R the k x k values and H the diagonal of the class
+        sizes, P = R H R* - |G| I is an integer matrix (as in class_sums, each
+        sigma_u permutes the classes with their sizes), and |P| <= B =
+        |G| (d_max^2 + 1).  V H Vbar^T = |G| I mod each r' of moduli, V and
+        Vbar the values at zeta' and zeta'^-1, says r' | P, and prod r' > 2 B,
+        so P = 0.  Vbar is V at the inverse classes, as sigma_-1 is a product
+        of the sigma_u just checked.  A value is at most d_max (r' - 1) and a
+        k-term product at most k (r' - 1)^2 < 2^63.  Then R^-1 = H R* / |G|,
+        and the column relation R* R = |G| H^-1 follows.
         """
         cd, rows, e, k = self.cd, self.rows, self.e, self.k
         order = len(self.table)
@@ -438,34 +446,30 @@ class CharTable:
             if u in units and not (np.array_equal(np.sort(to), np.arange(k))
                                    and np.array_equal(cd.sizes[to], cd.sizes)):
                 raise AssertionError(f"g -> g^{u} does not permute the classes with their sizes")
-            # exponent a m + b, m = e / gcd(u, e), lands on u b: column to[i] at
-            # the exponents u b, read by one take, must be column i summed over
-            # a; it is zero elsewhere, as both sides sum to the degree
-            m = e // gcd(u, e)
-            at = (to[:, None] * e + u * np.arange(m) % e).ravel()
-            if not np.array_equal(np.take(rows.reshape(k, k * e), at, axis=1),
-                                  sum((rows[..., x:x + m] for x in range(m, e, m)),
-                                      rows[..., :m]).reshape(k, -1)):
+            if not power_map_holds(rows, to, u):
                 raise AssertionError(f"the values break the power map g -> g^{u}")
 
         d_max = int(self.degrees.max())
         bound = order * (d_max**2 + 1)
-        primes = verify_primes(e, bound)
+        primes, Z = self.moduli
         if prod(primes) <= 2 * bound or max(k, d_max) * (max(primes) - 1) ** 2 >= 1 << 63:
             raise AssertionError(f"the primes {primes} break the bounds prod r' > 2 B = "
                                  f"{2 * bound} and max(k, d_max) (r' - 1)^2 < 2^63")
-        # the values at zeta' mod every r', by one e-term product
-        zetas = [root_of_unity(e, r) for r in primes]
-        Z = np.array([[pow(z, u, r) for u in range(e)] for r, z in zip(primes, zetas)],
-                     dtype=np.int64)
-        step = max(1, VERIFY_BLOCK // (k * e))
-        values = np.concatenate([rows[t:t + step].reshape(-1, e).astype(np.int64) @ Z.T
-                                 for t in range(0, k, step)])
+        values = at_roots(rows, Z)
         for j, r in enumerate(primes):
-            V = values[:, j].reshape(k, k) % r
+            V = values[..., j] % r
             gram = V * (cd.sizes % r) % r @ V[:, cd.inverse_perm].T % r
             if not np.array_equal(gram, order % r * np.eye(k, dtype=np.int64)):
                 raise AssertionError(f"row orthogonality fails mod {r}")
+
+    @cached_property
+    def moduli(self) -> tuple[list[int], np.ndarray]:
+        """verify_primes(e, B), B = |G| (d_max^2 + 1), and Z[j, u] = zeta_j^u
+        mod r'_j (u < e), zeta_j of order e mod r'_j, made once per table."""
+        primes = verify_primes(self.e, len(self.table) * (int(self.degrees.max())**2 + 1))
+        zetas = [root_of_unity(self.e, r) for r in primes]
+        return primes, np.array([[pow(z, u, r) for u in range(self.e)]
+                                 for r, z in zip(primes, zetas)], dtype=np.int64)
 
 
 def class_matrix(cd: ClassData, j: int, r: int, rows: np.ndarray) -> np.ndarray:
@@ -642,25 +646,82 @@ def character_table(table: GroupTable, cap: int = CHARTAB_CAP) -> CharTable:
 # induced-character decomposition and regular classification
 
 
+def class_sums(ct: CharTable, f: np.ndarray, classes: np.ndarray, ts,
+               divisor: int) -> np.ndarray:
+    """The exact (X, T) integers S / divisor, S[x, t] = sum_c f[x, c]
+    conj(chi_t(classes[c])), for exponent vectors f (X, C, e) on the ascending
+    classes `classes` and the rows ts; AssertionError when a check fails,
+    IntegralityError when a quotient is not an integer.
+
+    For each unit generator u, g -> g^u must permute the classes (pi_u), and
+    f and the values must keep the power map: sigma_u f(c) = f(pi_u c), the
+    same for chi_t, so sigma_u S = S for generators of Gal(Q(zeta_e)/Q): S is
+    in Z.  This is stronger than a rationality test: it also refuses faults
+    that leave S rational.  Mod each r' of ct.moduli, S is f at zeta' times
+    the values at zeta'^-1, one (X, C) @ (C, T) product, and Garner's CRT
+    lifts the residues to S, as |S| <= L d (L the largest sum of |f[x]|, d
+    the largest degree of ts) and 2 L d < prod r' < 2^63; the verdicts have
+    L d <= B = |G| (d_max^2 + 1), which verify's primes exceed.  Every other
+    int64 sum is at most max(C, L, d) (r' - 1)^2 < 2^63.
+    """
+    ts = np.asarray(ts, dtype=np.int64)
+    g = ct.rows[np.ix_(ts, classes)]
+    for u in unit_generators(ct.e):
+        to = ct.cd.powers[classes, u % ct.cd.orders[classes]]
+        if not np.array_equal(np.sort(to), classes):
+            raise AssertionError(f"g -> g^{u} does not permute the classes of the sum")
+        for a, name in ((g, "values"), (f, "summands")):
+            if not power_map_holds(a, np.searchsorted(classes, to), u):
+                raise AssertionError(f"the {name} break the power map g -> g^{u}")
+    primes, Z = ct.moduli
+    L, d = int(np.abs(f).sum(axis=(1, 2)).max(initial=0)), int(ct.degrees[ts].max(initial=0))
+    if (not 2 * L * d < prod(primes) < 1 << 63
+            or max(len(classes), L, d) * (max(primes) - 1) ** 2 >= 1 << 63):
+        raise AssertionError(f"the primes {primes} break the bounds 2 L d = {2 * L * d} "
+                             "< prod r' < 2^63 and max(C, L, d) (r' - 1)^2 < 2^63")
+    F = at_roots(f, Z) % primes
+    G = at_roots(g, Z[:, -np.arange(ct.e) % ct.e]) % primes
+    S, M = np.zeros((len(f), len(ts)), dtype=np.int64), 1
+    for j, r in enumerate(primes):  # Garner: 0 <= S < M, S = S_j mod each r'_j so far
+        S += (F[..., j] @ G[..., j].T - S) % r * pow(M, -1, r) % r * M
+        M *= r
+    S[S > M // 2] -= M
+    out, rem = np.divmod(S, divisor)
+    if rem.any():
+        raise IntegralityError(f"a character sum is not divisible by {divisor}")
+    return out
+
+
+def restriction_multiplicities(ct: CharTable, ids: np.ndarray, expos: np.ndarray,
+                               m: int) -> np.ndarray:
+    """The (X, k) multiplicities <Res_D chi_t, lambda_x>_D of the linear
+    characters lambda_x(ids[i]) = zeta_m^expos[x, i] of the subgroup D of the
+    ids: their class_sums over D, divided by |D|.  Exact: y -> y^v maps D
+    onto itself and lambda_x(y^v) = lambda_x(y)^v; |S| <= |D| d_max."""
+    expos, rem = np.divmod(np.asarray(expos) * ct.e, m)
+    if rem.any():
+        raise AssertionError(f"a linear character takes values outside Q(zeta_{ct.e})")
+    classes, at = np.unique(ct.cd.class_of[ids], return_inverse=True)
+    X, C = len(expos), len(classes)
+    cells = (np.arange(X)[:, None] * C + at[None, :]) * ct.e + expos
+    f = np.bincount(cells.ravel(), minlength=X * C * ct.e).reshape(X, C, ct.e)
+    mults = class_sums(ct, f, classes, range(ct.k), len(ids))
+    if np.any(mults < 0):
+        raise IntegralityError("negative multiplicity")
+    return mults
+
+
 def decompose_induced(ct: CharTable, theta: NonDegenChar,
                       u_ids: np.ndarray | None = None) -> np.ndarray:
-    """Multiplicities <Ind_U^G theta, chi_t> by Frobenius reciprocity:
-    (1/|U|) sum_u chi_t(u) conj(theta(u))."""
+    """Multiplicities <Ind_U^G theta, chi_t> = <Res_U chi_t, theta>_U
+    (Frobenius), the restriction_multiplicities of the linear character theta."""
     table = ct.table
     if theta.spec.key() != table.spec.key():
         raise ValueError("theta and table are over different groups")
     if u_ids is None:
         u_ids = unipotent_subgroup(table, 0)
-    e = ct.e
-    # theta summed class by class over U: f[0, class, exponent]
-    u_classes = ct.cd.class_of[u_ids]
-    u_expos, rem = np.divmod(theta.exponents_on(table.elems[u_ids]) * e, theta.m)
-    if rem.any():
-        raise AssertionError("character field does not contain the theta values")
-    f = np.bincount(u_classes * e + u_expos, minlength=ct.k * e).reshape(1, ct.k, e)
-    mults = integer_values(pairings(f, ct.rows), e, len(u_ids))[0]
-    if np.any(mults < 0):
-        raise IntegralityError("negative multiplicity")
+    mults = restriction_multiplicities(
+        ct, u_ids, theta.exponents_on(table.elems[u_ids])[None], theta.m)[0]
     if int(np.sum(mults * ct.degrees)) != len(table) // len(u_ids):
         raise AssertionError("multiplicities do not sum to the induced dimension")
     return mults
@@ -686,9 +747,12 @@ def classify_regular(ct: CharTable) -> list[RegularFlag]:
     function.  So it is computed exactly on one x per label of adjoint_orbits,
     the smallest.  Those labels are orbits of a fixed subset of G(F_q), a
     partition at least as fine as the G-orbits whether or not the subset
-    generates, so every x shares its pairings and its type with its label's
+    generates, so every x shares its multiplicities and its type with its label's
     representative and the flags are the same as over all x; generation only
     decides how few representatives there are.
+
+    The multiplicities are restriction_multiplicities of the phi_x, linear
+    characters of K^(l-1).
 
     ValueError for l < 2, and for SL with p | n: the identity then lies in
     sl_n(F_q) and is orthogonal to it under the trace form, so x -> phi_x is
@@ -710,34 +774,22 @@ def classify_regular(ct: CharTable) -> list[RegularFlag]:
     # levels y' of the kernel elements: y = I + pi^(l-1) y'
     vpk = ring.q ** (ell - 1)
     yprimes = (table.elems[k_ids] - np.eye(n, dtype=np.int64)[None]) // vpk % q
-    y_classes = ct.cd.class_of[k_ids]
     # all x in g(F_q) (trace 0 for sl); a residue code is its own lift to o_l
     xs = _lie_algebra_residue(spec)
     if len(xs) * len(yprimes) > CLASSIFY_PAIR_CAP:
         raise CapExceeded("classification pair count beyond cap")
     labels = adjoint_orbits(spec)
     xs = xs[labels == np.arange(len(xs))]
-    e, k, X = ct.e, ct.k, len(xs)
-    # phi_x(y) as exponents of zeta_e, exact though p^l may not divide e (GL1):
-    # on K^(l-1), phi_x takes p-th roots of unity only, and p | e
-    expo, rem = np.divmod(phi_x_exponents(ring, ell - 1, xs, yprimes) * e, ring.char_order)
-    if rem.any():
-        raise AssertionError("phi_x takes values outside Q(zeta_e)")
-    # phi_x summed class by class over K^(l-1), f[x, class, exponent], is
-    # passed inline so that it is freed before integer_values
-    cells = (np.arange(X)[:, None] * k + y_classes[None, :]) * e + expo
-    acc = pairings(np.bincount(cells.ravel(), minlength=X * k * e).reshape(X, k, e), ct.rows)
-    mults = integer_values(acc, e, len(k_ids))
-    if np.any(mults < 0):
-        raise IntegralityError("negative restriction multiplicity")
-
+    # phi_x is in Q(zeta_e) though p^l may not divide e (GL1): p-th roots on K^(l-1), p | e
+    mults = restriction_multiplicities(ct, k_ids, phi_x_exponents(ring, ell - 1, xs, yprimes),
+                                       ring.char_order)
     # regularity and type depend on x only: one type_of call for every
     # supported representative.  Its (X, q^n, n, n) stack is within n^2 times
     # the pair cap above, since q^n <= |K^(l-1)| = len(yprimes) for n >= 2.
     supported = np.flatnonzero(mults.any(axis=1))
     types = dict(zip(supported.tolist(), type_of(xs[supported], q)))
     flags = []
-    for t in range(k):
+    for t in range(ct.k):
         support = np.flatnonzero(mults[:, t])
         if len(support) == 0:
             raise AssertionError("restriction to the kernel has empty support")
@@ -808,17 +860,16 @@ def restriction_norm(ct_gl: CharTable, ts) -> np.ndarray:
     """<Res chi_t, Res chi_t>_SL = (1/|SL|) sum over SL of |chi_t|^2, exact,
     for each row t of the sequence ts, as an int64 array.
 
-    One pairings call covers the block of rows on the classes that meet SL,
-    and integer_values checks the whole (T, T, e) result: its off-diagonal
-    entries are |SL| times <Res chi_s, Res chi_t>_SL, integers as well.  The
-    block is T^2 e int64, so callers pass a few dozen rows at a time (cli:
-    one factorization label).
+    One class_sums call of the summands profile_c chi_s(c) on the classes
+    that meet SL checks the whole (T, T) block.  Exact: det(g^v) = det(g)^v,
+    so g -> g^v maps the det-1 classes onto themselves with their sizes;
+    |S| <= |SL| d_max^2.  The summands are T C e int64, so callers pass a few
+    dozen rows at a time (cli: one factorization label).
     """
     profile = sl_class_profile(ct_gl)
     meet = np.flatnonzero(profile)
-    rows = ct_gl.rows[np.ix_(np.asarray(ts, dtype=np.int64), meet)]
-    acc = pairings(rows * profile[meet][None, :, None], rows)
-    return np.diagonal(integer_values(acc, ct_gl.e, int(profile.sum()))).copy()
+    f = ct_gl.rows[np.ix_(ts, meet)] * profile[meet][None, :, None]
+    return np.diagonal(class_sums(ct_gl, f, meet, ts, int(profile.sum()))).copy()
 
 
 def sl_class_profile(ct_gl: CharTable) -> np.ndarray:

@@ -8,24 +8,20 @@ exact.  Two vectors represent the same algebraic number iff their
 difference is divisible by the m-th cyclotomic polynomial Phi_m, which is
 an exact integer polynomial division.
 
-reduction_matrix(m) is the map from exponent vectors to canonical
-coordinates in the power basis 1, zeta, ..., zeta^(phi(m)-1), and
-CycloNum.coordinates applies it.  A value is rational iff all its
-coordinates but the first vanish, so every exact sum is turned into an
-integer here: one CycloNum by is_zero/rational_value, a stack of exponent
-vectors at once by integer_values, which reduces through the radical
-s = rad(m) with the smaller reduction_matrix(s), as Phi_m(x) = Phi_s(x^(m/s)).
-An inner product of class functions (every character sum) is pairings, then
-integer_values.  prime_divisors(m), unit_generators(m), generators of the
-Galois group (Z/m)^x, and root_of_unity(m, r), the image of zeta_m in F_r
-for a prime r = 1 mod m, serve the modular checks of character tables.
+reduction_matrix(m) maps exponent vectors to their coordinates in the
+power basis 1, zeta, ..., zeta^(phi(m)-1) (CycloNum.coordinates), which the
+tests and the benchmark's tracer read; every character sum of a verdict is
+chartab.class_sums, modulo primes r = 1 mod m.  prime_divisors(m),
+unit_generators(m), generators of the Galois group (Z/m)^x, and
+root_of_unity(m, r), the image of zeta_m in F_r, serve those sums and the
+checks of character tables.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, prod
+from math import gcd
 
 import numpy as np
 
@@ -91,36 +87,6 @@ def reduction_matrix(m: int) -> np.ndarray:
     return out
 
 
-def integer_values(acc: np.ndarray, m: int, divisor: int = 1) -> np.ndarray:
-    """Exact integers acc / divisor for a stack (..., m) of exponent vectors.
-
-    The reduction runs through s = rad(m): Phi_m(x) = Phi_s(x^(m/s)), so
-    exponent c (m/s) + b reduces by reduction_matrix(s) acting on c alone.
-    Each vector is read as an (s, m/s) block, and reduction_matrix(s) maps
-    its s rows to phi(s) rows, the canonical coordinates of
-    reduction_matrix(m) with m/s times fewer products.  Raises NonRationalError when a vector is
-    not rational, IntegralityError when it is not divisible by divisor or
-    when the int64 reduction could overflow: every partial sum of the product
-    is bounded by the row L1 norm, at most m * max |entry|, times
-    max |reduction entry| (the same for reduction_matrix(s) and
-    reduction_matrix(m)), and that bound must stay below 2^63.
-    """
-    s = prod(prime_divisors(m))
-    red = reduction_matrix(s)
-    flat = np.asarray(acc, dtype=np.int64).reshape(-1, s, m // s)
-    bound = m * _max_abs(flat) * _max_abs(red)
-    if bound >= 1 << 63:
-        raise IntegralityError(f"reducing sums bounded by {bound} could overflow int64")
-    # reduced[n, b, c'] is the coordinate of zeta^(c' m/s + b)
-    reduced = flat.transpose(0, 2, 1) @ red
-    if np.any(reduced.reshape(len(flat), -1)[:, 1:]):
-        raise NonRationalError("character sum is not rational")
-    vals, rem = np.divmod(reduced[:, 0, 0], divisor)
-    if np.any(rem):
-        raise IntegralityError(f"character sum is not divisible by {divisor}")
-    return vals.reshape(np.shape(acc)[:-1])
-
-
 def prime_divisors(m: int) -> list[int]:
     """The primes dividing m, ascending."""
     out, d = [], 2
@@ -159,53 +125,6 @@ def root_of_unity(m: int, r: int) -> int:
         if all(pow(z, m // p, r) != 1 for p in ps):
             return z
     raise AssertionError(f"no root of unity of order {m} mod {r}")
-
-
-def pairings(f: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Exponent vectors (X, T, m) of sum_c f[x, c] * conj(g[t, c]) for stacks
-    f (X, k, m) and g (T, k, m) of class functions with values in Z[zeta_m].
-
-    Only the live classes, where f is nonzero, are read from g: they are paired
-    in the smallest subring Z[zeta_m^d] holding their values (d = gcd of m and
-    the exponents used), grouped by d.  Only the exponents that f uses enter
-    the contiguous inner axis of the int64 matmuls, one per output exponent.
-    Raises IntegralityError unless k' * m * max|f| * max|g'|, with k' live
-    classes and g' the columns of g on them, is below 2^63: it bounds every
-    partial sum, and g may exceed it on a class that f does not touch.
-    g may be of any integer dtype, such as a CharTable's narrow values: it is
-    only read by gathers and comparisons, and what the products gather from
-    it is widened to int64 first; f is taken as int64.
-    """
-    f = np.asarray(f, dtype=np.int64)
-    g = np.asarray(g)
-    X, k, m = f.shape
-    T = g.shape[0]
-    f_used = f.any(axis=0)
-    live = np.flatnonzero(f_used.any(axis=1))
-    g_live = g[:, live] if len(live) < k else g  # a row orthogonality has every class live
-    bound = len(live) * m * _max_abs(f) * _max_abs(g_live)
-    if bound >= 1 << 63:
-        raise IntegralityError(f"pairing sums bounded by {bound} could overflow int64")
-    used = f_used[live] | g_live.any(axis=0)
-    del g_live  # the pairs below gather from g itself
-    steps = np.gcd(np.gcd.reduce(np.where(used, np.arange(m), 0), axis=1), m)
-    out = np.zeros((X, T, m), dtype=np.int64)
-    for d in np.flatnonzero(np.bincount(steps)).tolist():
-        cls = live[steps == d]
-        mm = m // d
-        expos = np.flatnonzero(f_used[cls, ::d].any(axis=0))
-        # f over (x; exponent a, class c), and conj(g) as hc[j, c, t] = g[t, c, -j d],
-        # each gathered in that layout by one index
-        fa = np.take(f.reshape(X, k * m), (cls * m + d * expos[:, None]).ravel(), axis=1)
-        hc = g.transpose(2, 1, 0)[(-np.arange(mm) % mm * d)[:, None], cls].astype(np.int64)
-        for w in range(mm):
-            # zeta^a * conj(zeta^j) lands on zeta^(d w) when j = w - a (mod mm)
-            out[:, :, w * d] += fa @ hc[(w - expos) % mm].reshape(-1, T)
-    return out
-
-
-def _max_abs(a: np.ndarray) -> int:
-    return max(int(a.max(initial=0)), -int(a.min(initial=0)))
 
 
 class CycloNum:

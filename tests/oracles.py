@@ -11,10 +11,12 @@ conjugation sweep per class, the adjoint orbits on g(F_q) by the same sweep
 over G(F_q), the power classes, orders and inverse classes of the class
 representatives one at a time, the regular classification over every x of
 g(F_q) instead of one per orbit, the cyclic-vector search over o_r,
-restriction norms one row at a time, row orthogonality by the exact Gram
-in Z[zeta_e] (`verify_exact`), the induced norm by the Frobenius
-double sum over G/ZU and U (all units at once) and unit by unit over a G/U
-transversal, and the closed forms of the type combinatorics.  A few
+restriction norms one row at a time, every character sum exactly in
+Z[zeta_e] (`pairings`, read by `integer_values` through the reduction mod
+Phi_rad(e)), row orthogonality by the exact Gram (`verify_exact`), the
+induced norm by the Frobenius double sum over G/ZU and U (all units at
+once) and unit by unit over a G/U transversal, and the closed forms of the
+type combinatorics.  A few
 (`is_regular`, `verify_checks`, `write_with_metadata`) are thin conveniences
 over `whittaker` that only tests use.
 Matrices are code arrays with their Ring (or q) alongside, as in
@@ -26,6 +28,7 @@ from __future__ import annotations
 import hashlib
 import json
 from functools import lru_cache
+from math import prod
 from pathlib import Path
 
 import numpy as np
@@ -34,7 +37,8 @@ from whittaker.cache import _write
 from whittaker.chartab import (CLASSIFY_PAIR_CAP, CharTable, ClassData, RegularFlag,
                                _lie_algebra_residue, class_data)
 from whittaker.cli import JobConfig, run
-from whittaker.cyclotomic import CycloNum, IntegralityError, integer_values, pairings
+from whittaker.cyclotomic import (CycloNum, IntegralityError, NonRationalError, prime_divisors,
+                                  reduction_matrix)
 from whittaker.groups import (CapExceeded, GroupSpec, GroupTable, central_units,
                               congruence_subgroup, coset_representatives, element_keys,
                               enumerate_group, matrix_powers, unipotent_matrices)
@@ -588,6 +592,85 @@ def adjoint_orbits_by_sweep(spec: GroupSpec) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # character sums
+
+
+def pairings(f: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Exponent vectors (X, T, m) of sum_c f[x, c] * conj(g[t, c]) for stacks
+    f (X, k, m) and g (T, k, m) of class functions with values in Z[zeta_m].
+
+    Only the live classes, where f is nonzero, are read from g: they are paired
+    in the smallest subring Z[zeta_m^d] holding their values (d = gcd of m and
+    the exponents used), grouped by d.  Only the exponents that f uses enter
+    the contiguous inner axis of the int64 matmuls, one per output exponent.
+    Raises IntegralityError unless k' * m * max|f| * max|g'|, with k' live
+    classes and g' the columns of g on them, is below 2^63: it bounds every
+    partial sum, and g may exceed it on a class that f does not touch.
+    g may be of any integer dtype, such as a CharTable's narrow values: it is
+    only read by gathers and comparisons, and what the products gather from
+    it is widened to int64 first; f is taken as int64.
+    """
+    f = np.asarray(f, dtype=np.int64)
+    g = np.asarray(g)
+    X, k, m = f.shape
+    T = g.shape[0]
+    f_used = f.any(axis=0)
+    live = np.flatnonzero(f_used.any(axis=1))
+    g_live = g[:, live] if len(live) < k else g  # a row orthogonality has every class live
+    bound = len(live) * m * _max_abs(f) * _max_abs(g_live)
+    if bound >= 1 << 63:
+        raise IntegralityError(f"pairing sums bounded by {bound} could overflow int64")
+    used = f_used[live] | g_live.any(axis=0)
+    del g_live  # the pairs below gather from g itself
+    steps = np.gcd(np.gcd.reduce(np.where(used, np.arange(m), 0), axis=1), m)
+    out = np.zeros((X, T, m), dtype=np.int64)
+    for d in np.flatnonzero(np.bincount(steps)).tolist():
+        cls = live[steps == d]
+        mm = m // d
+        expos = np.flatnonzero(f_used[cls, ::d].any(axis=0))
+        # f over (x; exponent a, class c), and conj(g) as hc[j, c, t] = g[t, c, -j d],
+        # each gathered in that layout by one index
+        fa = np.take(f.reshape(X, k * m), (cls * m + d * expos[:, None]).ravel(), axis=1)
+        hc = g.transpose(2, 1, 0)[(-np.arange(mm) % mm * d)[:, None], cls].astype(np.int64)
+        for w in range(mm):
+            # zeta^a * conj(zeta^j) lands on zeta^(d w) when j = w - a (mod mm)
+            out[:, :, w * d] += fa @ hc[(w - expos) % mm].reshape(-1, T)
+    return out
+
+
+def _max_abs(a: np.ndarray) -> int:
+    return max(int(a.max(initial=0)), -int(a.min(initial=0)))
+
+
+def integer_values(acc: np.ndarray, m: int, divisor: int = 1) -> np.ndarray:
+    """Exact integers acc / divisor for a stack (..., m) of exponent vectors.
+
+    The reduction runs through s = rad(m): Phi_m(x) = Phi_s(x^(m/s)), so
+    exponent c (m/s) + b reduces by reduction_matrix(s) acting on c alone.
+    Each vector is read as an (s, m/s) block, and reduction_matrix(s) maps
+    its s rows to phi(s) rows, the canonical coordinates of
+    reduction_matrix(m) with m/s times fewer products.  Raises NonRationalError when a vector is
+    not rational, IntegralityError when it is not divisible by divisor or
+    when the int64 reduction could overflow: every partial sum of the product
+    is bounded by the row L1 norm, at most m * max |entry|, times
+    max |reduction entry| (the same for reduction_matrix(s) and
+    reduction_matrix(m)), and that bound must stay below 2^63.
+    """
+    s = prod(prime_divisors(m))
+    red = reduction_matrix(s)
+    flat = np.asarray(acc, dtype=np.int64).reshape(-1, s, m // s)
+    bound = m * _max_abs(flat) * _max_abs(red)
+    if bound >= 1 << 63:
+        raise IntegralityError(f"reducing sums bounded by {bound} could overflow int64")
+    # reduced[n, b, c'] is the coordinate of zeta^(c' m/s + b)
+    reduced = flat.transpose(0, 2, 1) @ red
+    if np.any(reduced.reshape(len(flat), -1)[:, 1:]):
+        raise NonRationalError("character sum is not rational")
+    vals, rem = np.divmod(reduced[:, 0, 0], divisor)
+    if np.any(rem):
+        raise IntegralityError(f"character sum is not divisible by {divisor}")
+    return vals.reshape(np.shape(acc)[:-1])
+
+
 
 
 def classify_regular_by_x(ct: CharTable) -> list[RegularFlag]:

@@ -7,7 +7,7 @@ from math import gcd
 import numpy as np
 import pytest
 
-from whittaker.cyclotomic import CycloNum, IntegralityError, integer_values, pairings
+from whittaker.cyclotomic import CycloNum, IntegralityError, unit_generators
 from whittaker.localring import get_ring, ring_make
 from whittaker.linalg import mat_mul
 from whittaker.groups import (CapExceeded, GroupSpec, GroupTable, enumerate_group,
@@ -15,13 +15,14 @@ from whittaker.groups import (CapExceeded, GroupSpec, GroupTable, enumerate_grou
 from whittaker.whittaker_verify import NonDegenChar, induced_norm
 from whittaker import chartab
 from whittaker.chartab import (CharTable, adjoint_orbits, central_eigen_rows, charpoly_mod,
-                               character_table, class_data, class_matrix, classify_regular,
-                               components, conjugacy_classes, decompose_induced, dixon_prime,
-                               eigen_rows, nullspace_mod, poly_roots_mod, restriction_norm,
-                               rref_mod, sl_class_profile, special_regular_scan, value_dtype)
+                               character_table, class_data, class_matrix, class_sums,
+                               classify_regular, components, conjugacy_classes,
+                               decompose_induced, dixon_prime, eigen_rows, nullspace_mod,
+                               poly_roots_mod, restriction_norm, rref_mod, sl_class_profile,
+                               special_regular_scan, value_dtype)
 from oracles import (adjoint_orbits_by_sweep, class_powers_by_lookup, classify_regular_by_x,
-                     conjugacy_classes_sweep, restriction_norm_row, sl_class_profile_by_lookup,
-                     verify_exact, write_with_metadata)
+                     conjugacy_classes_sweep, integer_values, pairings, restriction_norm_row,
+                     sl_class_profile_by_lookup, verify_exact, write_with_metadata)
 
 Z4 = ring_make("mixed", 2, 1, 2)
 Z9 = ring_make("mixed", 3, 1, 2)
@@ -681,7 +682,10 @@ def test_non_rational_table_value_fails_decomposition(gl2z4_ct):
     # one multiplicity of chi at the class of u(2), the one class of order 2
     # that U meets once, moved from exponent u to u + 1: the vector keeps its
     # sign and its sum, so the table passes CharTable, and the Frobenius sum
-    # moves by (zeta_e^u - zeta_e^(u+1)) / |U| (theta(u(2)) = -1), not rational
+    # would move by (zeta_e^u - zeta_e^(u+1)) / |U| (theta(u(2)) = -1), not
+    # rational.  The moved vector is no longer fixed by sigma_5, while
+    # g -> g^5 fixes the class, so the power map on the classes of U refuses
+    # the table before any sum is taken
     ct = gl2z4_ct
     u_classes = ct.cd.class_of[unipotent_subgroup(ct.table, 0)].tolist()
     c = next(c for c in set(u_classes) - {0} if u_classes.count(c) == 1)
@@ -690,7 +694,7 @@ def test_non_rational_table_value_fails_decomposition(gl2z4_ct):
     rows[-1, c, u] -= 1
     rows[-1, c, (u + 1) % ct.e] += 1
     bad = CharTable(ct.cd, rows)
-    with pytest.raises(IntegralityError):
+    with pytest.raises(AssertionError, match=r"the values break the power map g -> g\^(5|7)"):
         decompose_induced(bad, NonDegenChar(GroupSpec("GL", 2, Z4), 1))
 
 
@@ -836,6 +840,122 @@ def test_sl_class_profile_of_an_sl_table_is_its_class_sizes(sl2z9_ct):
     ct = sl2z9_ct
     assert np.array_equal(sl_class_profile(ct), ct.cd.sizes)
     assert np.array_equal(sl_class_profile(ct), sl_class_profile_by_lookup(ct, ct.table))
+
+
+# -- class sums ------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("family, desc", [("GL", Z4), ("SL", Z9), ("GL", Z8), ("GL", Z9),
+                                          ("GL", F3T2)],
+                         ids=["GL2-Z4", "SL2-Z9", "GL2-Z8", "GL2-Z9", "GL2-F3t2"])
+def test_class_sums_equal_the_exact_oracle(family, desc, monkeypatch):
+    # every class_sums call of the three verdict sums, on the inputs the
+    # verdict passes, against the exact sums in Z[zeta_e] of pairings and
+    # integer_values over all k classes: decompose_induced at every unit,
+    # every classification multiplicity, and the whole T x T norm block
+    ct = character_table(enumerate_group(GroupSpec(family, 2, desc)))
+    original, calls = chartab.class_sums, []
+
+    def checked(ct, f, classes, ts, divisor):
+        got = original(ct, f, classes, ts, divisor)
+        full = np.zeros((len(f), ct.k, ct.e), dtype=np.int64)
+        full[:, classes] = f
+        want = integer_values(pairings(full, ct.rows[np.asarray(ts)]), ct.e, divisor)
+        assert got.dtype == np.int64 and np.array_equal(got, want)
+        calls.append(got.shape)
+        return got
+
+    monkeypatch.setattr(chartab, "class_sums", checked)
+    spec = ct.table.spec
+    units = get_ring(desc).unit_codes()
+    for a in units:
+        decompose_induced(ct, NonDegenChar(spec, a))
+    classify_regular(ct)
+    restriction_norm(ct, range(ct.k))
+    assert calls[:len(units)] == [(1, ct.k)] * len(units)
+    assert calls[-1] == (ct.k, ct.k) and len(calls) == len(units) + 2
+
+
+def _sized_row(ct, t):
+    """The summands sizes_c chi_t(c) on every class, a (1, k, e) stack: their
+    class sums are sum_g chi_t(g) conj(chi_s(g)) = |G| delta_ts."""
+    return ct.rows[t][None].astype(np.int64) * ct.cd.sizes[None, :, None]
+
+
+def test_class_sums_give_row_orthogonality(gl2z9_ct):
+    ct = gl2z9_ct
+    classes = np.arange(ct.k)
+    for t in (0, ct.k // 2, ct.k - 1):
+        got = class_sums(ct, _sized_row(ct, t), classes, range(ct.k), len(ct.table))
+        assert got.tolist() == [np.eye(ct.k, dtype=np.int64)[t].tolist()]
+
+
+@pytest.mark.parametrize("which", ["summands", "values"])
+def test_class_sums_refuse_a_vector_off_the_power_map(gl2z4_ct, which):
+    # one multiplicity moved from exponent u to u + 1 at a class of order 2,
+    # which every g -> g^v (v odd) fixes: the moved vector is no longer fixed
+    # by sigma_5, in the summands or in the values of the rows summed against
+    ct = gl2z4_ct
+    c = int(np.flatnonzero(ct.cd.orders == 2)[0])
+    f = _sized_row(ct, ct.k - 1)
+    rows = ct.rows.copy()
+    vector = f[0, c] if which == "summands" else rows[-1, c]
+    u = int(np.flatnonzero(vector)[0])
+    vector[u] -= 1
+    vector[(u + 1) % ct.e] += 1
+    with pytest.raises(AssertionError, match=rf"the {which} break the power map g -> g\^(5|7)"):
+        class_sums(CharTable(ct.cd, rows), f, np.arange(ct.k), range(ct.k), len(ct.table))
+
+
+def test_class_sums_refuse_classes_that_a_unit_power_leaves(gl2z9_ct):
+    # the identity class and a class that some g -> g^u moves to a third
+    ct = gl2z9_ct
+    cd = ct.cd
+    c = next(c for c in range(1, ct.k) for u in unit_generators(ct.e)
+             if cd.powers[c, u % cd.orders[c]] != c)
+    classes = np.array([0, c])
+    f = _sized_row(ct, 0)[:, classes]
+    with pytest.raises(AssertionError, match="does not permute the classes of the sum"):
+        class_sums(ct, f, classes, range(ct.k), 1)
+
+
+def test_class_sums_refuse_a_remainder(gl2z4_ct):
+    # sum_g |chi_t(g)|^2 = |G| is not divisible by |G| + 1
+    ct = gl2z4_ct
+    with pytest.raises(IntegralityError, match=f"not divisible by {len(ct.table) + 1}"):
+        class_sums(ct, _sized_row(ct, 0), np.arange(ct.k), range(ct.k), len(ct.table) + 1)
+
+
+@pytest.mark.parametrize("primes", [[13], chartab.verify_primes(12, 10**20)],
+                         ids=["short", "past-int64"])
+def test_class_sums_refuse_moduli_that_break_the_bounds(gl2z4_ct, primes):
+    # one prime = 1 mod 12, whose product cannot exceed 2 L d = 2 |U| d_max;
+    # or four near 10^6, whose product Garner's steps cannot hold in int64
+    ct = copy.copy(gl2z4_ct)
+    assert ct.e == 12
+    ct.moduli = (primes, np.array([[pow(z, u, r) for u in range(12)] for r, z in
+                                   ((r, chartab.root_of_unity(12, r)) for r in primes)]))
+    with pytest.raises(AssertionError, match=r"the primes \[.*\] break the bounds 2 L d"):
+        decompose_induced(ct, NonDegenChar(GroupSpec("GL", 2, Z4), 1))
+
+
+@pytest.mark.parametrize("shift, check", [
+    (lambda m: -m, "negative multiplicity"),
+    (lambda m: m + np.eye(1, m.shape[-1], dtype=np.int64), "do not sum to the induced dimension"),
+], ids=["negated", "one-more"])
+def test_decomposition_refuses_wrong_multiplicities(sl2z9_ct, monkeypatch, shift, check):
+    # class sums that are integers but not the decomposition of Ind theta
+    original = chartab.class_sums
+    monkeypatch.setattr(chartab, "class_sums", lambda *args: shift(original(*args)))
+    with pytest.raises((AssertionError, IntegralityError), match=check):
+        decompose_induced(sl2z9_ct, NonDegenChar(GroupSpec("SL", 2, Z9), 1))
+
+
+def test_special_regular_scan_refuses_a_multiplicity_above_one(sl2z9_ct, monkeypatch):
+    original = chartab.decompose_induced
+    monkeypatch.setattr(chartab, "decompose_induced", lambda *args: 2 * original(*args))
+    with pytest.raises(AssertionError, match="multiplicity above one"):
+        special_regular_scan(sl2z9_ct)
 
 
 def test_chartab_cap():

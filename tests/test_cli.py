@@ -487,7 +487,9 @@ GL2_Z4_SUBCOMMANDS = (["chartab", "--group", "GL2"], ["branching", "--group", "G
 
 def test_corrupt_cached_character_value_exits_internal(capsys, tmp_path):
     # zeta_e - 1 added to one cached value at a class of the congruence kernel
-    # K^1: the classification sum over the kernel is no longer rational
+    # K^1: the classification sum over the kernel would no longer be rational,
+    # and the power map on the classes of K^1 refuses the value before any
+    # sum is taken
     from whittaker.groups import congruence_subgroup
 
     args = ["branching", "--group", "GL2", "--ring", "mixed:2^2",
@@ -501,7 +503,8 @@ def test_corrupt_cached_character_value_exits_internal(capsys, tmp_path):
     _rewrite_gl2_z4_values(tmp_path, move)
     capsys.readouterr()
     assert main(args) == EXIT_INTERNAL
-    assert "not rational" in capsys.readouterr().err
+    assert re.fullmatch(r"internal fault: AssertionError: the values break the power map "
+                        r"g -> g\^(5|7)\n", capsys.readouterr().err)
 
 
 def test_cached_table_failing_reverify_exits_internal(capsys, tmp_path):
@@ -556,6 +559,23 @@ def test_too_few_verify_primes_exit_internal(monkeypatch, capsys):
     err = capsys.readouterr().err
     assert err.startswith("internal fault: AssertionError: the primes [13] break the bounds "
                           "prod r' > 2 B = 7104")
+    assert len(err.splitlines()) == 1
+
+
+def test_too_few_primes_for_a_class_sum_exit_internal(monkeypatch, capsys, tmp_path):
+    # branching verifies no loaded table, so with one prime = 1 mod 12 the
+    # first class sum (the classification over K^1) refuses the bound
+    # 2 L d = 2 |K^1| d_max
+    from whittaker import chartab
+
+    args = ["branching", "--group", "GL2", "--ring", "mixed:2^2", "--cache-dir", str(tmp_path)]
+    assert main(args) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(chartab, "verify_primes", lambda e, bound: [13])
+    assert main(args) == EXIT_INTERNAL
+    err = capsys.readouterr().err
+    assert err.startswith("internal fault: AssertionError: the primes [13] break the bounds "
+                          "2 L d = 192")
     assert len(err.splitlines()) == 1
 
 

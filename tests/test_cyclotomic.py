@@ -5,9 +5,8 @@ import pytest
 
 from whittaker import cyclotomic
 from whittaker.cyclotomic import (CycloNum, IntegralityError, NonRationalError,
-                                  cyclotomic_poly, integer_values, pairings,
-                                  reduction_matrix, unit_generators)
-from oracles import euler_phi, root_of_unity
+                                  cyclotomic_poly, reduction_matrix, unit_generators)
+from oracles import euler_phi, integer_values, pairings, root_of_unity
 
 
 def test_root_arithmetic_exponent_addition():
