@@ -661,8 +661,9 @@ def class_sums(ct: CharTable, f: np.ndarray, classes: np.ndarray, ts,
     the values at zeta'^-1, one (X, C) @ (C, T) product, and Garner's CRT
     lifts the residues to S, as |S| <= L d (L the largest sum of |f[x]|, d
     the largest degree of ts) and 2 L d < prod r' < 2^63; the verdicts have
-    L d <= B = |G| (d_max^2 + 1), which verify's primes exceed.  Every other
-    int64 sum is at most max(C, L, d) (r' - 1)^2 < 2^63.
+    L d <= B = |G| (d_max^2 + 1), which verify's primes exceed.  The int64
+    sums stay below 2^63: f at zeta' is at most L (r' - 1), a value at most
+    d (r' - 1), a product of residues (and Garner's) at most C (r' - 1)^2.
     """
     ts = np.asarray(ts, dtype=np.int64)
     g = ct.rows[np.ix_(ts, classes)]
@@ -675,10 +676,11 @@ def class_sums(ct: CharTable, f: np.ndarray, classes: np.ndarray, ts,
                 raise AssertionError(f"the {name} break the power map g -> g^{u}")
     primes, Z = ct.moduli
     L, d = int(np.abs(f).sum(axis=(1, 2)).max(initial=0)), int(ct.degrees[ts].max(initial=0))
-    if (not 2 * L * d < prod(primes) < 1 << 63
-            or max(len(classes), L, d) * (max(primes) - 1) ** 2 >= 1 << 63):
-        raise AssertionError(f"the primes {primes} break the bounds 2 L d = {2 * L * d} "
-                             "< prod r' < 2^63 and max(C, L, d) (r' - 1)^2 < 2^63")
+    top = max(primes) - 1
+    if (not 2 * L * d < prod(primes) < 1 << 63 or max(L, d) * top >= 1 << 63
+            or max(len(classes), 1) * top ** 2 >= 1 << 63):
+        raise AssertionError(f"the primes {primes} break the bounds 2 L d = {2 * L * d} < "
+                             "prod r' < 2^63 and max(L, d) (r' - 1), C (r' - 1)^2 < 2^63")
     F = at_roots(f, Z) % primes
     G = at_roots(g, Z[:, -np.arange(ct.e) % ct.e]) % primes
     S, M = np.zeros((len(f), len(ts)), dtype=np.int64), 1
@@ -772,8 +774,7 @@ def classify_regular(ct: CharTable) -> list[RegularFlag]:
     k_ids = congruence_subgroup(table, ell - 1)
     q = ring.q
     # levels y' of the kernel elements: y = I + pi^(l-1) y'
-    vpk = ring.q ** (ell - 1)
-    yprimes = (table.elems[k_ids] - np.eye(n, dtype=np.int64)[None]) // vpk % q
+    yprimes = (table.elems[k_ids] - np.eye(n, dtype=np.int64)[None]) // q ** (ell - 1) % q
     # all x in g(F_q) (trace 0 for sl); a residue code is its own lift to o_l
     xs = _lie_algebra_residue(spec)
     if len(xs) * len(yprimes) > CLASSIFY_PAIR_CAP:
@@ -915,11 +916,9 @@ def special_regular_scan(ct: CharTable,
         flags = classify_regular(ct)
     u_ids = unipotent_subgroup(table, 0)
     units = ring.unit_codes()
-    mult_by_a = {}
-    for a in units:
-        mult_by_a[a] = decompose_induced(ct, NonDegenChar(spec, a), u_ids)
-        if np.any(mult_by_a[a] > 1):
-            raise AssertionError("multiplicity above one")
+    mult_by_a = {a: decompose_induced(ct, NonDegenChar(spec, a), u_ids) for a in units}
+    if any((m > 1).any() for m in mult_by_a.values()):
+        raise AssertionError("multiplicity above one")
     predok = predictions_supported(spec)
     out = []
     for fl in flags:

@@ -15,11 +15,11 @@ it from the repository root:
 
     python tests/mutation_audit.py src/whittaker/chartab.py src/whittaker/cyclotomic.py
 
---tree audits another checkout (for example an older commit unpacked by
-`git archive`), and --scratch names the directory the mutated copy is made
-in (a fresh temporary directory by default).  The tree itself is never
-edited.  Each mutant costs one suite run up to its first failure; a survivor
-costs a whole one.
+The mutants are made in a copy of the tree in a temporary directory, which
+is removed on exit; the tree itself is never edited.  --tree audits another
+checkout, for an older commit that has no copy of this script (for example
+one unpacked by `git archive`).  Each mutant costs one suite run up to its
+first failure; a survivor costs a whole one.
 """
 
 from __future__ import annotations
@@ -123,23 +123,24 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("files", nargs="+", help="source files, relative to the tree")
     parser.add_argument("--tree", default=str(Path(__file__).resolve().parents[1]),
-                        help="checkout to audit (default: this repository)")
-    parser.add_argument("--scratch", default="", help="where the mutated copy is made")
+                        help="checkout to audit, for a commit without this script "
+                             "(default: this repository)")
     args = parser.parse_args(argv)
+    with tempfile.TemporaryDirectory(prefix="mutation-audit-") as scratch:
+        return audit(Path(args.tree), Path(scratch) / "tree", args.files)
 
-    scratch = Path(args.scratch or tempfile.mkdtemp(prefix="mutation-audit-"))
-    copy = scratch / "tree"
-    if copy.exists():
-        shutil.rmtree(copy)
-    shutil.copytree(args.tree, copy, ignore=shutil.ignore_patterns(
+
+def audit(tree: Path, copy: Path, files: list[str]) -> int:
+    """Copy tree to copy, mutate each site of files there and print the table."""
+    shutil.copytree(tree, copy, ignore=shutil.ignore_patterns(
         ".git", ".perfbench", "__pycache__", ".pytest_cache"))
     if not run_suite(copy):
-        print(f"the unmutated suite fails in {copy}", file=sys.stderr)
+        print(f"the unmutated suite fails on {tree}", file=sys.stderr)
         return 2
 
     print("| site | line | check | result |\n|---|---|---|---|")
     unlisted, seen = [], set()
-    for name in args.files:
+    for name in files:
         path = copy / name
         source = path.read_text()
         for key, node in sites(path):
@@ -160,7 +161,7 @@ def main(argv=None) -> int:
             head = " ".join(ast.get_source_segment(source, node).split())[:60]
             print(f"| `{key}` | {node.lineno} | `{head}` | {result} "
                   f"({time.perf_counter() - start:.0f} s) |", flush=True)
-    audited = {name.rsplit("/", 1)[-1] for name in args.files}
+    audited = {name.rsplit("/", 1)[-1] for name in files}
     stale = [key for key in ALLOWED if key.split(":")[0] in audited and key not in seen]
     if stale:
         print(f"\nallow-list entries that match no site: {', '.join(stale)}")

@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import hashlib
+import itertools
 from collections import Counter
 from math import gcd
 
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 from whittaker.cyclotomic import CycloNum, IntegralityError, unit_generators
-from whittaker.localring import get_ring, ring_make
+from whittaker.localring import get_ring, is_prime, ring_make
 from whittaker.linalg import mat_mul
 from whittaker.groups import (CapExceeded, GroupSpec, GroupTable, enumerate_group,
                               unipotent_subgroup)
@@ -926,17 +927,43 @@ def test_class_sums_refuse_a_remainder(gl2z4_ct):
         class_sums(ct, _sized_row(ct, 0), np.arange(ct.k), range(ct.k), len(ct.table) + 1)
 
 
-@pytest.mark.parametrize("primes", [[13], chartab.verify_primes(12, 10**20)],
-                         ids=["short", "past-int64"])
-def test_class_sums_refuse_moduli_that_break_the_bounds(gl2z4_ct, primes):
-    # one prime = 1 mod 12, whose product cannot exceed 2 L d = 2 |U| d_max;
-    # or four near 10^6, whose product Garner's steps cannot hold in int64
-    ct = copy.copy(gl2z4_ct)
+def _with_moduli(ct, primes):
+    """A copy of ct whose moduli are the given primes = 1 mod 12."""
+    ct = copy.copy(ct)
     assert ct.e == 12
     ct.moduli = (primes, np.array([[pow(z, u, r) for u in range(12)] for r, z in
                                    ((r, chartab.root_of_unity(12, r)) for r in primes)]))
-    with pytest.raises(AssertionError, match=r"the primes \[.*\] break the bounds 2 L d"):
-        decompose_induced(ct, NonDegenChar(GroupSpec("GL", 2, Z4), 1))
+    return ct
+
+
+def _primes_below(top, n):
+    """The n largest primes = 1 mod 12 below top."""
+    return list(itertools.islice(filter(is_prime, range(top // 12 * 12 + 1, 0, -12)), n))
+
+
+BOUND_FAULT = r"the primes \[.*\] break the bounds 2 L d"
+
+
+@pytest.mark.parametrize("primes", [[13], chartab.verify_primes(12, 10**20),
+                                    _primes_below(3 * 10**9, 1)],
+                         ids=["short", "past-int64", "product-of-residues"])
+def test_class_sums_refuse_moduli_that_break_the_bounds(gl2z4_ct, primes):
+    # one prime = 1 mod 12, whose product cannot exceed 2 L d = 2 |U| d_max;
+    # four near 10^6, whose product Garner's steps cannot hold in int64; or
+    # one near 3 10^9, which holds S, but C (r' - 1)^2 >= 2^63 for the C >= 2
+    # classes that meet U
+    with pytest.raises(AssertionError, match=BOUND_FAULT):
+        decompose_induced(_with_moduli(gl2z4_ct, primes), NonDegenChar(GroupSpec("GL", 2, Z4), 1))
+
+
+def test_class_sums_refuse_summands_past_int64_at_the_roots(gl2z4_ct):
+    # f = 2^33 at the identity: two primes near 3 10^9 hold S and one product
+    # of residues, but f at zeta' may reach 2^33 (r' - 1) >= 2^63
+    ct = _with_moduli(gl2z4_ct, _primes_below(3 * 10**9, 2))
+    f = np.zeros((1, 1, 12), dtype=np.int64)
+    f[0, 0, 0] = 1 << 33
+    with pytest.raises(AssertionError, match=BOUND_FAULT):
+        class_sums(ct, f, np.array([0]), range(ct.k), 1)
 
 
 @pytest.mark.parametrize("shift, check", [
