@@ -35,7 +35,7 @@ from pathlib import Path
 import numpy as np
 
 from .chartab import CharTable, character_table, class_data, value_dtype
-from .groups import GroupSpec, GroupTable, enumerate_group
+from .groups import GroupSpec, GroupTable, code_dtype, enumerate_group
 from .regular import monic_types
 
 CACHE_ENV = "WHITTAKER_CACHE_DIR"
@@ -128,15 +128,16 @@ def group_cache_key(spec: GroupSpec) -> str:
 
 
 def save_group_table(table: GroupTable, cache_dir: Path) -> Path:
-    dtype = np.uint8 if table.ring.size <= 256 else np.uint16
-    return _write(group_cache_key(table.spec), cache_dir, {"elems": table.elems.astype(dtype)})
+    return _write(group_cache_key(table.spec), cache_dir,
+                  {"elems": table.elems.astype(code_dtype(table.ring))})
 
 
 def load_group_table(spec: GroupSpec, cache_dir: Path) -> GroupTable | None:
+    """The table's codes are the file's read-only buffer, in its stored dtype."""
     got = _read(group_cache_key(spec), cache_dir)
     if got is None:
         return None
-    return GroupTable(spec, got[1]["elems"].astype(np.int64))
+    return GroupTable(spec, got[1]["elems"])
 
 
 def cached_group_table(spec: GroupSpec, cache_dir: Path | None, cap: int) -> GroupTable:

@@ -32,14 +32,16 @@ largest degree (value_dtype), from the lift or the disk cache to every
 verdict.  numpy array arithmetic on such a dtype wraps without a warning, so
 every operation on the values is one of: a gather or a comparison; a sum
 along one (row, class) vector, which is at most its degree; or arithmetic on
-a gathered block widened to int64 first.
+a gathered block widened to int64 first.  The group codes (table.elems, in
+groups.code_dtype) follow the same rule without the sums: conjugacy_classes
+widens the whole table once, and the linalg kernels widen what they get.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import permutations
+from itertools import accumulate, permutations
 from math import gcd, isqrt, prod
 
 import numpy as np
@@ -130,11 +132,11 @@ def conjugacy_classes(table: GroupTable) -> ClassData:
     multiplications connect the whole table, S = G: that is the proof, and
     AssertionError is raised if the candidates run out first.  The classes
     are the components of the conjugations, numbered in order of their
-    smallest ids, the numbering class_data asks for.  The extra memory is two
-    |G|-long int64 permutations per kept generator.
+    smallest ids, the numbering class_data asks for.  The extra memory is the
+    codes widened to int64 once and two int64 permutations per kept generator.
     """
     N = len(table)
-    ring, elems = table.ring, table.elems
+    ring, elems = table.ring, table.elems.astype(np.int64)
     lefts, conjugations = [], []
     coset = np.arange(N)  # smallest id of each right coset of S; S = {g : coset[g] = 0}
     for s in generator_candidates(table):
@@ -467,9 +469,9 @@ class CharTable:
         """verify_primes(e, B), B = |G| (d_max^2 + 1), and Z[j, u] = zeta_j^u
         mod r'_j (u < e), zeta_j of order e mod r'_j, made once per table."""
         primes = verify_primes(self.e, len(self.table) * (int(self.degrees.max())**2 + 1))
-        zetas = [root_of_unity(self.e, r) for r in primes]
-        return primes, np.array([[pow(z, u, r) for u in range(self.e)]
-                                 for r, z in zip(primes, zetas)], dtype=np.int64)
+        return primes, np.array([list(accumulate([root_of_unity(self.e, r)] * (self.e - 1),
+                                                 lambda a, z: a * z % r, initial=1))
+                                 for r in primes], dtype=np.int64)
 
 
 def class_matrix(cd: ClassData, j: int, r: int, rows: np.ndarray) -> np.ndarray:
@@ -774,7 +776,7 @@ def classify_regular(ct: CharTable) -> list[RegularFlag]:
     k_ids = congruence_subgroup(table, ell - 1)
     q = ring.q
     # levels y' of the kernel elements: y = I + pi^(l-1) y'
-    yprimes = (table.elems[k_ids] - np.eye(n, dtype=np.int64)[None]) // q ** (ell - 1) % q
+    yprimes = (table.elems[k_ids].astype(np.int64) - np.eye(n, dtype=np.int64)) // q**(ell - 1) % q
     # all x in g(F_q) (trace 0 for sl); a residue code is its own lift to o_l
     xs = _lie_algebra_residue(spec)
     if len(xs) * len(yprimes) > CLASSIFY_PAIR_CAP:

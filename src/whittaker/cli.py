@@ -25,6 +25,7 @@ import sys
 import time
 from collections import Counter
 from dataclasses import asdict, dataclass
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -327,8 +328,10 @@ class _Parser(argparse.ArgumentParser):
         super().exit(status and EXIT_USAGE, message)
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
-    """One parser for every subcommand: they all take the same options."""
+    """One parser for every subcommand: they all take the same options.  It is
+    made once and shared, as parsing does not change it."""
     parser = _Parser(
         prog="whittaker",
         description="Exact verification of Whittaker-model multiplicity, "

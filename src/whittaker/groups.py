@@ -1,9 +1,9 @@
 """Enumeration and indexing of GL_n(o_l) and SL_n(o_l) with their subgroups.
 
 A full GroupTable holds every element as a code matrix in a canonical
-order (identity first, the rest ascending by row-major code tuple) plus a
-sorted int64 key index (the code tuple read in base |o_l|, searched in
-O(log |G|) per element of a batch) and precomputed inverses.
+order (identity first, the rest ascending by row-major code tuple), in
+code_dtype, plus their int64 keys (the code tuple read in base |o_l|): those
+after the identity are the index, searched in O(log |G|) per element of a batch.
 
 G is listed as Z * (G/ZU transversal) * U, with Z the scalar matrices c I
 of G (c any unit for GL, c^n = 1 for SL; central_units lists the c):
@@ -104,14 +104,21 @@ def iter_group_chunks(spec: GroupSpec):
         yield ring.v_mul(scalars, mat_mul(ring, reps, u)).reshape(-1, spec.n, spec.n)
 
 
+def code_dtype(ring: Ring) -> np.dtype:
+    """The dtype of every table's codes, built or stored: uint8 up to 256 codes, uint16 above."""
+    return np.min_scalar_type(ring.size - 1)
+
+
 def element_keys(ring: Ring, batch: np.ndarray) -> np.ndarray:
     """The int64 key of each code matrix: its row-major code tuple read in
-    base |o_l|, first entry most significant, so keys order as the tuples do."""
+    base |o_l|, first entry most significant, so keys order as the tuples do.
+    einsum sums in int64 and widens a narrow batch a buffer at a time, not whole."""
     width = batch.shape[-2] * batch.shape[-1]
     if ring.size**width >= 1 << 63:
         raise CapExceeded(f"element keys of {width}-entry matrices over {ring.desc.key()} "
                           "do not fit in int64")
-    return batch.reshape(len(batch), width) @ ring.size ** np.arange(width - 1, -1, -1)
+    return np.einsum("ij,j->i", batch.reshape(len(batch), width),
+                     ring.size ** np.arange(width - 1, -1, -1), dtype=np.int64)
 
 
 class GroupTable:
@@ -120,6 +127,11 @@ class GroupTable:
     The table rule, checked on every table built or loaded: |G| rows, the
     identity first, then strictly increasing keys.  It makes the rows
     distinct, not members of G: no determinant is checked.
+
+    elems holds the codes in code_dtype, as built or as the file's read-only
+    buffer; a consumer only gathers or compares them, or widens a gathered
+    block to int64 before arithmetic, which numpy would wrap silently.  The
+    index is keys[1:], sorted by the table rule: position p there is id p + 1.
     """
 
     def __init__(self, spec: GroupSpec, elems: np.ndarray):
@@ -128,7 +140,7 @@ class GroupTable:
         self.n = spec.n
         self.elems = elems
         self.size = len(elems)
-        keys = element_keys(self.ring, elems)
+        self.keys = keys = element_keys(self.ring, elems)
         if self.size != spec.order():
             raise AssertionError(f"group table of {spec.key()} has {self.size} rows, "
                                  f"|G| = {spec.order()}")
@@ -137,8 +149,6 @@ class GroupTable:
         if np.any(keys[2:] <= keys[1:-1]) or np.any(keys[1:] == keys[0]):
             raise AssertionError(f"group table of {spec.key()}: the keys after the identity "
                                  "are not distinct and strictly increasing")
-        self._key_order = np.argsort(keys)
-        self._sorted_keys = keys[self._key_order]
         self._invs = None
 
     def __len__(self):
@@ -150,10 +160,11 @@ class GroupTable:
     def ids_of(self, batch: np.ndarray) -> np.ndarray:
         """Ids of a stack of code matrices; KeyError if any is not an element."""
         keys = element_keys(self.ring, batch)
-        pos = np.minimum(np.searchsorted(self._sorted_keys, keys), self.size - 1)
-        if not np.array_equal(self._sorted_keys[pos], keys):
+        ids = np.searchsorted(self.keys[1:], keys) + 1
+        ids[keys == self.keys[0]] = 0
+        if not np.array_equal(self.keys[np.minimum(ids, self.size - 1)], keys):
             raise KeyError("matrix is not a group element")
-        return self._key_order[pos]
+        return ids
 
     def inverses(self) -> np.ndarray:
         if self._invs is None:
@@ -162,7 +173,7 @@ class GroupTable:
 
 
 def enumerate_group(spec: GroupSpec, cap: int = TABLE_CAP) -> GroupTable:
-    """Build the full table; raises CapExceeded when |G| > cap."""
+    """Build the full table, in code_dtype; raises CapExceeded when |G| > cap."""
     order = spec.order()
     if order > cap:
         raise CapExceeded(
@@ -172,7 +183,8 @@ def enumerate_group(spec: GroupSpec, cap: int = TABLE_CAP) -> GroupTable:
     ring = get_ring(spec.ring)
     keys = element_keys(ring, elems)
     keys[keys == element_keys(ring, np.eye(spec.n, dtype=np.int64)[None])[0]] = -1
-    return GroupTable(spec, elems[np.argsort(keys)])  # identity first, then ascending keys
+    # identity first, then ascending keys
+    return GroupTable(spec, elems.astype(code_dtype(ring))[np.argsort(keys)])
 
 
 # ---------------------------------------------------------------------------
@@ -279,7 +291,7 @@ def congruence_subgroup(table: GroupTable, i: int) -> np.ndarray:
         raise ValueError(f"congruence level {i} out of range [1, {ring.ell}]")
     modulus = ring.q**i
     eye = np.eye(table.n, dtype=np.int64)
-    mask = ((table.elems % modulus) == (eye % modulus)).all(axis=(1, 2))
+    mask = (np.remainder(table.elems, modulus, dtype=np.int64) == eye % modulus).all(axis=(1, 2))
     ids = np.flatnonzero(mask)
     expected = congruence_order(table.spec, i)
     if len(ids) != expected:

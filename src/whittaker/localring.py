@@ -42,6 +42,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, lru_cache
+from math import isqrt
 
 import numpy as np
 
@@ -69,14 +70,10 @@ class CapExceeded(RuntimeError):
 
 
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
+    """Exact trial division: by 2, then by the odd d up to sqrt n."""
+    if n < 3:
+        return n == 2
+    return n % 2 == 1 and all(n % d for d in range(3, isqrt(n) + 1, 2))
 
 
 def all_tuples(base: int, length: int) -> np.ndarray:

@@ -3,7 +3,8 @@
 Most are an independent route to a fact that `whittaker` computes another
 way: the scalar determinant and the characteristic polynomial by cofactor
 expansion, scalar polynomials over F_q (`Poly`) factored by trial division
-against a sieve of monic irreducibles, the factorization type read off the
+against a sieve of monic irreducibles, the primes by the sieve of
+Eratosthenes, the factorization type read off the
 characteristic polynomial,
 exact kernel counting over o_l by Smith-style diagonalization, group
 centralizers by filtering a full table, conjugacy classes by one full
@@ -28,7 +29,7 @@ from __future__ import annotations
 import hashlib
 import json
 from functools import lru_cache
-from math import prod
+from math import isqrt, prod
 from pathlib import Path
 
 import numpy as np
@@ -50,6 +51,17 @@ from whittaker.whittaker_verify import NonDegenChar, phi_x_exponents
 
 # ---------------------------------------------------------------------------
 # scalars, polynomials and cyclotomic numbers
+
+
+@lru_cache(maxsize=None)
+def prime_sieve(top: int) -> np.ndarray:
+    """prime_sieve(top)[n]: whether n < top is prime, by Eratosthenes."""
+    prime = np.ones(top, dtype=bool)
+    prime[:2] = False
+    for d in range(2, isqrt(top - 1) + 1):
+        if prime[d]:
+            prime[d * d::d] = False
+    return prime
 
 
 def valuation(ring: Ring, a: int) -> int:

@@ -22,8 +22,9 @@ from whittaker.chartab import (CharTable, adjoint_orbits, central_eigen_rows, ch
                                poly_roots_mod, restriction_norm, rref_mod, sl_class_profile,
                                special_regular_scan, value_dtype)
 from oracles import (adjoint_orbits_by_sweep, class_powers_by_lookup, classify_regular_by_x,
-                     conjugacy_classes_sweep, integer_values, pairings, restriction_norm_row,
-                     sl_class_profile_by_lookup, verify_exact, write_with_metadata)
+                     conjugacy_classes_sweep, integer_values, pairings, prime_sieve,
+                     restriction_norm_row, sl_class_profile_by_lookup, verify_exact,
+                     write_with_metadata)
 
 Z4 = ring_make("mixed", 2, 1, 2)
 Z9 = ring_make("mixed", 3, 1, 2)
@@ -600,6 +601,34 @@ def test_verdicts_do_not_depend_on_the_values_dtype(fixture, request):
             assert _outcome(lambda: check(bad)) == _outcome(lambda: check(_widened(bad))), kind
 
 
+@pytest.mark.parametrize("fixture", ["gl2z8_ct", "sl2z9_ct"])
+def test_verdicts_do_not_depend_on_the_codes_dtype(fixture, request):
+    # the consumers gather or compare the narrow group codes, or widen a
+    # gathered block to int64: an int64 copy of the codes gives the same ids,
+    # classes, values and verdicts
+    ct = request.getfixturevalue(fixture)
+    table = ct.table
+    wide = GroupTable(table.spec, table.elems.astype(np.int64))
+    assert table.elems.dtype == np.uint8 and np.array_equal(wide.keys, table.keys)
+    batch = table.elems[::7]
+    ids = table.ids_of(batch)
+    assert np.array_equal(ids, np.arange(0, len(table), 7))
+    assert np.array_equal(wide.ids_of(batch), ids)
+    assert np.array_equal(table.ids_of(batch.astype(np.int64)), ids)
+    wide_ct = character_table(wide)
+    for field in dataclasses.fields(ct.cd):
+        if field.name != "table":
+            assert np.array_equal(getattr(wide_ct.cd, field.name), getattr(ct.cd, field.name))
+    assert np.array_equal(wide_ct.rows, ct.rows)
+    assert classify_regular(wide_ct) == classify_regular(ct)
+    assert np.array_equal(sl_class_profile(wide_ct), sl_class_profile(ct))
+    u_ids = unipotent_subgroup(table, 0)
+    for a in get_ring(table.spec.ring).unit_codes():
+        theta = NonDegenChar(table.spec, a)
+        assert np.array_equal(decompose_induced(wide_ct, theta),
+                              decompose_induced(ct, theta, u_ids))
+
+
 def test_value_dtype_is_the_narrowest_that_holds_the_largest_degree():
     assert [value_dtype(hi) for hi in (1, 127, 128, 32767, 32768, 1 << 31)] == \
         [np.int8, np.int8, np.int16, np.int16, np.int32, np.int64]
@@ -934,6 +963,26 @@ def _with_moduli(ct, primes):
     ct.moduli = (primes, np.array([[pow(z, u, r) for u in range(12)] for r, z in
                                    ((r, chartab.root_of_unity(12, r)) for r in primes)]))
     return ct
+
+
+@pytest.mark.parametrize("fixture", ["sl2f3_ct", "gl2z4_ct", "sl2z9_ct", "gl2z8_ct", "gl2z9_ct"])
+def test_moduli_are_the_sieve_primes_and_the_powers_of_their_roots(fixture, request):
+    # the largest primes r' = 1 mod e below ROOT_SCAN_BOUND, as few as make
+    # the product exceed 2 B, and zeta'^u mod r' for every u < e
+    ct = request.getfixturevalue(fixture)
+    e, bound = ct.e, len(ct.table) * (int(ct.degrees.max())**2 + 1)
+    prime = prime_sieve(chartab.ROOT_SCAN_BOUND)
+    expected, product = [], 1
+    for r in range((chartab.ROOT_SCAN_BOUND - 1) // e * e + 1, e, -e):
+        if product > 2 * bound:
+            break
+        if prime[r]:
+            expected.append(r)
+            product *= r
+    primes, Z = ct.moduli
+    assert primes == chartab.verify_primes(e, bound) == expected
+    assert Z.tolist() == [[pow(chartab.root_of_unity(e, r), u, r) for u in range(e)]
+                          for r in primes]
 
 
 def _primes_below(top, n):

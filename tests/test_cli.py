@@ -38,6 +38,15 @@ def test_config_round_trip():
     assert JobConfig(**cfg.to_dict()) == cfg
 
 
+def test_one_shared_parser_is_not_changed_by_parsing():
+    # the parser is made once per process; a parse leaves no state behind
+    first = build_parser().parse_args(["chartab", "--group", "SL2", "--no-cache"])
+    second = build_parser().parse_args(["verify"])
+    assert build_parser() is build_parser()
+    assert (first.group, first.no_cache) == ("SL2", True)
+    assert (second.subcommand, second.group, second.no_cache) == ("verify", "GL2", False)
+
+
 def test_formula_rows():
     counts, dims = gl2_formula_row(3, 2)
     assert (counts["cuspidal"], dims["cuspidal"]) == (24, 6)
@@ -214,17 +223,19 @@ def test_chartab_gl4_f2_has_the_degrees_of_a8(capsys):
 
 @pytest.mark.parametrize("command", ["verify", "classes"])
 def test_cached_group_table_breaking_the_table_rule_exits_internal(command, capsys, tmp_path):
-    # a repeated row written back through the cache's own writer: the file
-    # passes the integrity rule, the table rule on load does not
-    from whittaker.cache import load_group_table, save_group_table
+    # a repeated row, made in a writable copy of the loaded codes (their
+    # buffer is read-only) and written back through the cache's own writer:
+    # the file passes the integrity rule, the table rule on load does not
+    from whittaker.cache import _write, group_cache_key, load_group_table
     from whittaker.groups import GroupSpec
     from whittaker.localring import parse_ring
 
     args = [command, "--group", "GL2", "--ring", "mixed:2^2", "--cache-dir", str(tmp_path)]
     assert main(args) == 0
-    table = load_group_table(GroupSpec("GL", 2, parse_ring("mixed:2^2")), tmp_path)
-    table.elems[5] = table.elems[6]
-    save_group_table(table, tmp_path)
+    spec = GroupSpec("GL", 2, parse_ring("mixed:2^2"))
+    elems = load_group_table(spec, tmp_path).elems.copy()
+    elems[5] = elems[6]
+    _write(group_cache_key(spec), tmp_path, {"elems": elems})
     capsys.readouterr()
     assert main(args) == EXIT_INTERNAL
     err = capsys.readouterr().err

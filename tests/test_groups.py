@@ -7,8 +7,9 @@ import pytest
 from whittaker import groups
 from whittaker.localring import get_ring, ring_make
 from whittaker.linalg import mat_det_batch, mat_mul
+from whittaker.cache import load_group_table, save_group_table
 from whittaker.groups import (CapExceeded, GroupSpec, GroupTable, central_units,
-                              centralizer_order_by_units, congruence_subgroup,
+                              centralizer_order_by_units, code_dtype, congruence_subgroup,
                               coset_representatives, enumerate_group,
                               group_order, iter_group_chunks, unipotent_matrices,
                               unipotent_subgroup)
@@ -52,6 +53,49 @@ def test_identity_has_id_zero_and_index_lookup():
     batch[1] = [[2, 0], [0, 2]]  # singular mod 2: not in GL2(Z/4)
     with pytest.raises(KeyError):
         table.ids_of(batch)
+
+
+def test_index_is_the_keys_after_the_identity():
+    # the identity's key maps to 0, a hit at position p of keys[1:] to p + 1
+    table = enumerate_group(GroupSpec("GL", 2, Z4))
+    assert table.ids_of(table.elems[[0, 1, 95]]).tolist() == [0, 1, 95]
+    assert table.keys[1] < table.keys[0] < table.keys[-1]  # the identity sorts among them
+    for codes in ([[0, 0], [0, 0]], [[3, 3], [3, 3]], [[1, 1], [1, 1]]):
+        with pytest.raises(KeyError):  # below, above and between the keys of G
+            table.id_of(codes)
+    with pytest.raises(KeyError):
+        table.ids_of(np.stack([table.elems[0], np.zeros((2, 2), dtype=np.uint8)]))
+
+
+def test_trivial_group_has_an_empty_index():
+    # GL1(F_2) = {1}: keys[1:] is empty, and every other matrix is refused
+    table = enumerate_group(GroupSpec("GL", 1, F2))
+    assert len(table) == 1 and len(table.keys[1:]) == 0
+    assert table.ids_of(np.ones((3, 1, 1), dtype=np.int64)).tolist() == [0, 0, 0]
+    with pytest.raises(KeyError):
+        table.id_of([[0]])
+
+
+@pytest.mark.parametrize("spec, dtype", [
+    (GroupSpec("GL", 2, Z4), np.uint8),
+    (GroupSpec("GL", 1, ring_make("mixed", 2, 1, 8)), np.uint8),  # 256 codes
+    (GroupSpec("GL", 1, ring_make("mixed", 17, 1, 2)), np.uint16),  # 289 codes
+], ids=str)
+def test_built_and_loaded_codes_stay_in_the_stored_dtype(spec, dtype, tmp_path):
+    # a table keeps no int64 copy of its codes, only the int64 keys, and a
+    # loaded table's codes are the file's read-only buffer
+    built = enumerate_group(spec)
+    save_group_table(built, tmp_path)
+    loaded = load_group_table(spec, tmp_path)
+    assert code_dtype(built.ring) == dtype
+    for table in (built, loaded):
+        arrays = {k for k, v in vars(table).items() if isinstance(v, np.ndarray)}
+        assert arrays == {"elems", "keys"}
+        assert table.elems.dtype == dtype and table.keys.dtype == np.int64
+        assert np.array_equal(table.elems, built.elems)
+        assert np.array_equal(congruence_subgroup(table, spec.ring.ell), [0])  # mod |o_l|
+    assert built.elems.flags.writeable
+    assert not loaded.elems.flags.writeable and not loaded.elems.flags.owndata
 
 
 def test_closure_under_product_and_inverse():

@@ -3,8 +3,8 @@ import itertools
 import numpy as np
 import pytest
 
-from whittaker.localring import CONWAY_POLYS, RingKind, get_ring, parse_ring, ring_make
-from oracles import valuation
+from whittaker.localring import CONWAY_POLYS, RingKind, get_ring, is_prime, parse_ring, ring_make
+from oracles import prime_sieve, valuation
 
 Z4 = ring_make("mixed", 2, 1, 2)
 Z8 = ring_make("mixed", 2, 1, 3)
@@ -12,6 +12,10 @@ Z9 = ring_make("mixed", 3, 1, 2)
 F3T2 = ring_make("equal", 3, 1, 2)
 F4T2 = ring_make("equal", 2, 2, 2)
 F2T3 = ring_make("equal", 2, 1, 3)
+
+
+def test_is_prime_matches_a_sieve():
+    assert [is_prime(n) for n in range(-2, 10**5)] == [False] * 2 + prime_sieve(10**5).tolist()
 
 
 def test_ring_make_examples():
