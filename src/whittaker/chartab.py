@@ -41,13 +41,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, permutations
+from itertools import accumulate
 from math import gcd, isqrt, prod
 
 import numpy as np
 
 from .cyclotomic import IntegralityError, prime_divisors, root_of_unity, unit_generators
-from .localring import all_tuples, get_ring, is_prime
+from .localring import is_prime
 from .linalg import mat_det_batch, mat_inv_batch, mat_mul
 from .groups import CapExceeded, GroupSpec, GroupTable, congruence_subgroup, unipotent_subgroup
 from .whittaker_verify import NonDegenChar, phi_x_exponents, predictions_supported
@@ -748,12 +748,12 @@ def classify_regular(ct: CharTable) -> list[RegularFlag]:
     phi_x is whittaker_verify.phi_x_exponents.  The pairing is constant on
     each orbit of G(F_q) acting on g(F_q) by conjugation: phi_{g x g^-1} is
     phi_x composed with conjugation by a lift of g^-1, and chi is a class
-    function.  So it is computed exactly on one x per label of adjoint_orbits,
-    the smallest.  Those labels are orbits of a fixed subset of G(F_q), a
-    partition at least as fine as the G-orbits whether or not the subset
-    generates, so every x shares its multiplicities and its type with its label's
-    representative and the flags are the same as over all x; generation only
-    decides how few representatives there are.
+    function.  So it is computed exactly on one x per orbit, read off the
+    conjugacy classes: y' -> I + pi^(l-1) y' maps g(F_q) onto K^(l-1) (trace 0
+    for sl) and commutes with conjugation by G, so the classes that meet
+    K^(l-1) are the orbits.  Each lies inside the normal K^(l-1) (AssertionError
+    otherwise), and its representative, its smallest id, gives its x as the
+    level y' of that element.
 
     The multiplicities are restriction_multiplicities of the phi_x, linear
     characters of K^(l-1).
@@ -762,7 +762,7 @@ def classify_regular(ct: CharTable) -> list[RegularFlag]:
     sl_n(F_q) and is orthogonal to it under the trace form, so x -> phi_x is
     not the duality of sl_n(F_q) with the characters of K^(l-1).
     """
-    table = ct.table
+    cd, table = ct.cd, ct.table
     spec = table.spec
     ring = table.ring
     ell = ring.ell
@@ -774,21 +774,25 @@ def classify_regular(ct: CharTable) -> list[RegularFlag]:
                          f"p = {ring.p} the trace form does not make sl_{n}(F_q) the "
                          "dual of K^(l-1)")
     k_ids = congruence_subgroup(table, ell - 1)
-    q = ring.q
-    # levels y' of the kernel elements: y = I + pi^(l-1) y'
-    yprimes = (table.elems[k_ids].astype(np.int64) - np.eye(n, dtype=np.int64)) // q**(ell - 1) % q
-    # all x in g(F_q) (trace 0 for sl); a residue code is its own lift to o_l
-    xs = _lie_algebra_residue(spec)
-    if len(xs) * len(yprimes) > CLASSIFY_PAIR_CAP:
+    # |g(F_q)| = |K^(l-1)|: the cap counts the pairs (x, y) of all of g(F_q) with K^(l-1)
+    if len(k_ids) ** 2 > CLASSIFY_PAIR_CAP:
         raise CapExceeded("classification pair count beyond cap")
-    labels = adjoint_orbits(spec)
-    xs = xs[labels == np.arange(len(xs))]
+    meet = np.bincount(cd.class_of[k_ids], minlength=cd.k)
+    classes = np.flatnonzero(meet)
+    if not np.array_equal(meet[classes], cd.sizes[classes]):
+        raise AssertionError("the classes that meet K^(l-1) do not lie inside it")
+    q = ring.q
+    # levels y' of the kernel elements: y = I + pi^(l-1) y'; a residue code
+    # is its own lift to o_l, so the levels of the representatives are the x
+    yprimes = (table.elems[k_ids].astype(np.int64) - np.eye(n, dtype=np.int64)) // q**(ell - 1) % q
+    xs = yprimes[np.searchsorted(k_ids, cd.reps[classes])]
     # phi_x is in Q(zeta_e) though p^l may not divide e (GL1): p-th roots on K^(l-1), p | e
     mults = restriction_multiplicities(ct, k_ids, phi_x_exponents(ring, ell - 1, xs, yprimes),
                                        ring.char_order)
     # regularity and type depend on x only: one type_of call for every
     # supported representative.  Its (X, q^n, n, n) stack is within n^2 times
-    # the pair cap above, since q^n <= |K^(l-1)| = len(yprimes) for n >= 2.
+    # the pair cap above, since X <= |K^(l-1)| (one x per class that meets
+    # it) and q^n <= |K^(l-1)| for n >= 2.
     supported = np.flatnonzero(mults.any(axis=1))
     types = dict(zip(supported.tolist(), type_of(xs[supported], q)))
     flags = []
@@ -804,59 +808,6 @@ def classify_regular(ct: CharTable) -> list[RegularFlag]:
         flags.append(RegularFlag(t, int(ct.degrees[t]), reg, tau,
                                  tau.label() if tau else None))
     return flags
-
-
-def adjoint_orbits(spec) -> np.ndarray:
-    """The smallest index in its orbit of each x of _lie_algebra_residue(spec),
-    under conjugation by the transvections I + c E_ij (i != j, c in the F_p-basis
-    1, w, ..., w^(f-1) of F_q, w the smallest generator of F_q^x), and for GL
-    by diag(w, 1, ..., 1) too.
-
-    The transvections over a basis generate the additive groups of their
-    root positions, so SL_n(F_q), and diag(w, 1, ..., 1) adds every
-    determinant: these are the orbits of G(F_q).  An index is read back from
-    its matrix by the base-q digits of its first lie_dim entries, the order
-    in which _lie_algebra_residue lists them.
-    """
-    res = get_ring(spec.ring).residue_field()
-    xs = _lie_algebra_residue(spec)
-    n, q = spec.n, res.q
-    w = next(c for c in range(1, q) if _multiplicative_order(res, c) == q - 1)
-    basis = [1]
-    for _ in range(1, res.f):
-        basis.append(res.mul(basis[-1], w))
-    entries = [((i, j), c) for i, j in permutations(range(n), 2) for c in basis]
-    if spec.family == "GL":
-        entries.append(((0, 0), w))
-    gens = np.tile(np.eye(n, dtype=np.int64), (len(entries), 1, 1))
-    for g, ((i, j), c) in zip(gens, entries):
-        g[i, j] = c
-    conj = mat_mul(res, mat_mul(res, gens[:, None], xs[None]), mat_inv_batch(res, gens)[:, None])
-    digits = conj.reshape(len(gens), len(xs), n * n)[..., :spec.lie_dim]
-    ids = digits @ q ** np.arange(spec.lie_dim, dtype=np.int64)
-    return components(list(ids), np.arange(len(xs)))
-
-
-def _multiplicative_order(res, c: int) -> int:
-    power, order = c, 1
-    while power != 1:
-        power, order = res.mul(power, c), order + 1
-    return order
-
-
-def _lie_algebra_residue(spec) -> np.ndarray:
-    """All elements of g(F_q): full matrix algebra for gl, trace zero for sl."""
-    res = get_ring(spec.ring).residue_field()
-    n, free = spec.n, spec.lie_dim  # sl: the last diagonal entry is -(the others)
-    out = np.zeros((res.size**free, n * n), dtype=np.int64)
-    out[:, :free] = all_tuples(res.size, free)
-    out = out.reshape(-1, n, n)
-    if spec.family == "SL":
-        diag_sum = np.zeros(len(out), dtype=np.int64)
-        for i in range(n - 1):
-            diag_sum = res.v_add(diag_sum, out[:, i, i])
-        out[:, n - 1, n - 1] = res.v_neg(diag_sum)
-    return out
 
 
 def restriction_norm(ct_gl: CharTable, ts) -> np.ndarray:

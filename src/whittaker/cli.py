@@ -94,20 +94,18 @@ def _envelope(cfg: JobConfig) -> ReportEnvelope:
     return env
 
 
-def _maybe_table(spec: GroupSpec, cfg: JobConfig, env: ReportEnvelope):
-    if spec.order() > cfg.table_cap:
-        return None
+def _group_table(spec: GroupSpec, cfg: JobConfig, env: ReportEnvelope):
+    """The group table through the cache, its key recorded in the report."""
     table = cached_group_table(spec, cfg.cache_path(), cfg.table_cap)
     env.provenance["cache_keys"].append(group_cache_key(spec))
     return table
 
 
 def _chartab(spec: GroupSpec, cfg: JobConfig, env: ReportEnvelope):
-    table = cached_group_table(spec, cfg.cache_path(), cfg.table_cap)
-    ct = cached_char_table(table, cfg.cache_path(), cfg.chartab_cap)
+    ct = cached_char_table(_group_table(spec, cfg, env), cfg.cache_path(), cfg.chartab_cap)
     # classification reads the types of the monic polynomials of degree n
     cached_irreducibles(spec.ring.q, spec.n)
-    env.provenance["cache_keys"].extend([group_cache_key(spec), chartab_cache_key(spec)])
+    env.provenance["cache_keys"].append(chartab_cache_key(spec))
     env.provenance.setdefault("dixon", {})[spec.key()] = {"e": ct.e, "r": ct.r}
     return ct
 
@@ -128,7 +126,8 @@ def cmd_verify(cfg: JobConfig) -> ReportEnvelope:
     def add(a, claim, *values, **flags):
         env.add(f"{claim}[a={a}]", claim, *values, **flags)
 
-    dim = induced_dim(spec, _maybe_table(spec, cfg, env))
+    table = _group_table(spec, cfg, env) if spec.order() <= cfg.table_cap else None
+    dim = induced_dim(spec, table)
     supported = predictions_supported(spec)
     pdim = predicted_dim_sum(spec) if supported else None
     for a, norm in zip(units, induced_norm(spec, units)):
@@ -300,8 +299,7 @@ def cmd_chartab(cfg: JobConfig) -> ReportEnvelope:
 def cmd_classes(cfg: JobConfig) -> ReportEnvelope:
     env = _envelope(cfg)
     spec = cfg.group_spec()
-    table = cached_group_table(spec, cfg.cache_path(), cfg.table_cap)
-    env.provenance["cache_keys"].append(group_cache_key(spec))
+    table = _group_table(spec, cfg, env)
     cd = conjugacy_classes(table)
     env.add("class-partition", "class-sizes-sum-to-order",
             len(table), int(cd.sizes.sum()))

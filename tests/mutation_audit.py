@@ -46,11 +46,19 @@ ALLOWED = {
         "I + E_12, of that order, or U is trivial (GL1); phi_x takes p-th roots "
         "on K^(l-1), which holds elements of order p: so the values lie in "
         "Q(zeta_e) by construction",
-    "chartab.py:classify_regular#2":
+    "chartab.py:classify_regular#3":
         "a character restricted to the abelian normal K^(l-1) is a multiple of "
         "one G-orbit sum of characters phi_x (Clifford), and the type is an orbit "
         "invariant; a table wrong enough to spread one character over orbits of "
         "different types fails class_sums or the empty-support check first",
+    "whittaker_verify.py:induced_dim#1":
+        "spec.order() and unipotent_order are closed forms: |G| has the factor "
+        "q^((l-1) d_g + n(n-1)/2), d_g = dim g >= n(n-1)/2, so |U| = q^(l n(n-1)/2) "
+        "divides it for every family, n and ring",
+    "whittaker_verify.py:induced_dim#2":
+        "GroupTable asserts |G| rows and unipotent_subgroup asserts |U| ids, so the "
+        "table's quotient is the closed-form one; the table argument stays because "
+        "loading it puts the group key into the verify reports' cache_keys",
     "cyclotomic.py:_poly_divexact#1":
         "cyclotomic_poly divides x^m - 1 by Phi_d for d | m, d < m, which divide it "
         "exactly over Z",

@@ -35,8 +35,7 @@ from pathlib import Path
 import numpy as np
 
 from whittaker.cache import _write
-from whittaker.chartab import (CLASSIFY_PAIR_CAP, CharTable, ClassData, RegularFlag,
-                               _lie_algebra_residue, class_data)
+from whittaker.chartab import CLASSIFY_PAIR_CAP, CharTable, ClassData, RegularFlag, class_data
 from whittaker.cli import JobConfig, run
 from whittaker.cyclotomic import (CycloNum, IntegralityError, NonRationalError, prime_divisors,
                                   reduction_matrix)
@@ -585,15 +584,31 @@ def class_powers_by_lookup(cd: ClassData) -> tuple[np.ndarray, np.ndarray, np.nd
     return powers, np.array(orders), inverses
 
 
+def lie_algebra_residue(spec: GroupSpec) -> np.ndarray:
+    """All elements of g(F_q), in all_tuples order of their first lie_dim
+    entries: the full matrix algebra for gl, trace zero for sl."""
+    res = get_ring(spec.ring).residue_field()
+    n, free = spec.n, spec.lie_dim  # sl: the last diagonal entry is -(the others)
+    out = np.zeros((res.size**free, n * n), dtype=np.int64)
+    out[:, :free] = all_tuples(res.size, free)
+    out = out.reshape(-1, n, n)
+    if spec.family == "SL":
+        diag_sum = np.zeros(len(out), dtype=np.int64)
+        for i in range(n - 1):
+            diag_sum = res.v_add(diag_sum, out[:, i, i])
+        out[:, n - 1, n - 1] = res.v_neg(diag_sum)
+    return out
+
+
 def adjoint_orbits_by_sweep(spec: GroupSpec) -> np.ndarray:
-    """The orbit labels of chartab.adjoint_orbits from all of G(F_q): each x of
-    _lie_algebra_residue(spec), in turn the smallest one not yet labelled, is
-    conjugated by every element of the l = 1 group table at once."""
+    """The smallest index in its orbit of each x of lie_algebra_residue(spec),
+    under conjugation by G(F_q): each x, in turn the smallest one not yet
+    labelled, is conjugated by every element of the l = 1 group table at once."""
     res_spec = GroupSpec(spec.family, spec.n, RingDesc(spec.ring.kind, spec.ring.p,
                                                         spec.ring.f, 1))
     table = enumerate_group(res_spec)
     res, n, free = table.ring, spec.n, spec.lie_dim
-    xs = _lie_algebra_residue(spec)
+    xs = lie_algebra_residue(spec)
     labels = np.full(len(xs), -1, dtype=np.int64)
     for i in range(len(xs)):
         if labels[i] < 0:
@@ -687,7 +702,8 @@ def integer_values(acc: np.ndarray, m: int, divisor: int = 1) -> np.ndarray:
 
 def classify_regular_by_x(ct: CharTable) -> list[RegularFlag]:
     """chartab.classify_regular without the orbits: <chi|_{K^(l-1)}, phi_x>
-    for every x in g(F_q), and the type of every supported x."""
+    for every x in g(F_q), each the level y' of one y = I + pi^(l-1) y' of
+    K^(l-1), and the type of every supported x."""
     table = ct.table
     spec, ring = table.spec, table.ring
     ell, n, q = ring.ell, spec.n, ring.q
@@ -696,7 +712,7 @@ def classify_regular_by_x(ct: CharTable) -> list[RegularFlag]:
     k_ids = congruence_subgroup(table, ell - 1)
     yprimes = (table.elems[k_ids] - np.eye(n, dtype=np.int64)[None]) // q ** (ell - 1) % q
     y_classes = ct.cd.class_of[k_ids]
-    xs = _lie_algebra_residue(spec)
+    xs = yprimes
     if len(xs) * len(yprimes) > CLASSIFY_PAIR_CAP:
         raise CapExceeded("classification pair count beyond cap")
     e, k, X = ct.e, ct.k, len(xs)

@@ -11,11 +11,11 @@ import pytest
 from whittaker.cyclotomic import CycloNum, IntegralityError, unit_generators
 from whittaker.localring import get_ring, is_prime, ring_make
 from whittaker.linalg import mat_mul
-from whittaker.groups import (CapExceeded, GroupSpec, GroupTable, enumerate_group,
-                              unipotent_subgroup)
+from whittaker.groups import (CapExceeded, GroupSpec, GroupTable, congruence_subgroup,
+                              enumerate_group, unipotent_subgroup)
 from whittaker.whittaker_verify import NonDegenChar, induced_norm
 from whittaker import chartab
-from whittaker.chartab import (CharTable, adjoint_orbits, central_eigen_rows, charpoly_mod,
+from whittaker.chartab import (CharTable, central_eigen_rows, charpoly_mod,
                                character_table, class_data, class_matrix, class_sums,
                                classify_regular, components, conjugacy_classes,
                                decompose_induced, dixon_prime, eigen_rows, nullspace_mod,
@@ -776,9 +776,24 @@ def test_classify_regular_sl2z9(sl2z9_ct):
     ("SL", 3, Z4, 7),
 ], ids=["gl2-F2", "gl2-F3", "gl2-F4", "gl3-F2", "sl2-F3", "sl3-F2"])
 def test_adjoint_orbits_are_the_orbits_of_the_whole_residue_group(family, n, ring, count):
-    labels = adjoint_orbits(GroupSpec(family, n, ring))
-    assert np.array_equal(labels, adjoint_orbits_by_sweep(GroupSpec(family, n, ring)))
-    assert len(np.unique(labels)) == count
+    # the classes that meet K^1 = I + pi g(F_q), the orbits classify_regular
+    # reads, are the orbits of G(F_q) on g(F_q): each y' of a class is
+    # labelled with the smallest lie_algebra_residue index in its class
+    spec = GroupSpec(family, n, ring)
+    table = enumerate_group(spec)
+    cd = conjugacy_classes(table)
+    k_ids = congruence_subgroup(table, 1)
+    meet = np.bincount(cd.class_of[k_ids], minlength=cd.k)
+    assert np.array_equal(meet[meet > 0], cd.sizes[meet > 0])
+    assert np.count_nonzero(meet) == count
+    q, free = table.ring.q, spec.lie_dim
+    levels = (table.elems[k_ids].astype(np.int64) - np.eye(n, dtype=np.int64)) // q % q
+    index = levels.reshape(len(k_ids), n * n)[:, :free] @ q ** np.arange(free)
+    smallest = np.full(cd.k, len(k_ids))
+    np.minimum.at(smallest, cd.class_of[k_ids], index)
+    labels = np.empty(len(k_ids), dtype=np.int64)
+    labels[index] = smallest[cd.class_of[k_ids]]
+    assert np.array_equal(labels, adjoint_orbits_by_sweep(spec))
 
 
 @pytest.mark.parametrize("family, n, ring", [
@@ -792,18 +807,19 @@ def test_classify_regular_on_orbits_matches_every_x(family, n, ring):
 
 
 def test_merged_orbits_fail_the_classification(monkeypatch):
-    # the orbit of x = I joins the orbit of 0, whose representative 0 is the
-    # smaller: the characters over phi_I are then paired with no x at all, so
-    # no flags come back to compare with classify_regular_by_x
+    # the representative of x = I is paired as x = 0, so the orbit of I joins
+    # the orbit of 0: the characters over phi_I are then paired with no x at
+    # all, so no flags come back to compare with classify_regular_by_x
     ct = character_table(enumerate_group(GroupSpec("GL", 2, Z9)))
-    original = chartab.adjoint_orbits
+    original = chartab.phi_x_exponents
 
-    def merged(spec):
-        labels = original(spec).copy()
-        labels[labels == labels[1 + 3**3]] = 0  # index 1 + q^3 is diag(1, 1)
-        return labels
+    def merged(ring, i, lifts, levels):
+        out = original(ring, i, lifts, levels).copy()
+        eye = np.eye(lifts.shape[-1], dtype=lifts.dtype)
+        out[(lifts == eye).all(axis=(1, 2))] = out[(lifts == 0).all(axis=(1, 2))]
+        return out
 
-    monkeypatch.setattr(chartab, "adjoint_orbits", merged)
+    monkeypatch.setattr(chartab, "phi_x_exponents", merged)
     with pytest.raises(AssertionError, match="empty support"):
         classify_regular(ct)
 

@@ -401,22 +401,24 @@ def test_gl1_branching_where_p_to_the_l_does_not_divide_e(capsys):
 
 
 def test_merged_adjoint_orbits_exit_internal(monkeypatch, capsys):
-    # the orbit of x = I joins the orbit of 0 (see test_chartab): the GL_2(Z/9)
-    # characters over phi_I lose their support
+    # the representative of x = I is paired as x = 0 (see test_chartab): the
+    # GL_2(Z/9) characters over phi_I lose their support
     from whittaker import chartab
 
-    original = chartab.adjoint_orbits
+    original = chartab.phi_x_exponents
 
-    def merged(spec):
-        labels = original(spec).copy()
-        labels[labels == labels[1 + 3**3]] = 0
-        return labels
+    def merged(ring, i, lifts, levels):
+        out = original(ring, i, lifts, levels).copy()
+        eye = np.eye(lifts.shape[-1], dtype=lifts.dtype)
+        out[(lifts == eye).all(axis=(1, 2))] = out[(lifts == 0).all(axis=(1, 2))]
+        return out
 
-    monkeypatch.setattr(chartab, "adjoint_orbits", merged)
+    monkeypatch.setattr(chartab, "phi_x_exponents", merged)
     assert main(["gl2-sl2-tables", "--ring", "mixed:3^2", "--no-cache"]) == EXIT_INTERNAL
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "empty support" in captured.err
+    assert captured.err == ("internal fault: AssertionError: restriction to the kernel has "
+                            "empty support\n")
 
 
 NO_MASKED_ARRAYS = """
@@ -740,6 +742,32 @@ def test_cached_element_moved_between_classes_exits_internal(capsys, tmp_path):
     assert main(args) == EXIT_INTERNAL
     assert capsys.readouterr().err == ("internal fault: AssertionError: g -> g^5 does not "
                                        "permute the classes with their sizes\n")
+
+
+def test_cached_kernel_element_moved_out_of_the_kernel_exits_internal(capsys, tmp_path):
+    # the largest id of a class inside K^1 moved to a class outside it, below
+    # it in id: the numbering stays in order, and the classes that meet K^1
+    # no longer lie inside it, which the classification checks before it
+    # reads a class as an adjoint orbit
+    from whittaker.groups import congruence_subgroup
+
+    def move(ct):
+        cd = ct.cd
+        in_kernel = np.bincount(cd.class_of[congruence_subgroup(ct.table, 1)], minlength=cd.k)
+        big = int(np.flatnonzero(in_kernel > 1)[-1])
+        moved = int(np.flatnonzero(cd.class_of == big)[-1])
+        target = int(np.flatnonzero(in_kernel == 0)[0])
+        assert cd.reps[target] < moved
+        cd.class_of[moved] = target
+
+    cache = ["--ring", "mixed:3^2", "--cache-dir", str(tmp_path)]
+    assert main(["gl2-sl2-tables", *cache]) == 0
+    _rewrite_gl2_z9(tmp_path, move)
+    capsys.readouterr()
+    for args in (["branching", "--group", "GL2"], ["gl2-sl2-tables"]):
+        assert main([*args, *cache]) == EXIT_INTERNAL
+        assert capsys.readouterr().err == ("internal fault: AssertionError: the classes that "
+                                           "meet K^(l-1) do not lie inside it\n")
 
 
 def test_cached_columns_swapped_exit_internal(capsys, tmp_path):
