@@ -20,12 +20,13 @@ d^2 mod r, as the one divisor of |G| below r/2 with that square, and the
 character values are lifted to exact cyclotomic integers through
 eigenvalue multiplicities, one discrete Fourier transform over the power
 classes per element order (class_data reads them, the orders and the
-inverse classes off one stack of powers).  CharTable.verify checks the
-power map exactly and row orthogonality modulo a few primes r' = 1 mod e
-(CharTable.moduli).  Every character sum downstream (induced multiplicities,
-the regular classification, restriction norms) is one class_sums call: the
-power map on the classes it reads makes it an integer, read off its
-residues mod the same r'.
+inverse classes off one stack of powers).  Every character sum is one
+class_sums call: the power map on the classes it reads makes it an integer,
+read off its residues mod a few primes r' = 1 mod e (CharTable.moduli).
+CharTable.verify checks the power map at each prime p | e, then the row
+relation R H R* = |G| I as the class sums of the values weighted by the
+class sizes; the verdicts downstream (induced multiplicities, the regular
+classification, restriction norms) are such sums too.
 
 The values are held in the narrowest signed integer dtype that holds the
 largest degree (value_dtype), from the lift or the disk cache to every
@@ -40,7 +41,7 @@ widens the whole table once, and the linalg kernels widen what they get.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import accumulate
 from math import gcd, isqrt, prod
 
@@ -57,6 +58,7 @@ CHARTAB_CAP = 100_000
 ROOT_SCAN_BOUND = 1_000_000
 CLASSIFY_PAIR_CAP = 1 << 22
 VERIFY_BLOCK = 1 << 16  # values widened to int64 at a time by at_roots
+POWER_MAP_BLOCK = 1 << 22  # values gathered at a time by power_map_holds
 
 
 # ---------------------------------------------------------------------------
@@ -203,9 +205,11 @@ def dixon_prime(exponent: int, order: int) -> int:
     raise CapExceeded(f"no Dixon prime below {ROOT_SCAN_BOUND} for exponent {exponent}")
 
 
+@cache
 def verify_primes(e: int, bound: int) -> list[int]:
     """Primes r = 1 mod e, descending from ROOT_SCAN_BOUND, until their
-    product exceeds 2 bound; CapExceeded if the candidates run out first."""
+    product exceeds 2 bound; CapExceeded if the candidates run out first.
+    Memoized on (e, bound): callers share the list and must not edit it."""
     out, product = [], 1
     r = (ROOT_SCAN_BOUND - 1) // e * e + 1
     while product <= 2 * bound:
@@ -359,16 +363,19 @@ def value_dtype(hi: int) -> type:
 
 
 def power_map_holds(a: np.ndarray, to: np.ndarray, u: int) -> bool:
-    """Whether the exponent vectors a[..., c, :], one per class c, keep the
+    """Whether the exponent vectors a[x, c, :] of an (X, C, e) array keep the
     power map g -> g^u: exponent x m + b (m = e / gcd(u, e)) lands on u b, so
     the vector at to[c], the class of g_c^u, read at the exponents u b must be
-    the one at c summed over x, and zero elsewhere when both have one sum."""
-    e, lead = a.shape[-1], a.shape[:-2]
+    the one at c summed over x, and zero elsewhere when both have one sum.
+    Checked on blocks of leading rows of about POWER_MAP_BLOCK values."""
+    X, C, e = a.shape
     m = e // gcd(u, e)
     at = (to[:, None] * e + u * np.arange(m) % e).ravel()
-    return np.array_equal(np.take(a.reshape(*lead, -1), at, axis=-1),
-                          sum((a[..., x:x + m] for x in range(m, e, m)),
-                              a[..., :m]).reshape(*lead, -1))
+    step = max(1, POWER_MAP_BLOCK // (C * e))
+    return all(np.array_equal(np.take(b.reshape(len(b), -1), at, axis=1),
+                              sum((b[..., x:x + m] for x in range(m, e, m)),
+                                  b[..., :m]).reshape(len(b), -1))
+               for b in (a[i:i + step] for i in range(0, X, step)))
 
 
 def at_roots(a: np.ndarray, Z: np.ndarray) -> np.ndarray:
@@ -421,53 +428,35 @@ class CharTable:
         return self.cd.table
 
     def verify(self) -> None:
-        """The power map, exactly, then row orthogonality modulo a few primes;
+        """The power map at each prime p | e, then the row relation;
         AssertionError on failure.
 
-        Power map (power_map_holds), for every prime u | e and each unit u of
-        unit_generators(e), where g -> g^u must also permute the classes with
-        their sizes: then sigma_u chi(g) = chi(g^u).  It ties the values to
-        the classes, which row orthogonality cannot: it is blind to two
-        swapped columns of equal class size.
+        Power map (power_map_holds): the values of the class of g^p are those
+        of the class of g with every eigenvalue raised to the p-th power;
+        class_sums checks it at the unit generators, which must also permute
+        the classes with their sizes.  It ties the values to the classes,
+        which the row relation cannot: it is blind to two swapped columns of
+        equal class size.
 
-        Row relation: with R the k x k values and H the diagonal of the class
-        sizes, P = R H R* - |G| I is an integer matrix (as in class_sums, each
-        sigma_u permutes the classes with their sizes), and |P| <= B =
-        |G| (d_max^2 + 1).  V H Vbar^T = |G| I mod each r' of moduli, V and
-        Vbar the values at zeta' and zeta'^-1, says r' | P, and prod r' > 2 B,
-        so P = 0.  Vbar is V at the inverse classes, as sigma_-1 is a product
-        of the sigma_u just checked.  A value is at most d_max (r' - 1) and a
-        k-term product at most k (r' - 1)^2 < 2^63.  Then R^-1 = H R* / |G|,
-        and the column relation R* R = |G| H^-1 follows.
+        Row relation: R H R* = |G| I, R the k x k values and H the diagonal of
+        the class sizes, is one class_sums call, the rows against themselves
+        weighted by the sizes.  Then R^-1 = H R* / |G|, and the column
+        relation R* R = |G| H^-1 follows.
         """
-        cd, rows, e, k = self.cd, self.rows, self.e, self.k
-        order = len(self.table)
-        units = unit_generators(e)
-        for u in units + prime_divisors(e):
-            to = cd.powers[np.arange(k), u % cd.orders]
-            if u in units and not (np.array_equal(np.sort(to), np.arange(k))
-                                   and np.array_equal(cd.sizes[to], cd.sizes)):
-                raise AssertionError(f"g -> g^{u} does not permute the classes with their sizes")
-            if not power_map_holds(rows, to, u):
-                raise AssertionError(f"the values break the power map g -> g^{u}")
-
-        d_max = int(self.degrees.max())
-        bound = order * (d_max**2 + 1)
-        primes, Z = self.moduli
-        if prod(primes) <= 2 * bound or max(k, d_max) * (max(primes) - 1) ** 2 >= 1 << 63:
-            raise AssertionError(f"the primes {primes} break the bounds prod r' > 2 B = "
-                                 f"{2 * bound} and max(k, d_max) (r' - 1)^2 < 2^63")
-        values = at_roots(rows, Z)
-        for j, r in enumerate(primes):
-            V = values[..., j] % r
-            gram = V * (cd.sizes % r) % r @ V[:, cd.inverse_perm].T % r
-            if not np.array_equal(gram, order % r * np.eye(k, dtype=np.int64)):
-                raise AssertionError(f"row orthogonality fails mod {r}")
+        cd, k = self.cd, self.k
+        for p in prime_divisors(self.e):
+            if not power_map_holds(self.rows, cd.powers[np.arange(k), p % cd.orders], p):
+                raise AssertionError(f"the values break the power map g -> g^{p}")
+        if not np.array_equal(class_sums(self, self.rows, np.arange(k), range(k), 1, cd.sizes),
+                              len(self.table) * np.eye(k, dtype=np.int64)):
+            raise AssertionError("row orthogonality fails")
 
     @cached_property
     def moduli(self) -> tuple[list[int], np.ndarray]:
         """verify_primes(e, B), B = |G| (d_max^2 + 1), and Z[j, u] = zeta_j^u
-        mod r'_j (u < e), zeta_j of order e mod r'_j, made once per table."""
+        mod r'_j (u < e), zeta_j of order e mod r'_j, made once per table.
+        B bounds every class sum read: the row relation's |G| d_max^2, and
+        the verdicts' |U| d_max, |K^(l-1)| d_max and |SL| d_max^2."""
         primes = verify_primes(self.e, len(self.table) * (int(self.degrees.max())**2 + 1))
         return primes, np.array([list(accumulate([root_of_unity(self.e, r)] * (self.e - 1),
                                                  lambda a, z: a * z % r, initial=1))
@@ -649,41 +638,45 @@ def character_table(table: GroupTable, cap: int = CHARTAB_CAP) -> CharTable:
 
 
 def class_sums(ct: CharTable, f: np.ndarray, classes: np.ndarray, ts,
-               divisor: int) -> np.ndarray:
-    """The exact (X, T) integers S / divisor, S[x, t] = sum_c f[x, c]
+               divisor: int, weights: np.ndarray) -> np.ndarray:
+    """The exact (X, T) integers S / divisor, S[x, t] = sum_c w_c f[x, c]
     conj(chi_t(classes[c])), for exponent vectors f (X, C, e) on the ascending
-    classes `classes` and the rows ts; AssertionError when a check fails,
-    IntegralityError when a quotient is not an integer.
+    classes `classes`, integer weights w (C,) and the rows ts; AssertionError
+    when a check fails, IntegralityError when a quotient is not an integer.
 
-    For each unit generator u, g -> g^u must permute the classes (pi_u), and
-    f and the values must keep the power map: sigma_u f(c) = f(pi_u c), the
-    same for chi_t, so sigma_u S = S for generators of Gal(Q(zeta_e)/Q): S is
-    in Z.  This is stronger than a rationality test: it also refuses faults
-    that leave S rational.  Mod each r' of ct.moduli, S is f at zeta' times
-    the values at zeta'^-1, one (X, C) @ (C, T) product, and Garner's CRT
-    lifts the residues to S, as |S| <= L d (L the largest sum of |f[x]|, d
-    the largest degree of ts) and 2 L d < prod r' < 2^63; the verdicts have
-    L d <= B = |G| (d_max^2 + 1), which verify's primes exceed.  The int64
-    sums stay below 2^63: f at zeta' is at most L (r' - 1), a value at most
-    d (r' - 1), a product of residues (and Garner's) at most C (r' - 1)^2.
+    For each unit generator u, g -> g^u must permute the classes (pi_u) with
+    their weights, and f and the values must keep the power map:
+    sigma_u f(c) = f(pi_u c), the same for chi_t, so sigma_u S = S for
+    generators of Gal(Q(zeta_e)/Q): S is in Z.  This also refuses faults that
+    leave S rational.  Mod each r' of ct.moduli, S is f at zeta' times w
+    times the values at zeta'^-1, one (X, C) @ (C, T) product, and Garner's
+    CRT lifts the residues to S, as |S| <= L d and 2 L d < prod r' < 2^63:
+    d the largest degree of ts, L the largest sum_c max(|w_c|, 1) |f[x, c]|.
+    The int64 sums stay below 2^63: f at zeta' (times w) is at most
+    L (r' - 1), a value at most d (r' - 1), and a product of residues (and
+    Garner's) at most C (r' - 1)^2.
     """
     ts = np.asarray(ts, dtype=np.int64)
+    # L before the gather of the values, so that |f| and g are not held at once
+    L = int((np.abs(f).sum(axis=2) * np.maximum(np.abs(weights), 1)).sum(axis=1).max(initial=0))
+    d = int(ct.degrees[ts].max(initial=0))
     g = ct.rows[np.ix_(ts, classes)]
     for u in unit_generators(ct.e):
         to = ct.cd.powers[classes, u % ct.cd.orders[classes]]
-        if not np.array_equal(np.sort(to), classes):
-            raise AssertionError(f"g -> g^{u} does not permute the classes of the sum")
+        at = np.searchsorted(classes, to)
+        if not (np.array_equal(np.sort(to), classes) and np.array_equal(weights[at], weights)):
+            raise AssertionError(f"g -> g^{u} does not permute the classes of the sum "
+                                 "with their weights")
         for a, name in ((g, "values"), (f, "summands")):
-            if not power_map_holds(a, np.searchsorted(classes, to), u):
+            if not power_map_holds(a, at, u):
                 raise AssertionError(f"the {name} break the power map g -> g^{u}")
     primes, Z = ct.moduli
-    L, d = int(np.abs(f).sum(axis=(1, 2)).max(initial=0)), int(ct.degrees[ts].max(initial=0))
     top = max(primes) - 1
     if (not 2 * L * d < prod(primes) < 1 << 63 or max(L, d) * top >= 1 << 63
             or max(len(classes), 1) * top ** 2 >= 1 << 63):
         raise AssertionError(f"the primes {primes} break the bounds 2 L d = {2 * L * d} < "
                              "prod r' < 2^63 and max(L, d) (r' - 1), C (r' - 1)^2 < 2^63")
-    F = at_roots(f, Z) % primes
+    F = at_roots(f, Z) * weights[:, None] % primes
     G = at_roots(g, Z[:, -np.arange(ct.e) % ct.e]) % primes
     S, M = np.zeros((len(f), len(ts)), dtype=np.int64), 1
     for j, r in enumerate(primes):  # Garner: 0 <= S < M, S = S_j mod each r'_j so far
@@ -709,7 +702,7 @@ def restriction_multiplicities(ct: CharTable, ids: np.ndarray, expos: np.ndarray
     X, C = len(expos), len(classes)
     cells = (np.arange(X)[:, None] * C + at[None, :]) * ct.e + expos
     f = np.bincount(cells.ravel(), minlength=X * C * ct.e).reshape(X, C, ct.e)
-    mults = class_sums(ct, f, classes, range(ct.k), len(ids))
+    mults = class_sums(ct, f, classes, range(ct.k), len(ids), np.ones(C, dtype=np.int64))
     if np.any(mults < 0):
         raise IntegralityError("negative multiplicity")
     return mults
@@ -814,16 +807,15 @@ def restriction_norm(ct_gl: CharTable, ts) -> np.ndarray:
     """<Res chi_t, Res chi_t>_SL = (1/|SL|) sum over SL of |chi_t|^2, exact,
     for each row t of the sequence ts, as an int64 array.
 
-    One class_sums call of the summands profile_c chi_s(c) on the classes
-    that meet SL checks the whole (T, T) block.  Exact: det(g^v) = det(g)^v,
-    so g -> g^v maps the det-1 classes onto themselves with their sizes;
-    |S| <= |SL| d_max^2.  The summands are T C e int64, so callers pass a few
-    dozen rows at a time (cli: one factorization label).
+    One class_sums call of the values chi_s(c) on the classes that meet SL,
+    weighted by the SL elements in each (sl_class_profile), checks the whole
+    (T, T) block.  Exact: det(g^v) = det(g)^v, so g -> g^v maps the det-1
+    classes onto themselves with their sizes; |S| <= |SL| d_max^2.
     """
     profile = sl_class_profile(ct_gl)
     meet = np.flatnonzero(profile)
-    f = ct_gl.rows[np.ix_(ts, meet)] * profile[meet][None, :, None]
-    return np.diagonal(class_sums(ct_gl, f, meet, ts, int(profile.sum()))).copy()
+    f = ct_gl.rows[np.ix_(ts, meet)]
+    return np.diagonal(class_sums(ct_gl, f, meet, ts, int(profile.sum()), profile[meet])).copy()
 
 
 def sl_class_profile(ct_gl: CharTable) -> np.ndarray:

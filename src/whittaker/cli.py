@@ -257,7 +257,7 @@ def cmd_branching(cfg: JobConfig) -> ReportEnvelope:
     by_label: dict[str, list] = {}
     for f in regs:
         by_label.setdefault(f.label, []).append(f)
-    # one restriction_norm block per label keeps each (T, C, e) summand small
+    # one restriction_norm block per label keeps each class_sums call's (T, C) arrays small
     norms = {label: restriction_norm(ct, [f.index for f in fs]).tolist()
              for label, fs in by_label.items()}
     top = max(max(got) for got in norms.values())

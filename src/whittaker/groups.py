@@ -285,14 +285,17 @@ def _echelon_forms(ring: Ring, n: int, family: str, scalars: np.ndarray) -> np.n
 
 
 def congruence_subgroup(table: GroupTable, i: int) -> np.ndarray:
-    """The sorted ids of K^i = kernel of reduction G(o_l) -> G(o_i)."""
-    ring = table.ring
+    """The sorted ids of K^i = kernel of reduction G(o_l) -> G(o_i): the
+    matrices I + pi^i y, y over (o_l / pi^(l-i))^(n x n) (the code of pi^i y
+    is q^i times that of y), those of det 1 for SL, looked up in the table."""
+    ring, n = table.ring, table.n
     if not 1 <= i <= ring.ell:
         raise ValueError(f"congruence level {i} out of range [1, {ring.ell}]")
-    modulus = ring.q**i
-    eye = np.eye(table.n, dtype=np.int64)
-    mask = (np.remainder(table.elems, modulus, dtype=np.int64) == eye % modulus).all(axis=(1, 2))
-    ids = np.flatnonzero(mask)
+    ys = all_tuples(ring.q ** (ring.ell - i), n * n).reshape(-1, n, n)
+    mats = np.eye(n, dtype=np.int64) + ring.q**i * ys
+    if table.spec.family == "SL":
+        mats = mats[mat_det_batch(ring, mats) == 1]
+    ids = np.flatnonzero(np.bincount(table.ids_of(mats)))
     expected = congruence_order(table.spec, i)
     if len(ids) != expected:
         raise AssertionError(f"K^{i} of {table.spec.key()} has {len(ids)} elements, "

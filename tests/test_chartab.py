@@ -484,6 +484,30 @@ def test_orthogonality_verification_runs(gl2z4_ct):
     gl2z4_ct.verify()
 
 
+def test_verify_refuses_a_power_map_broken_in_the_last_row_block(gl2z4_ct, monkeypatch):
+    # blocks of two rows: the genuine table passes, and one multiplicity of
+    # the last row moved from exponent u to u + 1 at a class of order 2 breaks
+    # the power map in the last block only
+    ct = gl2z4_ct
+    monkeypatch.setattr(chartab, "POWER_MAP_BLOCK", 2 * ct.k * ct.e)
+    assert ct.k > 4
+    ct.verify()
+    c = int(np.flatnonzero(ct.cd.orders == 2)[0])
+    rows = ct.rows.copy()
+    u = int(np.flatnonzero(rows[-1, c])[0])
+    rows[-1, c, u] -= 1
+    rows[-1, c, (u + 1) % ct.e] += 1
+    with pytest.raises(AssertionError, match=r"the values break the power map g -> g\^\d+"):
+        CharTable(ct.cd, rows).verify()
+
+
+def test_verify_primes_are_scanned_once_per_exponent_and_bound(monkeypatch):
+    first = chartab.verify_primes(12, 10**9)
+    monkeypatch.setattr(chartab, "is_prime",
+                        lambda r: pytest.fail("the primes were scanned again"))
+    assert chartab.verify_primes(12, 10**9) is first
+
+
 def test_column_orthogonality(gl2z4_ct, sl2z9_ct):
     # sum_t chi_t(i) conj(chi_t(j)) = delta_ij |C(g_i)|: verify checks only the
     # row relation, which implies this one for a square table
@@ -545,20 +569,6 @@ def test_modular_verify_agrees_with_the_exact_gram(fixture, count, request):
         assert exact or not modular, kind
         stricter[kind] += exact and not modular
     print(f"{ct.table.spec.key()}: failed verify alone {dict(stricter)} of {count} per kind")
-
-
-def test_verify_reads_vbar_through_the_inverse_classes(gl2z4_ct):
-    # verify reads the values at zeta'^-1 as V[:, inverse_perm]; with the
-    # inverse classes of two classes that are not each other's inverse
-    # swapped, the power map still holds and the Gram fails
-    ct = gl2z4_ct
-    cd = ct.cd
-    i = 1
-    j = next(j for j in range(2, ct.k) if j != cd.inverse_perm[i])
-    perm = cd.inverse_perm.copy()
-    perm[[i, j]] = perm[[j, i]]
-    with pytest.raises(AssertionError, match="row orthogonality fails"):
-        CharTable(dataclasses.replace(cd, inverse_perm=perm), ct.rows).verify()
 
 
 def _widened(ct):
@@ -902,10 +912,10 @@ def test_class_sums_equal_the_exact_oracle(family, desc, monkeypatch):
     ct = character_table(enumerate_group(GroupSpec(family, 2, desc)))
     original, calls = chartab.class_sums, []
 
-    def checked(ct, f, classes, ts, divisor):
-        got = original(ct, f, classes, ts, divisor)
+    def checked(ct, f, classes, ts, divisor, weights):
+        got = original(ct, f, classes, ts, divisor, weights)
         full = np.zeros((len(f), ct.k, ct.e), dtype=np.int64)
-        full[:, classes] = f
+        full[:, classes] = f * weights[:, None]
         want = integer_values(pairings(full, ct.rows[np.asarray(ts)]), ct.e, divisor)
         assert got.dtype == np.int64 and np.array_equal(got, want)
         calls.append(got.shape)
@@ -922,17 +932,12 @@ def test_class_sums_equal_the_exact_oracle(family, desc, monkeypatch):
     assert calls[-1] == (ct.k, ct.k) and len(calls) == len(units) + 2
 
 
-def _sized_row(ct, t):
-    """The summands sizes_c chi_t(c) on every class, a (1, k, e) stack: their
-    class sums are sum_g chi_t(g) conj(chi_s(g)) = |G| delta_ts."""
-    return ct.rows[t][None].astype(np.int64) * ct.cd.sizes[None, :, None]
-
-
 def test_class_sums_give_row_orthogonality(gl2z9_ct):
+    # row t weighted by the class sizes: sum_g chi_t(g) conj(chi_s(g)) = |G| delta_ts
     ct = gl2z9_ct
     classes = np.arange(ct.k)
     for t in (0, ct.k // 2, ct.k - 1):
-        got = class_sums(ct, _sized_row(ct, t), classes, range(ct.k), len(ct.table))
+        got = class_sums(ct, ct.rows[[t]], classes, range(ct.k), len(ct.table), ct.cd.sizes)
         assert got.tolist() == [np.eye(ct.k, dtype=np.int64)[t].tolist()]
 
 
@@ -943,14 +948,15 @@ def test_class_sums_refuse_a_vector_off_the_power_map(gl2z4_ct, which):
     # by sigma_5, in the summands or in the values of the rows summed against
     ct = gl2z4_ct
     c = int(np.flatnonzero(ct.cd.orders == 2)[0])
-    f = _sized_row(ct, ct.k - 1)
+    f = ct.rows[[ct.k - 1]]
     rows = ct.rows.copy()
     vector = f[0, c] if which == "summands" else rows[-1, c]
     u = int(np.flatnonzero(vector)[0])
     vector[u] -= 1
     vector[(u + 1) % ct.e] += 1
     with pytest.raises(AssertionError, match=rf"the {which} break the power map g -> g\^(5|7)"):
-        class_sums(CharTable(ct.cd, rows), f, np.arange(ct.k), range(ct.k), len(ct.table))
+        class_sums(CharTable(ct.cd, rows), f, np.arange(ct.k), range(ct.k), len(ct.table),
+                   ct.cd.sizes)
 
 
 def test_class_sums_refuse_classes_that_a_unit_power_leaves(gl2z9_ct):
@@ -960,16 +966,27 @@ def test_class_sums_refuse_classes_that_a_unit_power_leaves(gl2z9_ct):
     c = next(c for c in range(1, ct.k) for u in unit_generators(ct.e)
              if cd.powers[c, u % cd.orders[c]] != c)
     classes = np.array([0, c])
-    f = _sized_row(ct, 0)[:, classes]
+    f = ct.rows[[0]][:, classes]
     with pytest.raises(AssertionError, match="does not permute the classes of the sum"):
-        class_sums(ct, f, classes, range(ct.k), 1)
+        class_sums(ct, f, classes, range(ct.k), 1, cd.sizes[classes])
+
+
+def test_class_sums_refuse_weights_that_a_unit_power_does_not_keep(gl2z9_ct):
+    # all classes, which every g -> g^u permutes, but weighted by the class
+    # ids: some g -> g^u moves a class to another, whose weight differs
+    ct = gl2z9_ct
+    classes = np.arange(ct.k)
+    with pytest.raises(AssertionError, match=r"g -> g\^\d+ does not permute the classes of the "
+                                             "sum with their weights"):
+        class_sums(ct, ct.rows[[0]], classes, range(ct.k), 1, classes + 1)
 
 
 def test_class_sums_refuse_a_remainder(gl2z4_ct):
     # sum_g |chi_t(g)|^2 = |G| is not divisible by |G| + 1
     ct = gl2z4_ct
     with pytest.raises(IntegralityError, match=f"not divisible by {len(ct.table) + 1}"):
-        class_sums(ct, _sized_row(ct, 0), np.arange(ct.k), range(ct.k), len(ct.table) + 1)
+        class_sums(ct, ct.rows[[0]], np.arange(ct.k), range(ct.k), len(ct.table) + 1,
+                   ct.cd.sizes)
 
 
 def _with_moduli(ct, primes):
@@ -1028,7 +1045,19 @@ def test_class_sums_refuse_summands_past_int64_at_the_roots(gl2z4_ct):
     f = np.zeros((1, 1, 12), dtype=np.int64)
     f[0, 0, 0] = 1 << 33
     with pytest.raises(AssertionError, match=BOUND_FAULT):
-        class_sums(ct, f, np.array([0]), range(ct.k), 1)
+        class_sums(ct, f, np.array([0]), range(ct.k), 1, np.array([1]))
+
+
+@pytest.mark.parametrize("value, weight", [(1 << 33, 0), (1, 1 << 33)],
+                         ids=["summand-weighted-0", "weight"])
+def test_class_sums_refuse_weighted_summands_past_int64_at_the_roots(gl2z4_ct, value, weight):
+    # as above, with f w = 2^33 at the identity: f at zeta' times w may reach
+    # 2^33 (r' - 1) >= 2^63, and a weight 0 does not hide a large f at zeta'
+    ct = _with_moduli(gl2z4_ct, _primes_below(3 * 10**9, 2))
+    f = np.zeros((1, 1, 12), dtype=np.int64)
+    f[0, 0, 0] = value
+    with pytest.raises(AssertionError, match=BOUND_FAULT):
+        class_sums(ct, f, np.array([0]), range(ct.k), 1, np.array([weight]))
 
 
 @pytest.mark.parametrize("shift, check", [

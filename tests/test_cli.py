@@ -563,7 +563,8 @@ def test_cached_value_moved_by_galois_exits_internal(capsys, tmp_path):
 
 
 def test_too_few_verify_primes_exit_internal(monkeypatch, capsys):
-    # one prime = 1 mod 12 whose product cannot exceed 2 B = 2 |G| (d_max^2 + 1)
+    # one prime = 1 mod 12 whose product cannot exceed 2 L d = 2 |G| d_max^2,
+    # the bound of the row relation's class sum
     from whittaker import chartab
 
     monkeypatch.setattr(chartab, "verify_primes", lambda e, bound: [13])
@@ -571,7 +572,7 @@ def test_too_few_verify_primes_exit_internal(monkeypatch, capsys):
     assert main(args) == EXIT_INTERNAL
     err = capsys.readouterr().err
     assert err.startswith("internal fault: AssertionError: the primes [13] break the bounds "
-                          "prod r' > 2 B = 7104")
+                          "2 L d = 6912")
     assert len(err.splitlines()) == 1
 
 
@@ -726,8 +727,8 @@ def test_cached_classes_swapped_exit_internal(capsys, tmp_path):
 def test_cached_element_moved_between_classes_exits_internal(capsys, tmp_path):
     # the largest id of the largest class moved to the next non-identity
     # class: the numbering stays in order, the derived class sizes change,
-    # and re-verify's power map, which reads them, no longer permutes the
-    # classes with their sizes
+    # and g -> g^5 no longer permutes the classes with the sizes that weight
+    # re-verify's row relation
     def move(cd):
         big = int(cd.sizes.argmax())
         moved = int(np.flatnonzero(cd.class_of == big)[-1])
@@ -741,7 +742,7 @@ def test_cached_element_moved_between_classes_exits_internal(capsys, tmp_path):
     capsys.readouterr()
     assert main(args) == EXIT_INTERNAL
     assert capsys.readouterr().err == ("internal fault: AssertionError: g -> g^5 does not "
-                                       "permute the classes with their sizes\n")
+                                       "permute the classes of the sum with their weights\n")
 
 
 def test_cached_kernel_element_moved_out_of_the_kernel_exits_internal(capsys, tmp_path):
